@@ -62,11 +62,7 @@ from .uniqueness import (
     build_constraints,
     canonical_element,
     certify,
-    delta_identity,
     oracle_evolution,
-    recurrence_chain,
-    solve_exponential_family,
-    w_side_split,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +96,6 @@ __all__ = [
     "canonical_element",
     "certify",
     "decay_deviation",
-    "delta_identity",
     "detector_probability",
     "dyad_operator",
     "evolution_matrix",
@@ -118,10 +113,7 @@ __all__ = [
     "pole_expansion_coeffs",
     "pole_term",
     "pole_term_probability",
-    "recurrence_chain",
     "s_matrix_eval",
-    "solve_exponential_family",
     "w_n",
     "w_pole_term",
-    "w_side_split",
 ]

@@ -8,7 +8,7 @@ separator, JSON is sorted and indented, so identical configs produce
 byte-identical files.
 
 Exit codes: 0 success, 1 validation or I/O error, 2 numerical
-non-convergence or overflow, 3 certification failure.
+non-convergence, overflow or underflow, 3 certification failure.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     ConfigInvalidError,
     JTooLargeError,
     NoConvergenceError,
+    UnderflowError,
 )
 from .jordan import (
     GamowSubspace,
@@ -63,6 +64,14 @@ def _fmt(x: float) -> str:
 
 def _cplx(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
+
+
+def _finite(text: str) -> float:
+    """float(text), rejecting inf and nan with ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 # ---------------------------------------------------------------- config
@@ -105,9 +114,9 @@ class RunConfig:
     def get_float(self, key: str, default=None) -> float:
         value = self._single(key, default)
         try:
-            return float(value)
+            return _finite(value)
         except (TypeError, ValueError):
-            raise ConfigInvalidError(f"key {key!r}: expected a number, got {value!r}")
+            raise ConfigInvalidError(f"key {key!r}: expected a finite number, got {value!r}")
 
     def get_int(self, key: str, default=None) -> int:
         value = self._single(key, default)
@@ -133,9 +142,9 @@ class RunConfig:
     def phase(self) -> BackgroundPhase:
         values = self.raw.get("gamma", [])
         try:
-            coeffs = tuple(float(v) for v in values)
+            coeffs = tuple(_finite(v) for v in values)
         except ValueError:
-            raise ConfigInvalidError("key 'gamma': expected numbers")
+            raise ConfigInvalidError("key 'gamma': expected finite numbers")
         if not coeffs:
             return BackgroundPhase()
         kind = "constant" if len(coeffs) == 1 else "polynomial"
@@ -154,7 +163,7 @@ class RunConfig:
                     f"key {key!r}: expected 'a m c_re c_im', got {chunk!r}"
                 )
             try:
-                a, c_re, c_im = float(parts[0]), float(parts[2]), float(parts[3])
+                a, c_re, c_im = _finite(parts[0]), _finite(parts[2]), _finite(parts[3])
                 m = int(parts[1])
             except ValueError:
                 raise ConfigInvalidError(f"key {key!r}: malformed term {chunk!r}")
@@ -241,6 +250,9 @@ def _guarded(fn):
         except OverflowError as exc:
             click.echo(f"error: numerical overflow: {exc}", err=True)
             sys.exit(2)
+        except UnderflowError as exc:
+            click.echo(f"error: numerical underflow: {exc}", err=True)
+            sys.exit(2)
         except (ConfigInvalidError, JTooLargeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -314,24 +326,30 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
             acc = 0.0
             for c in coeffs:
                 acc = acc * t + c
+            if math.isinf(acc):
+                raise OverflowError(f"squared norm leaves the float range at t = {t!r}")
             return math.sqrt(acc)
 
         return unphased(0.0), [unphased(t) * math.exp(-width * t) for t in grid]
+
+    def exp_law(norm0):
+        reference = [norm0 * math.exp(-width * t) for t in grid]
+        if 0.0 in reference:
+            t = grid[reference.index(0.0)]
+            raise UnderflowError(f"exp-law reference norm0 * exp(-Gamma t) is 0 at t = {t!r}")
+        return reference
 
     header = ["t"]
     columns = [grid]
     for name, op in operators:
         norm0, curve = norm_curve(op)
-        reference = [norm0 * math.exp(-width * t) for t in grid]
+        reference = exp_law(norm0)
         deviation = [abs(a - b) / b for a, b in zip(curve, reference)]
         header += [f"{name}_norm", f"{name}_exp_law", f"{name}_deviation"]
         columns += [curve, reference, deviation]
     for name, op in dyads:
         norm0, curve = norm_curve(op)
-        deviation = [
-            abs(a - norm0 * math.exp(-width * t)) / (norm0 * math.exp(-width * t))
-            for a, t in zip(curve, grid)
-        ]
+        deviation = [abs(a - b) / b for a, b in zip(curve, exp_law(norm0))]
         header += [f"{name}_norm", f"{name}_deviation"]
         columns += [curve, deviation]
 

@@ -31,3 +31,7 @@ class ConfigInvalidError(ValueError):
 
 class JTooLargeError(ValueError):
     """Requested certification order exceeds the configured cap."""
+
+
+class UnderflowError(ArithmeticError):
+    """A reference value underflowed to zero and cannot scale a result."""

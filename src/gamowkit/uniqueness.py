@@ -7,14 +7,18 @@ t cancels yields one homogeneous linear condition per coefficient that
 must vanish.  The conditions are assembled for the doubled order 2j with
 all entries outside the j-square forced to zero, so the vanishing of the
 high anti-diagonals (h + k > j) is a consequence to verify rather than an
-assumption.  Everything here runs over Gaussian rationals: constraint
-rows are integer vectors, elimination is fraction-free with exact pivot
-selection, and no floating-point rank decision occurs anywhere.
+assumption.
 
-The solution set is (j+1)-dimensional with canonical basis element n
-carrying binom(n, k) on the anti-diagonal h + k = n; an independent
-oracle expands the conjugation dyad by dyad and confirms each basis
-element evolves as a pure exponential.
+Every condition involves only the unknowns A[n-k][k] of one anti-diagonal
+h + k = n, so the system splits into 2j + 1 independent integer blocks.
+Each block is reduced on its own by fraction-free elimination; no
+floating-point rank decision occurs anywhere.  The certificate is the
+per-block statement: blocks n <= j have nullity 1 and their binomial row
+binom(n, k) satisfies every condition, blocks n > j have nullity 0.  So
+the solution set is (j+1)-dimensional with canonical basis element n
+carrying binom(n, k) on anti-diagonal n; an independent oracle expands
+the conjugation dyad by dyad and confirms each basis element evolves as a
+pure exponential.
 """
 
 from __future__ import annotations
@@ -23,19 +27,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom, monomial_product
+from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
 
 __all__ = [
     "CoefficientMatrix",
     "ConstraintRow",
     "ConstraintSystem",
+    "block_range",
     "build_constraints",
     "canonical_element",
-    "solve_exponential_family",
     "oracle_evolution",
-    "recurrence_chain",
-    "delta_identity",
-    "w_side_split",
     "certify",
 ]
 
@@ -69,54 +70,43 @@ class CoefficientMatrix:
     def entry(self, h: int, k: int) -> GaussianRational:
         return self.entries[h][k]
 
-    @property
-    def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
 
-    @classmethod
-    def zero(cls, j: int) -> "CoefficientMatrix":
-        size = j + 1
-        return cls(j, tuple(tuple(GaussianRational(0) for _ in range(size)) for _ in range(size)))
+def block_range(j: int, n: int) -> range:
+    """Ket orders k of the unknowns A[n-k][k] inside the j-square."""
+    return range(max(0, n - j), min(j, n) + 1)
 
 
 @dataclass(frozen=True)
 class ConstraintRow:
     """One vanishing condition, labelled by its triple (l, m, n).
 
-    coeffs maps unknown positions (h, k) inside the j-square to integer
-    weights; positions outside the square are already dropped because
-    those entries are identically zero in the embedded system.
+    weights[i] is the integer weight of the unknown A[n-k][k] with k the
+    i-th entry of block_range(j, n): the row lives on anti-diagonal n.
+    Unknowns outside the j-square are identically zero in the embedded
+    system and have no slot.
     """
 
     l: int
     m: int
     n: int
-    coeffs: dict
-
-    def apply(self, A: CoefficientMatrix) -> GaussianRational:
-        acc = GaussianRational(0)
-        for (h, k), weight in self.coeffs.items():
-            acc = acc + weight * A.entry(h, k)
-        return acc
+    weights: tuple
 
 
 @dataclass(frozen=True)
 class ConstraintSystem:
-    """All vanishing conditions for the embedded order-2j system."""
+    """All vanishing conditions for the embedded order-2j system, grouped
+    by anti-diagonal: blocks[n] holds the rows on h + k = n."""
 
     j: int
-    unknowns: tuple
-    rows: tuple
+    blocks: tuple
 
-    def as_matrix(self) -> list:
-        index = {hk: i for i, hk in enumerate(self.unknowns)}
-        dense = []
-        for row in self.rows:
-            vec = [0] * len(self.unknowns)
-            for hk, weight in row.coeffs.items():
-                vec[index[hk]] = weight
-            dense.append(vec)
-        return dense
+    @property
+    def unknowns(self) -> tuple:
+        return tuple((h, k) for h in range(self.j + 1) for k in range(self.j + 1))
+
+    @property
+    def rows(self) -> tuple:
+        return tuple(row for block in self.blocks for row in block)
 
 
 def build_constraints(j: int) -> ConstraintSystem:
@@ -126,29 +116,35 @@ def build_constraints(j: int) -> ConstraintSystem:
 
         sum_{k=l}^{n-m} A[n-k][k] binom(k, l) binom(n-k, m) (-1)**(k-l) = 0
 
-    with A entries outside the j-square treated as zero.  Rows whose
-    support lies entirely outside the square are kept (they are the
-    trivially satisfied part of the doubled system), so the row count
-    matches the plain triple enumeration.
+    with A entries outside the j-square treated as zero.  It is the
+    coefficient of t**(n-l-m) in the |l><m| entry of the conjugated
+    operator.  Rows whose support lies entirely outside the square are kept
+    as zero rows (the trivially satisfied part of the doubled system), so
+    the row count matches the plain triple enumeration, binom(2j+2, 3).
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    unknowns = tuple((h, k) for h in range(j + 1) for k in range(j + 1))
-    rows = []
-    top = 2 * j
-    for l in range(top):
-        for m in range(top - l):
-            for n in range(m + l + 1, top + 1):
-                coeffs: dict = {}
-                for k in range(l, n - m + 1):
-                    h = n - k
-                    if h > j or k > j:
+    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(2 * j + 1)]
+    blocks = []
+    for n in range(2 * j + 1):
+        ks = block_range(j, n)
+        rows = []
+        for s in range(n):
+            power = n - s
+            for l in range(s + 1):
+                m = s - l
+                weights = [0] * len(ks)
+                # the dyad |k><h| reaches |l><m| through (-i t)**a (i t)**(power - a)
+                for a in range(power + 1):
+                    k, h = l + a, m + power - a
+                    if k > j or h > j:
                         continue
-                    weight = binom(k, l) * binom(h, m) * (-1) ** (k - l)
-                    if weight:
-                        coeffs[(h, k)] = coeffs.get((h, k), 0) + weight
-                rows.append(ConstraintRow(l, m, n, coeffs))
-    return ConstraintSystem(j, unknowns, tuple(rows))
+                    if h + k != n:
+                        raise ArithmeticError(f"row ({l}, {m}, {n}) leaves its anti-diagonal")
+                    weights[k - ks.start] = comb[k][l] * comb[h][m] * (-1) ** a
+                rows.append(ConstraintRow(l, m, n, tuple(weights)))
+        blocks.append(tuple(rows))
+    return ConstraintSystem(j, tuple(blocks))
 
 
 def canonical_element(j: int, n: int) -> CoefficientMatrix:
@@ -200,23 +196,8 @@ def _fraction_free_echelon(matrix):
     return rows[:rank], pivot_cols
 
 
-def _nullspace_basis(echelon, pivot_cols, ncols):
-    """Exact rational nullspace basis from an integer echelon form."""
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for free in free_cols:
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            col = pivot_cols[i]
-            acc = Fraction(0)
-            for c in range(col + 1, ncols):
-                if echelon[i][c]:
-                    acc += echelon[i][c] * x[c]
-            x[col] = -acc / echelon[i][col]
-        basis.append(x)
-    return basis
+# i**q for q = 0..3 as (re, im) pairs
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def oracle_evolution(A: CoefficientMatrix):
@@ -224,171 +205,111 @@ def oracle_evolution(A: CoefficientMatrix):
 
     Expands every dyad |k><h| directly: it contributes
     binom(k, l) binom(h, m) (-i t)**(k-l) (i t)**(h-m) to the dyad |l><m|.
-    The overall exp(-Gamma t) factor is carried as the formal rate -1
-    (time measured in units of 1/Gamma), so a pure exponential decay shows
-    up as every entry polynomial being constant.  Returns a nested list of
-    exact ExpPolynomial entries indexed [l][m].
+    The coefficients of each entry are summed by power of t over Gaussian
+    integers (every entry lifted to one common denominator).  The overall
+    exp(-Gamma t) factor is carried as the formal rate -1 (time measured
+    in units of 1/Gamma), so a pure exponential decay shows up as every
+    entry polynomial being constant.  Returns a nested list of exact
+    ExpPolynomial entries indexed [l][m].
     """
     size = A.j + 1
+    cells = [(h, k, A.entry(h, k)) for h in range(size) for k in range(size)]
+    cells = [(h, k, x) for h, k, x in cells if x]
+    denom = math.lcm(*(d for _, _, x in cells for d in (x.re.denominator, x.im.denominator)))
+    lifted = [(h, k, int(x.re * denom), int(x.im * denom)) for h, k, x in cells]
     rate = GaussianRational(-1)
+    zero = GaussianRational(0)
     out = []
     for l in range(size):
         row = []
         for m in range(size):
-            acc = Polynomial()
-            for k in range(l, size):
-                for h in range(m, size):
-                    a = A.entry(h, k)
-                    if not a:
-                        continue
-                    weight = binom(k, l) * binom(h, m)
-                    if not weight:
-                        continue
-                    acc = acc + (a * weight) * monomial_product(k - l, h - m)
-            row.append(ExpPolynomial(rate, acc))
+            by_power: dict = {}
+            for h, k, re, im in lifted:
+                if k < l or h < m:
+                    continue
+                weight = math.comb(k, l) * math.comb(h, m)
+                power = (k - l) + (h - m)
+                # (-i)**(k-l) i**(h-m) = i**(power + 2 (k-l))
+                u_re, u_im = _I_POWERS[(power + 2 * (k - l)) % 4]
+                acc = by_power.setdefault(power, [0, 0])
+                acc[0] += weight * (re * u_re - im * u_im)
+                acc[1] += weight * (re * u_im + im * u_re)
+            coeffs = [zero] * (max(by_power, default=-1) + 1)
+            for power, (re, im) in by_power.items():
+                coeffs[power] = GaussianRational(Fraction(re, denom), Fraction(im, denom))
+            row.append(ExpPolynomial(rate, Polynomial(coeffs)))
         out.append(row)
     return out
 
 
-def solve_exponential_family(j: int):
-    """Exact nullspace of the embedded constraint system as the canonical
-    binomial anti-diagonal basis, certified along the way.
+def _certify_blocks(system: ConstraintSystem) -> dict:
+    """Reduce every anti-diagonal block and check the per-block statement.
 
-    Raises ArithmeticError if any certification step fails (which would
-    mean the constraint system and the canonical family disagree).
+    Block n <= j must have nullity 1 with its binomial row satisfying every
+    row; block n > j must have nullity 0.  All checks run in plain ints.
     """
-    details = _solve_details(j)
-    if not details["certified"]:
-        raise ArithmeticError(
-            "exponential-family certification failed: " + ", ".join(details["failures"])
-        )
-    return details["basis"]
-
-
-def _solve_details(j: int) -> dict:
-    system = build_constraints(j)
-    dense = system.as_matrix()
-    ncols = len(system.unknowns)
-    echelon, pivot_cols = _fraction_free_echelon(dense)
-    rank = len(pivot_cols)
-    dimension = ncols - rank
-
-    failures = []
-    if dimension != j + 1:
-        failures.append(f"nullspace dimension {dimension} != {j + 1}")
-
-    canonical = [canonical_element(j, n) for n in range(j + 1)]
+    j = system.j
+    rank = 0
+    nullities = []
     member_ok = []
-    for n, elem in enumerate(canonical):
-        residuals = [row.apply(elem) for row in system.rows]
-        ok = all(not res for res in residuals)
-        member_ok.append(ok)
-        if not ok:
-            failures.append(f"canonical element {n} violates a constraint")
-
-    # Any raw nullspace vector must be the combination of canonical
-    # elements read off its first-column entries; together with the
-    # dimension count this proves the canonical family spans everything.
-    index = {hk: i for i, hk in enumerate(system.unknowns)}
     span_ok = True
-    raw_basis = _nullspace_basis(echelon, pivot_cols, ncols)
-    for vec in raw_basis:
-        reconstructed = [Fraction(0)] * ncols
-        for n in range(j + 1):
-            weight = vec[index[(n, 0)]]
-            if not weight:
-                continue
-            elem = canonical[n]
-            for k in range(n + 1):
-                reconstructed[index[(n - k, k)]] += weight * binom(n, k)
-        if reconstructed != vec:
-            span_ok = False
-            failures.append("raw nullspace vector escapes the canonical span")
-            break
-
+    high_zero = True
+    failures = []
+    for n, block in enumerate(system.blocks):
+        ks = block_range(j, n)
+        distinct = list(dict.fromkeys(row.weights for row in block))
+        _, pivot_cols = _fraction_free_echelon(distinct)
+        nullity = len(ks) - len(pivot_cols)
+        rank += len(pivot_cols)
+        nullities.append(nullity)
+        if n <= j:
+            binomial_row = [math.comb(n, k) for k in ks]
+            ok = all(not sum(w * b for w, b in zip(weights, binomial_row)) for weights in distinct)
+            member_ok.append(ok)
+            if not ok:
+                failures.append(f"canonical element {n} violates a constraint")
+            if nullity != 1:
+                span_ok = False
+                failures.append(f"anti-diagonal {n}: nullity {nullity} != 1")
+        elif nullity:
+            high_zero = False
+            failures.append(f"anti-diagonal {n}: nullity {nullity} != 0")
+    dimension = sum(nullities)
+    if dimension != j + 1:
+        failures.insert(0, f"nullspace dimension {dimension} != {j + 1}")
     return {
-        "system": system,
         "rank": rank,
-        "dimension": dimension,
-        "basis": canonical,
+        "nullities": nullities,
         "member_ok": member_ok,
         "span_ok": span_ok,
+        "high_zero": high_zero,
         "failures": failures,
-        "certified": not failures,
     }
-
-
-def recurrence_chain(j: int, n: int):
-    """Anti-diagonal n filled from A[n][0] = 1 by the two-term recurrence.
-
-    A[n-k][k] = ((n-k+1)! (k-1)! / ((n-k)! k!)) * A[n-k+1][k-1]; the chain
-    telescopes to the binomial row binom(n, 0), ..., binom(n, n).
-    """
-    if not 0 <= n <= j:
-        raise ValueError(f"n must be in 0..{j}, got {n}")
-    chain = [GaussianRational(1)]
-    for k in range(1, n + 1):
-        step = Fraction(
-            math.factorial(n - k + 1) * math.factorial(k - 1),
-            math.factorial(n - k) * math.factorial(k),
-        )
-        chain.append(chain[-1] * GaussianRational(step))
-    return chain
-
-
-def delta_identity(n: int, m: int, l: int) -> GaussianRational:
-    """sum_{k=l}^{n-m} binom(n-m-l, k-l) (-1)**(k-l), which collapses the
-    double sum behind the recurrence; equals 1 iff l = n - m, else 0."""
-    if l < 0 or m < 0 or l + m > n:
-        raise ValueError("need 0 <= l, 0 <= m, l + m <= n")
-    total = 0
-    for k in range(l, n - m + 1):
-        total += binom(n - m - l, k - l) * (-1) ** (k - l)
-    return GaussianRational(total)
-
-
-def w_side_split(A: CoefficientMatrix):
-    """Split by anti-diagonal order: entries with h + k <= j, and the rest.
-
-    For any member of the certified family the second part is exactly
-    zero; that is the statement that no anti-diagonal beyond order j
-    survives the vanishing conditions.
-    """
-    size = A.j + 1
-    low = [[GaussianRational(0)] * size for _ in range(size)]
-    high = [[GaussianRational(0)] * size for _ in range(size)]
-    for h in range(size):
-        for k in range(size):
-            target = low if h + k <= A.j else high
-            target[h][k] = A.entry(h, k)
-    freeze = lambda rows: tuple(tuple(row) for row in rows)
-    return (
-        CoefficientMatrix(A.j, freeze(low)),
-        CoefficientMatrix(A.j, freeze(high)),
-    )
-
-
-def _poly_is_constant(p: ExpPolynomial) -> bool:
-    return p.poly.degree <= 0
 
 
 def certify(j: int) -> dict:
     """Full proof report for order j, serializable as JSON.
 
     Lists the constraint bookkeeping, the exact nullspace dimension, the
-    canonical basis, and the per-element oracle confirmations: the
-    conjugation oracle finds no surviving power of t, and the split into
-    anti-diagonal orders <= j and > j leaves the high part exactly zero.
+    canonical basis and the per-element confirmations:
+    - basis_constraint_ok: the element's binomial row satisfies every row
+      of its block (and it is zero on every other block);
+    - span_check_ok: every block n <= j has nullity 1, so its binomial row
+      spans it;
+    - high_anti_diagonals_zero: every block n > j has nullity 0, so no
+      solution survives beyond order j.  One flag per basis element, each
+      reporting that same property of the system;
+    - basis_time_constant: the conjugation oracle finds no surviving power
+      of t and reproduces the element.
     """
-    details = _solve_details(j)
-    system = details["system"]
-    basis = details["basis"]
+    system = build_constraints(j)
+    blocks = _certify_blocks(system)
+    basis = [canonical_element(j, n) for n in range(j + 1)]
 
     oracle_ok = []
-    split_ok = []
     for elem in basis:
         evolved = oracle_evolution(elem)
-        constant = all(_poly_is_constant(p) for row in evolved for p in row)
+        constant = all(p.poly.degree <= 0 for row in evolved for p in row)
         # the constant part must reproduce the element itself
         matches = all(
             evolved[l][m].poly.coefficient(0) == elem.entry(l, m)
@@ -396,26 +317,23 @@ def certify(j: int) -> dict:
             for m in range(j + 1)
         )
         oracle_ok.append(constant and matches)
-        _, high = w_side_split(elem)
-        split_ok.append(high.is_zero)
 
-    certified = details["certified"] and all(oracle_ok) and all(split_ok)
     return {
         "j": j,
         "embedding_order": 2 * j,
         "unknown_count": len(system.unknowns),
         "constraint_rows": len(system.rows),
-        "rank": details["rank"],
-        "nullspace_dimension": details["dimension"],
+        "rank": blocks["rank"],
+        "nullspace_dimension": sum(blocks["nullities"]),
         "expected_dimension": j + 1,
         "basis": [
             [[str(elem.entry(h, k)) for k in range(j + 1)] for h in range(j + 1)]
             for elem in basis
         ],
-        "basis_constraint_ok": details["member_ok"],
+        "basis_constraint_ok": blocks["member_ok"],
         "basis_time_constant": oracle_ok,
-        "high_anti_diagonals_zero": split_ok,
-        "span_check_ok": details["span_ok"],
-        "certified": certified,
-        "failures": details["failures"],
+        "high_anti_diagonals_zero": [blocks["high_zero"]] * (j + 1),
+        "span_check_ok": blocks["span_ok"],
+        "certified": not blocks["failures"] and all(oracle_ok),
+        "failures": blocks["failures"],
     }

@@ -35,6 +35,17 @@ t_max = 4.0
 t_steps = 5
 """
 
+POLE_CONF = """\
+E_R = 2.0
+Gamma = 1.0
+r = 1
+psi = 1.0 1 1.0 0.0
+phi = 1.5 1 1.0 0.0
+t_min = 0
+t_max = 1
+t_steps = 2
+"""
+
 
 @pytest.fixture
 def runner():
@@ -120,6 +131,54 @@ class TestExitCodes:
         result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
         assert result.exit_code == 2
         assert "overflow" in result.output
+
+    @pytest.mark.parametrize(
+        "command,text",
+        [
+            ("decay-curve", DECAY_CONF.replace("t_max = 4.0", "t_max = nan")),
+            ("decay-curve", DECAY_CONF.replace("E_R = 2.0", "E_R = inf")),
+            ("decay-curve", DECAY_CONF.replace("Gamma = 1.0", "Gamma = -inf")),
+            ("pole-term", POLE_CONF + "gamma = 0.5\ngamma = nan\n"),
+            ("pole-term", POLE_CONF.replace("psi = 1.0 1 1.0 0.0", "psi = 1.0 1 inf 0.0")),
+            ("pole-term", POLE_CONF.replace("phi = 1.5 1 1.0 0.0", "phi = nan 1 1.0 0.0")),
+        ],
+        ids=["t_max-nan", "E_R-inf", "Gamma-minus-inf", "gamma-nan", "psi-inf", "phi-nan"],
+    )
+    def test_non_finite_numbers_rejected(self, runner, tmp_path, command, text):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(text)
+        result = runner.invoke(main, [command, "--config", str(conf)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith("error: key ")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # exp(-Gamma t) underflows at t = 1e6
+            "E_R = 2.0\nGamma = 1.0\nr = 3\nt_min = 0\nt_max = 1e6\nt_steps = 3\n",
+            # Gamma**n underflows, so the norm at t = 0 is 0
+            "E_R = 2.0\nGamma = 1e-300\nr = 40\nt_min = 0\nt_max = 1\nt_steps = 2\n",
+        ],
+        ids=["exp-law", "norm0"],
+    )
+    def test_underflow_maps_to_two(self, runner, tmp_path, text):
+        conf = tmp_path / "tiny.conf"
+        conf.write_text(text)
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1
+        assert "numerical underflow" in result.output
+
+    def test_norm_beyond_float_range_maps_to_two(self, runner, tmp_path):
+        # dyad norms grow like t**(2k): at t = 1e12 and r = 16 they pass 1e308
+        conf = tmp_path / "long.conf"
+        conf.write_text("E_R = 2.0\nGamma = 1e-10\nr = 16\nt_min = 0\nt_max = 1e12\nt_steps = 3\n")
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert "numerical overflow" in result.output
 
     def test_failed_certification_maps_to_three(self, runner, tmp_path, monkeypatch):
         monkeypatch.setattr("gamowkit.cli.certify", lambda j: {"j": j, "certified": False})

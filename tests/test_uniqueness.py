@@ -1,33 +1,45 @@
 """Tests for the exact uniqueness certification machinery.
 
-The constraint system, the elimination kernel and the conjugation oracle
-are probed separately and against each other; nothing here touches
-floating point except the numpy rank cross-check.
+The constraint system, the per-anti-diagonal elimination, the certificate
+and the conjugation oracle are probed separately and against each other;
+nothing here touches floating point except the numpy rank cross-check.
 """
 
 import json
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from gamowkit.algebra import GaussianRational, Polynomial, binom
+from gamowkit import uniqueness
+from gamowkit.algebra import GaussianRational, Polynomial, binom, monomial_product
+from gamowkit.cli import J_CAP, main
 from gamowkit.uniqueness import (
     CoefficientMatrix,
+    ConstraintRow,
+    ConstraintSystem,
+    block_range,
     build_constraints,
     canonical_element,
     certify,
-    delta_identity,
     oracle_evolution,
-    recurrence_chain,
-    solve_exponential_family,
-    w_side_split,
+    _certify_blocks,
     _fraction_free_echelon,
-    _nullspace_basis,
 )
 
 RNG_SEED = 20260823
+
+
+def zero_matrix(j):
+    size = j + 1
+    return [[GaussianRational(0)] * size for _ in range(size)]
+
+
+def freeze(j, rows):
+    return CoefficientMatrix(j, tuple(tuple(row) for row in rows))
 
 
 def gaussian_int_matrix(j, rng):
@@ -44,13 +56,52 @@ def gaussian_int_matrix(j, rng):
 def canonical_projection(A: CoefficientMatrix) -> CoefficientMatrix:
     """Member of the canonical span with the same first-column entries."""
     j = A.j
-    size = j + 1
-    rows = [[GaussianRational(0)] * size for _ in range(size)]
-    for n in range(size):
+    rows = zero_matrix(j)
+    for n in range(j + 1):
         weight = A.entry(n, 0)
         for k in range(n + 1):
             rows[n - k][k] = rows[n - k][k] + weight * binom(n, k)
-    return CoefficientMatrix(j, tuple(tuple(row) for row in rows))
+    return freeze(j, rows)
+
+
+def residual(row: ConstraintRow, A: CoefficientMatrix) -> GaussianRational:
+    """Value of one condition on A, read through the row's block slots."""
+    ks = block_range(A.j, row.n)
+    acc = GaussianRational(0)
+    for k, weight in zip(ks, row.weights):
+        acc = acc + weight * A.entry(row.n - k, k)
+    return acc
+
+
+def dense_row(row: ConstraintRow, j: int) -> dict:
+    """The row's weights scattered over the whole j-square."""
+    ks = block_range(j, row.n)
+    assert len(row.weights) == len(ks)
+    return {(row.n - k, k): w for k, w in zip(ks, row.weights) if w}
+
+
+def expansion_row(l: int, m: int, n: int, j: int) -> dict:
+    """Condition (l, m, n) read off the dyad-by-dyad conjugation over the
+    whole j-square: the coefficient of t**(n-l-m) that each dyad |k><h|
+    sends to |l><m|, with the common unit i**(n-l-m) divided out."""
+    power = n - l - m
+    unit = monomial_product(0, power).coefficient(power)
+    out = {}
+    for h in range(m, j + 1):
+        for k in range(l, j + 1):
+            term = monomial_product(k - l, h - m).coefficient(power)
+            if term:
+                weight = binom(k, l) * binom(h, m) * (term / unit)
+                assert weight.im == 0 and weight.re.denominator == 1
+                out[(h, k)] = int(weight.re)
+    return out
+
+
+def corrupted(system: ConstraintSystem, n: int, replace) -> ConstraintSystem:
+    """Copy of system whose block n rows are mapped through replace."""
+    blocks = list(system.blocks)
+    blocks[n] = tuple(replace(i, row) for i, row in enumerate(blocks[n]))
+    return ConstraintSystem(system.j, tuple(blocks))
 
 
 class TestCoefficientMatrix:
@@ -61,8 +112,8 @@ class TestCoefficientMatrix:
             CoefficientMatrix(-1, ())
 
     def test_zero_and_entry_access(self):
-        A = CoefficientMatrix.zero(2)
-        assert A.is_zero
+        A = freeze(2, zero_matrix(2))
+        assert all(not A.entry(h, k) for h in range(3) for k in range(3))
         assert A.entry(2, 1) == GaussianRational(0)
 
     def test_int_entries_coerce(self):
@@ -72,12 +123,12 @@ class TestCoefficientMatrix:
 
 class TestConstraintSystem:
     def test_smallest_system_by_hand(self):
-        # j = 1: A[0][1] = A[1][0] and A[1][1] = 0, stated three ways
+        # j = 1: A[1][0] = A[0][1] on anti-diagonal 1, and A[1][1] = 0
+        # stated three ways on anti-diagonal 2
         system = build_constraints(1)
-        supports = [row.coeffs for row in system.rows]
-        assert len(supports) == 4
-        assert {(1, 0): 1, (0, 1): -1} in supports
-        assert {(1, 1): 1} in supports or {(1, 1): -1} in supports
+        assert [len(block) for block in system.blocks] == [0, 1, 3]
+        assert system.blocks[1][0].weights == (1, -1)
+        assert sorted(abs(row.weights[0]) for row in system.blocks[2]) == [1, 1, 1]
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5])
     def test_row_count_matches_triple_enumeration(self, j):
@@ -86,20 +137,30 @@ class TestConstraintSystem:
         assert len(system.unknowns) == (j + 1) ** 2
 
     def test_dense_matrix_matches_sparse_rows(self):
-        system = build_constraints(2)
-        dense = system.as_matrix()
-        index = {hk: i for i, hk in enumerate(system.unknowns)}
-        for row, vec in zip(system.rows, dense):
-            for hk, weight in row.coeffs.items():
-                assert vec[index[hk]] == weight
-            assert sum(map(abs, vec)) == sum(map(abs, row.coeffs.values()))
+        # every block row, scattered over the j-square, equals the row the
+        # dyad-by-dyad conjugation gives for the same power of t
+        for j in (2, 3):
+            for row in build_constraints(j).rows:
+                assert dense_row(row, j) == expansion_row(row.l, row.m, row.n, j)
+
+    @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6])
+    def test_every_row_lies_on_one_anti_diagonal(self, j):
+        system = build_constraints(j)
+        assert len(system.blocks) == 2 * j + 1
+        for n, block in enumerate(system.blocks):
+            assert {(row.l, row.m) for row in block} == {
+                (l, m) for l in range(n) for m in range(n - l)
+            }
+            for row in block:
+                assert row.n == n
+                assert all(h + k == n for h, k in dense_row(row, j))
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_canonical_elements_satisfy_every_row(self, j):
         system = build_constraints(j)
         for n in range(j + 1):
             elem = canonical_element(j, n)
-            assert all(not row.apply(elem) for row in system.rows)
+            assert all(not residual(row, elem) for row in system.rows)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_non_members_violate_some_row(self, j):
@@ -108,7 +169,6 @@ class TestConstraintSystem:
         found = 0
         while found < 5:
             A = gaussian_int_matrix(j, rng)
-            remainder_entries = []
             proj = canonical_projection(A)
             size = j + 1
             remainder = CoefficientMatrix(
@@ -118,9 +178,9 @@ class TestConstraintSystem:
                     for h in range(size)
                 ),
             )
-            if remainder.is_zero:
+            if all(not remainder.entry(h, k) for h in range(size) for k in range(size)):
                 continue
-            assert any(row.apply(remainder) for row in system.rows)
+            assert any(residual(row, remainder) for row in system.rows)
             found += 1
 
 
@@ -132,16 +192,25 @@ class TestEliminationKernel:
         assert len(pivots) == 2
 
     def test_nullspace_vectors_annihilate(self):
+        # rows built orthogonal to a planted integer vector: elimination
+        # keeps the row space, so every echelon row still annihilates it
         rng = random.Random(RNG_SEED)
         for _ in range(20):
-            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 7)
-            matrix = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nrows)]
-            echelon, pivots = _fraction_free_echelon([row[:] for row in matrix])
-            basis = _nullspace_basis(echelon, pivots, ncols)
-            assert len(basis) == ncols - len(pivots)
-            for vec in basis:
-                for row in matrix:
-                    assert sum(Fraction(a) * x for a, x in zip(row, vec)) == 0
+            ncols = rng.randrange(2, 7)
+            kernel = [rng.randrange(-4, 5) for _ in range(ncols)]
+            kernel[rng.randrange(ncols)] = rng.choice((-3, -1, 1, 2))
+            matrix = []
+            for _ in range(rng.randrange(1, 6)):
+                row = [rng.randrange(-4, 5) for _ in range(ncols)]
+                pivot = next(c for c in range(ncols) if kernel[c])
+                excess = sum(a * x for a, x in zip(row, kernel))
+                row = [a * kernel[pivot] for a in row]
+                row[pivot] -= excess
+                matrix.append(row)
+            echelon, pivots = _fraction_free_echelon(matrix)
+            assert ncols - len(pivots) >= 1
+            for row in echelon:
+                assert sum(a * x for a, x in zip(row, kernel)) == 0
 
     def test_rank_agrees_with_floating_point_oracle(self):
         rng = random.Random(RNG_SEED)
@@ -169,19 +238,29 @@ class TestCanonicalFamily:
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 5])
     def test_solver_returns_canonical_basis(self, j):
-        basis = solve_exponential_family(j)
-        assert len(basis) == j + 1
-        for n, elem in enumerate(basis):
-            assert elem.entries == canonical_element(j, n).entries
+        report = certify(j)
+        assert report["certified"] is True
+        assert report["basis"] == [
+            [[str(x) for x in row] for row in canonical_element(j, n).entries]
+            for n in range(j + 1)
+        ]
 
     @pytest.mark.parametrize("j,n", [(3, 0), (3, 2), (4, 4), (6, 5)])
     def test_recurrence_chain_telescopes_to_binomials(self, j, n):
-        chain = recurrence_chain(j, n)
-        assert chain == [GaussianRational(binom(n, k)) for k in range(n + 1)]
-
-    def test_recurrence_chain_validates(self):
-        with pytest.raises(ValueError):
-            recurrence_chain(2, 3)
+        # the rows one power of t above the diagonal are the two-term
+        # recurrence (n-l) A[n-l][l] = (l+1) A[n-l-1][l+1]; chained from
+        # A[n][0] = 1 they give the binomial row
+        ks = block_range(j, n)
+        step = {}
+        for row in build_constraints(j).blocks[n]:
+            if row.l + row.m == n - 1:
+                weights = {k: w for k, w in zip(ks, row.weights) if w}
+                assert weights == {row.l: n - row.l, row.l + 1: -(row.l + 1)}
+                step[row.l] = Fraction(n - row.l, row.l + 1)
+        chain = [Fraction(1)]
+        for l in range(n):
+            chain.append(chain[-1] * step[l])
+        assert chain == [binom(n, k) for k in range(n + 1)]
 
 
 class TestConjugationOracle:
@@ -195,11 +274,9 @@ class TestConjugationOracle:
         assert evolved[1][1].poly == Polynomial([one])
 
     def test_single_dyad_degree(self):
-        A = CoefficientMatrix.zero(2)
-        entries = [list(row) for row in A.entries]
+        entries = zero_matrix(2)
         entries[2][1] = GaussianRational(1)  # the dyad |1><2|
-        A = CoefficientMatrix(2, tuple(tuple(row) for row in entries))
-        evolved = oracle_evolution(A)
+        evolved = oracle_evolution(freeze(2, entries))
         assert evolved[0][0].poly.degree == 3
         assert all(p.rate == GaussianRational(-1) for row in evolved for p in row)
 
@@ -212,37 +289,127 @@ class TestConjugationOracle:
                 assert evolved[l][m].poly.degree <= 0
                 assert evolved[l][m].poly.coefficient(0) == elem.entry(l, m)
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_matches_polynomial_sum_of_monomials(self, j):
+        # reference: the same expansion summed as Polynomial objects
+        rng = random.Random(RNG_SEED + j)
+        size = j + 1
+        for _ in range(3):
+            A = freeze(j, [
+                [GaussianRational(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
+                                  Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
+                 for _ in range(size)]
+                for _ in range(size)
+            ])
+            evolved = oracle_evolution(A)
+            for l in range(size):
+                for m in range(size):
+                    want = Polynomial()
+                    for k in range(l, size):
+                        for h in range(m, size):
+                            weight = A.entry(h, k) * (binom(k, l) * binom(h, m))
+                            want = want + weight * monomial_product(k - l, h - m)
+                    assert evolved[l][m].poly == want
+
 
 class TestIdentities:
-    def test_delta_identity_is_kronecker(self):
-        for n in range(9):
-            for m in range(n + 1):
-                for l in range(n - m + 1):
-                    want = GaussianRational(1 if l == n - m else 0)
-                    assert delta_identity(n, m, l) == want
-
-    def test_delta_identity_validates(self):
-        with pytest.raises(ValueError):
-            delta_identity(2, 2, 1)
-
     def test_side_split_of_canonical_is_all_low(self):
-        for n in range(4):
-            elem = canonical_element(3, n)
-            low, high = w_side_split(elem)
-            assert high.is_zero
-            assert low.entries == elem.entries
+        # canonical element n lives on block n alone, and no block beyond
+        # order j has a nonzero solution
+        j = 3
+        for n in range(j + 1):
+            elem = canonical_element(j, n)
+            for h in range(j + 1):
+                for k in range(j + 1):
+                    if h + k != n:
+                        assert not elem.entry(h, k)
+        assert _certify_blocks(build_constraints(j))["nullities"][j + 1:] == [0] * j
 
     def test_side_split_partitions_entries(self):
-        rng = random.Random(RNG_SEED)
-        A = gaussian_int_matrix(2, rng)
-        low, high = w_side_split(A)
-        for h in range(3):
-            for k in range(3):
-                assert low.entry(h, k) + high.entry(h, k) == A.entry(h, k)
-                if h + k <= 2:
-                    assert high.entry(h, k) == GaussianRational(0)
-                else:
-                    assert low.entry(h, k) == GaussianRational(0)
+        # the anti-diagonal blocks cover every unknown of the j-square once
+        for j in range(5):
+            cells = [(n - k, k) for n in range(2 * j + 1) for k in block_range(j, n)]
+            assert sorted(cells) == sorted(build_constraints(j).unknowns)
+
+
+class TestBlockCertificate:
+    @pytest.mark.parametrize("j", range(J_CAP + 1))
+    def test_block_nullities(self, j):
+        blocks = _certify_blocks(build_constraints(j))
+        assert blocks["nullities"] == [1] * (j + 1) + [0] * j
+        assert blocks["rank"] == j * (j + 1)
+        assert blocks["failures"] == []
+
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_block_ranks_agree_with_sympy(self, j):
+        sympy = pytest.importorskip("sympy")
+        blocks = _certify_blocks(build_constraints(j))
+        for n, block in enumerate(build_constraints(j).blocks):
+            width = len(block_range(j, n))
+            rank = sympy.Matrix([list(row.weights) for row in block]).rank() if block else 0
+            assert blocks["nullities"][n] == width - rank
+
+    def test_corrupted_low_weight_fails(self, monkeypatch):
+        j, n = 4, 3
+        system = build_constraints(j)
+
+        def bump(i, row):
+            if i != len(system.blocks[n]) - 1:
+                return row
+            weights = list(row.weights)
+            weights[0] += 1
+            return ConstraintRow(row.l, row.m, row.n, tuple(weights))
+
+        monkeypatch.setattr(uniqueness, "build_constraints", lambda _: corrupted(system, n, bump))
+        report = certify(j)
+        assert report["certified"] is False
+        assert report["basis_constraint_ok"][n] is False
+        assert report["failures"]
+
+    def test_pinned_low_block_fails(self, monkeypatch):
+        # one extra condition A[n][0] = 0 leaves block n no solution
+        j, n = 4, 2
+        system = build_constraints(j)
+        blocks = list(system.blocks)
+        pin = (1,) + (0,) * (len(block_range(j, n)) - 1)
+        blocks[n] += (ConstraintRow(0, 0, n, pin),)
+        pinned = ConstraintSystem(j, tuple(blocks))
+        monkeypatch.setattr(uniqueness, "build_constraints", lambda _: pinned)
+        report = certify(j)
+        assert report["certified"] is False
+        assert report["span_check_ok"] is False
+        assert report["nullspace_dimension"] == j
+
+    def test_dropped_high_block_fails(self, monkeypatch):
+        # with block 2j emptied, A[j][j] is free: the high-block check sees it
+        j = 4
+        system = build_constraints(j)
+        zero_row = lambda i, row: ConstraintRow(row.l, row.m, row.n, (0,) * len(row.weights))
+        monkeypatch.setattr(
+            uniqueness, "build_constraints", lambda _: corrupted(system, 2 * j, zero_row)
+        )
+        report = certify(j)
+        assert report["certified"] is False
+        assert report["high_anti_diagonals_zero"] == [False] * (j + 1)
+        assert report["nullspace_dimension"] == j + 2
+
+    def test_cli_certifies_at_the_cap(self, tmp_path):
+        j = J_CAP
+        conf = tmp_path / "cap.conf"
+        conf.write_text(f"j = {j}\n")
+        result = CliRunner().invoke(main, ["uniqueness", "--config", str(conf)])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["constraint_rows"] == comb(2 * j + 2, 3)
+        assert report["rank"] == j * (j + 1)
+        assert report["unknown_count"] == (j + 1) ** 2
+        assert report["nullspace_dimension"] == j + 1
+        assert report["basis"] == [
+            [[str(comb(n, k)) if h + k == n else "0" for k in range(j + 1)] for h in range(j + 1)]
+            for n in range(j + 1)
+        ]
+        assert report["certified"] is True
+        assert report["failures"] == []
 
 
 class TestCertify:
