@@ -17,15 +17,12 @@ from .errors import (
     NegativeTimeError,
     NoConvergenceError,
     PoleEvaluationError,
-    WrongRepresentationError,
 )
 from .jordan import (
     GamowSubspace,
-    GamowVector,
     OperatorOnM,
+    conjugation_polys,
     evolution_matrix,
-    evolution_matrix_bra,
-    evolution_matrix_symbolic,
     hamiltonian_action_matrix,
     hamiltonian_matrix,
     nilpotent_power,
@@ -48,12 +45,10 @@ from .states import (
     decay_deviation,
     detector_probability,
     dyad_operator,
-    evolve_operator,
     evolve_operator_symbolic,
     evolved_norm_squared,
     pole_term_probability,
     w_n,
-    w_pole_term,
     w_total,
 )
 from .uniqueness import (
@@ -75,7 +70,6 @@ __all__ = [
     "EmptyGridError",
     "ExpPolynomial",
     "GamowSubspace",
-    "GamowVector",
     "GaussianRational",
     "IndexOutOfRangeError",
     "JTooLargeError",
@@ -89,19 +83,16 @@ __all__ = [
     "StateOperator",
     "TestFunction",
     "TestFunctionPair",
-    "WrongRepresentationError",
     "analytic_derivatives",
     "binom",
     "build_constraints",
     "canonical_element",
     "certify",
+    "conjugation_polys",
     "decay_deviation",
     "detector_probability",
     "dyad_operator",
     "evolution_matrix",
-    "evolution_matrix_bra",
-    "evolution_matrix_symbolic",
-    "evolve_operator",
     "evolve_operator_symbolic",
     "evolved_norm_squared",
     "expansion_coeffs",
@@ -115,5 +106,4 @@ __all__ = [
     "pole_term_probability",
     "s_matrix_eval",
     "w_n",
-    "w_pole_term",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "ExpPolynomial",
     "binom",
     "monomial_product",
-    "exp_poly_norm",
 ]
 
 
@@ -348,7 +347,3 @@ def monomial_product(a: int, b: int) -> Polynomial:
     zeros = [GaussianRational(0)] * (a + b)
     return Polynomial(zeros + [coeff])
 
-
-def exp_poly_norm(p: ExpPolynomial, t: float) -> float:
-    """Absolute value of p evaluated at time t."""
-    return abs(p(t))

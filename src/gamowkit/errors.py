@@ -17,10 +17,6 @@ class IndexOutOfRangeError(IndexError):
     """Basis index outside 0..r-1."""
 
 
-class WrongRepresentationError(ValueError):
-    """Operation requires a state operator in the other representation."""
-
-
 class EmptyGridError(ValueError):
     """A sampling grid must contain at least one point."""
 

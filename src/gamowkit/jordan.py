@@ -8,7 +8,12 @@ triangular semigroup T(t) with columns
 
     T(t)|k> = exp(-i z t) * sum_{p<=k} binom(k, p) (-i t)**(k-p) |p>
 
-and the bra side evolves with the conjugate transpose.
+and the bra side evolves with the conjugate transpose.  evolution_matrix
+samples T(t) in complex floats.  conjugation_polys is the one exact
+expansion of the conjugation T(t) A T(t)^dagger: integer coefficients of
+every power of t in every dyad, over one common denominator.  Every
+evolved quantity of the package (symbolic evolution, evolved norms, decay
+deviations, the uniqueness oracle) is read off it.
 
 Matrix layout conventions: operators that act on ket coordinates (the
 evolution matrices, nilpotent powers) hold the image of basis ket k in
@@ -26,21 +31,17 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
-from .errors import IndexOutOfRangeError, NegativeTimeError
+from .errors import NegativeTimeError
 from .smatrix import ResonancePole
 
 __all__ = [
     "GamowSubspace",
-    "GamowVector",
     "OperatorOnM",
     "hamiltonian_matrix",
     "hamiltonian_action_matrix",
-    "apply_hamiltonian",
     "nilpotent_power",
     "evolution_matrix",
-    "evolution_matrix_bra",
-    "evolution_polys",
-    "evolution_matrix_symbolic",
+    "conjugation_polys",
 ]
 
 NORMALIZATIONS = ("derivative", "factorial")
@@ -60,22 +61,6 @@ class GamowSubspace:
     @property
     def dimension(self) -> int:
         return self.pole.r
-
-
-@dataclass(frozen=True)
-class GamowVector:
-    """Element of the subspace, stored as coordinates over |0>..|r-1>."""
-
-    space: GamowSubspace
-    coords: tuple
-
-    def __post_init__(self):
-        coords = tuple(complex(c) for c in self.coords)
-        if len(coords) != self.space.dimension:
-            raise ValueError(
-                f"need {self.space.dimension} coordinates, got {len(coords)}"
-            )
-        object.__setattr__(self, "coords", coords)
 
 
 @dataclass(frozen=True)
@@ -146,18 +131,6 @@ def hamiltonian_action_matrix(space: GamowSubspace) -> OperatorOnM:
     return OperatorOnM(space, mat)
 
 
-def apply_hamiltonian(space: GamowSubspace, k: int) -> GamowVector:
-    """H|k> = z|k> + k|k-1> (derivative) or z|k> + |k-1> (factorial)."""
-    r = space.dimension
-    if not 0 <= k < r:
-        raise IndexOutOfRangeError(f"basis index {k} outside 0..{r - 1}")
-    coords = [0j] * r
-    coords[k] = space.pole.z_R
-    if k > 0:
-        coords[k - 1] = complex(_subdiagonal_weight(space, k))
-    return GamowVector(space, tuple(coords))
-
-
 def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     """(H - z)**k in the ket-coordinate layout.
 
@@ -174,15 +147,9 @@ def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     return OperatorOnM(space, np.linalg.matrix_power(nil, min(k, r)))
 
 
-def _ket_weight(space: GamowSubspace, k: int, p: int) -> float:
+def _ket_weight_exact(normalization: str, k: int, p: int) -> Fraction:
     # weight of |p> in the evolved |k>, without the i-powers
-    if space.normalization == "derivative":
-        return float(binom(k, p))
-    return 1.0 / math.factorial(k - p)
-
-
-def _ket_weight_exact(space: GamowSubspace, k: int, p: int) -> Fraction:
-    if space.normalization == "derivative":
+    if normalization == "derivative":
         return Fraction(binom(k, p))
     return Fraction(1, math.factorial(k - p))
 
@@ -201,61 +168,68 @@ def evolution_matrix(space: GamowSubspace, t: float) -> OperatorOnM:
     mat = np.zeros((r, r), dtype=complex)
     for k in range(r):
         for p in range(k + 1):
-            mat[p, k] = _ket_weight(space, k, p) * (-1j * t) ** (k - p)
+            weight = float(_ket_weight_exact(space.normalization, k, p))
+            mat[p, k] = weight * (-1j * t) ** (k - p)
     return OperatorOnM(space, phase * mat)
 
 
-def evolution_matrix_bra(space: GamowSubspace, t: float) -> OperatorOnM:
-    """Bra-side semigroup matrix, the conjugate transpose of T(t).
+def conjugation_polys(normalization: str, entries: dict):
+    """Exact polynomial parts of T~(t) A T~(t)^dagger, dyad by dyad.
 
-    Entry (l, q) is exp(i conj(z) t) * w(l, q) * (i t)**(l-q) for q <= l.
+    T~(t) is T(t) without its phase exp(-i z t); the phases of the two
+    sides combine to exp(-Gamma t), which the caller carries.  entries
+    maps (k, l) to the nonzero GaussianRational coefficient of |k><l| in
+    A.  Each such dyad sends
+
+        w(k, i) w(l, j) (-i t)**(k-i) (i t)**(l-j)
+
+    to |i><j| for i <= k and j <= l, with w as in evolution_matrix.
+
+    Returns (polys, denominator): polys[i, j] maps each power d of t to a
+    Gaussian integer (re, im), and the coefficient of t**d in the |i><j|
+    entry is (re + i im) / denominator.  All sums run in integers, so
+    cancellation is exact; powers that cancel are dropped, and so are
+    dyads whose polynomial cancels entirely.  The degree-0 part is A
+    itself.
     """
-    if t < 0:
-        raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
-    r = space.dimension
-    phase = np.exp(1j * np.conj(space.pole.z_R) * t)
-    mat = np.zeros((r, r), dtype=complex)
-    for l in range(r):
-        for q in range(l + 1):
-            mat[l, q] = _ket_weight(space, l, q) * (1j * t) ** (l - q)
-    return OperatorOnM(space, phase * mat)
+    top = max((max(kl) for kl in entries), default=0)
+    weights = [[_ket_weight_exact(normalization, k, p) for p in range(k + 1)] for k in range(top + 1)]
+    lift = math.lcm(*(w.denominator for row in weights for w in row))
+    weights = [[(w * lift).numerator for w in row] for row in weights]
+    scale = math.lcm(*(q.denominator for v in entries.values() for q in (v.re, v.im)))
+    sums = {}
+    for (k, l), value in entries.items():
+        a_re, a_im = (value.re * scale).numerator, (value.im * scale).numerator
+        # value * i**q for q = 0..3
+        turns = ((a_re, a_im), (-a_im, a_re), (-a_re, -a_im), (a_im, -a_re))
+        for i in range(k + 1):
+            for j in range(l + 1):
+                c = weights[k][i] * weights[l][j]
+                # (-i)**(k-i) i**(l-j) = i**(3(k-i) + (l-j))
+                re, im = turns[(3 * (k - i) + l - j) % 4]
+                slot = sums.setdefault((i, j), {}).setdefault(k - i + l - j, [0, 0])
+                slot[0] += c * re
+                slot[1] += c * im
+    polys = {}
+    for ij, poly in sums.items():
+        kept = {d: (re, im) for d, (re, im) in poly.items() if re or im}
+        if kept:
+            polys[ij] = kept
+    return polys, scale * lift * lift
 
 
-def evolution_polys(space: GamowSubspace, exact: bool = False, bra: bool = False):
-    """Polynomial parts of the evolution matrix entries, as nested lists.
-
-    The scalar factor exp(-i z t) (ket side) or exp(i conj(z) t) (bra side)
-    is carried separately by the caller.  With exact=True the coefficients
-    are Gaussian rationals, otherwise complex floats.
-    """
-    r = space.dimension
+def _exp_poly_rows(polys: dict, denominator: int, rate, size: int) -> list:
+    """conjugation_polys output as size x size nested lists of
+    ExpPolynomial(rate, p) with Gaussian-rational coefficients."""
+    zero = GaussianRational(0)
     rows = []
-    for row in range(r):
-        cols = []
-        for col in range(r):
-            # ket side: row p, column k, degree k - p; bra side transposed
-            hi, lo = (row, col) if bra else (col, row)
-            d = hi - lo
-            if d < 0:
-                cols.append(Polynomial())
-                continue
-            if exact:
-                weight = _ket_weight_exact(space, hi, lo)
-                unit = GaussianRational(0, 1) if bra else GaussianRational(0, -1)
-                coeff = GaussianRational(weight) * unit ** d
-                zeros = [GaussianRational(0)] * d
-            else:
-                unit = 1j if bra else -1j
-                coeff = _ket_weight(space, hi, lo) * unit ** d
-                zeros = [0j] * d
-            cols.append(Polynomial(zeros + [coeff]))
-        rows.append(cols)
+    for i in range(size):
+        row = []
+        for j in range(size):
+            poly = polys.get((i, j), {})
+            coeffs = [zero] * (max(poly, default=-1) + 1)
+            for d, (re, im) in poly.items():
+                coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+            row.append(ExpPolynomial(rate, Polynomial(coeffs)))
+        rows.append(row)
     return rows
-
-
-def evolution_matrix_symbolic(space: GamowSubspace) -> OperatorOnM:
-    """T(t) with ExpPolynomial entries sharing the rate -i z."""
-    rate = -1j * space.pole.z_R
-    polys = evolution_polys(space)
-    entries = [[ExpPolynomial(rate, p) for p in row] for row in polys]
-    return OperatorOnM(space, np.array(entries, dtype=object))

@@ -224,23 +224,13 @@ def _pairing_legs(pair: TestFunctionPair, model: SMatrixModel):
     return psi_fn, pair.phi.value
 
 
-def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
-    """Pole-term contribution of the pairing (psi, S phi) at an order-r pole.
-
-    sum_{n=0}^{r-1} binom(r, n+1) (-i Gamma)**(n+1) (-2 pi i / n!)
-        * sum_{k=0}^{n} binom(n, k) psi^(k)(z) phi^(n-k)(z)
-
-    where psi carries the background phase factor when absorb_gauge is on.
-    The n-th term collects the n-th derivative of the product of both legs
-    at the pole, one derivative order per partial-fraction power.
-    """
-    pole = model.pole
+def _pole_sum(pole: ResonancePole, psi_fn, phi_fn) -> complex:
+    """The pole-term sum of pole_term for the legs psi_fn and phi_fn, with
+    their derivatives taken on the circle of radius Gamma/4 around z."""
     z = pole.z_R
     radius = pole.Gamma / 4.0
-    psi_fn, phi_fn = _pairing_legs(pair, model)
     psi_d = analytic_derivatives(psi_fn, z, pole.r - 1, radius)
     phi_d = analytic_derivatives(phi_fn, z, pole.r - 1, radius)
-
     total = 0j
     for n in range(pole.r):
         inner = sum(binom(n, k) * psi_d[k] * phi_d[n - k] for k in range(n + 1))
@@ -251,6 +241,19 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
             * inner
         )
     return total
+
+
+def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
+    """Pole-term contribution of the pairing (psi, S phi) at an order-r pole.
+
+    sum_{n=0}^{r-1} binom(r, n+1) (-i Gamma)**(n+1) (-2 pi i / n!)
+        * sum_{k=0}^{n} binom(n, k) psi^(k)(z) phi^(n-k)(z)
+
+    where psi carries the background phase factor when absorb_gauge is on.
+    The n-th term collects the n-th derivative of the product of both legs
+    at the pole, one derivative order per partial-fraction power.
+    """
+    return _pole_sum(model.pole, *_pairing_legs(pair, model))
 
 
 def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> np.ndarray:

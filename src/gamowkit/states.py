@@ -14,6 +14,12 @@ Two carriers are supported: complex floats, and exact Gaussian rationals
 (exact=True) in which Gamma enters as the exact rational value of its
 float and the overall 2 pi Gamma scale is dropped because pi has no exact
 carrier; every certified property is invariant under that scale.
+
+Evolution runs one path for both carriers: float entries enter at their
+exact binary value, jordan.conjugation_polys expands the conjugation
+exactly, and floats appear only when a quantity is evaluated at a time.
+evolve_operator_symbolic, evolved_norm_squared and decay_deviation are
+three readings of that one expansion.
 """
 
 from __future__ import annotations
@@ -25,31 +31,22 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
-from .errors import (
-    EmptyGridError,
-    IndexOutOfRangeError,
-    NegativeTimeError,
-    WrongRepresentationError,
-)
+from .algebra import GaussianRational, binom
+from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import (
     GamowSubspace,
     OperatorOnM,
-    _ket_weight_exact,
+    _exp_poly_rows,
     as_complex_matrix,
-    evolution_matrix,
-    evolution_matrix_bra,
-    evolution_polys,
+    conjugation_polys,
 )
-from .smatrix import SMatrixModel, TestFunction, _pairing_legs, analytic_derivatives
+from .smatrix import SMatrixModel, TestFunction, _pairing_legs, _pole_sum, analytic_derivatives
 
 __all__ = [
     "StateOperator",
     "w_n",
     "w_total",
-    "w_pole_term",
     "dyad_operator",
-    "evolve_operator",
     "evolve_operator_symbolic",
     "evolved_norm_squared",
     "decay_deviation",
@@ -57,21 +54,12 @@ __all__ = [
     "detector_probability",
 ]
 
-REPRESENTATIONS = ("decay", "scattering")
-
 
 @dataclass(frozen=True)
 class StateOperator:
-    """Operator on the pole subspace, tagged by which basis family the
-    dyads refer to: the decay representation evolves under the semigroup,
-    the scattering representation is the pole-term bookkeeping shape."""
+    """Operator on the pole subspace whose dyads evolve under the semigroup."""
 
     op: OperatorOnM
-    representation: str = "decay"
-
-    def __post_init__(self):
-        if self.representation not in REPRESENTATIONS:
-            raise ValueError(f"unknown representation {self.representation!r}")
 
     @property
     def space(self) -> GamowSubspace:
@@ -105,8 +93,8 @@ def _wn_matrix(space: GamowSubspace, n: int, exact: bool):
 
 
 def w_n(space: GamowSubspace, n: int, exact: bool = False) -> StateOperator:
-    """The n-th binomial anti-diagonal operator W(n), decay representation."""
-    return StateOperator(OperatorOnM(space, _wn_matrix(space, n, exact)), "decay")
+    """The n-th binomial anti-diagonal operator W(n)."""
+    return StateOperator(OperatorOnM(space, _wn_matrix(space, n, exact)))
 
 
 def _w_sum_matrix(space: GamowSubspace, exact: bool):
@@ -132,22 +120,13 @@ def w_total(space: GamowSubspace, exact: bool = False) -> StateOperator:
     The exact carrier omits the 2 pi Gamma prefactor (pi is irrational);
     all certified statements about W are scale invariant.
     """
-    return StateOperator(OperatorOnM(space, _w_sum_matrix(space, exact)), "decay")
-
-
-def w_pole_term(space: GamowSubspace, exact: bool = False) -> StateOperator:
-    """Same coefficient matrix as w_total, read over the scattering dyads.
-
-    This is the shape the pole term of a pairing dictates; it is not a
-    semigroup-evolution input, so evolve_operator rejects it.
-    """
-    return StateOperator(OperatorOnM(space, _w_sum_matrix(space, exact)), "scattering")
+    return StateOperator(OperatorOnM(space, _w_sum_matrix(space, exact)))
 
 
 def dyad_operator(
     space: GamowSubspace, k: int, l: int | None = None, exact: bool = False
 ) -> StateOperator:
-    """Single dyad |k><l| (l defaults to k), decay representation."""
+    """Single dyad |k><l| (l defaults to k)."""
     r = space.dimension
     if l is None:
         l = k
@@ -159,142 +138,93 @@ def dyad_operator(
     else:
         mat = np.zeros((r, r), dtype=complex)
         mat[k, l] = 1.0
-    return StateOperator(OperatorOnM(space, mat), "decay")
+    return StateOperator(OperatorOnM(space, mat))
 
 
-def _require_decay(W: StateOperator):
-    if W.representation != "decay":
-        raise WrongRepresentationError(
-            "semigroup evolution acts on decay-representation operators only"
-        )
-
-
-def evolve_operator(W: StateOperator, t: float) -> OperatorOnM:
-    """T(t) . A . T(t)^dagger at a fixed time, complex entries."""
-    _require_decay(W)
-    if t < 0:
-        raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
-    space = W.space
-    ket = evolution_matrix(space, t).matrix
-    bra = evolution_matrix_bra(space, t).matrix
-    mat = as_complex_matrix(W.op.matrix)
-    return OperatorOnM(space, ket @ mat @ bra)
-
-
-def _poly_matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = Polynomial()
-            for k in range(inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
-    """T(t) . A . T(t)^dagger as ExpPolynomial entries in the time variable.
-
-    The two boundary phases exp(-i z t) and exp(i conj(z) t) combine to the
-    shared rate -Gamma, carried on each entry; the polynomial parts come
-    from multiplying out the triangular evolution factors.  Exact input
-    entries give exact polynomial coefficients.
-    """
-    _require_decay(W)
-    space = W.space
-    mat = W.op.matrix
-    exact = mat.dtype == object
-    ket = evolution_polys(space, exact=exact)
-    bra = evolution_polys(space, exact=exact, bra=True)
-    middle = [[Polynomial([mat[i, j]]) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
-    polys = _poly_matmul(_poly_matmul(ket, middle), bra)
-    if exact:
-        rate = GaussianRational(-Fraction(space.pole.Gamma))
-    else:
-        rate = complex(-space.pole.Gamma)
-    entries = [[ExpPolynomial(rate, p) for p in row] for row in polys]
-    return OperatorOnM(space, np.array(entries, dtype=object))
-
-
-def evolved_norm_squared(W: StateOperator) -> tuple:
-    """Exact coefficients of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2, lowest first.
-
-    T~(t) is the evolution matrix without its phase, entries
-    w(k, p) (-i t)**(k-p); the phases of the two sides combine to
-    exp(-Gamma t), so the evolved Frobenius norm is exp(-Gamma t) sqrt(N(t)).
-    Float entries of A enter at their exact dyadic value and every sum runs
-    in integers over one common denominator, so no coefficient is rounded:
-    for a family member the t-dependent terms cancel to exactly zero and N
-    is the constant ||A||_F**2.  Only the nonzero entries of A are visited.
-    """
-    _require_decay(W)
-    space = W.space
-    r = space.dimension
+def _conjugation(W: StateOperator):
+    """conjugation_polys of W; float entries enter at their exact dyadic value."""
     entries = {}
     for (k, l), value in np.ndenumerate(W.op.matrix):
         if not isinstance(value, GaussianRational):
             value = GaussianRational(Fraction(value.real), Fraction(value.imag))
         if value:
             entries[k, l] = value
-    weights = [[_ket_weight_exact(space, k, p) for p in range(k + 1)] for k in range(r)]
-    scale = math.lcm(
-        *(q.denominator for v in entries.values() for q in (v.re, v.im)),
-        *(w.denominator for row in weights for w in row),
-    )
-    weights = [[(w * scale).numerator for w in row] for row in weights]
-    # entry (i, j) of T~ A T~^dagger as {degree: [re, im]}, scaled by scale**3
-    evolved = {}
-    for (k, l), value in entries.items():
-        a_re, a_im = (value.re * scale).numerator, (value.im * scale).numerator
-        for i in range(k + 1):
-            for j in range(l + 1):
-                c = weights[k][i] * weights[l][j]
-                re, im = c * a_re, c * a_im
-                # (-i)**(k-i) (i)**(l-j) = i**(3(k-i) + (l-j))
-                quarter = (3 * (k - i) + l - j) % 4
-                if quarter == 1:
-                    re, im = -im, re
-                elif quarter == 2:
-                    re, im = -re, -im
-                elif quarter == 3:
-                    re, im = im, -re
-                slot = evolved.setdefault((i, j), {}).setdefault(k - i + l - j, [0, 0])
-                slot[0] += re
-                slot[1] += im
-    coeffs = [0] * (4 * r)
-    for poly in evolved.values():
-        terms = [(d, re, im) for d, (re, im) in poly.items() if re or im]
+    return conjugation_polys(W.space.normalization, entries)
+
+
+def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
+    """Integer coefficients of sum_{i,j} |p_ij(t)|**2, lowest power first,
+    with each p_ij cut to its terms of degree >= lowest; trailing zeros
+    dropped."""
+    top = max((d for poly in polys.values() for d in poly), default=0)
+    coeffs = [0] * (2 * top + 1)
+    for poly in polys.values():
+        terms = [(d, re, im) for d, (re, im) in poly.items() if d >= lowest]
         for d1, re1, im1 in terms:
             for d2, re2, im2 in terms:
                 coeffs[d1 + d2] += re1 * re2 + im1 * im2
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    denominator = scale**6
-    return tuple(Fraction(c, denominator) for c in coeffs)
+    return coeffs
+
+
+def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
+    """T(t) . A . T(t)^dagger as ExpPolynomial entries in the time variable.
+
+    The two boundary phases exp(-i z t) and exp(i conj(z) t) combine to the
+    shared rate -Gamma, carried on each entry; the polynomial parts are the
+    exact conjugation polynomials.  Float entries enter at their exact
+    dyadic value, so the coefficients are Gaussian rationals and the rate
+    is the exact rational value of -Gamma on either carrier.
+    """
+    space = W.space
+    polys, denominator = _conjugation(W)
+    rate = GaussianRational(-Fraction(space.pole.Gamma))
+    rows = _exp_poly_rows(polys, denominator, rate, space.dimension)
+    return OperatorOnM(space, np.array(rows, dtype=object))
+
+
+def evolved_norm_squared(W: StateOperator) -> tuple:
+    """Exact coefficients of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2, lowest first.
+
+    T~(t) is the evolution matrix without its phase; the phases of the two
+    sides combine to exp(-Gamma t), so the evolved Frobenius norm is
+    exp(-Gamma t) sqrt(N(t)).  No coefficient is rounded: for a family
+    member the t-dependent terms cancel to exactly zero and N is the
+    constant ||A||_F**2.
+    """
+    polys, denominator = _conjugation(W)
+    return tuple(Fraction(c, denominator**2) for c in _sum_of_squares(polys))
 
 
 def decay_deviation(W: StateOperator, t_grid) -> float:
     """Largest relative departure from the pure exponential law on the grid.
 
-    max over t of || evolve(W, t) - exp(-Gamma t) W ||_F / ||W||_F, with
-    the norm of W taken at t = 0.
+    max over t of || evolve(W, t) - exp(-Gamma t) W ||_F / ||W||_F.  The
+    difference is exp(-Gamma t) times the terms of degree >= 1 of the
+    conjugation polynomials, so the ratio is exp(-Gamma t) sqrt(D(t)) with
+    D(t) the exact squared norm of those terms over ||W||_F**2, evaluated
+    by Horner in floats.  A family member whose tail cancels gets exactly
+    0.0.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
         raise EmptyGridError("decay_deviation needs a non-empty time grid")
-    space = W.space
-    mat0 = as_complex_matrix(W.op.matrix)
-    norm0 = float(np.linalg.norm(mat0))
-    if norm0 == 0.0:
+    if min(grid) < 0:
+        raise NegativeTimeError(f"evolution is defined for t >= 0, got {min(grid)}")
+    polys, _ = _conjugation(W)
+    norm0 = sum(re * re + im * im for poly in polys.values() for re, im in [poly.get(0, (0, 0))])
+    if not norm0:
         return 0.0
+    tail = [float(Fraction(c, norm0)) for c in reversed(_sum_of_squares(polys, lowest=1))]
+    width = W.space.pole.Gamma
     worst = 0.0
     for t in grid:
-        evolved = evolve_operator(W, t).matrix
-        reference = math.exp(-space.pole.Gamma * t) * mat0
-        worst = max(worst, float(np.linalg.norm(evolved - reference)) / norm0)
+        acc = 0.0
+        for c in tail:
+            acc = acc * t + c
+        # D(t) >= 0; a negative value is rounding in the evaluation
+        worst = max(worst, math.exp(-width * t) * math.sqrt(max(acc, 0.0)))
     return worst
 
 
@@ -317,22 +247,8 @@ def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:
     """
     if t < 0:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
-    pole = model.pole
-    z = pole.z_R
-    radius = pole.Gamma / 4.0
     psi_fn, phi_fn = _pairing_legs(pair, model)
-    psi_d = analytic_derivatives(_observable_leg_at_time(psi_fn, t), z, pole.r - 1, radius)
-    phi_d = analytic_derivatives(phi_fn, z, pole.r - 1, radius)
-    total = 0j
-    for n in range(pole.r):
-        inner = sum(binom(n, k) * psi_d[k] * phi_d[n - k] for k in range(n + 1))
-        total += (
-            binom(pole.r, n + 1)
-            * (-1j * pole.Gamma) ** (n + 1)
-            * (-2j * math.pi / math.factorial(n))
-            * inner
-        )
-    return abs(total) ** 2
+    return abs(_pole_sum(model.pole, _observable_leg_at_time(psi_fn, t), phi_fn)) ** 2
 
 
 def detector_probability(
@@ -341,10 +257,9 @@ def detector_probability(
     """<psi(t)| W |psi(t)> with the k-th dyad leg paired to the k-th
     derivative of the time-translated observable at the pole.
 
-    Decay-representation pairing; the background phase plays no role here.
-    Values are unnormalized: scale W (or psi) to set the t = 0 value.
+    The background phase plays no role here.  Values are unnormalized:
+    scale W (or psi) to set the t = 0 value.
     """
-    _require_decay(W)
     if t < 0:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
     pole = model.pole

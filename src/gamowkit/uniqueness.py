@@ -16,18 +16,19 @@ floating-point rank decision occurs anywhere.  The certificate is the
 per-block statement: blocks n <= j have nullity 1 and their binomial row
 binom(n, k) satisfies every condition, blocks n > j have nullity 0.  So
 the solution set is (j+1)-dimensional with canonical basis element n
-carrying binom(n, k) on anti-diagonal n; an independent oracle expands
-the conjugation dyad by dyad and confirms each basis element evolves as a
-pure exponential.
+carrying binom(n, k) on anti-diagonal n.  An oracle that never reads the
+constraint rows confirms each basis element evolves as a pure
+exponential: it conjugates the element with jordan.conjugation_polys,
+the exact expansion every evolved quantity of the package uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
+from .algebra import GaussianRational, binom
+from .jordan import _exp_poly_rows, conjugation_polys
 
 __all__ = [
     "CoefficientMatrix",
@@ -196,50 +197,23 @@ def _fraction_free_echelon(matrix):
     return rows[:rank], pivot_cols
 
 
-# i**q for q = 0..3 as (re, im) pairs
-_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
 def oracle_evolution(A: CoefficientMatrix):
-    """Independent symbolic conjugation of A with the semigroup.
+    """Symbolic conjugation of A with the semigroup, independent of the
+    constraint rows.
 
-    Expands every dyad |k><h| directly: it contributes
-    binom(k, l) binom(h, m) (-i t)**(k-l) (i t)**(h-m) to the dyad |l><m|.
-    The coefficients of each entry are summed by power of t over Gaussian
-    integers (every entry lifted to one common denominator).  The overall
-    exp(-Gamma t) factor is carried as the formal rate -1 (time measured
-    in units of 1/Gamma), so a pure exponential decay shows up as every
-    entry polynomial being constant.  Returns a nested list of exact
+    A[h][k] is the coefficient of the dyad |k><h|; the shared exact
+    expansion jordan.conjugation_polys (derivative normalization) sends it
+    to binom(k, l) binom(h, m) (-i t)**(k-l) (i t)**(h-m) on every dyad
+    |l><m| and sums by power of t in integers.  The overall exp(-Gamma t)
+    factor is carried as the formal rate -1 (time measured in units of
+    1/Gamma), so a pure exponential decay shows up as every entry
+    polynomial being constant.  Returns a nested list of exact
     ExpPolynomial entries indexed [l][m].
     """
     size = A.j + 1
-    cells = [(h, k, A.entry(h, k)) for h in range(size) for k in range(size)]
-    cells = [(h, k, x) for h, k, x in cells if x]
-    denom = math.lcm(*(d for _, _, x in cells for d in (x.re.denominator, x.im.denominator)))
-    lifted = [(h, k, int(x.re * denom), int(x.im * denom)) for h, k, x in cells]
-    rate = GaussianRational(-1)
-    zero = GaussianRational(0)
-    out = []
-    for l in range(size):
-        row = []
-        for m in range(size):
-            by_power: dict = {}
-            for h, k, re, im in lifted:
-                if k < l or h < m:
-                    continue
-                weight = math.comb(k, l) * math.comb(h, m)
-                power = (k - l) + (h - m)
-                # (-i)**(k-l) i**(h-m) = i**(power + 2 (k-l))
-                u_re, u_im = _I_POWERS[(power + 2 * (k - l)) % 4]
-                acc = by_power.setdefault(power, [0, 0])
-                acc[0] += weight * (re * u_re - im * u_im)
-                acc[1] += weight * (re * u_im + im * u_re)
-            coeffs = [zero] * (max(by_power, default=-1) + 1)
-            for power, (re, im) in by_power.items():
-                coeffs[power] = GaussianRational(Fraction(re, denom), Fraction(im, denom))
-            row.append(ExpPolynomial(rate, Polynomial(coeffs)))
-        out.append(row)
-    return out
+    entries = {(k, h): A.entry(h, k) for h in range(size) for k in range(size) if A.entry(h, k)}
+    polys, denominator = conjugation_polys("derivative", entries)
+    return _exp_poly_rows(polys, denominator, GaussianRational(-1), size)
 
 
 def _certify_blocks(system: ConstraintSystem) -> dict:

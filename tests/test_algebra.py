@@ -12,7 +12,6 @@ from gamowkit.algebra import (
     GaussianRational,
     Polynomial,
     binom,
-    exp_poly_norm,
     monomial_product,
 )
 
@@ -233,7 +232,3 @@ class TestExpPolynomial:
         f = ExpPolynomial(-1.0 + 2.0j, Polynomial([1.0, 3.0]))
         t = 0.8
         assert f(t) == pytest.approx(cmath.exp((-1.0 + 2.0j) * t) * (1.0 + 3.0 * t))
-
-    def test_norm_is_absolute_value(self):
-        f = ExpPolynomial(-1.0, Polynomial([0.0, 1.0]))
-        assert exp_poly_norm(f, 2.0) == pytest.approx(2.0 * cmath.exp(-2.0).real)

@@ -6,27 +6,25 @@ normalizations against each other by exact diagonal conjugation.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from gamowkit.algebra import GaussianRational, Polynomial
-from gamowkit.errors import IndexOutOfRangeError, NegativeTimeError
+from gamowkit.algebra import GaussianRational, Polynomial, monomial_product
+from gamowkit.errors import NegativeTimeError
 from gamowkit.jordan import (
     GamowSubspace,
-    GamowVector,
     OperatorOnM,
-    apply_hamiltonian,
+    conjugation_polys,
     evolution_matrix,
-    evolution_matrix_bra,
-    evolution_matrix_symbolic,
-    evolution_polys,
     hamiltonian_action_matrix,
     hamiltonian_matrix,
     nilpotent_power,
 )
 from gamowkit.smatrix import ResonancePole
+from gamowkit.states import StateOperator, dyad_operator, evolve_operator_symbolic
 
 RNG_SEED = 20260823
 
@@ -57,10 +55,6 @@ class TestStructures:
     def test_unknown_normalization_rejected(self):
         with pytest.raises(ValueError):
             GamowSubspace(ResonancePole(2.0, 1.0, 2), "orthonormal")
-
-    def test_vector_length_checked(self, space):
-        with pytest.raises(ValueError):
-            GamowVector(space, (1.0, 2.0))
 
     def test_operator_shape_checked(self, space):
         with pytest.raises(ValueError):
@@ -98,18 +92,6 @@ class TestHamiltonian:
         upper = hamiltonian_action_matrix(space).matrix
         assert np.array_equal(upper, lower.T)
 
-    def test_apply_matches_action_column(self, space):
-        action = hamiltonian_action_matrix(space).matrix
-        for k in range(4):
-            vec = apply_hamiltonian(space, k)
-            assert np.allclose(vec.coords, action[:, k], rtol=0, atol=0)
-
-    def test_apply_out_of_range(self, space):
-        with pytest.raises(IndexOutOfRangeError):
-            apply_hamiltonian(space, 4)
-        with pytest.raises(IndexOutOfRangeError):
-            apply_hamiltonian(space, -1)
-
 
 class TestNilpotentPowers:
     @pytest.mark.parametrize("r", [1, 2, 4, 8])
@@ -142,8 +124,6 @@ class TestEvolutionMatrix:
     def test_negative_time_rejected(self, space):
         with pytest.raises(NegativeTimeError):
             evolution_matrix(space, -0.1)
-        with pytest.raises(NegativeTimeError):
-            evolution_matrix_bra(space, -0.1)
 
     def test_time_zero_is_identity(self, space):
         assert np.array_equal(evolution_matrix(space, 0.0).matrix, np.eye(4))
@@ -171,10 +151,17 @@ class TestEvolutionMatrix:
                 assert mat[p, k] == pytest.approx(want, rel=1e-15)
 
     def test_bra_is_conjugate_transpose(self, space):
-        for t in (0.0, 0.4, 2.3):
-            ket = evolution_matrix(space, t).matrix
-            bra = evolution_matrix_bra(space, t).matrix
-            assert np.array_equal(bra, ket.conj().T)
+        # T |0><k| T^dagger = |0> (T |k>)^dagger: row 0 of the conjugated
+        # dyad, with the ket phase exp(-i z t) put back, is the conjugate of
+        # column k of T(t)
+        z = space.pole.z_R
+        for k in range(4):
+            sym = evolve_operator_symbolic(dyad_operator(space, 0, k)).matrix
+            for t in (0.0, 0.4, 2.3):
+                ket = evolution_matrix(space, t).matrix
+                for p in range(4):
+                    bra = sym[0, p](t) * np.exp(1j * z * t)
+                    assert bra == pytest.approx(np.conj(ket[p, k]), rel=1e-13, abs=1e-15)
 
     def test_semigroup_property(self, space):
         rng = np.random.default_rng(RNG_SEED)
@@ -196,63 +183,140 @@ class TestEvolutionMatrix:
         assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
+def _ket_column(normalization, k):
+    """Column k of T~(t), read off the conjugated dyad |k><0|: for each p
+    the single power of t and its exact coefficient."""
+    polys, denominator = conjugation_polys(normalization, {(k, 0): GaussianRational(1)})
+    column = {}
+    for (p, q), poly in polys.items():
+        assert q == 0 and len(poly) == 1
+        ((d, (re, im)),) = poly.items()
+        column[p] = (d, GaussianRational(Fraction(re, denominator), Fraction(im, denominator)))
+    return column
+
+
 class TestEvolutionPolys:
-    def test_degrees_and_triangularity(self, space):
-        polys = evolution_polys(space)
-        for p in range(4):
-            for k in range(4):
-                if p <= k:
-                    assert polys[p][k].degree == k - p
-                else:
-                    assert polys[p][k].degree == -1
+    def test_degrees_and_triangularity(self):
+        for k in range(4):
+            column = _ket_column("derivative", k)
+            assert sorted(column) == list(range(k + 1))
+            for p, (d, _) in column.items():
+                assert d == k - p
 
-    def test_exact_coefficients_are_gaussian(self, space):
-        polys = evolution_polys(space, exact=True)
-        top = polys[0][3].coefficient(3)
-        assert isinstance(top, GaussianRational)
+    def test_exact_coefficients_are_gaussian(self):
+        polys, denominator = conjugation_polys("derivative", {(3, 0): GaussianRational(1)})
         # binom(3, 0) * (-i)^3 = i
-        assert top == GaussianRational(0, 1)
+        assert denominator == 1
+        assert polys[0, 0] == {3: (0, 1)}
 
-    def test_bra_polys_transpose_with_conjugate_units(self, space):
-        ket = evolution_polys(space, exact=True)
-        bra = evolution_polys(space, exact=True, bra=True)
-        for p in range(4):
-            for k in range(4):
-                d = abs(p - k)
-                sign = GaussianRational(-1) ** d
-                assert bra[k][p] == ket[p][k] * sign
+    def test_bra_polys_transpose_with_conjugate_units(self):
+        # |0><k| spreads along row 0 with (i t) where |k><0| has (-i t)
+        for k in range(4):
+            ket, ket_den = conjugation_polys("derivative", {(k, 0): GaussianRational(1)})
+            bra, bra_den = conjugation_polys("derivative", {(0, k): GaussianRational(1)})
+            assert bra_den == ket_den
+            assert sorted(bra) == [(0, p) for p in range(k + 1)]
+            for p in range(k + 1):
+                ((d, (re, im)),) = ket[p, 0].items()
+                sign = (-1) ** d
+                assert bra[0, p] == {d: (sign * re, sign * im)}
 
     def test_normalizations_conjugate_by_factorials(self):
         # T_factorial == D^-1 T_derivative D with D = diag(1/k!)
-        pole = ResonancePole(2.0, 1.0, 5)
-        deriv = evolution_polys(GamowSubspace(pole, "derivative"), exact=True)
-        fact = evolution_polys(GamowSubspace(pole, "factorial"), exact=True)
-        for p in range(5):
-            for k in range(5):
+        for k in range(5):
+            deriv = _ket_column("derivative", k)
+            fact = _ket_column("factorial", k)
+            assert sorted(fact) == sorted(deriv)
+            for p in deriv:
                 scale = Fraction(math.factorial(p), math.factorial(k))
-                assert fact[p][k] == deriv[p][k] * GaussianRational(scale)
+                assert fact[p] == (deriv[p][0], deriv[p][1] * GaussianRational(scale))
+
+
+def _weight(normalization, k, p):
+    if normalization == "derivative":
+        return Fraction(math.comb(k, p))
+    return Fraction(1, math.factorial(k - p))
+
+
+class TestConjugationPolys:
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    @pytest.mark.parametrize("r", [1, 2, 4, 6])
+    def test_matches_sum_of_monomial_products(self, normalization, r):
+        # reference: every dyad |k><l| expanded with Polynomial objects,
+        # w(k, i) w(l, j) (-i t)**(k-i) (i t)**(l-j) onto |i><j|
+        rng = random.Random(RNG_SEED + r)
+        for _ in range(3):
+            entries = {}
+            for k in range(r):
+                for l in range(r):
+                    if rng.random() < 0.6:
+                        entries[k, l] = GaussianRational(
+                            Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)),
+                            Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)),
+                        )
+            want = {}
+            for (k, l), value in entries.items():
+                for i in range(k + 1):
+                    for j in range(l + 1):
+                        weight = _weight(normalization, k, i) * _weight(normalization, l, j)
+                        term = value * GaussianRational(weight) * monomial_product(k - i, l - j)
+                        want[i, j] = want.get((i, j), Polynomial()) + term
+            polys, denominator = conjugation_polys(normalization, entries)
+            got = {}
+            for ij, poly in polys.items():
+                coeffs = [GaussianRational(0)] * (max(poly) + 1)
+                for d, (re, im) in poly.items():
+                    assert re or im
+                    coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+                got[ij] = Polynomial(coeffs)
+            assert got == {ij: p for ij, p in want.items() if p.coeffs}
+
+    def test_degree_zero_part_is_the_operator(self):
+        entries = {(2, 1): GaussianRational(Fraction(1, 3), -2), (0, 3): GaussianRational(5)}
+        polys, denominator = conjugation_polys("factorial", entries)
+        for ij, value in entries.items():
+            re, im = polys[ij][0]
+            assert GaussianRational(Fraction(re, denominator), Fraction(im, denominator)) == value
+
+    def test_empty_operator_has_no_terms(self):
+        assert conjugation_polys("derivative", {}) == ({}, 1)
 
 
 class TestSymbolicEvolution:
-    def test_rate_is_minus_i_z(self, space):
-        sym = evolution_matrix_symbolic(space).matrix
-        assert sym[0, 0].rate == -1j * space.pole.z_R
+    def test_rate_is_minus_i_z(self):
+        # the ket side of T |k><l| T^dagger carries exp(-i z t), the bra side
+        # exp(i conj(z) t); their shared rate -Gamma is held at the exact
+        # rational value of the float width
+        space = GamowSubspace(ResonancePole(2.0, 0.3, 3))
+        sym = evolve_operator_symbolic(dyad_operator(space, 2, 1)).matrix
+        for entry in sym.flat:
+            assert entry.rate == GaussianRational(-Fraction(0.3))
+        z = space.pole.z_R
+        ket_rate = complex(sym[0, 0].rate) - 1j * z.conjugate()
+        assert ket_rate == pytest.approx(-1j * z, rel=1e-15)
 
     def test_matches_numeric_evolution(self, space):
-        sym = evolution_matrix_symbolic(space).matrix
-        for t in (0.0, 0.9, 3.7):
-            numeric = evolution_matrix(space, t).matrix
-            for p in range(4):
-                for k in range(4):
-                    assert sym[p, k](t) == pytest.approx(numeric[p, k], abs=1e-13)
+        # T |k><0| T^dagger = T|k> exp(i conj(z) t) <0|
+        z = space.pole.z_R
+        for k in range(4):
+            sym = evolve_operator_symbolic(dyad_operator(space, k, 0)).matrix
+            for t in (0.0, 0.9, 3.7):
+                numeric = evolution_matrix(space, t).matrix
+                for p in range(4):
+                    column = sym[p, 0](t) * np.exp(-1j * z.conjugate() * t)
+                    assert column == pytest.approx(numeric[p, k], abs=1e-13)
 
     def test_symbolic_derivative_is_generator_applied(self, space):
-        # entrywise: d/dt T == (-i H) T as exponential polynomials
-        sym = evolution_matrix_symbolic(space).matrix
+        # entrywise: d/dt (T A T^dagger) == -i H (T A T^dagger) + i (T A T^dagger) H^dagger
+        rng = np.random.default_rng(RNG_SEED)
+        raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        sym = evolve_operator_symbolic(StateOperator(OperatorOnM(space, raw))).matrix
         h_action = hamiltonian_action_matrix(space).matrix
+        h_dagger = h_action.conj().T
         t = 1.3
+        values = np.array([[sym[p, q](t) for q in range(4)] for p in range(4)])
+        applied = -1j * h_action @ values + 1j * values @ h_dagger
         for p in range(4):
-            for k in range(4):
-                derived = sym[p, k].derivative()(t)
-                applied = sum(-1j * h_action[p, q] * sym[q, k](t) for q in range(4))
-                assert derived == pytest.approx(applied, rel=1e-12, abs=1e-12)
+            for q in range(4):
+                derived = sym[p, q].derivative()(t)
+                assert derived == pytest.approx(applied[p, q], rel=1e-12, abs=1e-12)

@@ -13,29 +13,43 @@ import numpy as np
 import pytest
 
 from gamowkit.algebra import GaussianRational, Polynomial
-from gamowkit.errors import (
-    EmptyGridError,
-    IndexOutOfRangeError,
-    NegativeTimeError,
-    WrongRepresentationError,
-)
-from gamowkit.jordan import GamowSubspace, OperatorOnM, as_complex_matrix
+from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
+from gamowkit.jordan import GamowSubspace, OperatorOnM, as_complex_matrix, evolution_matrix
 from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunction, TestFunctionPair
 from gamowkit.states import (
     StateOperator,
     decay_deviation,
     detector_probability,
     dyad_operator,
-    evolve_operator,
     evolve_operator_symbolic,
     evolved_norm_squared,
     pole_term_probability,
     w_n,
-    w_pole_term,
     w_total,
 )
 
 RNG_SEED = 20260823
+
+
+def float_evolution(W, t):
+    """Reference T(t) A T(t)^dagger as complex matrix products (BLAS)."""
+    ket = evolution_matrix(W.space, t).matrix
+    return ket @ as_complex_matrix(W.op.matrix) @ ket.conj().T
+
+
+def float_deviation(W, t_grid):
+    """Reference decay deviation: max_t ||T A T^dagger - exp(-Gamma t) A|| / ||A||."""
+    mat0 = as_complex_matrix(W.op.matrix)
+    norm0 = np.linalg.norm(mat0)
+    return max(
+        np.linalg.norm(float_evolution(W, t) - math.exp(-W.space.pole.Gamma * t) * mat0) / norm0
+        for t in t_grid
+    )
+
+
+def random_operator(space, rng):
+    r = space.dimension
+    return StateOperator(OperatorOnM(space, rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))))
 
 
 @pytest.fixture
@@ -96,25 +110,20 @@ class TestOperatorConstruction:
             floats, 2.0 * math.pi * space.pole.Gamma * exact, rtol=1e-14
         )
 
-    def test_pole_term_representation_is_scattering(self, space):
-        assert w_pole_term(space).representation == "scattering"
-        assert w_n(space, 0).representation == "decay"
-
 
 class TestEvolution:
-    def test_scattering_representation_rejected(self, space):
-        with pytest.raises(WrongRepresentationError):
-            evolve_operator(w_pole_term(space), 1.0)
-        with pytest.raises(WrongRepresentationError):
-            evolve_operator_symbolic(w_pole_term(space))
-
     def test_negative_time_rejected(self, space):
         with pytest.raises(NegativeTimeError):
-            evolve_operator(w_n(space, 0), -1.0)
+            decay_deviation(w_n(space, 0), [0.0, 1.0, -1.0])
+        zero = StateOperator(OperatorOnM(space, np.zeros((3, 3))))
+        with pytest.raises(NegativeTimeError):
+            decay_deviation(zero, [-0.5])
 
     def test_time_zero_is_identity_map(self, space):
+        # float entries enter at their exact value, so t = 0 gives them back bit for bit
         W = w_total(space)
-        evolved = evolve_operator(W, 0.0).matrix
+        sym = evolve_operator_symbolic(W).matrix
+        evolved = np.array([[entry(0.0) for entry in row] for row in sym])
         assert np.array_equal(evolved, W.op.matrix)
 
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
@@ -127,16 +136,22 @@ class TestEvolution:
         assert decay_deviation(w_total(space), grid) <= 1e-12
 
     def test_evolved_family_member_stays_hermitian(self, space):
-        evolved = evolve_operator(w_n(space, 2), 1.7).matrix
-        np.testing.assert_allclose(evolved, evolved.conj().T, rtol=0, atol=1e-15)
+        sym = evolve_operator_symbolic(w_n(space, 2)).matrix
+        for i in range(3):
+            for j in range(3):
+                mirrored = [c.conjugate() for c in sym[j, i].poly.coeffs]
+                assert sym[i, j].poly.coeffs == tuple(mirrored)
 
     def test_numeric_and_symbolic_paths_agree(self, space):
+        # a float input reproduces the float matrix-product reference
         rng = np.random.default_rng(RNG_SEED)
-        raw = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        W = StateOperator(OperatorOnM(space, raw), "decay")
+        W = random_operator(space, rng)
         sym = evolve_operator_symbolic(W).matrix
+        for entry in sym.flat:
+            assert entry.rate == GaussianRational(-1)
+            assert all(isinstance(c, GaussianRational) for c in entry.poly.coeffs)
         for t in (0.0, 0.8, 2.5):
-            numeric = evolve_operator(W, t).matrix
+            numeric = float_evolution(W, t)
             for i in range(3):
                 for j in range(3):
                     assert sym[i, j](t) == pytest.approx(numeric[i, j], abs=1e-12)
@@ -162,14 +177,10 @@ class TestEvolution:
         for idx in np.ndindex(3, 3):
             combo[idx] = a * A[idx] + b * B[idx]
         lhs = evolve_operator_symbolic(
-            StateOperator(OperatorOnM(space, combo), "decay")
+            StateOperator(OperatorOnM(space, combo))
         ).matrix
-        sym_a = evolve_operator_symbolic(
-            StateOperator(OperatorOnM(space, A), "decay")
-        ).matrix
-        sym_b = evolve_operator_symbolic(
-            StateOperator(OperatorOnM(space, B), "decay")
-        ).matrix
+        sym_a = evolve_operator_symbolic(StateOperator(OperatorOnM(space, A))).matrix
+        sym_b = evolve_operator_symbolic(StateOperator(OperatorOnM(space, B))).matrix
         for idx in np.ndindex(3, 3):
             assert lhs[idx].poly == a * sym_a[idx].poly + b * sym_b[idx].poly
 
@@ -224,12 +235,8 @@ class TestEvolvedNormSquared:
         coeffs = [float(c) for c in evolved_norm_squared(W)]
         for t in (0.0, 0.7, 3.0):
             value = math.sqrt(sum(c * t**d for d, c in enumerate(coeffs)))
-            expected = evolve_operator(W, t).norm() * math.exp(space.pole.Gamma * t)
+            expected = np.linalg.norm(float_evolution(W, t)) * math.exp(space.pole.Gamma * t)
             assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_scattering_representation_rejected(self, space):
-        with pytest.raises(WrongRepresentationError):
-            evolved_norm_squared(w_pole_term(space))
 
 
 class TestDecayDeviation:
@@ -238,8 +245,25 @@ class TestDecayDeviation:
             decay_deviation(w_n(space, 0), [])
 
     def test_zero_operator_has_zero_deviation(self, space):
-        zero = StateOperator(OperatorOnM(space, np.zeros((3, 3))), "decay")
+        zero = StateOperator(OperatorOnM(space, np.zeros((3, 3))))
         assert decay_deviation(zero, [0.0, 1.0]) == 0.0
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_exact_family_members_deviate_by_exactly_zero(self, normalization):
+        space = GamowSubspace(ResonancePole(2.0, 0.8, 6), normalization)
+        grid = np.linspace(0.0, 10.0, 21)
+        for W in [w_n(space, n, exact=True) for n in range(6)] + [w_total(space, exact=True)]:
+            assert decay_deviation(W, grid) == 0.0
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    def test_matches_float_reference_on_random_operators(self, r, normalization):
+        rng = np.random.default_rng(RNG_SEED + r)
+        space = GamowSubspace(ResonancePole(2.0, 0.7, r), normalization)
+        grid = np.linspace(0.0, 4.0, 9)
+        for _ in range(3):
+            W = random_operator(space, rng)
+            assert decay_deviation(W, grid) == pytest.approx(float_deviation(W, grid), rel=1e-12)
 
 
 class TestPoleTermProbability:
@@ -276,10 +300,6 @@ class TestDetectorProbability:
         other = SMatrixModel(ResonancePole(3.0, 1.0, 3))
         with pytest.raises(ValueError):
             detector_probability(w_n(space, 0), psi, other, 1.0)
-
-    def test_wrong_representation_rejected(self, space, psi, model):
-        with pytest.raises(WrongRepresentationError):
-            detector_probability(w_pole_term(space), psi, model, 1.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_family_detector_ratio_is_exponential(self, space, psi, model, n):
