@@ -106,4 +106,5 @@ __all__ = [
     "pole_term_probability",
     "s_matrix_eval",
     "w_n",
+    "w_total",
 ]

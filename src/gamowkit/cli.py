@@ -45,6 +45,7 @@ from .smatrix import (
     pole_term,
 )
 from .states import (
+    _w_prefactor,
     dyad_operator,
     evolved_norm_squared,
     pole_term_probability,
@@ -298,7 +299,7 @@ def _space_from(cfg: RunConfig, normalization: str | None) -> GamowSubspace:
 @out_option
 @format_option
 @normalization_option
-@click.option("--exact", is_flag=True, help="Route through the exact Gaussian-rational carrier.")
+@click.option("--exact", is_flag=True, help="Leave the 2 pi Gamma scale off the wsum columns.")
 @_guarded
 def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     """Norm of every evolved operator against the pure exponential law.
@@ -313,11 +314,12 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     width = space.pole.Gamma
     r = space.dimension
 
-    operators = [(f"w{n}", w_n(space, n, exact=exact)) for n in range(r)]
-    operators.append(("wsum", w_total(space, exact=exact)))
-    dyads = [(f"dyad{k}", dyad_operator(space, k, exact=exact)) for k in range(r)]
+    # every operator is exact; only the float table scales W's norms by 2 pi Gamma
+    operators = [(f"w{n}", w_n(space, n, exact=True), 1.0) for n in range(r)]
+    operators.append(("wsum", w_total(space, exact=True), 1.0 if exact else _w_prefactor(space)))
+    dyads = [(f"dyad{k}", dyad_operator(space, k, exact=True)) for k in range(r)]
 
-    def norm_curve(op):
+    def norm_curve(op, scale=1.0):
         # exact coefficients of the squared norm, evaluated by Horner in
         # Python floats: no BLAS kernel decides the rounding
         coeffs = [float(c) for c in reversed(evolved_norm_squared(op))]
@@ -326,9 +328,10 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
             acc = 0.0
             for c in coeffs:
                 acc = acc * t + c
-            if math.isinf(acc):
-                raise OverflowError(f"squared norm leaves the float range at t = {t!r}")
-            return math.sqrt(acc)
+            norm = scale * math.sqrt(acc)
+            if math.isinf(norm):
+                raise OverflowError(f"norm leaves the float range at t = {t!r}")
+            return norm
 
         return unphased(0.0), [unphased(t) * math.exp(-width * t) for t in grid]
 
@@ -341,8 +344,8 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
 
     header = ["t"]
     columns = [grid]
-    for name, op in operators:
-        norm0, curve = norm_curve(op)
+    for name, op, scale in operators:
+        norm0, curve = norm_curve(op, scale)
         reference = exp_law(norm0)
         deviation = [abs(a - b) / b for a, b in zip(curve, reference)]
         header += [f"{name}_norm", f"{name}_exp_law", f"{name}_deviation"]

@@ -52,10 +52,10 @@ class ResonancePole:
     r: int
 
     def __post_init__(self):
-        if not self.E_R > 0:
-            raise ValueError(f"E_R must be positive, got {self.E_R}")
-        if not self.Gamma > 0:
-            raise ValueError(f"Gamma must be positive, got {self.Gamma}")
+        if not 0 < self.E_R < math.inf:
+            raise ValueError(f"E_R must be positive and finite, got {self.E_R}")
+        if not 0 < self.Gamma < math.inf:
+            raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
         if self.r < 1:
             raise ValueError(f"pole order r must be >= 1, got {self.r}")
 
@@ -122,8 +122,10 @@ class TestFunction:
             a = float(a)
             m = int(m)
             c = complex(c)
-            if not a > 0:
-                raise ValueError(f"test-function pole scale a must be positive, got {a}")
+            if not 0 < a < math.inf:
+                raise ValueError(f"test-function pole scale a must be positive and finite, got {a}")
+            if not cmath.isfinite(c):
+                raise ValueError(f"test-function coefficient c must be finite, got {c}")
             if m < 1:
                 raise ValueError(f"test-function pole order m must be >= 1, got {m}")
             clean.append((a, m, c))

@@ -10,10 +10,12 @@ Conjugating with the semigroup, T(t) A T(t)^dagger, multiplies every W(n)
 by exp(-Gamma t) with no polynomial remainder, while a plain dyad
 |k><k| (k >= 1) picks up polynomial contamination up to t**(2k).
 
-Two carriers are supported: complex floats, and exact Gaussian rationals
-(exact=True) in which Gamma enters as the exact rational value of its
-float and the overall 2 pi Gamma scale is dropped because pi has no exact
-carrier; every certified property is invariant under that scale.
+Every operator is built once, as exact Gaussian-rational entries in which
+Gamma enters as the exact rational value of its float.  One step then
+materializes them: exact=True keeps the entries, and the float carrier
+is each exact entry rounded once.  The 2 pi Gamma scale of W has no exact
+carrier because pi is irrational, so only the float carrier applies it;
+every certified property is invariant under that scale.
 
 Evolution runs one path for both carriers: float entries enter at their
 exact binary value, jordan.conjugation_polys expands the conjugation
@@ -66,52 +68,36 @@ class StateOperator:
         return self.op.space
 
 
-def _wn_matrix(space: GamowSubspace, n: int, exact: bool):
+def _materialize(space: GamowSubspace, entries: dict, exact: bool, scale: float = 1.0):
+    """The one step from exact entries {(k, l): GaussianRational} to an
+    operator: exact=True keeps them, the float carrier rounds each entry
+    once and multiplies it by scale."""
+    r = space.dimension
+    mat = np.full((r, r), GaussianRational(0), dtype=object) if exact else np.zeros((r, r), complex)
+    for kl, value in entries.items():
+        mat[kl] = value if exact else complex(value) * scale
+    return StateOperator(OperatorOnM(space, mat))
+
+
+def _wn_entries(space: GamowSubspace, n: int) -> dict:
     r = space.dimension
     if not 0 <= n <= r - 1:
         raise IndexOutOfRangeError(f"operator index n must be in 0..{r - 1}, got {n}")
-    if exact:
-        gamma_width = Fraction(space.pole.Gamma)
-        scale = gamma_width**n / math.factorial(n)
-        mat = np.full((r, r), GaussianRational(0), dtype=object)
-        for k in range(n + 1):
-            if space.normalization == "derivative":
-                entry = scale * binom(n, k)
-            else:
-                entry = gamma_width**n
-            mat[k, n - k] = GaussianRational(entry)
-    else:
-        gamma_width = space.pole.Gamma
-        scale = gamma_width**n / math.factorial(n)
-        mat = np.zeros((r, r), dtype=complex)
-        for k in range(n + 1):
-            if space.normalization == "derivative":
-                mat[k, n - k] = scale * binom(n, k)
-            else:
-                mat[k, n - k] = gamma_width**n
-    return mat
+    width_n = Fraction(space.pole.Gamma) ** n
+    if space.normalization == "factorial":
+        return {(k, n - k): GaussianRational(width_n) for k in range(n + 1)}
+    scale = width_n / math.factorial(n)
+    return {(k, n - k): GaussianRational(scale * binom(n, k)) for k in range(n + 1)}
 
 
 def w_n(space: GamowSubspace, n: int, exact: bool = False) -> StateOperator:
     """The n-th binomial anti-diagonal operator W(n)."""
-    return StateOperator(OperatorOnM(space, _wn_matrix(space, n, exact)))
+    return _materialize(space, _wn_entries(space, n), exact)
 
 
-def _w_sum_matrix(space: GamowSubspace, exact: bool):
-    r = space.dimension
-    if exact:
-        total = np.full((r, r), GaussianRational(0), dtype=object)
-        minus_i = GaussianRational(0, -1)
-        for n in range(r):
-            coeff = binom(r, n + 1) * minus_i**n
-            layer = _wn_matrix(space, n, True)
-            for idx in np.ndindex(r, r):
-                total[idx] = total[idx] + coeff * layer[idx]
-        return total
-    total = np.zeros((r, r), dtype=complex)
-    for n in range(r):
-        total += binom(r, n + 1) * (-1j) ** n * _wn_matrix(space, n, False)
-    return 2.0 * math.pi * space.pole.Gamma * total
+def _w_prefactor(space: GamowSubspace) -> float:
+    # the 2 pi Gamma scale of W, which only the float carrier applies
+    return 2.0 * math.pi * space.pole.Gamma
 
 
 def w_total(space: GamowSubspace, exact: bool = False) -> StateOperator:
@@ -120,7 +106,13 @@ def w_total(space: GamowSubspace, exact: bool = False) -> StateOperator:
     The exact carrier omits the 2 pi Gamma prefactor (pi is irrational);
     all certified statements about W are scale invariant.
     """
-    return StateOperator(OperatorOnM(space, _w_sum_matrix(space, exact)))
+    r = space.dimension
+    entries = {}
+    for n in range(r):
+        # entry (k, l) lies on the single anti-diagonal n = k + l
+        coeff = binom(r, n + 1) * GaussianRational(0, -1) ** n
+        entries.update((kl, coeff * value) for kl, value in _wn_entries(space, n).items())
+    return _materialize(space, entries, exact, _w_prefactor(space))
 
 
 def dyad_operator(
@@ -132,23 +124,18 @@ def dyad_operator(
         l = k
     if not 0 <= k < r or not 0 <= l < r:
         raise IndexOutOfRangeError(f"dyad indices must be in 0..{r - 1}, got ({k}, {l})")
-    if exact:
-        mat = np.full((r, r), GaussianRational(0), dtype=object)
-        mat[k, l] = GaussianRational(1)
-    else:
-        mat = np.zeros((r, r), dtype=complex)
-        mat[k, l] = 1.0
-    return StateOperator(OperatorOnM(space, mat))
+    return _materialize(space, {(k, l): GaussianRational(1)}, exact)
 
 
 def _conjugation(W: StateOperator):
     """conjugation_polys of W; float entries enter at their exact dyadic value."""
     entries = {}
     for (k, l), value in np.ndenumerate(W.op.matrix):
+        if not value:
+            continue
         if not isinstance(value, GaussianRational):
             value = GaussianRational(Fraction(value.real), Fraction(value.imag))
-        if value:
-            entries[k, l] = value
+        entries[k, l] = value
     return conjugation_polys(W.space.normalization, entries)
 
 

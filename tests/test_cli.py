@@ -132,6 +132,14 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "overflow" in result.output
 
+    def test_scaled_norm_overflow_maps_to_two(self, runner, tmp_path):
+        # the exact norms are 1 at r = 1; only the 2 pi Gamma scale of W overflows
+        conf = tmp_path / "big.conf"
+        conf.write_text("E_R = 2.0\nGamma = 1e308\nr = 1\nt_min = 0\nt_max = 0\nt_steps = 1\n")
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert "overflow" in result.output
+
     @pytest.mark.parametrize(
         "command,text",
         [
@@ -259,6 +267,55 @@ class TestDecayCurve:
         payload = json.loads(result.output)
         idx = payload["columns"].index("w0_deviation")
         assert max(row[idx] for row in payload["rows"]) < 1e-14
+
+    @pytest.mark.parametrize("gamma,r", [("0.9137", 16), ("0.37", 20)])
+    def test_float_family_is_exact_at_high_order(self, runner, tmp_path, gamma, r):
+        # W(n) is built exactly and rounded only when printed, so at any
+        # order its deviation cancels to 0 and its norm is the closed form
+        conf = tmp_path / "high.conf"
+        conf.write_text(
+            f"E_R = 2.0\nGamma = {gamma}\nr = {r}\nt_min = 0.0\nt_max = 10.0\nt_steps = 11\n"
+        )
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf), "--format", "json"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        cols = payload["columns"]
+        with mpmath.workdps(40):
+            G = mpmath.mpf(float(gamma))
+            fam0 = [G**n / factorial(n) * mpmath.sqrt(comb(2 * n, n)) for n in range(r)]
+            wsum0 = 2 * mpmath.pi * G * mpmath.sqrt(
+                sum(comb(r, n + 1) ** 2 * fam0[n] ** 2 for n in range(r))
+            )
+            for row in payload["rows"]:
+                decay = mpmath.exp(-G * mpmath.mpf(row[0]))
+                for name, norm0 in [(f"w{n}", fam0[n]) for n in range(r)] + [("wsum", wsum0)]:
+                    assert row[cols.index(f"{name}_deviation")] == 0.0
+                    want = float(norm0 * decay)
+                    assert abs(row[cols.index(f"{name}_norm")] - want) <= 8 * math.ulp(want)
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_exact_flag_only_drops_two_pi_gamma(self, runner, tmp_path, normalization):
+        conf = tmp_path / "d.conf"
+        conf.write_text(
+            DECAY_CONF.replace("Gamma = 1.0", "Gamma = 0.9137").replace("r = 2", "r = 16")
+            + f"normalization = {normalization}\n"
+        )
+        tables = [
+            list(csv.reader(io.StringIO(runner.invoke(main, args).output)))
+            for args in (
+                ["decay-curve", "--config", str(conf)],
+                ["decay-curve", "--config", str(conf), "--exact"],
+            )
+        ]
+        (header, *floats), (_, *exacts) = tables
+        scaled = {"wsum_norm", "wsum_exp_law"}
+        for row_f, row_e in zip(floats, exacts):
+            for name, f, e in zip(header, row_f, row_e):
+                if name in scaled:
+                    assert float(f) / float(e) == pytest.approx(2 * math.pi * 0.9137, rel=1e-15)
+                else:
+                    assert f == e, name
+        assert len(floats) == len(exacts) == 5
 
     def test_normalization_flag_changes_output(self, runner):
         # the two normalizations first differ at r = 3

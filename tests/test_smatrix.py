@@ -99,6 +99,26 @@ class TestModelValidation:
             TestFunction(((1.0, 0, 1.0),))
         assert TestFunction().value(1.0) == 0j
 
+    @pytest.mark.parametrize(
+        "E_R,Gamma", [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.inf), (2.0, math.nan)]
+    )
+    def test_non_finite_pole_rejected(self, E_R, Gamma):
+        with pytest.raises(ValueError, match="finite"):
+            ResonancePole(E_R, Gamma, 3)
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            (math.inf, 1, 1.0),
+            (math.nan, 1, 1.0),
+            (1.0, 1, complex(math.inf, 0.0)),
+            (1.0, 1, complex(0.0, math.nan)),
+        ],
+    )
+    def test_non_finite_test_function_rejected(self, term):
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction((term,))
+
 
 class TestSMatrixValues:
     def test_on_resonance_value_is_sign_of_order(self):
