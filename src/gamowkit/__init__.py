@@ -1,8 +1,9 @@
 """Resonance poles of arbitrary multiplicity.
 
 Tools for a single higher-order pole of an analytically continued
-S-matrix: partial-fraction expansion of the pole factor, contour-based
-derivative extraction, the finite Jordan-block subspace it generates,
+S-matrix: partial-fraction expansion of the pole factor, pole terms from
+exact Taylor jets of both legs at the pole (one exact polynomial in the
+time shift per pairing), the finite Jordan-block subspace it generates,
 semigroup time evolution on that subspace, density-operator families
 with exactly exponential decay, and an exact integer-arithmetic
 certificate that the binomial anti-diagonal family is the only one.
@@ -29,6 +30,7 @@ from .jordan import (
 )
 from .smatrix import (
     BackgroundPhase,
+    PoleJet,
     ResonancePole,
     SMatrixModel,
     TestFunction,
@@ -37,6 +39,7 @@ from .smatrix import (
     expansion_coeffs,
     lineshape,
     pole_expansion_coeffs,
+    pole_jet,
     pole_term,
     s_matrix_eval,
 )
@@ -77,6 +80,7 @@ __all__ = [
     "NoConvergenceError",
     "OperatorOnM",
     "PoleEvaluationError",
+    "PoleJet",
     "Polynomial",
     "ResonancePole",
     "SMatrixModel",
@@ -102,6 +106,7 @@ __all__ = [
     "nilpotent_power",
     "oracle_evolution",
     "pole_expansion_coeffs",
+    "pole_jet",
     "pole_term",
     "pole_term_probability",
     "s_matrix_eval",

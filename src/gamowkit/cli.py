@@ -42,13 +42,13 @@ from .smatrix import (
     TestFunctionPair,
     expansion_coeffs,
     lineshape,
+    pole_jet,
     pole_term,
 )
 from .states import (
     _w_prefactor,
     dyad_operator,
     evolved_norm_squared,
-    pole_term_probability,
     w_n,
     w_total,
 )
@@ -227,7 +227,11 @@ def _csv_text(header, rows) -> str:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        # inf and nan have no JSON spelling; they come from a float overflow
+        raise OverflowError("a value of the output is not a finite float")
 
 
 def _table_text(header, rows, fmt_name: str) -> str:
@@ -384,25 +388,32 @@ def lineshape_cmd(config_path, out_path, fmt_name):
 @out_option
 @_guarded
 def pole_term_cmd(config_path, out_path):
-    """Pole term of the configured pairing plus its decay-ratio table."""
+    """Pole term of the configured pairing plus its decay-ratio table.
+
+    Everything is read off one exact polynomial Q built once (pole_jet):
+    the pole term is 2 pi exp(2i gamma(z)) Q(0) and each ratio is
+    exp(-Gamma t) |Q(t) / Q(0)|**2, with the quotient exact at the float t.
+    """
     cfg = load_config(config_path)
     model = cfg.model()
     pair = cfg.pair()
     grid = cfg.grid("t", minimum_allowed=0.0)
 
-    value = pole_term(pair, model)
+    jet = pole_jet(pair, model)
+    value = pole_term(pair, model, jet)
     coeffs = expansion_coeffs(pair.phi, model)
-    p0 = pole_term_probability(pair, model, 0.0)
-    if p0 == 0.0:
+    if jet.vanishes:
         raise ConfigInvalidError("pole term vanishes at t = 0; ratio table undefined")
+    p0 = jet.probability(0.0)
+    if p0 == 0.0:
+        raise UnderflowError("probability at t = 0 is 0 in floating point; the pole term is not")
     table = []
     for t in grid:
         t = float(t)
-        ratio = pole_term_probability(pair, model, t) / p0
         table.append(
             {
                 "t": t,
-                "ratio": ratio,
+                "ratio": jet.ratio(t),
                 "exponential_reference": math.exp(-model.pole.Gamma * t),
             }
         )

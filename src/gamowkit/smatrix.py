@@ -4,9 +4,17 @@ The model is S(w) = ((w - z*)/(w - z))**r * exp(2i gamma(w)) with
 z = E_R - i Gamma/2 the pole position on the lower half of the second
 sheet and gamma a real background phase.  Expanding the pole factor in
 partial fractions and pushing a pairing integral through the pole gives
-the pole term of a resonance amplitude; the derivative extraction runs
-over a circle around z via trapezoid sums, which converge geometrically
-for functions analytic on a neighbourhood of the disk.
+the pole term of a resonance amplitude: a finite sum of derivatives of
+the two legs of the pairing at z.
+
+Every leg has a closed-form Taylor series at z (the rational test
+functions, the phase exp(2i gamma) after a Taylor shift of gamma to z,
+and the time shift exp(-i w t)), so the derivatives are exact Taylor
+jets: Gaussian integers over a common denominator, with every input
+float entering at its exact value.  The pole term of the pairing with
+the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
+for one exact polynomial Q of degree < r (pole_jet).  analytic_derivatives
+(contour quadrature) remains as a general tool; no pole term uses it.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import binom
-from .errors import NoConvergenceError, PoleEvaluationError
+from .errors import NoConvergenceError, PoleEvaluationError, UnderflowError
 
 __all__ = [
     "ResonancePole",
@@ -29,6 +38,8 @@ __all__ = [
     "s_matrix_eval",
     "pole_expansion_coeffs",
     "analytic_derivatives",
+    "PoleJet",
+    "pole_jet",
     "pole_term",
     "expansion_coeffs",
     "lineshape",
@@ -216,36 +227,229 @@ def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> np.ndarra
     )
 
 
-def _pairing_legs(pair: TestFunctionPair, model: SMatrixModel):
-    """Observable and state legs as callables, gauge placed per the model."""
+# ------------------------------------------------------------ Taylor jets
+#
+# A jet is the list of Taylor coefficients of a function at the pole z,
+# held exactly as Gaussian integers (re, im) over one common denominator.
+# Every input float enters at its exact binary value, so z, the test
+# function data, the phase coefficients and Gamma are all exact.
+
+
+def _lift(pairs) -> tuple:
+    """Gaussian rationals (re, im) as Gaussian integers over one common denominator."""
+    den = math.lcm(*(q.denominator for pair in pairs for q in pair))
+    return [tuple(q.numerator * (den // q.denominator) for q in pair) for pair in pairs], den
+
+
+def _gmul(a, b) -> tuple:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _turn(a, q: int) -> tuple:
+    """a * i**q."""
+    re, im = a
+    return ((re, im), (-im, re), (-re, -im), (im, -re))[q % 4]
+
+
+def _jet_add(a, b) -> tuple:
+    (xa, da), (xb, db) = a, b
+    return [(ar * db + br * da, ai * db + bi * da) for (ar, ai), (br, bi) in zip(xa, xb)], da * db
+
+
+def _jet_mul(a, b, order: int) -> tuple:
+    """Product of two jets, cut to its first order coefficients."""
+    (xa, da), (xb, db) = a, b
+    out = []
+    for k in range(order):
+        re = im = 0
+        for j in range(k + 1):
+            (ar, ai), (br, bi) = xa[j], xb[k - j]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out.append((re, im))
+    return out, da * db
+
+
+def _pole_position(pole: ResonancePole) -> tuple:
+    """z = E_R - i Gamma / 2 as exact rationals (re, im)."""
+    return Fraction(pole.E_R), Fraction(pole.Gamma) / -2
+
+
+def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
+    """Taylor coefficients at z of sum c / (w - i a)**m, from the closed form
+    c (-1)**k binom(m+k-1, k) (z - i a)**(-m-k)."""
+    jet = ([(0, 0)] * order, 1)
+    for a, m, c in fn.terms:
+        # z - i a = (x + i y) / s, so (z - i a)**-1 = s (x - i y) / norm
+        ((x, y),), s = _lift([(z[0], z[1] - Fraction(a))])
+        (power,), c_den = _lift([(Fraction(c.real), Fraction(c.imag))])
+        step = (s * x, -s * y)
+        norm = x * x + y * y
+        norms = [1]
+        for _ in range(order - 1):
+            norms.append(norms[-1] * norm)
+        for _ in range(m):
+            power = _gmul(power, step)
+        coeffs = []
+        for k in range(order):
+            weight = (-1) ** k * binom(m + k - 1, k) * norms[order - 1 - k]
+            coeffs.append((weight * power[0], weight * power[1]))
+            power = _gmul(power, step)
+        jet = _jet_add(jet, (coeffs, c_den * norm ** (m + order - 1)))
+    return jet
+
+
+def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
+    """gamma(z) as exact rationals (re, im), and the jet of
+    exp(2i (gamma(w) - gamma(z))) at z: a Taylor shift of gamma to z,
+    followed by the recurrence e' = g' e of the power-series exponential."""
+    params, p_den = _lift([(Fraction(p), Fraction(0)) for p in gamma.params])
+    ((zx, zy),), z_den = _lift([z])
+    deg = len(params) - 1
+    z_pow = [(1, 0)]
+    for _ in range(deg):
+        z_pow.append(_gmul(z_pow[-1], (zx, zy)))
+    # shifted[k] / g_den is the k-th Taylor coefficient of gamma at z
+    shifted = []
+    for k in range(deg + 1):
+        re = im = 0
+        for i in range(k, deg + 1):
+            c = params[i][0] * binom(i, k) * z_den ** (deg - i + k)
+            re += c * z_pow[i - k][0]
+            im += c * z_pow[i - k][1]
+        shifted.append((re, im))
+    g_den = p_den * z_den**deg
+    # e_k = (1/k) sum_j j g_j e_{k-j} with g_j = 2i shifted[j] / g_den; every
+    # e_k is an integer over top, so each division below is exact
+    top = g_den ** (order - 1) * math.factorial(order - 1)
+    e = [(top, 0)]
+    for k in range(1, order):
+        re = im = 0
+        for j in range(1, min(k, deg) + 1):
+            gr, gi = _turn(shifted[j], 1)
+            er, ei = e[k - j]
+            re += 2 * j * (gr * er - gi * ei)
+            im += 2 * j * (gr * ei + gi * er)
+        e.append((re // (k * g_den), im // (k * g_den)))
+    value = (Fraction(shifted[0][0], g_den), Fraction(shifted[0][1], g_den))
+    return value, (e, top)
+
+
+def _contract(jet, pole: ResonancePole) -> tuple:
+    """Gamma / m! * sum_{n=m}^{r-1} binom(r, n+1) (-i Gamma)**n x[n-m] for
+    m = 0..r-1, with x the jet: the weight that the partial fractions of
+    the pole factor put on the m-th derivative of the other leg."""
+    coeffs, den = jet
+    r = pole.r
+    num, width_den = pole.Gamma.as_integer_ratio()
+    top = math.factorial(r - 1)
+    weights = [
+        _turn((binom(r, n + 1) * num**n * width_den ** (r - 1 - n), 0), 3 * n) for n in range(r)
+    ]
+    out = []
+    for m in range(r):
+        re = im = 0
+        for n in range(m, r):
+            (wr, wi), (xr, xi) = weights[n], coeffs[n - m]
+            re += wr * xr - wi * xi
+            im += wr * xi + wi * xr
+        factor = num * (top // math.factorial(m))
+        out.append((factor * re, factor * im))
+    return out, den * width_den**r * top
+
+
+def _exp_exact(re: Fraction, im: Fraction) -> complex:
+    """exp(re + i im) for exact rationals: the float value of each part
+    plus its first-order remainder, so large arguments lose no digits."""
+    hi_re, hi_im = float(re), float(im)
+    lo_re, lo_im = float(re - Fraction(hi_re)), float(im - Fraction(hi_im))
+    return cmath.exp(complex(hi_re, hi_im)) * complex(1.0 + lo_re, lo_im)
+
+
+@dataclass(frozen=True)
+class PoleJet:
+    """Pole term of a pairing whose observable is translated by t >= 0.
+
+    The pole sum of pole_term with the observable leg exp(-i w t) psi(w)
+    (times the phase factor when the gauge is absorbed) is
+
+        2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
+
+    with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
+    coefficient of t**m, as a Gaussian integer (re, im).  phase is
+    exp(2i gamma(z)) in floats (1 without the gauge).  Q is evaluated
+    exactly at the float t and rounded once.
+    """
+
+    width: float
+    phase: complex
+    coeffs: tuple
+    denominator: int
+
+    def _exact_at(self, t: float) -> tuple:
+        """(re, im, scale) with Q(t) = (re + i im) / (denominator * scale)."""
+        num, scale_step = float(t).as_integer_ratio()
+        re, im = self.coeffs[-1]
+        scale = 1
+        for cr, ci in reversed(self.coeffs[:-1]):
+            scale *= scale_step
+            re = re * num + cr * scale
+            im = im * num + ci * scale
+        return re, im, scale
+
+    @property
+    def vanishes(self) -> bool:
+        """Whether Q(0), and with it the pole term, is exactly zero."""
+        return self.coeffs[0] == (0, 0)
+
+    def amplitude(self, t: float = 0.0) -> complex:
+        """2 pi exp(2i gamma(z)) Q(t); at t = 0 this is the pole term."""
+        re, im, scale = self._exact_at(t)
+        den = self.denominator * scale
+        return 2.0 * math.pi * self.phase * complex(re / den, im / den)
+
+    def probability(self, t: float) -> float:
+        """exp(-Gamma t) |amplitude(t)|**2."""
+        value = self.amplitude(t)
+        return math.exp(-self.width * t) * (value.real * value.real + value.imag * value.imag)
+
+    def ratio(self, t: float) -> float:
+        """probability(t) / probability(0) as exp(-Gamma t) |Q(t) / Q(0)|**2,
+        the quotient exact and rounded once; for r = 1 it is 1."""
+        re, im, scale = self._exact_at(t)
+        q_re, q_im = self.coeffs[0]
+        quotient = (re * re + im * im) / ((q_re * q_re + q_im * q_im) * scale * scale)
+        return math.exp(-self.width * t) * quotient
+
+
+def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
+    """The exact polynomial of the pole term, built once from the Taylor
+    jets of both legs at the pole.
+
+    With x the jet of the product of the legs (the observable leg times
+    exp(2i (gamma(w) - gamma(z))) when the gauge is absorbed) and the
+    shift exp(-i w t) = exp(-i z t) sum_m (-i t)**m / m! (w - z)**m, the
+    pole sum of pole_term becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
+    with Q(t) = -sum_m c_m (-i t)**m and c = _contract(x).
+    """
+    pole = model.pole
+    z = _pole_position(pole)
+    legs = _jet_mul(_rational_jet(pair.psi, z, pole.r), _rational_jet(pair.phi, z, pole.r), pole.r)
+    phase = 1 + 0j
     if model.absorb_gauge:
-        def psi_fn(w):
-            return pair.psi.value(w) * model.phase_factor(w)
-    else:
-        psi_fn = pair.psi.value
-    return psi_fn, pair.phi.value
+        (g_re, g_im), shift = _phase_jet(model.gamma, z, pole.r)
+        legs = _jet_mul(legs, shift, pole.r)
+        # 2i gamma(z) = -2 Im gamma(z) + 2i Re gamma(z)
+        phase = _exp_exact(-2 * g_im, 2 * g_re)
+    c, den = _contract(legs, pole)
+    coeffs = [_turn((-re, -im), 3 * m) for m, (re, im) in enumerate(c)]
+    common = math.gcd(den, *(x for pair in coeffs for x in pair))
+    return PoleJet(
+        pole.Gamma, phase, tuple((re // common, im // common) for re, im in coeffs), den // common
+    )
 
 
-def _pole_sum(pole: ResonancePole, psi_fn, phi_fn) -> complex:
-    """The pole-term sum of pole_term for the legs psi_fn and phi_fn, with
-    their derivatives taken on the circle of radius Gamma/4 around z."""
-    z = pole.z_R
-    radius = pole.Gamma / 4.0
-    psi_d = analytic_derivatives(psi_fn, z, pole.r - 1, radius)
-    phi_d = analytic_derivatives(phi_fn, z, pole.r - 1, radius)
-    total = 0j
-    for n in range(pole.r):
-        inner = sum(binom(n, k) * psi_d[k] * phi_d[n - k] for k in range(n + 1))
-        total += (
-            binom(pole.r, n + 1)
-            * (-1j * pole.Gamma) ** (n + 1)
-            * (-2j * math.pi / math.factorial(n))
-            * inner
-        )
-    return total
-
-
-def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
+def pole_term(pair: TestFunctionPair, model: SMatrixModel, jet: PoleJet | None = None) -> complex:
     """Pole-term contribution of the pairing (psi, S phi) at an order-r pole.
 
     sum_{n=0}^{r-1} binom(r, n+1) (-i Gamma)**(n+1) (-2 pi i / n!)
@@ -253,9 +457,11 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
 
     where psi carries the background phase factor when absorb_gauge is on.
     The n-th term collects the n-th derivative of the product of both legs
-    at the pole, one derivative order per partial-fraction power.
+    at the pole, one derivative order per partial-fraction power.  The
+    derivatives are exact Taylor coefficients (see pole_jet); jet, when
+    given, is pole_jet(pair, model) already built by the caller.
     """
-    return _pole_sum(model.pole, *_pairing_legs(pair, model))
+    return (jet if jet is not None else pole_jet(pair, model)).amplitude()
 
 
 def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> np.ndarray:
@@ -265,35 +471,33 @@ def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> np.ndarray:
           ((-i Gamma)**n / n!) phi^(n-k)(z)
 
     so that pole_term == sum_k b_k psi^(k)(z) with the same gauge placement.
+    In Taylor coefficients phi_j = phi^(j)(z) / j! this is -2 pi times
+    _contract of the exact jet of phi, rounded once per part.
     """
     pole = model.pole
-    z = pole.z_R
-    phi_d = analytic_derivatives(phi.value, z, pole.r - 1, pole.Gamma / 4.0)
-    out = np.zeros(pole.r, dtype=complex)
-    for k in range(pole.r):
-        acc = 0j
-        for n in range(k, pole.r):
-            acc += (
-                binom(pole.r, n + 1)
-                * binom(n, k)
-                * (-1j * pole.Gamma) ** n
-                / math.factorial(n)
-                * phi_d[n - k]
-            )
-        out[k] = -2.0 * math.pi * pole.Gamma * acc
-    return out
+    coeffs, den = _contract(_rational_jet(phi, _pole_position(pole), pole.r), pole)
+    return np.array([-2.0 * math.pi * complex(re / den, im / den) for re, im in coeffs])
 
 
 def lineshape(model: SMatrixModel, n: int, e_grid) -> np.ndarray:
     """|1 / (E - z)**(n+1)|**2 on the grid, scaled to peak at 1.
 
     n = 0 is the familiar width-Gamma resonance bump; higher n sharpen it.
+    A peak that is not a positive float (|E - z|**(2n+2) underflows to 0
+    next to a narrow pole, or overflows on the whole grid) raises instead
+    of scaling the grid to nan.
     """
     pole = model.pole
     if not 0 <= n <= pole.r - 1:
         raise ValueError(f"derivative order n must be in 0..{pole.r - 1}, got {n}")
     grid = np.asarray(e_grid, dtype=float)
-    intensity = 1.0 / np.abs(grid - pole.z_R) ** (2 * (n + 1))
+    with np.errstate(divide="ignore"):
+        intensity = 1.0 / np.abs(grid - pole.z_R) ** (2 * (n + 1))
     if intensity.size:
-        intensity = intensity / intensity.max()
+        peak = intensity.max()
+        if peak == math.inf:
+            raise UnderflowError(f"|E - z|**{2 * (n + 1)} is 0 in floating point on the grid")
+        if peak == 0.0:
+            raise OverflowError(f"|E - z|**{2 * (n + 1)} leaves the float range on the whole grid")
+        intensity = intensity / peak
     return intensity

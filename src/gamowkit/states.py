@@ -26,7 +26,6 @@ three readings of that one expansion.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +38,17 @@ from .jordan import (
     GamowSubspace,
     OperatorOnM,
     _exp_poly_rows,
-    as_complex_matrix,
     conjugation_polys,
 )
-from .smatrix import SMatrixModel, TestFunction, _pairing_legs, _pole_sum, analytic_derivatives
+from .smatrix import (
+    SMatrixModel,
+    TestFunction,
+    _gmul,
+    _pole_position,
+    _rational_jet,
+    _turn,
+    pole_jet,
+)
 
 __all__ = [
     "StateOperator",
@@ -215,27 +221,19 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     return worst
 
 
-def _observable_leg_at_time(psi_value, t: float):
-    """Leg of the time-translated observable: w -> exp(-i w t) psi(w)."""
-
-    def fn(w):
-        return cmath.exp(-1j * w * t) * psi_value(w)
-
-    return fn
-
-
 def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:
     """|pole term of the pairing with the time-translated observable|**2.
 
     Each observable-leg derivative psi^(k)(z) in the pole term is replaced
-    by the k-th derivative of exp(-i w t) psi(w) at z.  For r = 1 this is
+    by the k-th derivative of exp(-i w t) psi(w) at z, which makes the
+    value exp(-Gamma t) |2 pi exp(2i gamma(z)) Q(t)|**2 with Q the exact
+    polynomial of pole_jet.  For r = 1, Q is constant and this is
     exp(-Gamma t) times the t = 0 value; higher orders deviate by
     polynomial factors.
     """
     if t < 0:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
-    psi_fn, phi_fn = _pairing_legs(pair, model)
-    return abs(_pole_sum(model.pole, _observable_leg_at_time(psi_fn, t), phi_fn)) ** 2
+    return pole_jet(pair, model).probability(t)
 
 
 def detector_probability(
@@ -244,8 +242,14 @@ def detector_probability(
     """<psi(t)| W |psi(t)> with the k-th dyad leg paired to the k-th
     derivative of the time-translated observable at the pole.
 
-    The background phase plays no role here.  Values are unnormalized:
-    scale W (or psi) to set the t = 0 value.
+    That derivative is exp(-i z t) D_k(t) with D_k(t) = sum_m k!/m!
+    psi_{k-m} (-i t)**m, psi_j the exact Taylor coefficients of psi at z.
+    So the value is exp(-Gamma t) times sum_{k,l} W_kl D_k(t) conj(D_l(t)),
+    a polynomial in t that is evaluated exactly at the float t and rounded
+    once; for a family member W(n) its t-terms cancel, and the value is
+    exactly exp(-Gamma t) times the t = 0 value.  The background phase
+    plays no role here.  Values are unnormalized: scale W (or psi) to set
+    the t = 0 value.
     """
     if t < 0:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
@@ -253,13 +257,26 @@ def detector_probability(
     space = W.space
     if space.pole != pole:
         raise ValueError("state operator and model refer to different poles")
-    z = pole.z_R
-    d = analytic_derivatives(
-        _observable_leg_at_time(psi.value, t), z, space.dimension - 1, pole.Gamma / 4.0
-    )
-    mat = as_complex_matrix(W.op.matrix)
-    value = 0j
-    for k in range(space.dimension):
-        for l in range(space.dimension):
-            value += mat[k, l] * d[k] * np.conj(d[l])
-    return float(value.real)
+    r = space.dimension
+    coeffs, den = _rational_jet(psi, _pole_position(pole), r)
+    num, step = float(t).as_integer_ratio()
+    # legs[k] = D_k(t) * den * step**(r-1), a Gaussian integer
+    legs = []
+    for k in range(r):
+        re = im = 0
+        for m in range(k + 1):
+            weight = math.factorial(k) // math.factorial(m) * num**m * step ** (r - 1 - m)
+            xr, xi = _turn(coeffs[k - m], 3 * m)
+            re += weight * xr
+            im += weight * xi
+        legs.append((re, im))
+    total = Fraction(0)
+    for (k, l), value in np.ndenumerate(W.op.matrix):
+        if not value:
+            continue
+        if not isinstance(value, GaussianRational):
+            value = GaussianRational(Fraction(value.real), Fraction(value.imag))
+        pair_re, pair_im = _gmul(legs[k], (legs[l][0], -legs[l][1]))
+        total += value.re * pair_re - value.im * pair_im
+    total /= (den * step ** (r - 1)) ** 2
+    return math.exp(-pole.Gamma * t) * float(total)

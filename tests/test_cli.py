@@ -199,6 +199,45 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert json.loads(out.read_text())["certified"] is False
 
+    def test_steep_phase_beyond_float_range_maps_to_two(self, runner, tmp_path):
+        # |exp(2i gamma(z))| = exp(364.25): probability_at_zero is about 1e316
+        conf = tmp_path / "p.conf"
+        conf.write_text(POLE_CONF + "gamma = 0\ngamma = 0\ngamma = 0\ngamma = 31\n")
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert len(result.output.splitlines()) == 1
+        assert "numerical overflow" in result.output
+
+    def test_underflowing_pole_term_maps_to_two(self, runner, tmp_path):
+        # psi(z) phi(z) ~ 1e-600: exactly nonzero, 0 in floating point
+        conf = tmp_path / "p.conf"
+        conf.write_text(POLE_CONF.replace("E_R = 2.0", "E_R = 1e300"))
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert len(result.output.splitlines()) == 1
+        assert "numerical underflow" in result.output
+
+    def test_lineshape_peak_below_float_range_maps_to_two(self, tmp_path):
+        # |E - z|**2 = Gamma**2 / 4 underflows at the grid point E = E_R
+        conf = tmp_path / "l.conf"
+        conf.write_text("E_R = 2.0\nGamma = 1e-300\nr = 1\ne_min = 1.0\ne_max = 3.0\ne_steps = 3\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gamowkit.cli"]
+            + ["lineshape", "--config", str(conf)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: numerical underflow: |E - z|**2 is 0 in floating point on the grid"
+        ]
+
     def test_vanishing_pole_term_rejected(self, runner, tmp_path):
         conf = tmp_path / "p.conf"
         conf.write_text(
@@ -510,3 +549,169 @@ class TestDecayGoldenOracle:
         lines[3] = ",".join(fields) + "\n"
         problems = _decay_oracle_problems(config, "".join(lines))
         assert [p.split(" ")[0] for p in problems] == ["w1_norm", "wsum_deviation"]
+
+
+def _pole_fields(config_text: str, payload: dict) -> list:
+    """(name, printed value, oracle value) for every number of a pole-term
+    payload, the oracle from exact Taylor series at the pole in mpmath at
+    40 digits.
+
+    Each test-function term c / (w - i a)**m has Taylor coefficients
+    c (-1)**k binom(m+k-1, k) (z - i a)**(-m-k); the phase exp(2i gamma)
+    follows from the Taylor coefficients g of 2i gamma at z by e' = g' e;
+    the pole term is sum_n binom(r, n+1) (-i Gamma)**(n+1) (-2 pi i) times
+    the n-th coefficient of the product of the legs; translating the
+    observable by t multiplies its leg by exp(-i w t).
+    """
+    cfg = parse_config_text(config_text)
+    r = int(cfg["r"][0])
+    with mpmath.workdps(40):
+        G = mpmath.mpf(float(cfg["Gamma"][0]))
+        z = mpmath.mpc(float(cfg["E_R"][0]), -G / 2)
+
+        def times(a, b):
+            return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(r)]
+
+        def rational(key):
+            out = [mpmath.mpc(0)] * r
+            for chunk in cfg[key]:
+                a, m, c_re, c_im = chunk.split()
+                base, m = z - 1j * mpmath.mpf(float(a)), int(m)
+                c = mpmath.mpc(float(c_re), float(c_im))
+                for k in range(r):
+                    out[k] += c * (-1) ** k * comb(m + k - 1, k) * base ** (-m - k)
+            return out
+
+        psi, phi = rational("psi"), rational("phi")
+        if cfg.get("absorb_gauge", ["true"]) == ["true"]:
+            gamma = [mpmath.mpf(float(c)) for c in cfg.get("gamma", ["0"])]
+            g = [
+                2j * sum(c * comb(i, k) * z ** (i - k) for i, c in enumerate(gamma) if i >= k)
+                for k in range(r)
+            ]
+            e = [mpmath.exp(g[0])]
+            for k in range(1, r):
+                e.append(sum(j * g[j] * e[k - j] for j in range(1, k + 1)) / k)
+            psi = times(psi, e)
+
+        def pole_sum(observable):
+            both = times(observable, phi)
+            return sum(
+                comb(r, n + 1) * (-1j * G) ** (n + 1) * -2j * mpmath.pi * both[n] for n in range(r)
+            )
+
+        def probability(t):
+            shift = [mpmath.exp(-1j * z * t) * (-1j * t) ** k / factorial(k) for k in range(r)]
+            return abs(pole_sum(times(psi, shift))) ** 2
+
+        value = payload["pole_term"]
+        fields = [("pole_term", complex(value["re"], value["im"]), pole_sum(psi))]
+        for k, got in enumerate(payload["expansion_coeffs"]):
+            want = sum(comb(r, n + 1) * (-1j * G) ** n * phi[n - k] for n in range(k, r))
+            fields.append(
+                (f"expansion_coeffs[{k}]", complex(got["re"], got["im"]),
+                 -2 * mpmath.pi * G / factorial(k) * want)
+            )
+        p0 = probability(0)
+        fields.append(("probability_at_zero", payload["probability_at_zero"], p0))
+        for row in payload["ratio_table"]:
+            t = mpmath.mpf(row["t"])
+            fields.append((f"ratio at t = {row['t']}", row["ratio"], probability(t) / p0))
+            fields.append(
+                (f"exponential_reference at t = {row['t']}", row["exponential_reference"],
+                 mpmath.exp(-G * t))
+            )
+    return fields
+
+
+def _pole_golden_problems(config_text: str, payload_text: str) -> list:
+    """Fields of a pole-term payload off their oracle by more than 1 ulp
+    (ratios and exponential references) or 2 ulp (each part of the pole
+    term and the coefficients, and the probability)."""
+    problems = []
+    for name, got, want in _pole_fields(config_text, json.loads(payload_text)):
+        budget = 1 if name.startswith(("ratio", "exponential")) else 2
+        got, want = complex(got), mpmath.mpc(want)
+        for value, target in ((got.real, want.real), (got.imag, want.imag)):
+            with mpmath.workdps(40):
+                error = abs(value - target)
+            if error > budget * math.ulp(float(target)):
+                problems.append(f"{name}: {value!r}")
+    return problems
+
+
+def _steep_phase_config(r: int) -> str:
+    """Pole-term config at E_R = 2, Gamma = 1 whose phase gamma has the
+    Taylor coefficients 0.3, 8, 30, 120 in w - E_R."""
+    coeffs = [0.0] * 4
+    for k, s in enumerate((0.3, 8.0, 30.0, 120.0)):
+        for i in range(k + 1):
+            coeffs[i] += s * comb(k, i) * (-2.0) ** (k - i)
+    return (
+        f"E_R = 2.0\nGamma = 1.0\nr = {r}\n"
+        + "".join(f"gamma = {c!r}\n" for c in coeffs)
+        + "psi = 1.0 1 1.0 0.0\npsi = 2.0 2 0.0 0.5\nphi = 1.5 3 1.0 -0.25\n"
+        + "t_min = 0\nt_max = 10\nt_steps = 11\n"
+    )
+
+
+class TestPoleTermOracle:
+    @pytest.mark.parametrize("name", ["pole_term_r1", "pole_term_r2"])
+    def test_golden_pole_terms_match_taylor_series(self, name):
+        config = (CONFIGS / f"{name}.conf").read_text()
+        assert _pole_golden_problems(config, (GOLDEN / f"{name}.json").read_text()) == []
+
+    @pytest.mark.parametrize(
+        "name,field,old",
+        [
+            # values of the goldens that the contour quadrature wrote
+            ("pole_term_r1", ("pole_term", "re"), 0.09018720219476623),
+            ("pole_term_r2", ("ratio_table", 1, "ratio"), 0.08261400118437391),
+        ],
+    )
+    def test_oracle_rejects_the_contour_goldens(self, name, field, old):
+        config = (CONFIGS / f"{name}.conf").read_text()
+        payload = json.loads((GOLDEN / f"{name}.json").read_text())
+        *path, key = field
+        target = payload
+        for step in path:
+            target = target[step]
+        target[key] = old
+        problems = _pole_golden_problems(config, json.dumps(payload))
+        assert len(problems) == 1 and problems[0].endswith(repr(old))
+
+    @pytest.mark.parametrize("r", [1, 4, 8])
+    def test_steep_phase_matches_taylor_series(self, runner, tmp_path, r):
+        # the contour at radius Gamma/4 gave -8.3, 0.4 and 3.7 digits here
+        config = _steep_phase_config(r)
+        conf = tmp_path / "p.conf"
+        conf.write_text(config)
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 0
+        for name, got, want in _pole_fields(config, json.loads(result.output)):
+            assert abs(got - want) <= 1e-9 * abs(want), name
+
+    @pytest.mark.parametrize("cubic", ["30", "29.7"])
+    def test_steep_cubic_phase_prints_finite_values(self, runner, tmp_path, cubic):
+        # |exp(2i gamma(z))| = exp(11.75 cubic): at 30, exp(352.5) puts
+        # probability_at_zero near 1.19e306; at 29.7 the argument 2i gamma(z)
+        # is not a float, and rounding it first would cost 5e-14
+        config = POLE_CONF + f"gamma = 0\ngamma = 0\ngamma = 0\ngamma = {cubic}\n"
+        conf = tmp_path / "p.conf"
+        conf.write_text(config)
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 0
+        for name, got, want in _pole_fields(config, json.loads(result.output)):
+            assert abs(got - want) <= 1e-15 * abs(want), name
+
+    @pytest.mark.parametrize("config", ["pole_term_r1.conf", "steep"])
+    def test_simple_pole_ratio_is_the_exponential_reference(self, runner, tmp_path, config):
+        conf = tmp_path / "p.conf"
+        if config == "steep":
+            conf.write_text(_steep_phase_config(1).replace("t_steps = 11", "t_steps = 101"))
+        else:
+            conf = CONFIGS / config
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 0
+        for row in json.loads(result.output)["ratio_table"]:
+            assert row["ratio"] == row["exponential_reference"]

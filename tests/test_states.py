@@ -319,6 +319,20 @@ class TestDetectorProbability:
             ratio = detector_probability(W, psi, model, t) / p0
             assert ratio == pytest.approx(math.exp(-t), rel=1e-9)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_exact_family_detector_is_exponential_to_the_last_bit(self, psi, n):
+        # the t-terms of the exact detector polynomial cancel, so the value
+        # at t is exp(-Gamma t) times the value at 0 with nothing rounded in
+        # between; written as a product, because a quotient of two rounded
+        # floats need not give the factor back exactly
+        width = 0.9137
+        model = SMatrixModel(ResonancePole(2.0, width, 4))
+        W = w_n(GamowSubspace(model.pole, "derivative"), n, exact=True)
+        p0 = detector_probability(W, psi, model, 0.0)
+        assert p0 != 0.0
+        for t in (0.5, 2.0, 7.3, 40.0):
+            assert detector_probability(W, psi, model, t) == math.exp(-width * t) * p0
+
     def test_dyad_detector_ratio_is_not_exponential(self, space, psi, model):
         W = dyad_operator(space, 1)
         p0 = detector_probability(W, psi, model, 0.0)
