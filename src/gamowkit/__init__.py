@@ -54,20 +54,12 @@ from .states import (
     w_n,
     w_total,
 )
-from .uniqueness import (
-    CoefficientMatrix,
-    ConstraintSystem,
-    build_constraints,
-    canonical_element,
-    certify,
-    oracle_evolution,
-)
+from .uniqueness import ConstraintSystem, build_constraints, certify, oracle_evolution
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BackgroundPhase",
-    "CoefficientMatrix",
     "ConfigInvalidError",
     "ConstraintSystem",
     "EmptyGridError",
@@ -90,7 +82,6 @@ __all__ = [
     "analytic_derivatives",
     "binom",
     "build_constraints",
-    "canonical_element",
     "certify",
     "conjugation_polys",
     "decay_deviation",

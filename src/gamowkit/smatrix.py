@@ -366,6 +366,22 @@ def _exp_exact(re: Fraction, im: Fraction) -> complex:
     return cmath.exp(complex(hi_re, hi_im)) * complex(1.0 + lo_re, lo_im)
 
 
+def _exp_decay(width: float, t: float) -> float:
+    """exp(-width t) from the exact product: width t = hi + lo with hi the
+    rounded float product and lo its exact remainder, below half an ulp of
+    hi, so exp(-hi - lo) = e - e lo with e = exp(-hi) to far below an ulp."""
+    hi = width * t
+    e = math.exp(-hi)
+    if not e:
+        # nothing to correct, and an infinite hi has no integer ratio
+        return e
+    a, b = width.as_integer_ratio()
+    c, d = float(t).as_integer_ratio()
+    p, q = hi.as_integer_ratio()
+    lo = (a * c * q - p * b * d) / (b * d * q)
+    return e - e * lo
+
+
 @dataclass(frozen=True)
 class PoleJet:
     """Pole term of a pairing whose observable is translated by t >= 0.
@@ -411,15 +427,14 @@ class PoleJet:
     def probability(self, t: float) -> float:
         """exp(-Gamma t) |amplitude(t)|**2."""
         value = self.amplitude(t)
-        return math.exp(-self.width * t) * (value.real * value.real + value.imag * value.imag)
+        return _exp_decay(self.width, t) * (value.real * value.real + value.imag * value.imag)
 
-    def ratio(self, t: float) -> float:
-        """probability(t) / probability(0) as exp(-Gamma t) |Q(t) / Q(0)|**2,
-        the quotient exact and rounded once; for r = 1 it is 1."""
+    def quotient(self, t: float) -> float:
+        """|Q(t) / Q(0)|**2, exact and rounded once; for r = 1 it is 1.
+        probability(t) / probability(0) is exp(-Gamma t) times this."""
         re, im, scale = self._exact_at(t)
         q_re, q_im = self.coeffs[0]
-        quotient = (re * re + im * im) / ((q_re * q_re + q_im * q_im) * scale * scale)
-        return math.exp(-self.width * t) * quotient
+        return (re * re + im * im) / ((q_re * q_re + q_im * q_im) * scale * scale)
 
 
 def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
@@ -449,7 +464,7 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     )
 
 
-def pole_term(pair: TestFunctionPair, model: SMatrixModel, jet: PoleJet | None = None) -> complex:
+def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
     """Pole-term contribution of the pairing (psi, S phi) at an order-r pole.
 
     sum_{n=0}^{r-1} binom(r, n+1) (-i Gamma)**(n+1) (-2 pi i / n!)
@@ -458,10 +473,9 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel, jet: PoleJet | None =
     where psi carries the background phase factor when absorb_gauge is on.
     The n-th term collects the n-th derivative of the product of both legs
     at the pole, one derivative order per partial-fraction power.  The
-    derivatives are exact Taylor coefficients (see pole_jet); jet, when
-    given, is pole_jet(pair, model) already built by the caller.
+    derivatives are exact Taylor coefficients (see pole_jet).
     """
-    return (jet if jet is not None else pole_jet(pair, model)).amplitude()
+    return pole_jet(pair, model).amplitude()
 
 
 def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> np.ndarray:

@@ -26,6 +26,7 @@ three readings of that one expansion.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,11 +78,16 @@ class StateOperator:
 def _materialize(space: GamowSubspace, entries: dict, exact: bool, scale: float = 1.0):
     """The one step from exact entries {(k, l): GaussianRational} to an
     operator: exact=True keeps them, the float carrier rounds each entry
-    once and multiplies it by scale."""
+    once and multiplies it by scale, and raises OverflowError for an entry
+    that leaves the float range."""
     r = space.dimension
     mat = np.full((r, r), GaussianRational(0), dtype=object) if exact else np.zeros((r, r), complex)
     for kl, value in entries.items():
-        mat[kl] = value if exact else complex(value) * scale
+        if not exact:
+            value = complex(value) * scale
+            if not cmath.isfinite(value):
+                raise OverflowError(f"entry {kl} of the operator leaves the float range")
+        mat[kl] = value
     return StateOperator(OperatorOnM(space, mat))
 
 

@@ -11,13 +11,20 @@ assumption.
 
 Every condition involves only the unknowns A[n-k][k] of one anti-diagonal
 h + k = n, so the system splits into 2j + 1 independent integer blocks.
-Each block is reduced on its own by fraction-free elimination; no
-floating-point rank decision occurs anywhere.  The certificate is the
-per-block statement: blocks n <= j have nullity 1 and their binomial row
-binom(n, k) satisfies every condition, blocks n > j have nullity 0.  So
-the solution set is (j+1)-dimensional with canonical basis element n
-carrying binom(n, k) on anti-diagonal n.  An oracle that never reads the
-constraint rows confirms each basis element evolves as a pure
+Each block is certified by the first-order argument of the paper.  Its
+rows of power 1 (l + m = n - 1) are the two-term recurrence
+
+    (m+1) A[m+1][l] = (l+1) A[m][l+1],
+
+and each fixes one unknown from the ones before it.  In a block n <= j
+the chain leaves the first unknown free and forces the binomial row
+binom(n, k); in a block n > j the edge of the square cuts the first row
+to one term, which pins the chain to zero.  The higher powers only
+confirm it: the block has nullity 1 exactly when every row annihilates
+the chain's vector.  So the solution set is (j+1)-dimensional with
+canonical basis element n carrying binom(n, k) on anti-diagonal n, and
+no rank or zero decision leaves the integers.  An oracle that never reads
+the constraint rows confirms each basis element evolves as a pure
 exponential: it conjugates the element with jordan.conjugation_polys,
 the exact expansion every evolved quantity of the package uses.
 """
@@ -27,49 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, binom
+from .algebra import GaussianRational
 from .jordan import _exp_poly_rows, conjugation_polys
 
 __all__ = [
-    "CoefficientMatrix",
     "ConstraintRow",
     "ConstraintSystem",
     "block_range",
     "build_constraints",
-    "canonical_element",
     "oracle_evolution",
     "certify",
 ]
-
-
-def _as_gaussian(value) -> GaussianRational:
-    if isinstance(value, GaussianRational):
-        return value
-    return GaussianRational(value)
-
-
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """(j+1) x (j+1) array of exact coefficients A[h][k].
-
-    Index h is the bra-side derivative order, k the ket-side order, so the
-    anti-diagonal h + k = n collects the order-n dyads.
-    """
-
-    j: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.j < 0:
-            raise ValueError("j must be nonnegative")
-        size = self.j + 1
-        rows = tuple(tuple(_as_gaussian(x) for x in row) for row in self.entries)
-        if len(rows) != size or any(len(row) != size for row in rows):
-            raise ValueError(f"entries must form a {size}x{size} matrix")
-        object.__setattr__(self, "entries", rows)
-
-    def entry(self, h: int, k: int) -> GaussianRational:
-        return self.entries[h][k]
 
 
 def block_range(j: int, n: int) -> range:
@@ -148,115 +123,98 @@ def build_constraints(j: int) -> ConstraintSystem:
     return ConstraintSystem(j, tuple(blocks))
 
 
-def canonical_element(j: int, n: int) -> CoefficientMatrix:
-    """Basis element n: binom(n, k) on the anti-diagonal h + k = n."""
-    if not 0 <= n <= j:
-        raise ValueError(f"n must be in 0..{j}, got {n}")
-    size = j + 1
-    rows = [[GaussianRational(0)] * size for _ in range(size)]
-    for k in range(n + 1):
-        rows[n - k][k] = GaussianRational(binom(n, k))
-    return CoefficientMatrix(j, tuple(tuple(row) for row in rows))
-
-
-def _fraction_free_echelon(matrix):
-    """Row echelon form of an integer matrix by one-step fraction-free
-    elimination with exact pivoting on the first nonzero column entry.
-
-    Returns (echelon_rows, pivot_columns); all arithmetic is integer and
-    every interior division is checked to be exact.
-    """
-    rows = [list(r) for r in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivot_cols = []
-    rank = 0
-    prev_pivot = 1
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            factor = rows[i][col]
-            for c in range(col + 1, ncols):
-                numerator = pivot * rows[i][c] - factor * rows[rank][c]
-                quotient, remainder = divmod(numerator, prev_pivot)
-                if remainder:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                rows[i][c] = quotient
-            rows[i][col] = 0
-        prev_pivot = pivot
-        pivot_cols.append(col)
-        rank += 1
-    return rows[:rank], pivot_cols
-
-
-def oracle_evolution(A: CoefficientMatrix):
+def oracle_evolution(A):
     """Symbolic conjugation of A with the semigroup, independent of the
     constraint rows.
 
-    A[h][k] is the coefficient of the dyad |k><h|; the shared exact
-    expansion jordan.conjugation_polys (derivative normalization) sends it
-    to binom(k, l) binom(h, m) (-i t)**(k-l) (i t)**(h-m) on every dyad
-    |l><m| and sums by power of t in integers.  The overall exp(-Gamma t)
-    factor is carried as the formal rate -1 (time measured in units of
-    1/Gamma), so a pure exponential decay shows up as every entry
-    polynomial being constant.  Returns a nested list of exact
-    ExpPolynomial entries indexed [l][m].
+    A is the square of coefficients as nested rows of exact numbers (int,
+    Fraction or GaussianRational): A[h][k] is the coefficient of the dyad
+    |k><h|.  The shared exact expansion jordan.conjugation_polys
+    (derivative normalization) sends it to binom(k, l) binom(h, m)
+    (-i t)**(k-l) (i t)**(h-m) on every dyad |l><m| and sums by power of
+    t in integers.  The overall exp(-Gamma t) factor is carried as the
+    formal rate -1 (time measured in units of 1/Gamma), so a pure
+    exponential decay shows up as every entry polynomial being constant.
+    Returns a nested list of exact ExpPolynomial entries indexed [l][m].
     """
-    size = A.j + 1
-    entries = {(k, h): A.entry(h, k) for h in range(size) for k in range(size) if A.entry(h, k)}
+    size = len(A)
+    if any(len(row) != size for row in A):
+        raise ValueError(f"A must be a square of {size} rows of {size} entries")
+    # adding to a GaussianRational coerces int and Fraction and refuses floats
+    zero = GaussianRational(0)
+    entries = {(k, h): zero + x for h, row in enumerate(A) for k, x in enumerate(row) if x}
     polys, denominator = conjugation_polys("derivative", entries)
     return _exp_poly_rows(polys, denominator, GaussianRational(-1), size)
 
 
+def _chain_vector(block, width: int, n: int):
+    """Forward substitution along the first-order rows of block n.
+
+    Each row with l + m == n - 1 fixes the slot of its last nonzero weight
+    from the slots before it; a later row that would fix the same slot is
+    left to the full check.  Returns (free, vector): free counts the
+    slots no row fixes, and for free == 1 vector spans the kernel of the
+    fixing rows, with the free slot set to 1 and every slot a plain int.
+    """
+    fixing = {}
+    for row in block:
+        if row.l + row.m == n - 1 and any(row.weights):
+            last = max(i for i, w in enumerate(row.weights) if w)
+            fixing.setdefault(last, row.weights)
+    free = width - len(fixing)
+    if free != 1:
+        return free, None
+    vector = []
+    for slot in range(width):
+        weights = fixing.get(slot)
+        if weights is None:
+            vector.append(1)
+            continue
+        # w_slot x_slot = -total; scale the vector to keep it integral
+        total = sum(w * x for w, x in zip(weights, vector))
+        common = math.gcd(total, weights[slot])
+        vector = [x * (weights[slot] // common) for x in vector]
+        vector.append(-total // common)
+    return free, vector
+
+
+def _annihilates(rows, vector) -> bool:
+    return all(not sum(w * x for w, x in zip(weights, vector)) for weights in rows)
+
+
 def _certify_blocks(system: ConstraintSystem) -> dict:
-    """Reduce every anti-diagonal block and check the per-block statement.
+    """Certify every anti-diagonal block by its first-order chain.
 
     Block n <= j must have nullity 1 with its binomial row satisfying every
     row; block n > j must have nullity 0.  All checks run in plain ints.
     """
     j = system.j
-    rank = 0
     nullities = []
     member_ok = []
-    span_ok = True
-    high_zero = True
     failures = []
     for n, block in enumerate(system.blocks):
         ks = block_range(j, n)
         distinct = list(dict.fromkeys(row.weights for row in block))
-        _, pivot_cols = _fraction_free_echelon(distinct)
-        nullity = len(ks) - len(pivot_cols)
-        rank += len(pivot_cols)
+        free, vector = _chain_vector(block, len(ks), n)
+        if free > 1:
+            failures.append(f"anti-diagonal {n}: first-order rows leave {free} slots free")
+        nullity = int(_annihilates(distinct, vector)) if free == 1 else free
         nullities.append(nullity)
         if n <= j:
-            binomial_row = [math.comb(n, k) for k in ks]
-            ok = all(not sum(w * b for w, b in zip(weights, binomial_row)) for weights in distinct)
-            member_ok.append(ok)
-            if not ok:
+            member_ok.append(_annihilates(distinct, [math.comb(n, k) for k in ks]))
+            if not member_ok[-1]:
                 failures.append(f"canonical element {n} violates a constraint")
-            if nullity != 1:
-                span_ok = False
-                failures.append(f"anti-diagonal {n}: nullity {nullity} != 1")
-        elif nullity:
-            high_zero = False
-            failures.append(f"anti-diagonal {n}: nullity {nullity} != 0")
+        if nullity != (n <= j):
+            failures.append(f"anti-diagonal {n}: nullity {nullity} != {int(n <= j)}")
     dimension = sum(nullities)
     if dimension != j + 1:
         failures.insert(0, f"nullspace dimension {dimension} != {j + 1}")
     return {
-        "rank": rank,
+        "rank": len(system.unknowns) - dimension,
         "nullities": nullities,
         "member_ok": member_ok,
-        "span_ok": span_ok,
-        "high_zero": high_zero,
+        "span_ok": all(nullity == 1 for nullity in nullities[: j + 1]),
+        "high_zero": not any(nullities[j + 1 :]),
         "failures": failures,
     }
 
@@ -275,10 +233,20 @@ def certify(j: int) -> dict:
       reporting that same property of the system;
     - basis_time_constant: the conjugation oracle finds no surviving power
       of t and reproduces the element.
+
+    Nullities come from the first-order chain of each block.  A block
+    whose first-order rows leave more than one slot free fails with a
+    line that names it, and its reported nullity is the number of free
+    slots, which is an upper bound; so are rank and nullspace_dimension
+    of such a report.
     """
     system = build_constraints(j)
     blocks = _certify_blocks(system)
-    basis = [canonical_element(j, n) for n in range(j + 1)]
+    size = j + 1
+    basis = [
+        [[math.comb(n, k) if h + k == n else 0 for k in range(size)] for h in range(size)]
+        for n in range(size)
+    ]
 
     oracle_ok = []
     for elem in basis:
@@ -286,9 +254,9 @@ def certify(j: int) -> dict:
         constant = all(p.poly.degree <= 0 for row in evolved for p in row)
         # the constant part must reproduce the element itself
         matches = all(
-            evolved[l][m].poly.coefficient(0) == elem.entry(l, m)
-            for l in range(j + 1)
-            for m in range(j + 1)
+            evolved[l][m].poly.coefficient(0) == elem[l][m]
+            for l in range(size)
+            for m in range(size)
         )
         oracle_ok.append(constant and matches)
 
@@ -299,14 +267,11 @@ def certify(j: int) -> dict:
         "constraint_rows": len(system.rows),
         "rank": blocks["rank"],
         "nullspace_dimension": sum(blocks["nullities"]),
-        "expected_dimension": j + 1,
-        "basis": [
-            [[str(elem.entry(h, k)) for k in range(j + 1)] for h in range(j + 1)]
-            for elem in basis
-        ],
+        "expected_dimension": size,
+        "basis": [[[str(x) for x in row] for row in elem] for elem in basis],
         "basis_constraint_ok": blocks["member_ok"],
         "basis_time_constant": oracle_ok,
-        "high_anti_diagonals_zero": [blocks["high_zero"]] * (j + 1),
+        "high_anti_diagonals_zero": [blocks["high_zero"]] * size,
         "span_check_ok": blocks["span_ok"],
         "certified": not blocks["failures"] and all(oracle_ok),
         "failures": blocks["failures"],

@@ -264,6 +264,14 @@ class TestDecayDeviation:
         for W in [w_n(space, n, exact=True) for n in range(6)] + [w_total(space, exact=True)]:
             assert decay_deviation(W, grid) == 0.0
 
+    def test_scale_beyond_float_range_raises(self):
+        # 2 pi Gamma overflows: the float carrier refuses to build W (it
+        # held inf+nanj entries), and the exact carrier, unscaled, still works
+        space = GamowSubspace(ResonancePole(2.0, 1e308, 2))
+        with pytest.raises(OverflowError, match="float range"):
+            w_total(space)
+        assert decay_deviation(w_total(space, exact=True), [0.0, 1.0]) == 0.0
+
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
     def test_matches_float_reference_on_random_operators(self, r, normalization):

@@ -1,8 +1,9 @@
 """Tests for the exact uniqueness certification machinery.
 
-The constraint system, the per-anti-diagonal elimination, the certificate
-and the conjugation oracle are probed separately and against each other;
-nothing here touches floating point except the numpy rank cross-check.
+The constraint system, the per-anti-diagonal certificate and the
+conjugation oracle are probed separately and against each other; sympy
+elimination is the independent rank oracle, and nothing here touches
+floating point.  A square of coefficients A[h][k] is a list of rows.
 """
 
 import json
@@ -10,7 +11,6 @@ import random
 from fractions import Fraction
 from math import comb
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -18,16 +18,13 @@ from gamowkit import uniqueness
 from gamowkit.algebra import GaussianRational, Polynomial, binom, monomial_product
 from gamowkit.cli import J_CAP, main
 from gamowkit.uniqueness import (
-    CoefficientMatrix,
     ConstraintRow,
     ConstraintSystem,
     block_range,
     build_constraints,
-    canonical_element,
     certify,
     oracle_evolution,
     _certify_blocks,
-    _fraction_free_echelon,
 )
 
 RNG_SEED = 20260823
@@ -38,38 +35,33 @@ def zero_matrix(j):
     return [[GaussianRational(0)] * size for _ in range(size)]
 
 
-def freeze(j, rows):
-    return CoefficientMatrix(j, tuple(tuple(row) for row in rows))
+def canonical_element(j, n):
+    """Basis element n: binom(n, k) on the anti-diagonal h + k = n."""
+    return [[binom(n, k) if h + k == n else 0 for k in range(j + 1)] for h in range(j + 1)]
 
 
 def gaussian_int_matrix(j, rng):
     size = j + 1
-    return CoefficientMatrix(
-        j,
-        tuple(
-            tuple(GaussianRational(rng.randrange(-5, 6)) for _ in range(size))
-            for _ in range(size)
-        ),
-    )
+    return [[GaussianRational(rng.randrange(-5, 6)) for _ in range(size)] for _ in range(size)]
 
 
-def canonical_projection(A: CoefficientMatrix) -> CoefficientMatrix:
+def canonical_projection(A):
     """Member of the canonical span with the same first-column entries."""
-    j = A.j
+    j = len(A) - 1
     rows = zero_matrix(j)
     for n in range(j + 1):
-        weight = A.entry(n, 0)
+        weight = A[n][0]
         for k in range(n + 1):
             rows[n - k][k] = rows[n - k][k] + weight * binom(n, k)
-    return freeze(j, rows)
+    return rows
 
 
-def residual(row: ConstraintRow, A: CoefficientMatrix) -> GaussianRational:
+def residual(row: ConstraintRow, A) -> GaussianRational:
     """Value of one condition on A, read through the row's block slots."""
-    ks = block_range(A.j, row.n)
+    ks = block_range(len(A) - 1, row.n)
     acc = GaussianRational(0)
     for k, weight in zip(ks, row.weights):
-        acc = acc + weight * A.entry(row.n - k, k)
+        acc = acc + weight * A[row.n - k][k]
     return acc
 
 
@@ -105,20 +97,27 @@ def corrupted(system: ConstraintSystem, n: int, replace) -> ConstraintSystem:
 
 
 class TestCoefficientMatrix:
+    """The square A[h][k] as nested rows, the input of oracle_evolution."""
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            CoefficientMatrix(1, ((GaussianRational(1),),))
+            oracle_evolution([[GaussianRational(1)], [GaussianRational(0)]])
         with pytest.raises(ValueError):
-            CoefficientMatrix(-1, ())
+            oracle_evolution([[1, 0], [0]])
 
     def test_zero_and_entry_access(self):
-        A = freeze(2, zero_matrix(2))
-        assert all(not A.entry(h, k) for h in range(3) for k in range(3))
-        assert A.entry(2, 1) == GaussianRational(0)
+        evolved = oracle_evolution(zero_matrix(2))
+        assert len(evolved) == 3 and all(len(row) == 3 for row in evolved)
+        assert all(p.is_zero for row in evolved for p in row)
+        assert oracle_evolution([]) == []
 
     def test_int_entries_coerce(self):
-        A = CoefficientMatrix(0, ((3,),))
-        assert A.entry(0, 0) == GaussianRational(3)
+        assert oracle_evolution([[3]])[0][0].poly == Polynomial([GaussianRational(3)])
+        assert oracle_evolution([[Fraction(1, 2)]])[0][0].poly == Polynomial(
+            [GaussianRational(Fraction(1, 2))]
+        )
+        with pytest.raises(TypeError):
+            oracle_evolution([[0.5]])
 
 
 class TestConstraintSystem:
@@ -170,78 +169,32 @@ class TestConstraintSystem:
         while found < 5:
             A = gaussian_int_matrix(j, rng)
             proj = canonical_projection(A)
-            size = j + 1
-            remainder = CoefficientMatrix(
-                j,
-                tuple(
-                    tuple(A.entry(h, k) - proj.entry(h, k) for k in range(size))
-                    for h in range(size)
-                ),
-            )
-            if all(not remainder.entry(h, k) for h in range(size) for k in range(size)):
+            remainder = [[a - p for a, p in zip(*rows)] for rows in zip(A, proj)]
+            if not any(any(row) for row in remainder):
                 continue
             assert any(residual(row, remainder) for row in system.rows)
             found += 1
 
 
-class TestEliminationKernel:
-    def test_rank_of_hand_matrices(self):
-        echelon, pivots = _fraction_free_echelon([[2, 4], [1, 2]])
-        assert len(pivots) == 1
-        echelon, pivots = _fraction_free_echelon([[1, 2], [3, 4]])
-        assert len(pivots) == 2
-
-    def test_nullspace_vectors_annihilate(self):
-        # rows built orthogonal to a planted integer vector: elimination
-        # keeps the row space, so every echelon row still annihilates it
-        rng = random.Random(RNG_SEED)
-        for _ in range(20):
-            ncols = rng.randrange(2, 7)
-            kernel = [rng.randrange(-4, 5) for _ in range(ncols)]
-            kernel[rng.randrange(ncols)] = rng.choice((-3, -1, 1, 2))
-            matrix = []
-            for _ in range(rng.randrange(1, 6)):
-                row = [rng.randrange(-4, 5) for _ in range(ncols)]
-                pivot = next(c for c in range(ncols) if kernel[c])
-                excess = sum(a * x for a, x in zip(row, kernel))
-                row = [a * kernel[pivot] for a in row]
-                row[pivot] -= excess
-                matrix.append(row)
-            echelon, pivots = _fraction_free_echelon(matrix)
-            assert ncols - len(pivots) >= 1
-            for row in echelon:
-                assert sum(a * x for a, x in zip(row, kernel)) == 0
-
-    def test_rank_agrees_with_floating_point_oracle(self):
-        rng = random.Random(RNG_SEED)
-        for _ in range(20):
-            matrix = [[rng.randrange(-3, 4) for _ in range(5)] for _ in range(4)]
-            _, pivots = _fraction_free_echelon([row[:] for row in matrix])
-            assert len(pivots) == np.linalg.matrix_rank(np.array(matrix, dtype=float))
-
-
 class TestCanonicalFamily:
     def test_explicit_elements_for_j_two(self):
-        assert canonical_element(2, 0).entries == (
-            (GaussianRational(1), GaussianRational(0), GaussianRational(0)),
-            (GaussianRational(0), GaussianRational(0), GaussianRational(0)),
-            (GaussianRational(0), GaussianRational(0), GaussianRational(0)),
-        )
-        top = canonical_element(2, 2)
-        assert top.entry(0, 2) == GaussianRational(1)
-        assert top.entry(1, 1) == GaussianRational(2)
-        assert top.entry(2, 0) == GaussianRational(1)
+        basis = certify(2)["basis"]
+        assert basis[0] == [["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]
+        top = basis[2]
+        assert top[0][2] == "1"
+        assert top[1][1] == "2"
+        assert top[2][0] == "1"
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            canonical_element(2, 3)
+            certify(-1)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 5])
     def test_solver_returns_canonical_basis(self, j):
         report = certify(j)
         assert report["certified"] is True
         assert report["basis"] == [
-            [[str(x) for x in row] for row in canonical_element(j, n).entries]
+            [[str(x) for x in row] for row in canonical_element(j, n)]
             for n in range(j + 1)
         ]
 
@@ -266,8 +219,7 @@ class TestCanonicalFamily:
 class TestConjugationOracle:
     def test_identity_grows_a_square_term(self):
         # |1><1| leaks t**2 onto |0><0| under conjugation
-        A = CoefficientMatrix(1, ((1, 0), (0, 1)))
-        evolved = oracle_evolution(A)
+        evolved = oracle_evolution([[1, 0], [0, 1]])
         one = GaussianRational(1)
         zero = GaussianRational(0)
         assert evolved[0][0].poly == Polynomial([one, zero, one])
@@ -276,7 +228,7 @@ class TestConjugationOracle:
     def test_single_dyad_degree(self):
         entries = zero_matrix(2)
         entries[2][1] = GaussianRational(1)  # the dyad |1><2|
-        evolved = oracle_evolution(freeze(2, entries))
+        evolved = oracle_evolution(entries)
         assert evolved[0][0].poly.degree == 3
         assert all(p.rate == GaussianRational(-1) for row in evolved for p in row)
 
@@ -287,7 +239,7 @@ class TestConjugationOracle:
         for l in range(j + 1):
             for m in range(j + 1):
                 assert evolved[l][m].poly.degree <= 0
-                assert evolved[l][m].poly.coefficient(0) == elem.entry(l, m)
+                assert evolved[l][m].poly.coefficient(0) == elem[l][m]
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_matches_polynomial_sum_of_monomials(self, j):
@@ -295,19 +247,19 @@ class TestConjugationOracle:
         rng = random.Random(RNG_SEED + j)
         size = j + 1
         for _ in range(3):
-            A = freeze(j, [
+            A = [
                 [GaussianRational(Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)),
                                   Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)))
                  for _ in range(size)]
                 for _ in range(size)
-            ])
+            ]
             evolved = oracle_evolution(A)
             for l in range(size):
                 for m in range(size):
                     want = Polynomial()
                     for k in range(l, size):
                         for h in range(m, size):
-                            weight = A.entry(h, k) * (binom(k, l) * binom(h, m))
+                            weight = A[h][k] * (binom(k, l) * binom(h, m))
                             want = want + weight * monomial_product(k - l, h - m)
                     assert evolved[l][m].poly == want
 
@@ -317,12 +269,11 @@ class TestIdentities:
         # canonical element n lives on block n alone, and no block beyond
         # order j has a nonzero solution
         j = 3
-        for n in range(j + 1):
-            elem = canonical_element(j, n)
+        for n, elem in enumerate(certify(j)["basis"]):
             for h in range(j + 1):
                 for k in range(j + 1):
                     if h + k != n:
-                        assert not elem.entry(h, k)
+                        assert elem[h][k] == "0"
         assert _certify_blocks(build_constraints(j))["nullities"][j + 1:] == [0] * j
 
     def test_side_split_partitions_entries(self):
@@ -391,6 +342,26 @@ class TestBlockCertificate:
         report = certify(j)
         assert report["certified"] is False
         assert report["high_anti_diagonals_zero"] == [False] * (j + 1)
+        assert report["nullspace_dimension"] == j + 2
+
+    def test_broken_chain_row_fails(self, monkeypatch):
+        # with the weight at slot l+1 of first-order row l zeroed, that row
+        # fixes slot l again and leaves two slots of block n free
+        j, n, l = 4, 3, 1
+        system = build_constraints(j)
+
+        def cut(i, row):
+            if (row.l, row.m) != (l, n - 1 - l):
+                return row
+            weights = list(row.weights)
+            weights[l + 1 - block_range(j, n).start] = 0
+            return ConstraintRow(row.l, row.m, row.n, tuple(weights))
+
+        monkeypatch.setattr(uniqueness, "build_constraints", lambda _: corrupted(system, n, cut))
+        report = certify(j)
+        assert report["certified"] is False
+        assert any(line.startswith(f"anti-diagonal {n}: ") for line in report["failures"])
+        # the reported nullity of the block is its count of free slots
         assert report["nullspace_dimension"] == j + 2
 
     def test_cli_certifies_at_the_cap(self, tmp_path):
