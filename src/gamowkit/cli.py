@@ -316,7 +316,7 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     operators.append(("wsum", w_total(space, exact=True), 1.0 if exact else _w_prefactor(space)))
     dyads = [(f"dyad{k}", dyad_operator(space, k, exact=True)) for k in range(r)]
 
-    def norm_curve(op, scale=1.0):
+    def norm_columns(name, op, scale=1.0):
         # exact coefficients of the squared norm, evaluated by Horner in
         # Python floats: no BLAS kernel decides the rounding
         coeffs = [float(c) for c in reversed(evolved_norm_squared(op))]
@@ -330,26 +330,23 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
                 raise OverflowError(f"norm leaves the float range at t = {t!r}")
             return norm
 
-        return unphased(0.0), [unphased(t) * e for t, e in zip(grid, decay)]
-
-    def exp_law(norm0):
-        reference = [norm0 * e for e in decay]
-        if 0.0 in reference:
-            t = grid[reference.index(0.0)]
-            raise UnderflowError(f"exp-law reference norm0 * exp(-Gamma t) is 0 at t = {t!r}")
-        return reference
+        norm0 = unphased(0.0)
+        if norm0 == 0.0:
+            raise UnderflowError(f"the {name} norm at t = 0 is 0 in floating point")
+        norms = [unphased(t) for t in grid]
+        # the deviation compares the unphased norms, so an exp(-Gamma t)
+        # that underflows leaves it finite
+        deviation = [abs(u - norm0) / norm0 for u in norms]
+        return norm0, [u * e for u, e in zip(norms, decay)], deviation
 
     header = ["t"]
     columns = [grid]
     for name, op, scale in operators:
-        norm0, curve = norm_curve(op, scale)
-        reference = exp_law(norm0)
-        deviation = [abs(a - b) / b for a, b in zip(curve, reference)]
+        norm0, curve, deviation = norm_columns(name, op, scale)
         header += [f"{name}_norm", f"{name}_exp_law", f"{name}_deviation"]
-        columns += [curve, reference, deviation]
+        columns += [curve, [norm0 * e for e in decay], deviation]
     for name, op in dyads:
-        norm0, curve = norm_curve(op)
-        deviation = [abs(a - b) / b for a, b in zip(curve, exp_law(norm0))]
+        _, curve, deviation = norm_columns(name, op)
         header += [f"{name}_norm", f"{name}_deviation"]
         columns += [curve, deviation]
 

@@ -13,7 +13,8 @@ samples T(t) in complex floats.  conjugation_polys is the one exact
 expansion of the conjugation T(t) A T(t)^dagger: integer coefficients of
 every power of t in every dyad, over one common denominator.  Every
 evolved quantity of the package (symbolic evolution, evolved norms, decay
-deviations, the uniqueness oracle) is read off it.
+deviations, detector probabilities, the uniqueness oracle) is read off
+it.
 
 Matrix layout conventions: operators that act on ket coordinates (the
 evolution matrices, nilpotent powers) hold the image of basis ket k in
@@ -24,6 +25,7 @@ Jordan block; hamiltonian_action_matrix is its ket-side transpose.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,7 +166,10 @@ def evolution_matrix(space: GamowSubspace, t: float) -> OperatorOnM:
     if t < 0:
         raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
     r = space.dimension
-    phase = np.exp(-1j * space.pole.z_R * t)
+    exponent = -1j * space.pole.z_R * t
+    if not cmath.isfinite(exponent):
+        raise OverflowError(f"the phase exponent -i z t leaves the float range at t = {t!r}")
+    phase = np.exp(exponent)
     mat = np.zeros((r, r), dtype=complex)
     for k in range(r):
         for p in range(k + 1):

@@ -20,8 +20,9 @@ every certified property is invariant under that scale.
 Evolution runs one path for both carriers: float entries enter at their
 exact binary value, jordan.conjugation_polys expands the conjugation
 exactly, and floats appear only when a quantity is evaluated at a time.
-evolve_operator_symbolic, evolved_norm_squared and decay_deviation are
-three readings of that one expansion.
+evolve_operator_symbolic, evolved_norm_squared, decay_deviation and
+detector_probability are four readings of that one expansion; the last
+two take exp(-Gamma t) from smatrix._exp_decay.
 """
 
 from __future__ import annotations
@@ -44,10 +45,9 @@ from .jordan import (
 from .smatrix import (
     SMatrixModel,
     TestFunction,
-    _gmul,
+    _exp_decay,
     _pole_position,
     _rational_jet,
-    _turn,
     pole_jet,
 )
 
@@ -119,10 +119,12 @@ def w_total(space: GamowSubspace, exact: bool = False) -> StateOperator:
     all certified statements about W are scale invariant.
     """
     r = space.dimension
+    # (-i)**n runs through the 4-cycle 1, -i, -1, i
+    units = [GaussianRational(re, im) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1))]
     entries = {}
     for n in range(r):
         # entry (k, l) lies on the single anti-diagonal n = k + l
-        coeff = binom(r, n + 1) * GaussianRational(0, -1) ** n
+        coeff = binom(r, n + 1) * units[n % 4]
         entries.update((kl, coeff * value) for kl, value in _wn_entries(space, n).items())
     return _materialize(space, entries, exact, _w_prefactor(space))
 
@@ -223,7 +225,7 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
         for c in tail:
             acc = acc * t + c
         # D(t) >= 0; a negative value is rounding in the evaluation
-        worst = max(worst, math.exp(-width * t) * math.sqrt(max(acc, 0.0)))
+        worst = max(worst, _exp_decay(width, t) * math.sqrt(max(acc, 0.0)))
     return worst
 
 
@@ -245,17 +247,19 @@ def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:
 def detector_probability(
     W: StateOperator, psi: TestFunction, model: SMatrixModel, t: float
 ) -> float:
-    """<psi(t)| W |psi(t)> with the k-th dyad leg paired to the k-th
-    derivative of the time-translated observable at the pole.
+    """<psi(t)| W |psi(t)> with the k-th dyad leg paired to the time-translated
+    observable on the k-th basis vector at the pole.
 
-    That derivative is exp(-i z t) D_k(t) with D_k(t) = sum_m k!/m!
-    psi_{k-m} (-i t)**m, psi_j the exact Taylor coefficients of psi at z.
-    So the value is exp(-Gamma t) times sum_{k,l} W_kl D_k(t) conj(D_l(t)),
-    a polynomial in t that is evaluated exactly at the float t and rounded
-    once; for a family member W(n) its t-terms cancel, and the value is
-    exactly exp(-Gamma t) times the t = 0 value.  The background phase
-    plays no role here.  Values are unnormalized: scale W (or psi) to set
-    the t = 0 value.
+    At t = 0 that pairing is d_k = psi^(k)(z) in the derivative basis and
+    the Taylor coefficient psi^(k)(z) / k! in the factorial basis, from
+    the exact Taylor jet of psi at z.  Translating the observable by t
+    evolves the legs with the semigroup, so the value is exp(-Gamma t)
+    times sum_{p,q} d_p conj(d_q) P_pq(t), with P the conjugation
+    polynomials of W: a polynomial in t that is evaluated exactly at the
+    float t and rounded once.  For a family member W(n) in either basis
+    its t-terms cancel, and the value is exactly exp(-Gamma t) times the
+    t = 0 value.  The background phase plays no role here.  Values are
+    unnormalized: scale W (or psi) to set the t = 0 value.
     """
     if t < 0:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
@@ -263,26 +267,19 @@ def detector_probability(
     space = W.space
     if space.pole != pole:
         raise ValueError("state operator and model refer to different poles")
-    r = space.dimension
-    coeffs, den = _rational_jet(psi, _pole_position(pole), r)
+    legs, den = _rational_jet(psi, _pole_position(pole), space.dimension)
+    if space.normalization == "derivative":
+        legs = [(math.factorial(p) * re, math.factorial(p) * im) for p, (re, im) in enumerate(legs)]
+    polys, denominator = _conjugation(W)
     num, step = float(t).as_integer_ratio()
-    # legs[k] = D_k(t) * den * step**(r-1), a Gaussian integer
-    legs = []
-    for k in range(r):
-        re = im = 0
-        for m in range(k + 1):
-            weight = math.factorial(k) // math.factorial(m) * num**m * step ** (r - 1 - m)
-            xr, xi = _turn(coeffs[k - m], 3 * m)
-            re += weight * xr
-            im += weight * xi
-        legs.append((re, im))
-    total = Fraction(0)
-    for (k, l), value in np.ndenumerate(W.op.matrix):
-        if not value:
-            continue
-        if not isinstance(value, GaussianRational):
-            value = GaussianRational(Fraction(value.real), Fraction(value.imag))
-        pair_re, pair_im = _gmul(legs[k], (legs[l][0], -legs[l][1]))
-        total += value.re * pair_re - value.im * pair_im
-    total /= (den * step ** (r - 1)) ** 2
-    return math.exp(-pole.Gamma * t) * float(total)
+    top = max((d for poly in polys.values() for d in poly), default=0)
+    # powers[d] = t**d * step**top, an integer
+    powers = [num**d * step ** (top - d) for d in range(top + 1)]
+    total = 0
+    for (p, q), poly in polys.items():
+        (p_re, p_im), (q_re, q_im) = legs[p], legs[q]
+        # d_p conj(d_q) = x + i y; add the real part of (x + i y) P_pq(t)
+        x, y = p_re * q_re + p_im * q_im, p_im * q_re - p_re * q_im
+        total += sum((x * re - y * im) * powers[d] for d, (re, im) in poly.items())
+    value = Fraction(total, den * den * denominator * step**top)
+    return _exp_decay(pole.Gamma, float(t)) * float(value)

@@ -151,12 +151,10 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text",
         [
-            # exp(-Gamma t) underflows at t = 1e6
-            "E_R = 2.0\nGamma = 1.0\nr = 3\nt_min = 0\nt_max = 1e6\nt_steps = 3\n",
             # Gamma**n underflows, so the norm at t = 0 is 0
             "E_R = 2.0\nGamma = 1e-300\nr = 40\nt_min = 0\nt_max = 1\nt_steps = 2\n",
         ],
-        ids=["exp-law", "norm0"],
+        ids=["norm0"],
     )
     def test_underflow_maps_to_two(self, runner, tmp_path, text):
         conf = tmp_path / "tiny.conf"
@@ -166,6 +164,24 @@ class TestExitCodes:
         assert isinstance(result.exception, SystemExit)
         assert len(result.output.splitlines()) == 1
         assert "numerical underflow" in result.output
+
+    @pytest.mark.parametrize("gamma,t_max", [(1.0, 1e6), (3.3, 1000.0)])
+    def test_underflowing_exp_law_keeps_the_table(self, runner, tmp_path, gamma, t_max):
+        # exp(-Gamma t) underflows at t_max; the deviations compare the
+        # unphased norms, so they stay finite and the table is printed
+        conf = tmp_path / "long.conf"
+        conf.write_text(
+            f"E_R = 2.0\nGamma = {gamma}\nr = 3\nt_min = 0\nt_max = {t_max}\nt_steps = 3\n"
+        )
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 0
+        header, *rows = list(csv.reader(io.StringIO(result.output)))
+        assert len(rows) == 3
+        assert all(math.isfinite(v) for row in rows for v in map(float, row))
+        values = {name: float(v) for name, v in zip(header, rows[-1])}
+        assert values["w2_exp_law"] == 0.0 and values["w2_deviation"] == 0.0
+        # |1><1| has unphased norm 1 + t**2
+        assert values["dyad1_deviation"] == t_max**2
 
     def test_norm_beyond_float_range_maps_to_two(self, runner, tmp_path):
         # dyad norms grow like t**(2k): at t = 1e12 and r = 16 they pass 1e308
@@ -224,6 +240,28 @@ class TestExitCodes:
         assert done.stderr.splitlines() == [
             "error: numerical underflow: |E - z|**2 is 0 in floating point on the grid"
         ]
+
+    @pytest.mark.parametrize("pole", ["E_R = 1e308\nGamma = 0.5", "E_R = 2.0\nGamma = 5e-324"])
+    def test_jordan_info_phase_beyond_float_range_maps_to_two(self, tmp_path, pole):
+        # z t at the sample time t = 1/Gamma is not finite, so exp(-i z t)
+        # has no float value; no RuntimeWarning may precede the error line
+        conf = tmp_path / "j.conf"
+        conf.write_text(f"{pole}\nr = 2\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "gamowkit.cli"]
+            + ["jordan-info", "--config", str(conf)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: numerical overflow: ")
 
     def test_vanishing_pole_term_rejected(self, runner, tmp_path):
         conf = tmp_path / "p.conf"

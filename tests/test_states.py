@@ -6,7 +6,9 @@ plain dyads do not, and both detector-style pairings see the same
 things.
 """
 
+import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,13 @@ import pytest
 from gamowkit.algebra import GaussianRational, Polynomial
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, OperatorOnM, as_complex_matrix, evolution_matrix
-from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunction, TestFunctionPair
+from gamowkit.smatrix import (
+    ResonancePole,
+    SMatrixModel,
+    TestFunction,
+    TestFunctionPair,
+    _exp_decay,
+)
 from gamowkit.states import (
     StateOperator,
     decay_deviation,
@@ -112,6 +120,18 @@ class TestOperatorConstruction:
             acc += math.comb(3, n + 1) * (-1j) ** n * w_n(space, n).op.matrix
         np.testing.assert_allclose(total, 2.0 * math.pi * 1.0 * acc, rtol=1e-15)
 
+    def test_exact_total_cycles_through_powers_of_minus_i(self):
+        # r = 6 reaches (-i)**n for every residue of n mod 4
+        space = GamowSubspace(ResonancePole(2.0, 0.75, 6))
+        total = w_total(space, exact=True).op.matrix
+        units = [(1, 0), (0, -1), (-1, 0), (0, 1)]
+        for n in range(6):
+            re, im = units[n % 4]
+            member = w_n(space, n, exact=True).op.matrix
+            for k in range(n + 1):
+                value = math.comb(6, n + 1) * member[k, n - k].re
+                assert total[k, n - k] == GaussianRational(re * value, im * value)
+
     def test_exact_total_drops_two_pi_gamma(self, space):
         exact = as_complex_matrix(w_total(space, exact=True).op.matrix)
         floats = w_total(space).op.matrix
@@ -148,7 +168,7 @@ class TestEvolution:
         sym = evolve_operator_symbolic(w_n(space, 2)).matrix
         for i in range(3):
             for j in range(3):
-                mirrored = [c.conjugate() for c in sym[j, i].poly.coeffs]
+                mirrored = [GaussianRational(c.re, -c.im) for c in sym[j, i].poly.coeffs]
                 assert sym[i, j].poly.coeffs == tuple(mirrored)
 
     def test_numeric_and_symbolic_paths_agree(self, space):
@@ -191,7 +211,11 @@ class TestEvolution:
         sym_a = evolve_operator_symbolic(StateOperator(OperatorOnM(space, A))).matrix
         sym_b = evolve_operator_symbolic(StateOperator(OperatorOnM(space, B))).matrix
         for idx in np.ndindex(3, 3):
-            assert lhs[idx].poly == a * sym_a[idx].poly + b * sym_b[idx].poly
+            # a P_a(t) + b P_b(t), summed by power of t
+            p_a, p_b = sym_a[idx].poly, sym_b[idx].poly
+            top = max(p_a.degree, p_b.degree)
+            combined = [a * p_a.coefficient(d) + b * p_b.coefficient(d) for d in range(top + 1)]
+            assert lhs[idx].poly == Polynomial(combined)
 
 
 class TestDyadContamination:
@@ -264,6 +288,16 @@ class TestDecayDeviation:
         for W in [w_n(space, n, exact=True) for n in range(6)] + [w_total(space, exact=True)]:
             assert decay_deviation(W, grid) == 0.0
 
+    @pytest.mark.parametrize("t,tail", [(5.0, 675.0), (9.0, 6723.0)])
+    def test_exponential_factor_is_the_split_product(self, t, tail):
+        # |1><1| leaves the tail i t|1><0| - i t|0><1| + t**2|0><0| of
+        # squared norm 2 t**2 + t**4, exact in floats at these times; the
+        # factor is the one exp(-Gamma t) that decay-curve uses too
+        width = 0.9137
+        space = GamowSubspace(ResonancePole(2.0, width, 2))
+        deviation = decay_deviation(dyad_operator(space, 1), [t])
+        assert deviation == _exp_decay(width, t) * math.sqrt(tail)
+
     def test_scale_beyond_float_range_raises(self):
         # 2 pi Gamma overflows: the float carrier refuses to build W (it
         # held inf+nanj entries), and the exact carrier, unscaled, still works
@@ -327,19 +361,70 @@ class TestDetectorProbability:
             ratio = detector_probability(W, psi, model, t) / p0
             assert ratio == pytest.approx(math.exp(-t), rel=1e-9)
 
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
-    def test_exact_family_detector_is_exponential_to_the_last_bit(self, psi, n):
+    def test_exact_family_detector_is_exponential_to_the_last_bit(self, psi, n, normalization):
         # the t-terms of the exact detector polynomial cancel, so the value
         # at t is exp(-Gamma t) times the value at 0 with nothing rounded in
         # between; written as a product, because a quotient of two rounded
         # floats need not give the factor back exactly
         width = 0.9137
         model = SMatrixModel(ResonancePole(2.0, width, 4))
-        W = w_n(GamowSubspace(model.pole, "derivative"), n, exact=True)
+        W = w_n(GamowSubspace(model.pole, normalization), n, exact=True)
         p0 = detector_probability(W, psi, model, 0.0)
         assert p0 != 0.0
         for t in (0.5, 2.0, 7.3, 40.0):
-            assert detector_probability(W, psi, model, t) == math.exp(-width * t) * p0
+            assert detector_probability(W, psi, model, t) == _exp_decay(width, t) * p0
+
+    def test_factorial_basis_is_rescaled_derivative_basis(self, psi):
+        # |k> of the factorial basis is |k> / k! of the derivative basis, so
+        # A there is A_kl / (k! l!) here; both values are the same exact
+        # number rounded once
+        rng = random.Random(RNG_SEED)
+        pole = ResonancePole(2.0, 0.9137, 4)
+        model = SMatrixModel(pole)
+        fact = np.empty((4, 4), dtype=object)
+        deriv = np.empty((4, 4), dtype=object)
+        for k, l in np.ndindex(4, 4):
+            value = GaussianRational(
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)),
+                Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)),
+            )
+            fact[k, l] = value
+            scale = Fraction(1, math.factorial(k) * math.factorial(l))
+            deriv[k, l] = value * GaussianRational(scale)
+        in_fact = StateOperator(OperatorOnM(GamowSubspace(pole, "factorial"), fact))
+        in_deriv = StateOperator(OperatorOnM(GamowSubspace(pole, "derivative"), deriv))
+        for t in (0.0, 0.5, 3.0, 7.3):
+            got = detector_probability(in_fact, psi, model, t)
+            assert got == detector_probability(in_deriv, psi, model, t)
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_matches_closed_form_legs(self, psi, normalization):
+        # leg k is the k-th derivative of exp(-i w t) psi(w) at z (over k!
+        # in the factorial basis), by the product rule on closed-form
+        # derivatives of psi; the phases of the two legs leave exp(-Gamma t)
+        pole = ResonancePole(2.0, 0.9137, 4)
+        model = SMatrixModel(pole)
+        z = pole.z_R
+        W = random_operator(GamowSubspace(pole, normalization), np.random.default_rng(RNG_SEED))
+        derivs = [
+            sum(
+                c * (-1) ** j * math.perm(m + j - 1, j) * (z - 1j * a) ** (-m - j)
+                for a, m, c in psi.terms
+            )
+            for j in range(4)
+        ]
+        for t in (0.0, 0.5, 3.0):
+            legs = []
+            for k in range(4):
+                leg = sum(math.comb(k, m) * (-1j * t) ** m * derivs[k - m] for m in range(k + 1))
+                scale = math.factorial(k) if normalization == "factorial" else 1
+                legs.append(cmath.exp(-1j * z * t) * leg / scale)
+            want = sum(
+                W.op.matrix[k, l] * legs[k] * legs[l].conjugate() for k, l in np.ndindex(4, 4)
+            ).real
+            assert detector_probability(W, psi, model, t) == pytest.approx(want, rel=1e-12)
 
     def test_dyad_detector_ratio_is_not_exponential(self, space, psi, model):
         W = dyad_operator(space, 1)
