@@ -1,13 +1,16 @@
-"""Exact scalars and polynomials in which results are handed out.
+"""Exact scalars and polynomials, and the kernels every module computes with.
 
 Gaussian rationals (a pair of arbitrary-precision rationals) are the
 exact output carrier: the entries of exact state operators and the
-coefficients of symbolically evolved ones.  The kernels that compute
-them run on Gaussian integers over one common denominator and build
-these objects only at the end.  The time dependence of every evolved
-quantity is exp(rate*t) * p(t) with p a polynomial, so that shape gets
-its own type.  Only what the package reads is kept: construction,
-comparison, sums and products of scalars, and evaluation.
+coefficients of symbolically evolved ones.  The time dependence of every
+evolved quantity is exp(rate*t) * p(t) with p a polynomial, so that
+shape gets its own type.  Only what the package reads is kept:
+construction, comparison, sums and products of scalars, and evaluation.
+
+The kernels that compute them run on Gaussian integers (re, im) over one
+common denominator, build those objects only at the end, and are defined
+here once for every module: _lift, _gmul, _turn, _exact_at, _horner,
+_exp_decay, _exp_exact and _exp_poly_rows.
 """
 
 from __future__ import annotations
@@ -31,6 +34,68 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _lift(pairs) -> tuple:
+    """Gaussian rationals (re, im) as Gaussian integers over one common denominator."""
+    den = math.lcm(*(q.denominator for pair in pairs for q in pair))
+    return [tuple(q.numerator * (den // q.denominator) for q in pair) for pair in pairs], den
+
+
+def _gmul(a, b) -> tuple:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _turn(a, q: int) -> tuple:
+    """a * i**q."""
+    re, im = a
+    return ((re, im), (-im, re), (-re, -im), (im, -re))[q % 4]
+
+
+def _exact_at(coeffs, t: float) -> tuple:
+    """(re, im, scale) with sum_d coeffs[d] t**d = (re + i im) / scale exactly
+    at the float t, for Gaussian integers coeffs (re, im), lowest first."""
+    num, scale_step = float(t).as_integer_ratio()
+    re, im = coeffs[-1]
+    scale = 1
+    for cr, ci in reversed(coeffs[:-1]):
+        scale *= scale_step
+        re = re * num + cr * scale
+        im = im * num + ci * scale
+    return re, im, scale
+
+
+def _horner(coeffs, t):
+    """sum_d coeffs[d] t**d by Horner's rule, lowest power first; 0 for
+    no coefficients."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _exp_exact(re: Fraction, im: Fraction) -> complex:
+    """exp(re + i im) for exact rationals: the float value of each part
+    plus its first-order remainder, so large arguments lose no digits."""
+    hi_re, hi_im = float(re), float(im)
+    lo_re, lo_im = float(re - Fraction(hi_re)), float(im - Fraction(hi_im))
+    return cmath.exp(complex(hi_re, hi_im)) * complex(1.0 + lo_re, lo_im)
+
+
+def _exp_decay(width: float, t: float) -> float:
+    """exp(-width t) from the exact product: width t = hi + lo with hi the
+    rounded float product and lo its exact remainder, below half an ulp of
+    hi, so exp(-hi - lo) = e - e lo with e = exp(-hi) to far below an ulp."""
+    hi = width * t
+    e = math.exp(-hi)
+    if not e:
+        # nothing to correct, and an infinite hi has no integer ratio
+        return e
+    a, b = width.as_integer_ratio()
+    c, d = float(t).as_integer_ratio()
+    p, q = hi.as_integer_ratio()
+    lo = (a * c * q - p * b * d) / (b * d * q)
+    return e - e * lo
 
 
 class GaussianRational:
@@ -131,13 +196,8 @@ class Polynomial:
     def __call__(self, t):
         coeffs = self.coeffs
         if isinstance(t, (float, complex)):
-            coeffs = tuple(
-                complex(c) if isinstance(c, GaussianRational) else c for c in coeffs
-            )
-        acc = 0
-        for c in reversed(coeffs):
-            acc = acc * t + c
-        return acc
+            coeffs = [complex(c) if isinstance(c, GaussianRational) else c for c in coeffs]
+        return _horner(coeffs, t)
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -176,3 +236,20 @@ class ExpPolynomial:
 
     def __repr__(self):
         return f"ExpPolynomial({self.rate!r}, {self.poly!r})"
+
+
+def _exp_poly_rows(polys: dict, denominator: int, rate, size: int) -> list:
+    """jordan.conjugation_polys output as size x size nested lists of
+    ExpPolynomial(rate, p) with Gaussian-rational coefficients."""
+    zero = GaussianRational(0)
+    rows = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            poly = polys.get((i, j), {})
+            coeffs = [zero] * (max(poly, default=-1) + 1)
+            for d, (re, im) in poly.items():
+                coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+            row.append(ExpPolynomial(rate, Polynomial(coeffs)))
+        rows.append(row)
+    return rows

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
+from .algebra import _exp_decay, _horner
 from .errors import ConfigInvalidError, JTooLargeError, UnderflowError
 from .jordan import (
+    NORMALIZATIONS,
     GamowSubspace,
     evolution_matrix,
     hamiltonian_action_matrix,
@@ -31,7 +33,6 @@ from .jordan import (
     nilpotent_power,
 )
 from .smatrix import (
-    _exp_decay,
     BackgroundPhase,
     ResonancePole,
     SMatrixModel,
@@ -188,7 +189,10 @@ class RunConfig:
             raise ConfigInvalidError(f"{prefix}_min must be >= {minimum_allowed}")
         if steps == 1:
             return np.array([lo])
-        return np.linspace(lo, hi, steps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(lo, hi, steps)
+        # hi - lo can leave the float range; the span of the halves cannot
+        return grid if np.isfinite(grid).all() else 2.0 * np.linspace(lo / 2.0, hi / 2.0, steps)
 
 
 def load_config(path: str) -> RunConfig:
@@ -244,15 +248,10 @@ def _guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except OverflowError as exc:
-            click.echo(f"error: numerical overflow: {exc}", err=True)
+        except (OverflowError, UnderflowError) as exc:
+            kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+            click.echo(f"error: numerical {kind}: {exc}", err=True)
             sys.exit(2)
-        except UnderflowError as exc:
-            click.echo(f"error: numerical underflow: {exc}", err=True)
-            sys.exit(2)
-        except (ConfigInvalidError, JTooLargeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
         except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
@@ -284,9 +283,7 @@ def main():
 
 
 def _space_from(cfg: RunConfig, normalization: str | None) -> GamowSubspace:
-    chosen = normalization or cfg.get_choice(
-        "normalization", ("derivative", "factorial"), "derivative"
-    )
+    chosen = normalization or cfg.get_choice("normalization", NORMALIZATIONS, "derivative")
     return GamowSubspace(cfg.pole(), chosen)
 
 
@@ -317,27 +314,28 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     dyads = [(f"dyad{k}", dyad_operator(space, k, exact=True)) for k in range(r)]
 
     def norm_columns(name, op, scale=1.0):
-        # exact coefficients of the squared norm, evaluated by Horner in
-        # Python floats: no BLAS kernel decides the rounding
-        coeffs = [float(c) for c in reversed(evolved_norm_squared(op))]
-
-        def unphased(t):
-            acc = 0.0
-            for c in coeffs:
-                acc = acc * t + c
-            norm = scale * math.sqrt(acc)
-            if math.isinf(norm):
-                raise OverflowError(f"norm leaves the float range at t = {t!r}")
-            return norm
-
-        norm0 = unphased(0.0)
-        if norm0 == 0.0:
-            raise UnderflowError(f"the {name} norm at t = 0 is 0 in floating point")
-        norms = [unphased(t) for t in grid]
-        # the deviation compares the unphased norms, so an exp(-Gamma t)
-        # that underflows leaves it finite
-        deviation = [abs(u - norm0) / norm0 for u in norms]
-        return norm0, [u * e for u, e in zip(norms, decay)], deviation
+        # exact coefficients of N(t) over 4**k, which puts N(0) near 1: a power of
+        # two rounds alike, and a norm that underflows keeps its deviation
+        exact = evolved_norm_squared(op)
+        k = (exact[0].numerator.bit_length() - exact[0].denominator.bit_length()) // 2
+        up, down = max(-2 * k, 0), max(2 * k, 0)
+        c0, *tail = [(c.numerator << up) / (c.denominator << down) for c in exact]
+        u0 = math.sqrt(c0)
+        norms, deviation = [], []
+        for t in [0.0, *grid]:
+            # N(t) = N(0) + t T(t): |u - u0| / u0 is |t T| / (u0 (u + u0)) on
+            # the unphased u = sqrt(N), free of cancellation and of exp(-Gamma t)
+            T = _horner(tail, t)
+            u = math.sqrt(T * t + c0)
+            try:
+                norm = math.ldexp(scale * u, k)
+            except OverflowError:
+                norm = math.inf
+            if norm == math.inf:
+                raise OverflowError(f"the {name} norm leaves the float range at t = {t!r}")
+            norms.append(norm)
+            deviation.append(abs(t * T) / (u0 * (u + u0)))
+        return norms[0], [u * e for u, e in zip(norms[1:], decay)], deviation[1:]
 
     header = ["t"]
     columns = [grid]

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
+from .algebra import _lift, _turn, binom
 from .errors import NegativeTimeError
 from .smatrix import ResonancePole
 
@@ -143,7 +143,10 @@ def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     if k < 0:
         raise ValueError("power must be nonnegative")
     r = space.dimension
-    nil = hamiltonian_action_matrix(space).matrix - space.pole.z_R * np.eye(r)
+    # H|k> - z|k> = w_k |k-1>, with no float z to cancel
+    nil = np.zeros((r, r))
+    for m in range(1, r):
+        nil[m - 1, m] = _subdiagonal_weight(space, m)
     # nil**r is already exactly zero, so capping the exponent changes nothing
     # but keeps huge powers cheap.
     return OperatorOnM(space, np.linalg.matrix_power(nil, min(k, r)))
@@ -199,14 +202,14 @@ def conjugation_polys(normalization: str, entries: dict):
     """
     top = max((max(kl) for kl in entries), default=0)
     weights = [[_ket_weight_exact(normalization, k, p) for p in range(k + 1)] for k in range(top + 1)]
-    lift = math.lcm(*(w.denominator for row in weights for w in row))
-    weights = [[(w * lift).numerator for w in row] for row in weights]
-    scale = math.lcm(*(q.denominator for v in entries.values() for q in (v.re, v.im)))
+    # the weights over their common denominator: 1, or top! for the 1/(k-p)!
+    lift = math.factorial(top) if normalization == "factorial" else 1
+    weights = [[int(w * lift) for w in row] for row in weights]
+    values, scale = _lift([(v.re, v.im) for v in entries.values()])
     sums = {}
-    for (k, l), value in entries.items():
-        a_re, a_im = (value.re * scale).numerator, (value.im * scale).numerator
+    for (k, l), value in zip(entries, values):
         # value * i**q for q = 0..3
-        turns = ((a_re, a_im), (-a_im, a_re), (-a_re, -a_im), (a_im, -a_re))
+        turns = [_turn(value, q) for q in range(4)]
         for i in range(k + 1):
             for j in range(l + 1):
                 c = weights[k][i] * weights[l][j]
@@ -222,19 +225,3 @@ def conjugation_polys(normalization: str, entries: dict):
             polys[ij] = kept
     return polys, scale * lift * lift
 
-
-def _exp_poly_rows(polys: dict, denominator: int, rate, size: int) -> list:
-    """conjugation_polys output as size x size nested lists of
-    ExpPolynomial(rate, p) with Gaussian-rational coefficients."""
-    zero = GaussianRational(0)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            poly = polys.get((i, j), {})
-            coeffs = [zero] * (max(poly, default=-1) + 1)
-            for d, (re, im) in poly.items():
-                coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
-            row.append(ExpPolynomial(rate, Polynomial(coeffs)))
-        rows.append(row)
-    return rows

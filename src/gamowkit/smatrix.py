@@ -13,8 +13,10 @@ and the time shift exp(-i w t)), so the derivatives are exact Taylor
 jets: Gaussian integers over a common denominator, with every input
 float entering at its exact value.  The pole term of the pairing with
 the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
-for one exact polynomial Q of degree < r (pole_jet).  analytic_derivatives
-(contour quadrature) remains as a general tool; no pole term uses it.
+for one exact polynomial Q of degree < r (pole_jet).  The Gaussian-integer
+kernels and the exponentials of exact arguments are algebra's.
+analytic_derivatives (contour quadrature) remains as a general tool; no
+pole term uses it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import binom
+from .algebra import _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _lift, _turn, binom
 from .errors import NoConvergenceError, PoleEvaluationError, UnderflowError
 
 __all__ = [
@@ -93,10 +95,7 @@ class BackgroundPhase:
             raise ValueError("phase needs at least one parameter")
 
     def value(self, omega: complex) -> complex:
-        acc = 0.0
-        for p in reversed(self.params):
-            acc = acc * omega + p
-        return acc
+        return _horner(self.params, omega)
 
 
 @dataclass(frozen=True)
@@ -235,27 +234,6 @@ def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> np.ndarra
 # function data, the phase coefficients and Gamma are all exact.
 
 
-def _lift(pairs) -> tuple:
-    """Gaussian rationals (re, im) as Gaussian integers over one common denominator."""
-    den = math.lcm(*(q.denominator for pair in pairs for q in pair))
-    return [tuple(q.numerator * (den // q.denominator) for q in pair) for pair in pairs], den
-
-
-def _gmul(a, b) -> tuple:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _turn(a, q: int) -> tuple:
-    """a * i**q."""
-    re, im = a
-    return ((re, im), (-im, re), (-re, -im), (im, -re))[q % 4]
-
-
-def _jet_add(a, b) -> tuple:
-    (xa, da), (xb, db) = a, b
-    return [(ar * db + br * da, ai * db + bi * da) for (ar, ai), (br, bi) in zip(xa, xb)], da * db
-
-
 def _jet_mul(a, b, order: int) -> tuple:
     """Product of two jets, cut to its first order coefficients."""
     (xa, da), (xb, db) = a, b
@@ -278,7 +256,7 @@ def _pole_position(pole: ResonancePole) -> tuple:
 def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
     """Taylor coefficients at z of sum c / (w - i a)**m, from the closed form
     c (-1)**k binom(m+k-1, k) (z - i a)**(-m-k)."""
-    jet = ([(0, 0)] * order, 1)
+    jet, den = [(0, 0)] * order, 1
     for a, m, c in fn.terms:
         # z - i a = (x + i y) / s, so (z - i a)**-1 = s (x - i y) / norm
         ((x, y),), s = _lift([(z[0], z[1] - Fraction(a))])
@@ -295,8 +273,10 @@ def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
             weight = (-1) ** k * binom(m + k - 1, k) * norms[order - 1 - k]
             coeffs.append((weight * power[0], weight * power[1]))
             power = _gmul(power, step)
-        jet = _jet_add(jet, (coeffs, c_den * norm ** (m + order - 1)))
-    return jet
+        d = c_den * norm ** (m + order - 1)
+        jet = [(jr * d + cr * den, ji * d + ci * den) for (jr, ji), (cr, ci) in zip(jet, coeffs)]
+        den *= d
+    return jet, den
 
 
 def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
@@ -326,10 +306,9 @@ def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
     for k in range(1, order):
         re = im = 0
         for j in range(1, min(k, deg) + 1):
-            gr, gi = _turn(shifted[j], 1)
-            er, ei = e[k - j]
-            re += 2 * j * (gr * er - gi * ei)
-            im += 2 * j * (gr * ei + gi * er)
+            gr, gi = _gmul(_turn(shifted[j], 1), e[k - j])
+            re += 2 * j * gr
+            im += 2 * j * gi
         e.append((re // (k * g_den), im // (k * g_den)))
     value = (Fraction(shifted[0][0], g_den), Fraction(shifted[0][1], g_den))
     return value, (e, top)
@@ -358,30 +337,6 @@ def _contract(jet, pole: ResonancePole) -> tuple:
     return out, den * width_den**r * top
 
 
-def _exp_exact(re: Fraction, im: Fraction) -> complex:
-    """exp(re + i im) for exact rationals: the float value of each part
-    plus its first-order remainder, so large arguments lose no digits."""
-    hi_re, hi_im = float(re), float(im)
-    lo_re, lo_im = float(re - Fraction(hi_re)), float(im - Fraction(hi_im))
-    return cmath.exp(complex(hi_re, hi_im)) * complex(1.0 + lo_re, lo_im)
-
-
-def _exp_decay(width: float, t: float) -> float:
-    """exp(-width t) from the exact product: width t = hi + lo with hi the
-    rounded float product and lo its exact remainder, below half an ulp of
-    hi, so exp(-hi - lo) = e - e lo with e = exp(-hi) to far below an ulp."""
-    hi = width * t
-    e = math.exp(-hi)
-    if not e:
-        # nothing to correct, and an infinite hi has no integer ratio
-        return e
-    a, b = width.as_integer_ratio()
-    c, d = float(t).as_integer_ratio()
-    p, q = hi.as_integer_ratio()
-    lo = (a * c * q - p * b * d) / (b * d * q)
-    return e - e * lo
-
-
 @dataclass(frozen=True)
 class PoleJet:
     """Pole term of a pairing whose observable is translated by t >= 0.
@@ -394,24 +349,13 @@ class PoleJet:
     with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
     coefficient of t**m, as a Gaussian integer (re, im).  phase is
     exp(2i gamma(z)) in floats (1 without the gauge).  Q is evaluated
-    exactly at the float t and rounded once.
+    exactly at the float t (algebra._exact_at) and rounded once.
     """
 
     width: float
     phase: complex
     coeffs: tuple
     denominator: int
-
-    def _exact_at(self, t: float) -> tuple:
-        """(re, im, scale) with Q(t) = (re + i im) / (denominator * scale)."""
-        num, scale_step = float(t).as_integer_ratio()
-        re, im = self.coeffs[-1]
-        scale = 1
-        for cr, ci in reversed(self.coeffs[:-1]):
-            scale *= scale_step
-            re = re * num + cr * scale
-            im = im * num + ci * scale
-        return re, im, scale
 
     @property
     def vanishes(self) -> bool:
@@ -420,7 +364,7 @@ class PoleJet:
 
     def amplitude(self, t: float = 0.0) -> complex:
         """2 pi exp(2i gamma(z)) Q(t); at t = 0 this is the pole term."""
-        re, im, scale = self._exact_at(t)
+        re, im, scale = _exact_at(self.coeffs, t)
         den = self.denominator * scale
         return 2.0 * math.pi * self.phase * complex(re / den, im / den)
 
@@ -432,7 +376,7 @@ class PoleJet:
     def quotient(self, t: float) -> float:
         """|Q(t) / Q(0)|**2, exact and rounded once; for r = 1 it is 1.
         probability(t) / probability(0) is exp(-Gamma t) times this."""
-        re, im, scale = self._exact_at(t)
+        re, im, scale = _exact_at(self.coeffs, t)
         q_re, q_im = self.coeffs[0]
         return (re * re + im * im) / ((q_re * q_re + q_im * q_im) * scale * scale)
 
@@ -499,19 +443,29 @@ def lineshape(model: SMatrixModel, n: int, e_grid) -> np.ndarray:
     n = 0 is the familiar width-Gamma resonance bump; higher n sharpen it.
     A peak that is not a positive float (|E - z|**(2n+2) underflows to 0
     next to a narrow pole, or overflows on the whole grid) raises instead
-    of scaling the grid to nan.
+    of scaling the grid to nan.  Other points where it overflows get the
+    scaled value (d_min / d)**(2n+2), with d = |E - z|, instead of 0.
     """
     pole = model.pole
     if not 0 <= n <= pole.r - 1:
         raise ValueError(f"derivative order n must be in 0..{pole.r - 1}, got {n}")
     grid = np.asarray(e_grid, dtype=float)
-    with np.errstate(divide="ignore"):
-        intensity = 1.0 / np.abs(grid - pole.z_R) ** (2 * (n + 1))
+    power = 2 * (n + 1)
+    with np.errstate(divide="ignore", over="ignore"):
+        distance = np.abs(grid - pole.z_R)
+        if np.isinf(distance).any():
+            # E - z leaves the float range only where halving is exact, and
+            # the scaled intensities are ratios of distances
+            distance = np.abs(grid / 2.0 - pole.z_R / 2.0)
+        scaled = distance**power
+        intensity = 1.0 / scaled
     if intensity.size:
         peak = intensity.max()
         if peak == math.inf:
-            raise UnderflowError(f"|E - z|**{2 * (n + 1)} is 0 in floating point on the grid")
+            raise UnderflowError(f"|E - z|**{power} is 0 in floating point on the grid")
         if peak == 0.0:
-            raise OverflowError(f"|E - z|**{2 * (n + 1)} leaves the float range on the whole grid")
+            raise OverflowError(f"|E - z|**{power} leaves the float range on the whole grid")
         intensity = intensity / peak
+        far = np.isinf(scaled)
+        intensity[far] = (distance.min() / distance[far]) ** power
     return intensity

@@ -21,8 +21,9 @@ Evolution runs one path for both carriers: float entries enter at their
 exact binary value, jordan.conjugation_polys expands the conjugation
 exactly, and floats appear only when a quantity is evaluated at a time.
 evolve_operator_symbolic, evolved_norm_squared, decay_deviation and
-detector_probability are four readings of that one expansion; the last
-two take exp(-Gamma t) from smatrix._exp_decay.
+detector_probability are four readings of that one expansion.  The
+arithmetic they share is algebra's: the quarter turns of the i-powers,
+float Horner, exact evaluation at a float time and exp(-Gamma t).
 """
 
 from __future__ import annotations
@@ -34,22 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import GaussianRational, binom
+from .algebra import GaussianRational, _exact_at, _exp_decay, _exp_poly_rows, _gmul, _horner, _turn
+from .algebra import binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
-from .jordan import (
-    GamowSubspace,
-    OperatorOnM,
-    _exp_poly_rows,
-    conjugation_polys,
-)
-from .smatrix import (
-    SMatrixModel,
-    TestFunction,
-    _exp_decay,
-    _pole_position,
-    _rational_jet,
-    pole_jet,
-)
+from .jordan import GamowSubspace, OperatorOnM, conjugation_polys
+from .smatrix import SMatrixModel, TestFunction, _pole_position, _rational_jet, pole_jet
 
 __all__ = [
     "StateOperator",
@@ -119,12 +109,10 @@ def w_total(space: GamowSubspace, exact: bool = False) -> StateOperator:
     all certified statements about W are scale invariant.
     """
     r = space.dimension
-    # (-i)**n runs through the 4-cycle 1, -i, -1, i
-    units = [GaussianRational(re, im) for re, im in ((1, 0), (0, -1), (-1, 0), (0, 1))]
     entries = {}
     for n in range(r):
-        # entry (k, l) lies on the single anti-diagonal n = k + l
-        coeff = binom(r, n + 1) * units[n % 4]
+        # entry (k, l) lies on the single anti-diagonal n = k + l; (-i)**n = i**(3n)
+        coeff = GaussianRational(*_turn((binom(r, n + 1), 0), 3 * n))
         entries.update((kl, coeff * value) for kl, value in _wn_entries(space, n).items())
     return _materialize(space, entries, exact, _w_prefactor(space))
 
@@ -217,15 +205,12 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     norm0 = sum(re * re + im * im for poly in polys.values() for re, im in [poly.get(0, (0, 0))])
     if not norm0:
         return 0.0
-    tail = [float(Fraction(c, norm0)) for c in reversed(_sum_of_squares(polys, lowest=1))]
+    tail = [float(Fraction(c, norm0)) for c in _sum_of_squares(polys, lowest=1)]
     width = W.space.pole.Gamma
     worst = 0.0
     for t in grid:
-        acc = 0.0
-        for c in tail:
-            acc = acc * t + c
         # D(t) >= 0; a negative value is rounding in the evaluation
-        worst = max(worst, _exp_decay(width, t) * math.sqrt(max(acc, 0.0)))
+        worst = max(worst, _exp_decay(width, t) * math.sqrt(max(_horner(tail, t), 0.0)))
     return worst
 
 
@@ -271,15 +256,14 @@ def detector_probability(
     if space.normalization == "derivative":
         legs = [(math.factorial(p) * re, math.factorial(p) * im) for p, (re, im) in enumerate(legs)]
     polys, denominator = _conjugation(W)
-    num, step = float(t).as_integer_ratio()
     top = max((d for poly in polys.values() for d in poly), default=0)
-    # powers[d] = t**d * step**top, an integer
-    powers = [num**d * step ** (top - d) for d in range(top + 1)]
-    total = 0
+    # the real polynomial sum_{p,q} Re((x + i y) P_pq), x + i y = d_p conj(d_q)
+    total = [[0, 0] for _ in range(top + 1)]
     for (p, q), poly in polys.items():
-        (p_re, p_im), (q_re, q_im) = legs[p], legs[q]
-        # d_p conj(d_q) = x + i y; add the real part of (x + i y) P_pq(t)
-        x, y = p_re * q_re + p_im * q_im, p_im * q_re - p_re * q_im
-        total += sum((x * re - y * im) * powers[d] for d, (re, im) in poly.items())
-    value = Fraction(total, den * den * denominator * step**top)
+        q_re, q_im = legs[q]
+        x, y = _gmul(legs[p], (q_re, -q_im))
+        for d, (re, im) in poly.items():
+            total[d][0] += x * re - y * im
+    value, _, scale = _exact_at(total, t)
+    value = Fraction(value, den * den * denominator * scale)
     return _exp_decay(pole.Gamma, float(t)) * float(value)

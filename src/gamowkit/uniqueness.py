@@ -34,8 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GaussianRational
-from .jordan import _exp_poly_rows, conjugation_polys
+from .algebra import GaussianRational, _exp_poly_rows
+from .jordan import conjugation_polys
 
 __all__ = [
     "ConstraintRow",

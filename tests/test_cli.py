@@ -52,6 +52,21 @@ def runner():
     return CliRunner()
 
 
+def _run_strict(*args, env_extra=None):
+    """The CLI in a fresh interpreter that turns every warning into an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    env.update(env_extra or {})
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "gamowkit.cli", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
 class TestConfigParsing:
     def test_comments_and_blank_lines_ignored(self):
         data = parse_config_text("# header\n\nE_R = 2.0  # trailing\n")
@@ -148,22 +163,29 @@ class TestExitCodes:
         assert len(result.output.splitlines()) == 1
         assert result.output.startswith("error: key ")
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            # Gamma**n underflows, so the norm at t = 0 is 0
-            "E_R = 2.0\nGamma = 1e-300\nr = 40\nt_min = 0\nt_max = 1\nt_steps = 2\n",
-        ],
-        ids=["norm0"],
-    )
-    def test_underflow_maps_to_two(self, runner, tmp_path, text):
-        conf = tmp_path / "tiny.conf"
-        conf.write_text(text)
-        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert len(result.output.splitlines()) == 1
-        assert "numerical underflow" in result.output
+    def test_underflowing_norm_keeps_the_table(self, runner, tmp_path):
+        # the w2 norm Gamma**2 / 2 sqrt(6) underflows; the exact squared
+        # norms are scaled by a power of four before rounding, so every
+        # deviation is the Gamma = 1 one and the norms print rounded
+        tables = {}
+        for gamma in ("1e-300", "1.0"):
+            conf = tmp_path / f"g{gamma}.conf"
+            conf.write_text(
+                f"E_R = 2.0\nGamma = {gamma}\nr = 3\nt_min = 0\nt_max = 2\nt_steps = 3\n"
+            )
+            result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+            assert result.exit_code == 0, result.output
+            tables[gamma] = list(csv.reader(io.StringIO(result.output)))
+        (header, *tiny), (_, *unit) = tables["1e-300"], tables["1.0"]
+        for row_tiny, row_unit in zip(tiny, unit):
+            for name, a, b in zip(header, row_tiny, row_unit):
+                if name.endswith("_deviation"):
+                    assert a == b, name
+        values = dict(zip(header, map(float, tiny[0])))
+        assert values["w2_norm"] == values["w2_exp_law"] == 0.0
+        with mpmath.workdps(40):
+            want = float(mpmath.mpf(1e-300) * mpmath.sqrt(2))
+        assert abs(values["w1_norm"] - want) <= 2 * math.ulp(want)
 
     @pytest.mark.parametrize("gamma,t_max", [(1.0, 1e6), (3.3, 1000.0)])
     def test_underflowing_exp_law_keeps_the_table(self, runner, tmp_path, gamma, t_max):
@@ -224,17 +246,7 @@ class TestExitCodes:
         # |E - z|**2 = Gamma**2 / 4 underflows at the grid point E = E_R
         conf = tmp_path / "l.conf"
         conf.write_text("E_R = 2.0\nGamma = 1e-300\nr = 1\ne_min = 1.0\ne_max = 3.0\ne_steps = 3\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "gamowkit.cli"]
-            + ["lineshape", "--config", str(conf)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        done = _run_strict("lineshape", "--config", str(conf))
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.splitlines() == [
@@ -247,21 +259,36 @@ class TestExitCodes:
         # has no float value; no RuntimeWarning may precede the error line
         conf = tmp_path / "j.conf"
         conf.write_text(f"{pole}\nr = 2\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "gamowkit.cli"]
-            + ["jordan-info", "--config", str(conf)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
+        done = _run_strict("jordan-info", "--config", str(conf))
         assert done.returncode == 2
         assert done.stdout == ""
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error: numerical overflow: ")
+
+    def test_lineshape_far_from_a_huge_pole_is_not_zero(self, tmp_path):
+        # |E - z|**2 overflows at E = 5e154 and 1e155, the peak at E = 0 does not
+        conf = tmp_path / "l.conf"
+        conf.write_text("E_R = 1e150\nGamma = 1e150\nr = 1\ne_min = 0\ne_max = 1e155\ne_steps = 3\n")
+        done = _run_strict("lineshape", "--config", str(conf))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        _, *rows = list(csv.reader(io.StringIO(done.stdout)))
+        with mpmath.workdps(30):
+            z = mpmath.mpc(1e150, -0.5e150)
+            peak = abs(z) ** 2
+            for e, got in rows:
+                want = peak / abs(mpmath.mpf(float(e)) - z) ** 2
+                assert abs(float(got) - want) <= 3e-16 * want
+
+    def test_jordan_info_at_the_largest_pole_is_silent(self, tmp_path):
+        # the nilpotent part is built from its integer weights, so no
+        # float z is formed only to cancel
+        conf = tmp_path / "j.conf"
+        conf.write_text("E_R = 1.7e308\nGamma = 1.7e308\nr = 3\n")
+        done = _run_strict("jordan-info", "--config", str(conf))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert json.loads(done.stdout)["nilpotent_norms"] == [math.sqrt(3), math.sqrt(5), 2.0, 0.0]
 
     def test_vanishing_pole_term_rejected(self, runner, tmp_path):
         conf = tmp_path / "p.conf"
@@ -491,19 +518,12 @@ class TestDeterminism:
             )
         else:
             path = CONFIGS / config
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         outputs = set()
         for coretype in ("SkylakeX", "Haswell", "Sandybridge", "Nehalem"):
-            env["OPENBLAS_CORETYPE"] = coretype
-            done = subprocess.run(
-                [sys.executable, "-m", "gamowkit.cli", "decay-curve", "--config", str(path)],
-                env=env,
-                capture_output=True,
-                check=True,
+            done = _run_strict(
+                "decay-curve", "--config", str(path), env_extra={"OPENBLAS_CORETYPE": coretype}
             )
+            assert done.returncode == 0
             outputs.add(done.stdout)
         assert len(outputs) == 1
 
@@ -556,11 +576,29 @@ def _decay_oracle_problems(config_text: str, table_text: str) -> list:
     return problems
 
 
+# perfbench decay-float seed 7, r = 4: at t = 0.06 a dyad deviation taken
+# as sqrt(N(t)) - sqrt(N(0)) cancels to 13 digits
+SEED7_DECAY_CONF = """\
+E_R = 2.0
+Gamma = 0.9951405576480736
+r = 4
+t_min = 0.0
+t_max = 0.06
+t_steps = 2
+"""
+
+
 class TestDecayGoldenOracle:
-    @pytest.mark.parametrize("name", ["decay_r1", "decay_r3"])
-    def test_golden_decay_tables_match_closed_forms(self, name):
-        config = (CONFIGS / f"{name}.conf").read_text()
-        table = (GOLDEN / f"{name}.csv").read_text()
+    @pytest.mark.parametrize("name", ["decay_r1", "decay_r3", "seed7"])
+    def test_golden_decay_tables_match_closed_forms(self, runner, tmp_path, name):
+        if name == "seed7":
+            config = SEED7_DECAY_CONF
+            path = tmp_path / "seed7.conf"
+            path.write_text(config)
+            table = runner.invoke(main, ["decay-curve", "--config", str(path)]).output
+        else:
+            config = (CONFIGS / f"{name}.conf").read_text()
+            table = (GOLDEN / f"{name}.csv").read_text()
         assert _decay_oracle_problems(config, table) == []
 
     def test_oracle_rejects_three_ulp_and_nonzero_family_deviation(self):

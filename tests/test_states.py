@@ -14,16 +14,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gamowkit.algebra import GaussianRational, Polynomial
+from gamowkit.algebra import GaussianRational, Polynomial, _exp_decay
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, OperatorOnM, as_complex_matrix, evolution_matrix
-from gamowkit.smatrix import (
-    ResonancePole,
-    SMatrixModel,
-    TestFunction,
-    TestFunctionPair,
-    _exp_decay,
-)
+from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunction, TestFunctionPair
 from gamowkit.states import (
     StateOperator,
     decay_deviation,
