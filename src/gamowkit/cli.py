@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 
 import click
-import numpy as np
 
 from .algebra import _exp_decay, _horner
 from .errors import ConfigInvalidError, JTooLargeError, UnderflowError
@@ -188,11 +187,27 @@ class RunConfig:
         if minimum_allowed is not None and lo < minimum_allowed:
             raise ConfigInvalidError(f"{prefix}_min must be >= {minimum_allowed}")
         if steps == 1:
-            return np.array([lo])
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = np.linspace(lo, hi, steps)
+            return [lo]
+        grid = _linspace(lo, hi, steps)
         # hi - lo can leave the float range; the span of the halves cannot
-        return grid if np.isfinite(grid).all() else 2.0 * np.linspace(lo / 2.0, hi / 2.0, steps)
+        if all(map(math.isfinite, grid)):
+            return grid
+        return [2.0 * x for x in _linspace(lo / 2.0, hi / 2.0, steps)]
+
+
+def _linspace(lo: float, hi: float, steps: int) -> list:
+    """numpy.linspace(lo, hi, steps) for steps >= 2, in its own float
+    operations: i * step + lo, or i / div * (hi - lo) + lo when the step
+    is 0 (a subnormal span), with the last point hi."""
+    div = steps - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + lo for i in range(steps)]
+    else:
+        grid = [i * step + lo for i in range(steps)]
+    grid[-1] = hi
+    return grid
 
 
 def load_config(path: str) -> RunConfig:
@@ -303,7 +318,7 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     """
     cfg = load_config(config_path)
     space = _space_from(cfg, normalization)
-    grid = [float(t) for t in cfg.grid("t", minimum_allowed=0.0)]
+    grid = cfg.grid("t", minimum_allowed=0.0)
     # exp(-Gamma t) once per grid point, shared by every column
     decay = [_exp_decay(space.pole.Gamma, t) for t in grid]
     r = space.dimension
@@ -363,7 +378,7 @@ def lineshape_cmd(config_path, out_path, fmt_name):
     model = cfg.model()
     grid = cfg.grid("e")
     header = ["E"]
-    columns = [list(map(float, grid))]
+    columns = [grid]
     for n in range(model.pole.r):
         header.append(f"intensity_n{n}")
         columns.append([float(v) for v in lineshape(model, n, grid)])
@@ -397,11 +412,10 @@ def pole_term_cmd(config_path, out_path):
         raise UnderflowError("probability at t = 0 is 0 in floating point; the pole term is not")
     table = []
     for t in grid:
-        t = float(t)
         # one exp(-Gamma t) for both columns: at r = 1 they agree bit for bit
         reference = _exp_decay(model.pole.Gamma, t)
         table.append(
-            {"t": t, "ratio": reference * jet.quotient(t), "exponential_reference": reference}
+            {"t": t, "ratio": jet.ratio(t, reference), "exponential_reference": reference}
         )
     payload = {
         "pole_term": _cplx(value),

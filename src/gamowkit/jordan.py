@@ -16,6 +16,13 @@ evolved quantity of the package (symbolic evolution, evolved norms, decay
 deviations, detector probabilities, the uniqueness oracle) is read off
 it.
 
+conjugation_polys reads an operator as its sparse nonzero entries
+{(k, l): value}, the form in which states holds every state operator.
+OperatorOnM is the dense r x r view, built on demand: the Hamiltonian
+layouts, nilpotent powers and sampled evolution matrices, and the dense
+view of a state operator or of its symbolic evolution.  numpy is imported
+inside the functions that build or read such a view, never at import.
+
 Matrix layout conventions: operators that act on ket coordinates (the
 evolution matrices, nilpotent powers) hold the image of basis ket k in
 column k.  hamiltonian_matrix alone returns the transposed layout that
@@ -29,8 +36,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import _lift, _turn, binom
 from .errors import NegativeTimeError
@@ -67,17 +72,20 @@ class GamowSubspace:
 
 @dataclass(frozen=True)
 class OperatorOnM:
-    """r x r matrix over the dyad basis |k><l| of the subspace.
+    """Dense r x r matrix over the dyad basis |k><l| of the subspace.
 
     Entries are complex for the numeric path or objects (GaussianRational,
     ExpPolynomial) for the exact and symbolic paths; entry (k, l) is the
-    coefficient of |k><l|.
+    coefficient of |k><l|.  matrix may be given as nested lists; it is
+    held as a read-only numpy array.
     """
 
     space: GamowSubspace
-    matrix: np.ndarray
+    matrix: numpy.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         mat = np.asarray(self.matrix)
         if mat.dtype != object:
             mat = mat.astype(complex)
@@ -90,11 +98,15 @@ class OperatorOnM:
 
     def norm(self) -> float:
         """Frobenius norm of the entries (numeric and exact entries only)."""
+        import numpy as np
+
         return float(np.linalg.norm(as_complex_matrix(self.matrix)))
 
 
-def as_complex_matrix(matrix: np.ndarray) -> np.ndarray:
+def as_complex_matrix(matrix: numpy.ndarray) -> numpy.ndarray:
     """Complex view of a numeric or GaussianRational-valued matrix."""
+    import numpy as np
+
     mat = np.asarray(matrix)
     if mat.dtype != object:
         return mat.astype(complex)
@@ -119,11 +131,11 @@ def hamiltonian_matrix(space: GamowSubspace) -> OperatorOnM:
     """
     r = space.dimension
     z = space.pole.z_R
-    mat = np.zeros((r, r), dtype=complex)
+    mat = [[0j] * r for _ in range(r)]
     for k in range(r):
-        mat[k, k] = z
+        mat[k][k] = z
         if k > 0:
-            mat[k, k - 1] = _subdiagonal_weight(space, k)
+            mat[k][k - 1] = _subdiagonal_weight(space, k)
     return OperatorOnM(space, mat)
 
 
@@ -140,6 +152,8 @@ def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     the k-th power kills |0>..|k-1> exactly, has rank r - k for k <= r,
     and is the exact zero matrix from k = r on.
     """
+    import numpy as np
+
     if k < 0:
         raise ValueError("power must be nonnegative")
     r = space.dimension
@@ -166,6 +180,8 @@ def evolution_matrix(space: GamowSubspace, t: float) -> OperatorOnM:
     w(k, p) = binom(k, p) in derivative normalization and 1/(k-p)! in
     factorial normalization.
     """
+    import numpy as np
+
     if t < 0:
         raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
     r = space.dimension

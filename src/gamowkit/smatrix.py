@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .algebra import _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _lift, _turn, binom
 from .errors import NoConvergenceError, PoleEvaluationError, UnderflowError
 
@@ -181,7 +179,7 @@ def pole_expansion_coeffs(model: SMatrixModel) -> list:
     return [binom(r, l) * (-1j * gamma_width) ** l for l in range(1, r + 1)]
 
 
-def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> np.ndarray:
+def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> numpy.ndarray:
     """Derivatives f(z0), f'(z0), ..., f^(n_max)(z0) by contour quadrature.
 
     Samples f on the circle |w - z0| = radius and reads the derivatives off
@@ -196,6 +194,8 @@ def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> np.ndarra
     that factor, so a flat scale would keep high orders from ever settling
     at small radii.
     """
+    import numpy as np
+
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if not radius > 0:
@@ -373,12 +373,27 @@ class PoleJet:
         value = self.amplitude(t)
         return _exp_decay(self.width, t) * (value.real * value.real + value.imag * value.imag)
 
-    def quotient(self, t: float) -> float:
-        """|Q(t) / Q(0)|**2, exact and rounded once; for r = 1 it is 1.
-        probability(t) / probability(0) is exp(-Gamma t) times this."""
+    def ratio(self, t: float, reference: float) -> float:
+        """reference * |Q(t) / Q(0)|**2.
+
+        With reference = exp(-Gamma t) this is probability(t) /
+        probability(0), and for r = 1 it is the reference itself.  The exact
+        quotient is scaled by 2**-k, k from its bit lengths, and rounded
+        once; its product with the mantissa of the reference is the only
+        other rounding.  So the value rounds as reference * quotient
+        wherever that is a normal float, and a ratio below the float range
+        reads 0 even where the quotient alone overflows.
+        """
         re, im, scale = _exact_at(self.coeffs, t)
         q_re, q_im = self.coeffs[0]
-        return (re * re + im * im) / ((q_re * q_re + q_im * q_im) * scale * scale)
+        num, den = re * re + im * im, (q_re * q_re + q_im * q_im) * scale * scale
+        k = num.bit_length() - den.bit_length()
+        mantissa, exponent = math.frexp(reference)
+        value = mantissa * ((num << max(-k, 0)) / (den << max(k, 0)))
+        try:
+            return math.ldexp(value, exponent + k)
+        except OverflowError:
+            raise OverflowError(f"the ratio leaves the float range at t = {t!r}") from None
 
 
 def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
@@ -422,7 +437,7 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
     return pole_jet(pair, model).amplitude()
 
 
-def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> np.ndarray:
+def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> list:
     """Coefficients b_k multiplying the k-th observable-leg derivative.
 
     b_k = (-2 pi Gamma) * sum_{n=k}^{r-1} binom(r, n+1) binom(n, k)
@@ -434,18 +449,21 @@ def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> np.ndarray:
     """
     pole = model.pole
     coeffs, den = _contract(_rational_jet(phi, _pole_position(pole), pole.r), pole)
-    return np.array([-2.0 * math.pi * complex(re / den, im / den) for re, im in coeffs])
+    return [-2.0 * math.pi * complex(re / den, im / den) for re, im in coeffs]
 
 
-def lineshape(model: SMatrixModel, n: int, e_grid) -> np.ndarray:
+def lineshape(model: SMatrixModel, n: int, e_grid) -> numpy.ndarray:
     """|1 / (E - z)**(n+1)|**2 on the grid, scaled to peak at 1.
 
     n = 0 is the familiar width-Gamma resonance bump; higher n sharpen it.
-    A peak that is not a positive float (|E - z|**(2n+2) underflows to 0
-    next to a narrow pole, or overflows on the whole grid) raises instead
-    of scaling the grid to nan.  Other points where it overflows get the
-    scaled value (d_min / d)**(2n+2), with d = |E - z|, instead of 0.
+    A peak that is not a float (|E - z|**(2n+2) underflows to 0 next to a
+    narrow pole) raises instead of scaling the grid to nan.  Points where
+    it overflows get the scaled value (d_min / d)**(2n+2), with
+    d = |E - z|, instead of 0; on a grid where it overflows everywhere
+    that is every point, and the point nearest the pole reads 1.
     """
+    import numpy as np
+
     pole = model.pole
     if not 0 <= n <= pole.r - 1:
         raise ValueError(f"derivative order n must be in 0..{pole.r - 1}, got {n}")
@@ -463,9 +481,8 @@ def lineshape(model: SMatrixModel, n: int, e_grid) -> np.ndarray:
         peak = intensity.max()
         if peak == math.inf:
             raise UnderflowError(f"|E - z|**{power} is 0 in floating point on the grid")
-        if peak == 0.0:
-            raise OverflowError(f"|E - z|**{power} leaves the float range on the whole grid")
-        intensity = intensity / peak
+        if peak:
+            intensity = intensity / peak
         far = np.isinf(scaled)
         intensity[far] = (distance.min() / distance[far]) ** power
     return intensity

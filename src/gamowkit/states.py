@@ -13,9 +13,12 @@ by exp(-Gamma t) with no polynomial remainder, while a plain dyad
 Every operator is built once, as exact Gaussian-rational entries in which
 Gamma enters as the exact rational value of its float.  One step then
 materializes them: exact=True keeps the entries, and the float carrier
-is each exact entry rounded once.  The 2 pi Gamma scale of W has no exact
-carrier because pi is irrational, so only the float carrier applies it;
-every certified property is invariant under that scale.
+is each exact entry rounded once.  A StateOperator holds only these
+sparse entries {(k, l): value}, a few dyads on its anti-diagonals; its
+dense r x r view op is built on demand, and only that view loads numpy.
+The 2 pi Gamma scale of W has no exact carrier because pi is irrational,
+so only the float carrier applies it; every certified property is
+invariant under that scale.
 
 Evolution runs one path for both carriers: float entries enter at their
 exact binary value, jordan.conjugation_polys expands the conjugation
@@ -32,8 +35,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .algebra import GaussianRational, _exact_at, _exp_decay, _exp_poly_rows, _gmul, _horner, _turn
 from .algebra import binom
@@ -56,13 +57,29 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StateOperator:
-    """Operator on the pole subspace whose dyads evolve under the semigroup."""
+    """Operator on the pole subspace whose dyads evolve under the semigroup.
 
-    op: OperatorOnM
+    entries maps (k, l) to the coefficient of |k><l|; absent dyads are 0.
+    exact picks the carrier: GaussianRational entries (True) or complex
+    floats (False).  op is the dense r x r view, built on demand.
+    """
+
+    space: GamowSubspace
+    entries: dict
+    exact: bool = False
+
+    def __post_init__(self):
+        r = self.space.dimension
+        for k, l in self.entries:
+            if not 0 <= k < r or not 0 <= l < r:
+                raise IndexOutOfRangeError(f"dyad indices must be in 0..{r - 1}, got ({k}, {l})")
 
     @property
-    def space(self) -> GamowSubspace:
-        return self.op.space
+    def op(self) -> OperatorOnM:
+        r = self.space.dimension
+        zero = GaussianRational(0) if self.exact else 0j
+        rows = [[self.entries.get((k, l), zero) for l in range(r)] for k in range(r)]
+        return OperatorOnM(self.space, rows)
 
 
 def _materialize(space: GamowSubspace, entries: dict, exact: bool, scale: float = 1.0):
@@ -70,15 +87,12 @@ def _materialize(space: GamowSubspace, entries: dict, exact: bool, scale: float 
     operator: exact=True keeps them, the float carrier rounds each entry
     once and multiplies it by scale, and raises OverflowError for an entry
     that leaves the float range."""
-    r = space.dimension
-    mat = np.full((r, r), GaussianRational(0), dtype=object) if exact else np.zeros((r, r), complex)
-    for kl, value in entries.items():
-        if not exact:
-            value = complex(value) * scale
+    if not exact:
+        entries = {kl: complex(value) * scale for kl, value in entries.items()}
+        for kl, value in entries.items():
             if not cmath.isfinite(value):
                 raise OverflowError(f"entry {kl} of the operator leaves the float range")
-        mat[kl] = value
-    return StateOperator(OperatorOnM(space, mat))
+    return StateOperator(space, entries, exact)
 
 
 def _wn_entries(space: GamowSubspace, n: int) -> dict:
@@ -121,23 +135,18 @@ def dyad_operator(
     space: GamowSubspace, k: int, l: int | None = None, exact: bool = False
 ) -> StateOperator:
     """Single dyad |k><l| (l defaults to k)."""
-    r = space.dimension
-    if l is None:
-        l = k
-    if not 0 <= k < r or not 0 <= l < r:
-        raise IndexOutOfRangeError(f"dyad indices must be in 0..{r - 1}, got ({k}, {l})")
-    return _materialize(space, {(k, l): GaussianRational(1)}, exact)
+    return _materialize(space, {(k, k if l is None else l): GaussianRational(1)}, exact)
 
 
 def _conjugation(W: StateOperator):
     """conjugation_polys of W; float entries enter at their exact dyadic value."""
     entries = {}
-    for (k, l), value in np.ndenumerate(W.op.matrix):
+    for kl, value in W.entries.items():
         if not value:
             continue
         if not isinstance(value, GaussianRational):
             value = GaussianRational(Fraction(value.real), Fraction(value.imag))
-        entries[k, l] = value
+        entries[kl] = value
     return conjugation_polys(W.space.normalization, entries)
 
 
@@ -169,8 +178,7 @@ def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
     space = W.space
     polys, denominator = _conjugation(W)
     rate = GaussianRational(-Fraction(space.pole.Gamma))
-    rows = _exp_poly_rows(polys, denominator, rate, space.dimension)
-    return OperatorOnM(space, np.array(rows, dtype=object))
+    return OperatorOnM(space, _exp_poly_rows(polys, denominator, rate, space.dimension))
 
 
 def evolved_norm_squared(W: StateOperator) -> tuple:

@@ -16,10 +16,13 @@ from math import comb, factorial
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gamowkit.cli import J_CAP, main, parse_config_text
+from gamowkit.cli import J_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import ConfigInvalidError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -52,19 +55,24 @@ def runner():
     return CliRunner()
 
 
-def _run_strict(*args, env_extra=None):
-    """The CLI in a fresh interpreter that turns every warning into an error."""
+def _python_strict(*argv, env_extra=None):
+    """A fresh interpreter on the sources that turns every warning into an error."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     env.update(env_extra or {})
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "gamowkit.cli", *args],
+        [sys.executable, "-W", "error", *argv],
         env=env,
         capture_output=True,
         text=True,
     )
+
+
+def _run_strict(*args, env_extra=None):
+    """The CLI in a fresh interpreter that turns every warning into an error."""
+    return _python_strict("-m", "gamowkit.cli", *args, env_extra=env_extra)
 
 
 class TestConfigParsing:
@@ -83,6 +91,80 @@ class TestConfigParsing:
     def test_empty_value_rejected(self):
         with pytest.raises(ConfigInvalidError):
             parse_config_text("E_R =\n")
+
+
+def _numpy_grid(lo: float, hi: float, steps: int) -> list:
+    """The grid as numpy built it: lo alone for one step (numpy.linspace
+    would turn lo = -0.0 into 0.0), else numpy.linspace, or twice the grid
+    of the halves where the span hi - lo leaves the float range."""
+    if steps == 1:
+        return [lo.hex()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, steps)
+        if not np.isfinite(grid).all():
+            grid = 2.0 * np.linspace(lo / 2.0, hi / 2.0, steps)
+    return [float(x).hex() for x in grid]
+
+
+whole_range = st.floats(allow_nan=False, allow_infinity=False)
+# spans of a few subnormals divided into many steps give step == 0
+near_zero = st.floats(min_value=-1e-307, max_value=1e-307)
+
+
+class TestGrid:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        ends=st.tuples(whole_range, whole_range) | st.tuples(near_zero, near_zero),
+        steps=st.integers(min_value=1, max_value=2000),
+    )
+    @example(ends=(0.0, 3 * 5e-324), steps=7)  # step == 0
+    @example(ends=(-5e-324, 5e-324), steps=2000)  # step == 0
+    @example(ends=(-1.7e308, 1.7e308), steps=5)  # the halves
+    @example(ends=(-1.7976931348623157e308, 1.7976931348623157e308), steps=2000)
+    @example(ends=(0.0, 6.0), steps=101)
+    @example(ends=(-0.0, 1.0), steps=1)
+    def test_grid_is_numpy_linspace_bit_for_bit(self, ends, steps):
+        lo, hi = sorted(ends)
+        cfg = RunConfig(parse_config_text(f"t_min = {lo!r}\nt_max = {hi!r}\nt_steps = {steps}\n"))
+        assert [x.hex() for x in cfg.grid("t")] == _numpy_grid(lo, hi, steps)
+
+
+class TestNumpyFree:
+    def test_only_dense_commands_load_numpy(self, tmp_path):
+        # decay-curve on both carriers, pole-term and uniqueness run in pure
+        # Python; jordan-info and lineshape load numpy when they run
+        runs = [
+            ("decay-curve", "decay_r1.conf", "decay_r1.csv"),
+            ("decay-curve", "decay_r3.conf", "decay_r3.csv"),
+            ("decay-curve --exact", "decay_r1.conf", None),
+            ("decay-curve --exact", "decay_r3.conf", None),
+            ("pole-term", "pole_term_r1.conf", "pole_term_r1.json"),
+            ("pole-term", "pole_term_r2.conf", "pole_term_r2.json"),
+            ("uniqueness", "uniqueness_j4.conf", "uniqueness_j4.json"),
+            ("jordan-info", "decay_r3.conf", "jordan_info_r3.json"),
+            ("lineshape", "lineshape_r3.conf", "lineshape_r3.csv"),
+        ]
+        calls = [
+            [*command.split(), "--config", str(CONFIGS / config), "--out", str(tmp_path / str(i))]
+            for i, (command, config, _) in enumerate(runs)
+        ]
+        script = (
+            "import sys\n"
+            "import gamowkit.cli\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            f"for args in {calls!r}:\n"
+            "    gamowkit.cli.main.main(args=args, prog_name='gamowkit', standalone_mode=False)\n"
+            "    loaded.append('numpy' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        done = _python_strict("-c", script)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        # after the import, then after each run in order
+        assert json.loads(done.stdout.lower()) == [False] * 8 + [True, True]
+        for i, (_, _, golden) in enumerate(runs):
+            if golden is not None:
+                assert (tmp_path / str(i)).read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 class TestExitCodes:
@@ -279,6 +361,33 @@ class TestExitCodes:
             for e, got in rows:
                 want = peak / abs(mpmath.mpf(float(e)) - z) ** 2
                 assert abs(float(got) - want) <= 3e-16 * want
+
+    def test_lineshape_overflowing_on_the_whole_grid_is_scaled(self, tmp_path):
+        # |E - z|**2 overflows at the one grid point, whose scaled value
+        # (d_min / d)**2 is 1
+        conf = tmp_path / "l.conf"
+        conf.write_text(
+            "E_R = 3e292\nGamma = 1\nr = 1\n"
+            "e_min = -1.7976931348623155e+308\ne_max = -1.7976931348623155e+308\ne_steps = 1\n"
+        )
+        done = _run_strict("lineshape", "--config", str(conf))
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout == "E,intensity_n0\n-1.7976931348623155e+308,1\n"
+
+    def test_pole_term_ratio_beyond_the_quotient_range_reads_zero(self, runner, tmp_path):
+        # |Q(t)/Q(0)|**2 ~ t**6 leaves the float range at t = 1e100, where
+        # exp(-Gamma t) is 0 long since; rows before keep their values
+        conf = tmp_path / "p.conf"
+        conf.write_text(
+            POLE_CONF.replace("r = 1", "r = 4").replace("t_max = 1", "t_max = 1e100")
+            .replace("t_steps = 2", "t_steps = 3")
+        )
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)["ratio_table"]
+        assert [row["t"] for row in rows] == [0.0, 5e99, 1e100]
+        assert [row["ratio"] for row in rows] == [1.0, 0.0, 0.0]
 
     def test_jordan_info_at_the_largest_pole_is_silent(self, tmp_path):
         # the nilpotent part is built from its integer weights, so no

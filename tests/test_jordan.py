@@ -307,7 +307,7 @@ class TestSymbolicEvolution:
         # entrywise: d/dt (T A T^dagger) == -i H (T A T^dagger) + i (T A T^dagger) H^dagger
         rng = np.random.default_rng(RNG_SEED)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        sym = evolve_operator_symbolic(StateOperator(OperatorOnM(space, raw))).matrix
+        sym = evolve_operator_symbolic(StateOperator(space, dict(np.ndenumerate(raw)))).matrix
         h_action = hamiltonian_action_matrix(space).matrix
         h_dagger = h_action.conj().T
         t = 1.3

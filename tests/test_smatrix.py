@@ -7,13 +7,18 @@ integrand, and hand-derived special cases like the value on resonance.
 
 import cmath
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gamowkit.errors import NoConvergenceError, PoleEvaluationError
 from gamowkit.smatrix import (
     BackgroundPhase,
+    PoleJet,
     ResonancePole,
     SMatrixModel,
     TestFunction,
@@ -248,6 +253,48 @@ class TestPoleTerm:
         bare = pole_term(pair, SMatrixModel(pole))
         without = pole_term(pair, SMatrixModel(pole, phase, absorb_gauge=False))
         assert without == pytest.approx(bare, rel=1e-12)
+
+
+gaussian = st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80))
+
+
+class TestPoleJetRatio:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        coeffs=st.lists(gaussian, min_size=1, max_size=6).filter(lambda c: c[0] != (0, 0)),
+        t=st.floats(min_value=0.0, max_value=1e300),
+        reference=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(coeffs=[(1, 0), (0, 0), (0, 0), (2**40, 0)], t=1e100, reference=0.0)
+    # a subnormal reference that the quotient lifts into the normal range
+    @example(coeffs=[(1, 0), (3, 0)], t=2.0**400, reference=5e-324)
+    @example(coeffs=[(1, 0), (1, 1)], t=2.0**600, reference=2.0**-800)  # quotient overflows
+    def test_ratio_rounds_as_the_unscaled_product(self, coeffs, t, reference):
+        jet = PoleJet(1.0, 1 + 0j, tuple(coeffs), 7)
+        # |Q(t)/Q(0)|**2 exactly, at the exact value of the float t
+        x = Fraction(t)
+        re = sum(c_re * x**d for d, (c_re, _) in enumerate(coeffs))
+        im = sum(c_im * x**d for d, (_, c_im) in enumerate(coeffs))
+        quotient = (re * re + im * im) / (coeffs[0][0] ** 2 + coeffs[0][1] ** 2)
+        exact = Fraction(reference) * quotient
+        if exact > sys.float_info.max:
+            with pytest.raises(OverflowError):
+                jet.ratio(t, reference)
+            return
+        got = jet.ratio(t, reference)
+        try:
+            unscaled = reference * float(quotient)
+        except OverflowError:
+            unscaled = None
+        if unscaled is not None and unscaled >= sys.float_info.min:
+            # the rounded quotient times the reference, wherever that
+            # product is a normal float
+            assert got == unscaled
+        elif exact >= sys.float_info.min:
+            assert abs(Fraction(got) - exact) <= exact * 2**-52
+        else:
+            # below the normal range: at most one subnormal step off, 0 included
+            assert abs(Fraction(got) - exact) <= 2 * Fraction(5e-324)
 
 
 class TestExpansionCoeffs:

@@ -16,7 +16,7 @@ import pytest
 
 from gamowkit.algebra import GaussianRational, Polynomial, _exp_decay
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
-from gamowkit.jordan import GamowSubspace, OperatorOnM, as_complex_matrix, evolution_matrix
+from gamowkit.jordan import GamowSubspace, as_complex_matrix, evolution_matrix
 from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunction, TestFunctionPair
 from gamowkit.states import (
     StateOperator,
@@ -51,7 +51,8 @@ def float_deviation(W, t_grid):
 
 def random_operator(space, rng):
     r = space.dimension
-    return StateOperator(OperatorOnM(space, rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))))
+    raw = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+    return StateOperator(space, dict(np.ndenumerate(raw)))
 
 
 @pytest.fixture
@@ -92,6 +93,18 @@ class TestOperatorConstruction:
             w_n(space, 3)
         with pytest.raises(IndexOutOfRangeError):
             dyad_operator(space, 3)
+
+    def test_entries_outside_the_square_rejected(self, space):
+        with pytest.raises(IndexOutOfRangeError):
+            StateOperator(space, {(0, 3): 1.0})
+
+    def test_dense_view_fills_absent_dyads_with_the_carriers_zero(self, space):
+        exact = dyad_operator(space, 1, 2, exact=True)
+        assert exact.entries == {(1, 2): GaussianRational(1)}
+        assert exact.op.matrix[0, 0] == GaussianRational(0)
+        floats = dyad_operator(space, 1, 2)
+        assert floats.op.matrix.dtype == complex
+        assert np.count_nonzero(floats.op.matrix) == 1
 
     def test_exact_entries_match_float_entries(self, space):
         # the float carrier is the exact operator with each entry rounded
@@ -138,7 +151,7 @@ class TestEvolution:
     def test_negative_time_rejected(self, space):
         with pytest.raises(NegativeTimeError):
             decay_deviation(w_n(space, 0), [0.0, 1.0, -1.0])
-        zero = StateOperator(OperatorOnM(space, np.zeros((3, 3))))
+        zero = StateOperator(space, {})
         with pytest.raises(NegativeTimeError):
             decay_deviation(zero, [-0.5])
 
@@ -194,16 +207,12 @@ class TestEvolution:
     def test_symbolic_evolution_is_linear(self, space):
         a = GaussianRational(2)
         b = GaussianRational(0, 1)
-        A = dyad_operator(space, 1, 2, exact=True).op.matrix
-        B = dyad_operator(space, 0, 0, exact=True).op.matrix
-        combo = np.empty((3, 3), dtype=object)
-        for idx in np.ndindex(3, 3):
-            combo[idx] = a * A[idx] + b * B[idx]
-        lhs = evolve_operator_symbolic(
-            StateOperator(OperatorOnM(space, combo))
-        ).matrix
-        sym_a = evolve_operator_symbolic(StateOperator(OperatorOnM(space, A))).matrix
-        sym_b = evolve_operator_symbolic(StateOperator(OperatorOnM(space, B))).matrix
+        A = dyad_operator(space, 1, 2, exact=True).entries
+        B = dyad_operator(space, 0, 0, exact=True).entries
+        combo = {kl: a * A.get(kl, 0) + b * B.get(kl, 0) for kl in A.keys() | B.keys()}
+        lhs = evolve_operator_symbolic(StateOperator(space, combo, exact=True)).matrix
+        sym_a = evolve_operator_symbolic(StateOperator(space, A, exact=True)).matrix
+        sym_b = evolve_operator_symbolic(StateOperator(space, B, exact=True)).matrix
         for idx in np.ndindex(3, 3):
             # a P_a(t) + b P_b(t), summed by power of t
             p_a, p_b = sym_a[idx].poly, sym_b[idx].poly
@@ -258,7 +267,8 @@ class TestEvolvedNormSquared:
         assert evolved_norm_squared(dyad_operator(space, k)) == (inner * inner).coeffs
 
     def test_matches_float_evolution(self, space):
-        W = StateOperator(OperatorOnM(space, np.arange(9).reshape(3, 3) * (1 - 0.5j)))
+        entries = {(k, l): (3 * k + l) * (1 - 0.5j) for k in range(3) for l in range(3)}
+        W = StateOperator(space, entries)
         coeffs = [float(c) for c in evolved_norm_squared(W)]
         for t in (0.0, 0.7, 3.0):
             value = math.sqrt(sum(c * t**d for d, c in enumerate(coeffs)))
@@ -272,7 +282,7 @@ class TestDecayDeviation:
             decay_deviation(w_n(space, 0), [])
 
     def test_zero_operator_has_zero_deviation(self, space):
-        zero = StateOperator(OperatorOnM(space, np.zeros((3, 3))))
+        zero = StateOperator(space, {})
         assert decay_deviation(zero, [0.0, 1.0]) == 0.0
 
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
@@ -377,8 +387,7 @@ class TestDetectorProbability:
         rng = random.Random(RNG_SEED)
         pole = ResonancePole(2.0, 0.9137, 4)
         model = SMatrixModel(pole)
-        fact = np.empty((4, 4), dtype=object)
-        deriv = np.empty((4, 4), dtype=object)
+        fact, deriv = {}, {}
         for k, l in np.ndindex(4, 4):
             value = GaussianRational(
                 Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)),
@@ -387,8 +396,8 @@ class TestDetectorProbability:
             fact[k, l] = value
             scale = Fraction(1, math.factorial(k) * math.factorial(l))
             deriv[k, l] = value * GaussianRational(scale)
-        in_fact = StateOperator(OperatorOnM(GamowSubspace(pole, "factorial"), fact))
-        in_deriv = StateOperator(OperatorOnM(GamowSubspace(pole, "derivative"), deriv))
+        in_fact = StateOperator(GamowSubspace(pole, "factorial"), fact, exact=True)
+        in_deriv = StateOperator(GamowSubspace(pole, "derivative"), deriv, exact=True)
         for t in (0.0, 0.5, 3.0, 7.3):
             got = detector_probability(in_fact, psi, model, t)
             assert got == detector_probability(in_deriv, psi, model, t)
