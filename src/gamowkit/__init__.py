@@ -9,12 +9,13 @@ with exactly exponential decay, and an exact integer-arithmetic
 certificate that the binomial anti-diagonal family is the only one.
 """
 
+import types
+
 from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
 from .errors import (
     ConfigInvalidError,
     EmptyGridError,
     IndexOutOfRangeError,
-    JTooLargeError,
     NegativeTimeError,
     NoConvergenceError,
     PoleEvaluationError,
@@ -46,7 +47,6 @@ from .smatrix import (
 from .states import (
     StateOperator,
     decay_deviation,
-    detector_probability,
     dyad_operator,
     evolve_operator_symbolic,
     evolved_norm_squared,
@@ -58,49 +58,9 @@ from .uniqueness import ConstraintSystem, build_constraints, certify, oracle_evo
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BackgroundPhase",
-    "ConfigInvalidError",
-    "ConstraintSystem",
-    "EmptyGridError",
-    "ExpPolynomial",
-    "GamowSubspace",
-    "GaussianRational",
-    "IndexOutOfRangeError",
-    "JTooLargeError",
-    "NegativeTimeError",
-    "NoConvergenceError",
-    "OperatorOnM",
-    "PoleEvaluationError",
-    "PoleJet",
-    "Polynomial",
-    "ResonancePole",
-    "SMatrixModel",
-    "StateOperator",
-    "TestFunction",
-    "TestFunctionPair",
-    "analytic_derivatives",
-    "binom",
-    "build_constraints",
-    "certify",
-    "conjugation_polys",
-    "decay_deviation",
-    "detector_probability",
-    "dyad_operator",
-    "evolution_matrix",
-    "evolve_operator_symbolic",
-    "evolved_norm_squared",
-    "expansion_coeffs",
-    "hamiltonian_action_matrix",
-    "hamiltonian_matrix",
-    "lineshape",
-    "nilpotent_power",
-    "oracle_evolution",
-    "pole_expansion_coeffs",
-    "pole_jet",
-    "pole_term",
-    "pole_term_probability",
-    "s_matrix_eval",
-    "w_n",
-    "w_total",
-]
+# the names imported above, without the submodules that the imports bind
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import click
 
 from .algebra import _exp_decay, _horner
-from .errors import ConfigInvalidError, JTooLargeError, UnderflowError
+from .errors import ConfigInvalidError, UnderflowError
 from .jordan import (
     NORMALIZATIONS,
     GamowSubspace,
@@ -36,7 +36,6 @@ from .smatrix import (
     ResonancePole,
     SMatrixModel,
     TestFunctionPair,
-    expansion_coeffs,
     lineshape,
     pole_jet,
 )
@@ -49,9 +48,14 @@ from .states import (
 )
 from .uniqueness import certify
 
-# Largest certification order the CLI accepts: j = 32 certifies in about
+# Largest inputs that set the amount of work.  j = 32 certifies in about
 # 1 s, the cost grows fast beyond it, and the statement is order-uniform.
+# At r = 32, decay-curve and jordan-info take about 0.2 s on 5 points, and
+# decay-curve grows like r**4.5; on 5000 points decay-curve takes about
+# 1 s and pole-term about 3 s.
 J_CAP = 32
+R_CAP = 32
+STEPS_CAP = 5000
 
 
 def _fmt(x: float) -> str:
@@ -114,12 +118,15 @@ class RunConfig:
         except (TypeError, ValueError):
             raise ConfigInvalidError(f"key {key!r}: expected a finite number, got {value!r}")
 
-    def get_int(self, key: str, default=None) -> int:
+    def get_int(self, key: str, default=None, cap: int | None = None) -> int:
         value = self._single(key, default)
         try:
-            return int(str(value))
+            number = int(str(value))
         except (TypeError, ValueError):
             raise ConfigInvalidError(f"key {key!r}: expected an integer, got {value!r}")
+        if cap is not None and number > cap:
+            raise ConfigInvalidError(f"{key} = {number} exceeds the cap {cap}")
+        return number
 
     def get_choice(self, key: str, choices, default=None) -> str:
         value = str(self._single(key, default))
@@ -130,7 +137,7 @@ class RunConfig:
     def pole(self) -> ResonancePole:
         try:
             return ResonancePole(
-                self.get_float("E_R"), self.get_float("Gamma"), self.get_int("r")
+                self.get_float("E_R"), self.get_float("Gamma"), self.get_int("r", cap=R_CAP)
             )
         except ValueError as exc:
             raise ConfigInvalidError(str(exc))
@@ -179,7 +186,7 @@ class RunConfig:
     def grid(self, prefix: str, minimum_allowed: float | None = None):
         lo = self.get_float(f"{prefix}_min")
         hi = self.get_float(f"{prefix}_max")
-        steps = self.get_int(f"{prefix}_steps")
+        steps = self.get_int(f"{prefix}_steps", cap=STEPS_CAP)
         if steps < 1:
             raise ConfigInvalidError(f"{prefix}_steps must be >= 1, got {steps}")
         if hi < lo:
@@ -291,7 +298,27 @@ normalization_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """A click group whose usage errors (a missing option, a bad choice, an
+    unknown command) exit 1 with one line, like any other invalid input,
+    instead of click's usage block and exit 2."""
+
+    def parse_args(self, ctx, args):
+        return _usage_checked(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _usage_checked(super().invoke, ctx)
+
+
+def _usage_checked(call, *args):
+    try:
+        return call(*args)
+    except click.UsageError as exc:
+        click.echo(f"error: {exc.format_message()}", err=True)
+        sys.exit(1)
+
+
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Resonance poles of arbitrary order: decay curves, lineshapes,
     pole terms, Jordan-block structure and exact uniqueness certificates."""
@@ -329,12 +356,14 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     dyads = [(f"dyad{k}", dyad_operator(space, k, exact=True)) for k in range(r)]
 
     def norm_columns(name, op, scale=1.0):
-        # exact coefficients of N(t) over 4**k, which puts N(0) near 1: a power of
-        # two rounds alike, and a norm that underflows keeps its deviation
-        exact = evolved_norm_squared(op)
-        k = (exact[0].numerator.bit_length() - exact[0].denominator.bit_length()) // 2
+        # exact coefficients of N(t) over 4**k, k from N(0) in lowest terms, which
+        # puts N(0) near 1: a power of two rounds alike, and a norm that
+        # underflows keeps its deviation
+        coeffs, den = evolved_norm_squared(op)
+        common = math.gcd(coeffs[0], den)
+        k = ((coeffs[0] // common).bit_length() - (den // common).bit_length()) // 2
         up, down = max(-2 * k, 0), max(2 * k, 0)
-        c0, *tail = [(c.numerator << up) / (c.denominator << down) for c in exact]
+        c0, *tail = [(c << up) / (den << down) for c in coeffs]
         u0 = math.sqrt(c0)
         norms, deviation = [], []
         for t in [0.0, *grid]:
@@ -393,8 +422,8 @@ def lineshape_cmd(config_path, out_path, fmt_name):
 def pole_term_cmd(config_path, out_path):
     """Pole term of the configured pairing plus its decay-ratio table.
 
-    Everything is read off one exact polynomial Q built once (pole_jet):
-    the pole term is 2 pi exp(2i gamma(z)) Q(0) and each ratio is
+    Everything is read off one jet built once (pole_jet): the expansion
+    coefficients, the pole term 2 pi exp(2i gamma(z)) Q(0), and each ratio
     exp(-Gamma t) |Q(t) / Q(0)|**2, with the quotient exact at the float t.
     """
     cfg = load_config(config_path)
@@ -404,7 +433,6 @@ def pole_term_cmd(config_path, out_path):
 
     jet = pole_jet(pair, model)
     value = jet.amplitude()
-    coeffs = expansion_coeffs(pair.phi, model)
     if jet.vanishes:
         raise ConfigInvalidError("pole term vanishes at t = 0; ratio table undefined")
     p0 = jet.probability(0.0)
@@ -419,7 +447,7 @@ def pole_term_cmd(config_path, out_path):
         )
     payload = {
         "pole_term": _cplx(value),
-        "expansion_coeffs": [_cplx(b) for b in coeffs],
+        "expansion_coeffs": [_cplx(b) for b in jet.expansion_coeffs],
         "probability_at_zero": p0,
         "ratio_table": table,
     }
@@ -434,11 +462,9 @@ def uniqueness_cmd(config_path, out_path):
     """Exact certificate that only the binomial anti-diagonal family
     decays purely exponentially; exit code 3 if certification fails."""
     cfg = load_config(config_path)
-    j = cfg.get_int("j")
+    j = cfg.get_int("j", cap=J_CAP)
     if j < 0:
         raise ConfigInvalidError(f"j must be nonnegative, got {j}")
-    if j > J_CAP:
-        raise JTooLargeError(f"j = {j} exceeds the certification cap {J_CAP}")
     report = certify(j)
     _emit(out_path, _json_text(report))
     if not report["certified"]:

@@ -25,9 +25,5 @@ class ConfigInvalidError(ValueError):
     """Run configuration failed validation."""
 
 
-class JTooLargeError(ValueError):
-    """Requested certification order exceeds the configured cap."""
-
-
 class UnderflowError(ArithmeticError):
     """A reference value underflowed to zero and cannot scale a result."""

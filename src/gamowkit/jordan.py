@@ -13,8 +13,7 @@ samples T(t) in complex floats.  conjugation_polys is the one exact
 expansion of the conjugation T(t) A T(t)^dagger: integer coefficients of
 every power of t in every dyad, over one common denominator.  Every
 evolved quantity of the package (symbolic evolution, evolved norms, decay
-deviations, detector probabilities, the uniqueness oracle) is read off
-it.
+deviations, the uniqueness oracle) is read off it.
 
 conjugation_polys reads an operator as its sparse nonzero entries
 {(k, l): value}, the form in which states holds every state operator.
@@ -35,7 +34,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import _lift, _turn, binom
 from .errors import NegativeTimeError
@@ -100,20 +98,7 @@ class OperatorOnM:
         """Frobenius norm of the entries (numeric and exact entries only)."""
         import numpy as np
 
-        return float(np.linalg.norm(as_complex_matrix(self.matrix)))
-
-
-def as_complex_matrix(matrix: numpy.ndarray) -> numpy.ndarray:
-    """Complex view of a numeric or GaussianRational-valued matrix."""
-    import numpy as np
-
-    mat = np.asarray(matrix)
-    if mat.dtype != object:
-        return mat.astype(complex)
-    out = np.empty(mat.shape, dtype=complex)
-    for idx in np.ndindex(mat.shape):
-        out[idx] = complex(mat[idx])
-    return out
+        return float(np.linalg.norm(self.matrix.astype(complex)))
 
 
 def _subdiagonal_weight(space: GamowSubspace, k: int):
@@ -166,11 +151,14 @@ def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     return OperatorOnM(space, np.linalg.matrix_power(nil, min(k, r)))
 
 
-def _ket_weight_exact(normalization: str, k: int, p: int) -> Fraction:
-    # weight of |p> in the evolved |k>, without the i-powers
+def _ket_weights(normalization: str, top: int) -> tuple:
+    """(weights, lift) with weights[k][p] / lift = w(k, p) for k <= top: the
+    ints binom(k, p) over 1, or top! / (k-p)! over top!."""
     if normalization == "derivative":
-        return Fraction(binom(k, p))
-    return Fraction(1, math.factorial(k - p))
+        return [[binom(k, p) for p in range(k + 1)] for k in range(top + 1)], 1
+    lift = math.factorial(top)
+    scaled = [lift // math.factorial(d) for d in range(top + 1)]
+    return [[scaled[k - p] for p in range(k + 1)] for k in range(top + 1)], lift
 
 
 def evolution_matrix(space: GamowSubspace, t: float) -> OperatorOnM:
@@ -189,11 +177,11 @@ def evolution_matrix(space: GamowSubspace, t: float) -> OperatorOnM:
     if not cmath.isfinite(exponent):
         raise OverflowError(f"the phase exponent -i z t leaves the float range at t = {t!r}")
     phase = np.exp(exponent)
+    weights, lift = _ket_weights(space.normalization, r - 1)
     mat = np.zeros((r, r), dtype=complex)
     for k in range(r):
         for p in range(k + 1):
-            weight = float(_ket_weight_exact(space.normalization, k, p))
-            mat[p, k] = weight * (-1j * t) ** (k - p)
+            mat[p, k] = weights[k][p] / lift * (-1j * t) ** (k - p)
     return OperatorOnM(space, phase * mat)
 
 
@@ -217,10 +205,7 @@ def conjugation_polys(normalization: str, entries: dict):
     itself.
     """
     top = max((max(kl) for kl in entries), default=0)
-    weights = [[_ket_weight_exact(normalization, k, p) for p in range(k + 1)] for k in range(top + 1)]
-    # the weights over their common denominator: 1, or top! for the 1/(k-p)!
-    lift = math.factorial(top) if normalization == "factorial" else 1
-    weights = [[int(w * lift) for w in row] for row in weights]
+    weights, lift = _ket_weights(normalization, top)
     values, scale = _lift([(v.re, v.im) for v in entries.values()])
     sums = {}
     for (k, l), value in zip(entries, values):

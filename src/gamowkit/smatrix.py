@@ -13,8 +13,10 @@ and the time shift exp(-i w t)), so the derivatives are exact Taylor
 jets: Gaussian integers over a common denominator, with every input
 float entering at its exact value.  The pole term of the pairing with
 the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
-for one exact polynomial Q of degree < r (pole_jet).  The Gaussian-integer
-kernels and the exponentials of exact arguments are algebra's.
+for one exact polynomial Q of degree < r (pole_jet), which pairs the
+observable leg with the expansion coefficients b_k of the state leg, as
+in pole_term = sum_k b_k psi^(k)(z).  The Gaussian-integer kernels and
+the exponentials of exact arguments are algebra's.
 analytic_derivatives (contour quadrature) remains as a general tool; no
 pole term uses it.
 """
@@ -350,12 +352,14 @@ class PoleJet:
     coefficient of t**m, as a Gaussian integer (re, im).  phase is
     exp(2i gamma(z)) in floats (1 without the gauge).  Q is evaluated
     exactly at the float t (algebra._exact_at) and rounded once.
+    expansion_coeffs are the b_k that Q pairs with the observable leg.
     """
 
     width: float
     phase: complex
     coeffs: tuple
     denominator: int
+    expansion_coeffs: tuple
 
     @property
     def vanishes(self) -> bool:
@@ -400,27 +404,37 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     """The exact polynomial of the pole term, built once from the Taylor
     jets of both legs at the pole.
 
-    With x the jet of the product of the legs (the observable leg times
-    exp(2i (gamma(w) - gamma(z))) when the gauge is absorbed) and the
-    shift exp(-i w t) = exp(-i z t) sum_m (-i t)**m / m! (w - z)**m, the
-    pole sum of pole_term becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
-    with Q(t) = -sum_m c_m (-i t)**m and c = _contract(x).
+    The state leg enters once, as b = _contract(jet of phi): -2 pi b are
+    the expansion_coeffs.  With L the jet of the observable leg (times
+    exp(2i (gamma(w) - gamma(z))) when the gauge is absorbed) and the shift
+    exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pole sum
+    of pole_term becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
+    Q_m = -(-i)**m sum_{k>=m} (k! / m!) b_k L[k-m].
     """
     pole = model.pole
+    r = pole.r
     z = _pole_position(pole)
-    legs = _jet_mul(_rational_jet(pair.psi, z, pole.r), _rational_jet(pair.phi, z, pole.r), pole.r)
+    b, b_den = _contract(_rational_jet(pair.phi, z, r), pole)
+    leg, leg_den = _rational_jet(pair.psi, z, r)
     phase = 1 + 0j
     if model.absorb_gauge:
-        (g_re, g_im), shift = _phase_jet(model.gamma, z, pole.r)
-        legs = _jet_mul(legs, shift, pole.r)
+        (g_re, g_im), shift = _phase_jet(model.gamma, z, r)
+        leg, leg_den = _jet_mul((leg, leg_den), shift, r)
         # 2i gamma(z) = -2 Im gamma(z) + 2i Re gamma(z)
         phase = _exp_exact(-2 * g_im, 2 * g_re)
-    c, den = _contract(legs, pole)
-    coeffs = [_turn((-re, -im), 3 * m) for m, (re, im) in enumerate(c)]
-    common = math.gcd(den, *(x for pair in coeffs for x in pair))
-    return PoleJet(
-        pole.Gamma, phase, tuple((re // common, im // common) for re, im in coeffs), den // common
-    )
+    coeffs = []
+    for m in range(r):
+        re = im = 0
+        for k in range(m, r):
+            x, y = _gmul(b[k], leg[k - m])
+            scale = math.perm(k, k - m)  # k! / m!
+            re += scale * x
+            im += scale * y
+        coeffs.append(_turn((-re, -im), 3 * m))
+    den = b_den * leg_den
+    common = math.gcd(den, *(x for c in coeffs for x in c))
+    reduced = tuple((re // common, im // common) for re, im in coeffs)
+    return PoleJet(pole.Gamma, phase, reduced, den // common, tuple(_expansion_floats(b, b_den)))
 
 
 def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
@@ -448,7 +462,11 @@ def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> list:
     _contract of the exact jet of phi, rounded once per part.
     """
     pole = model.pole
-    coeffs, den = _contract(_rational_jet(phi, _pole_position(pole), pole.r), pole)
+    return _expansion_floats(*_contract(_rational_jet(phi, _pole_position(pole), pole.r), pole))
+
+
+def _expansion_floats(coeffs, den) -> list:
+    """-2 pi times a contraction, Gaussian integers over den, rounded once per part."""
     return [-2.0 * math.pi * complex(re / den, im / den) for re, im in coeffs]
 
 

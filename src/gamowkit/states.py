@@ -23,10 +23,10 @@ invariant under that scale.
 Evolution runs one path for both carriers: float entries enter at their
 exact binary value, jordan.conjugation_polys expands the conjugation
 exactly, and floats appear only when a quantity is evaluated at a time.
-evolve_operator_symbolic, evolved_norm_squared, decay_deviation and
-detector_probability are four readings of that one expansion.  The
-arithmetic they share is algebra's: the quarter turns of the i-powers,
-float Horner, exact evaluation at a float time and exp(-Gamma t).
+evolve_operator_symbolic, evolved_norm_squared and decay_deviation are
+three readings of that one expansion.  The arithmetic they share is
+algebra's: the quarter turns of the i-powers, float Horner and
+exp(-Gamma t).
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GaussianRational, _exact_at, _exp_decay, _exp_poly_rows, _gmul, _horner, _turn
-from .algebra import binom
+from .algebra import GaussianRational, _exp_decay, _exp_poly_rows, _horner, _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, OperatorOnM, conjugation_polys
-from .smatrix import SMatrixModel, TestFunction, _pole_position, _rational_jet, pole_jet
+from .smatrix import SMatrixModel, pole_jet
 
 __all__ = [
     "StateOperator",
@@ -51,7 +50,6 @@ __all__ = [
     "evolved_norm_squared",
     "decay_deviation",
     "pole_term_probability",
-    "detector_probability",
 ]
 
 
@@ -182,7 +180,8 @@ def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
 
 
 def evolved_norm_squared(W: StateOperator) -> tuple:
-    """Exact coefficients of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2, lowest first.
+    """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2: the
+    coefficient of t**d is the int coeffs[d] over the int denominator.
 
     T~(t) is the evolution matrix without its phase; the phases of the two
     sides combine to exp(-Gamma t), so the evolved Frobenius norm is
@@ -191,7 +190,7 @@ def evolved_norm_squared(W: StateOperator) -> tuple:
     constant ||A||_F**2.
     """
     polys, denominator = _conjugation(W)
-    return tuple(Fraction(c, denominator**2) for c in _sum_of_squares(polys))
+    return _sum_of_squares(polys), denominator**2
 
 
 def decay_deviation(W: StateOperator, t_grid) -> float:
@@ -202,7 +201,7 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     conjugation polynomials, so the ratio is exp(-Gamma t) sqrt(D(t)) with
     D(t) the exact squared norm of those terms over ||W||_F**2, evaluated
     by Horner in floats.  A family member whose tail cancels gets exactly
-    0.0.
+    0.0.  Raises OverflowError where D(t) leaves the float range.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -217,8 +216,11 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     width = W.space.pole.Gamma
     worst = 0.0
     for t in grid:
+        value = _horner(tail, t)
+        if not math.isfinite(value):
+            raise OverflowError(f"the deviation leaves the float range at t = {t!r}")
         # D(t) >= 0; a negative value is rounding in the evaluation
-        worst = max(worst, _exp_decay(width, t) * math.sqrt(max(_horner(tail, t), 0.0)))
+        worst = max(worst, _exp_decay(width, t) * math.sqrt(max(value, 0.0)))
     return worst
 
 
@@ -236,42 +238,3 @@ def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
     return pole_jet(pair, model).probability(t)
 
-
-def detector_probability(
-    W: StateOperator, psi: TestFunction, model: SMatrixModel, t: float
-) -> float:
-    """<psi(t)| W |psi(t)> with the k-th dyad leg paired to the time-translated
-    observable on the k-th basis vector at the pole.
-
-    At t = 0 that pairing is d_k = psi^(k)(z) in the derivative basis and
-    the Taylor coefficient psi^(k)(z) / k! in the factorial basis, from
-    the exact Taylor jet of psi at z.  Translating the observable by t
-    evolves the legs with the semigroup, so the value is exp(-Gamma t)
-    times sum_{p,q} d_p conj(d_q) P_pq(t), with P the conjugation
-    polynomials of W: a polynomial in t that is evaluated exactly at the
-    float t and rounded once.  For a family member W(n) in either basis
-    its t-terms cancel, and the value is exactly exp(-Gamma t) times the
-    t = 0 value.  The background phase plays no role here.  Values are
-    unnormalized: scale W (or psi) to set the t = 0 value.
-    """
-    if t < 0:
-        raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
-    pole = model.pole
-    space = W.space
-    if space.pole != pole:
-        raise ValueError("state operator and model refer to different poles")
-    legs, den = _rational_jet(psi, _pole_position(pole), space.dimension)
-    if space.normalization == "derivative":
-        legs = [(math.factorial(p) * re, math.factorial(p) * im) for p, (re, im) in enumerate(legs)]
-    polys, denominator = _conjugation(W)
-    top = max((d for poly in polys.values() for d in poly), default=0)
-    # the real polynomial sum_{p,q} Re((x + i y) P_pq), x + i y = d_p conj(d_q)
-    total = [[0, 0] for _ in range(top + 1)]
-    for (p, q), poly in polys.items():
-        q_re, q_im = legs[q]
-        x, y = _gmul(legs[p], (q_re, -q_im))
-        for d, (re, im) in poly.items():
-            total[d][0] += x * re - y * im
-    value, _, scale = _exact_at(total, t)
-    value = Fraction(value, den * den * denominator * scale)
-    return _exp_decay(pole.Gamma, float(t)) * float(value)

@@ -22,7 +22,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowkit.cli import J_CAP, RunConfig, main, parse_config_text
+from gamowkit.cli import J_CAP, R_CAP, STEPS_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import ConfigInvalidError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -207,6 +207,40 @@ class TestExitCodes:
         result = runner.invoke(main, ["uniqueness", "--config", str(conf)])
         assert result.exit_code == 1
         assert "cap" in result.output
+
+    def test_r_above_cap_rejected(self, runner, tmp_path):
+        conf = tmp_path / "big.conf"
+        conf.write_text(DECAY_CONF.replace("r = 2", f"r = {R_CAP + 1}"))
+        for command in ("decay-curve", "jordan-info", "lineshape", "pole-term"):
+            result = runner.invoke(main, [command, "--config", str(conf)])
+            assert result.exit_code == 1
+            assert result.stderr == f"error: r = {R_CAP + 1} exceeds the cap {R_CAP}\n"
+
+    def test_steps_above_cap_rejected(self, runner, tmp_path):
+        conf = tmp_path / "big.conf"
+        conf.write_text(DECAY_CONF.replace("t_steps = 5", f"t_steps = {STEPS_CAP + 1}"))
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 1
+        assert result.stderr == f"error: t_steps = {STEPS_CAP + 1} exceeds the cap {STEPS_CAP}\n"
+
+    @pytest.mark.parametrize(
+        "args,text",
+        [
+            (["decay-curve"], "Missing option '--config'"),
+            (["decay-curve", "--config", "x.conf", "--format", "xml"], "'xml' is not one of"),
+            (["no-such-command"], "No such command 'no-such-command'"),
+            (["--no-such-option"], "No such option '--no-such-option'"),
+            ([], "Missing command"),
+        ],
+    )
+    def test_usage_error_exits_one_with_one_line(self, runner, args, text):
+        # exit 2 is kept for overflow; click's usage block would take three lines
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("error: ")
+        assert text in result.stderr
 
     def test_overflow_maps_to_two(self, runner, tmp_path):
         # ||W||**2 ~ Gamma**30 leaves the float range at r = 16

@@ -27,6 +27,7 @@ from gamowkit.smatrix import (
     expansion_coeffs,
     lineshape,
     pole_expansion_coeffs,
+    pole_jet,
     pole_term,
     s_matrix_eval,
 )
@@ -270,7 +271,7 @@ class TestPoleJetRatio:
     @example(coeffs=[(1, 0), (3, 0)], t=2.0**400, reference=5e-324)
     @example(coeffs=[(1, 0), (1, 1)], t=2.0**600, reference=2.0**-800)  # quotient overflows
     def test_ratio_rounds_as_the_unscaled_product(self, coeffs, t, reference):
-        jet = PoleJet(1.0, 1 + 0j, tuple(coeffs), 7)
+        jet = PoleJet(1.0, 1 + 0j, tuple(coeffs), 7, ())
         # |Q(t)/Q(0)|**2 exactly, at the exact value of the float t
         x = Fraction(t)
         re = sum(c_re * x**d for d, (c_re, _) in enumerate(coeffs))
@@ -295,6 +296,74 @@ class TestPoleJetRatio:
         else:
             # below the normal range: at most one subnormal step off, 0 included
             assert abs(Fraction(got) - exact) <= 2 * Fraction(5e-324)
+
+
+class TestPoleJetExact:
+    """pole_jet against a sympy series of the translated pairing.
+
+    With u = w - z, the pole sum of the pairing with the observable
+    exp(-i w t) psi(w) (times exp(2i gamma(w)) when the gauge is absorbed)
+    is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
+
+        Q(t) = -i sum_n binom(r, n+1) (-i Gamma)**(n+1) [u**n] F(u),
+        F(u) = exp(-i u t) psi(z+u) phi(z+u) exp(2i (gamma(z+u) - gamma(z))),
+
+    the last factor only with the gauge.  The Taylor coefficients of each
+    factor are sympy derivatives at u = 0, and every float enters sympy at
+    its exact binary value, so the comparison is exact.
+    """
+
+    PSI = ((1.0, 1, 1.0), (2.0, 2, 0.5j))
+    PHI = ((1.5, 1, 1.0), (0.7, 3, 0.25 - 0.5j))
+
+    @pytest.mark.parametrize("gauge", [True, False])
+    @pytest.mark.parametrize("gamma", [(0.4,), (0.1, 0.02, -0.03)])
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_coefficients_match_sympy_series(self, r, gamma, gauge):
+        sympy = pytest.importorskip("sympy")
+        I = sympy.I
+
+        def exact(x):
+            return sympy.Rational(*x.real.as_integer_ratio()) + I * sympy.Rational(
+                *x.imag.as_integer_ratio()
+            )
+
+        pole = ResonancePole(2.0, 0.9137, r)
+        kind = "constant" if len(gamma) == 1 else "polynomial"
+        model = SMatrixModel(pole, BackgroundPhase(kind, gamma), absorb_gauge=gauge)
+        jet = pole_jet(TestFunctionPair.from_params(self.PSI, self.PHI), model)
+
+        u, t = sympy.symbols("u t")
+        z = exact(complex(pole.z_R))
+        width = exact(complex(pole.Gamma))
+
+        def leg(terms):
+            return sum(exact(c) / (z + u - I * exact(complex(a))) ** m for a, m, c in terms)
+
+        def phase(w):
+            return sum(exact(complex(p)) * w**i for i, p in enumerate(gamma))
+
+        def taylor(f):
+            # [u**n] f for n < r, from sympy derivatives at u = 0
+            out = []
+            for n in range(r):
+                out.append(sympy.expand(f.subs(u, 0)) / math.factorial(n))
+                f = sympy.diff(f, u)
+            return out
+
+        factors = [sympy.exp(-I * u * t), leg(self.PSI), leg(self.PHI)]
+        if gauge:
+            factors.append(sympy.exp(2 * I * (phase(z + u) - phase(z))))
+        F = [sympy.Integer(1)] + [sympy.Integer(0)] * (r - 1)
+        for coeffs in map(taylor, factors):
+            F = [sympy.expand(sum(F[j] * coeffs[n - j] for j in range(n + 1))) for n in range(r)]
+        Q = sympy.expand(
+            -I * sum(math.comb(r, n + 1) * (-I * width) ** (n + 1) * F[n] for n in range(r))
+        )
+        assert len(jet.coeffs) == r
+        for m, (re, im) in enumerate(jet.coeffs):
+            got = sympy.Rational(re, jet.denominator) + I * sympy.Rational(im, jet.denominator)
+            assert sympy.expand(Q.coeff(t, m) - got) == 0
 
 
 class TestExpansionCoeffs:
