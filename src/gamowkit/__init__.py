@@ -37,7 +37,6 @@ from .smatrix import (
     TestFunction,
     TestFunctionPair,
     analytic_derivatives,
-    expansion_coeffs,
     lineshape,
     pole_expansion_coeffs,
     pole_jet,

@@ -7,10 +7,11 @@ evolved quantity is exp(rate*t) * p(t) with p a polynomial, so that
 shape gets its own type.  Only what the package reads is kept:
 construction, comparison, sums and products of scalars, and evaluation.
 
-The kernels that compute them run on Gaussian integers (re, im) over one
-common denominator, build those objects only at the end, and are defined
-here once for every module: _lift, _gmul, _turn, _exact_at, _horner,
-_exp_decay, _exp_exact and _exp_poly_rows.
+The kernels run on Gaussian integers (re, im) over one common
+denominator, and their readers take those integers as they come: only
+the symbolic evolution of states builds the objects above from them.
+Each kernel is defined here once for every module: _lift, _gmul, _turn,
+_exact_at, _horner, _exp_decay and _exp_exact.
 """
 
 from __future__ import annotations
@@ -237,19 +238,3 @@ class ExpPolynomial:
     def __repr__(self):
         return f"ExpPolynomial({self.rate!r}, {self.poly!r})"
 
-
-def _exp_poly_rows(polys: dict, denominator: int, rate, size: int) -> list:
-    """jordan.conjugation_polys output as size x size nested lists of
-    ExpPolynomial(rate, p) with Gaussian-rational coefficients."""
-    zero = GaussianRational(0)
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            poly = polys.get((i, j), {})
-            coeffs = [zero] * (max(poly, default=-1) + 1)
-            for d, (re, im) in poly.items():
-                coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
-            row.append(ExpPolynomial(rate, Polynomial(coeffs)))
-        rows.append(row)
-    return rows

@@ -13,7 +13,6 @@ underflow, 3 certification failure.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import sys
@@ -52,9 +51,12 @@ from .uniqueness import certify
 # 1 s, the cost grows fast beyond it, and the statement is order-uniform.
 # At r = 32, decay-curve and jordan-info take about 0.2 s on 5 points, and
 # decay-curve grows like r**4.5; on 5000 points decay-curve takes about
-# 1 s and pole-term about 3 s.
+# 1 s and pole-term about 3 s.  A test-function pole order m, like r,
+# sets the size of the exact jets: pole-term with three terms at m = 32
+# takes about 5 s at r = 32 on 5000 points, and the cost keeps growing.
 J_CAP = 32
 R_CAP = 32
+M_CAP = 32
 STEPS_CAP = 5000
 
 
@@ -135,12 +137,9 @@ class RunConfig:
         return value
 
     def pole(self) -> ResonancePole:
-        try:
-            return ResonancePole(
-                self.get_float("E_R"), self.get_float("Gamma"), self.get_int("r", cap=R_CAP)
-            )
-        except ValueError as exc:
-            raise ConfigInvalidError(str(exc))
+        return ResonancePole(
+            self.get_float("E_R"), self.get_float("Gamma"), self.get_int("r", cap=R_CAP)
+        )
 
     def phase(self) -> BackgroundPhase:
         values = self.raw.get("gamma", [])
@@ -170,18 +169,17 @@ class RunConfig:
                 m = int(parts[1])
             except ValueError:
                 raise ConfigInvalidError(f"key {key!r}: malformed term {chunk!r}")
+            if m > M_CAP:
+                raise ConfigInvalidError(f"{key} pole order m = {m} exceeds the cap {M_CAP}")
             out.append((a, m, complex(c_re, c_im)))
         if not out:
             raise ConfigInvalidError(f"missing required key {key!r}")
         return out
 
     def pair(self) -> TestFunctionPair:
-        try:
-            return TestFunctionPair.from_params(
-                self.test_function_terms("psi"), self.test_function_terms("phi")
-            )
-        except ValueError as exc:
-            raise ConfigInvalidError(str(exc))
+        return TestFunctionPair.from_params(
+            self.test_function_terms("psi"), self.test_function_terms("phi")
+        )
 
     def grid(self, prefix: str, minimum_allowed: float | None = None):
         lo = self.get_float(f"{prefix}_min")
@@ -265,22 +263,6 @@ def _table_text(header, rows, fmt_name: str) -> str:
     return _json_text(payload)
 
 
-def _guarded(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (OverflowError, UnderflowError) as exc:
-            kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
-            click.echo(f"error: numerical {kind}: {exc}", err=True)
-            sys.exit(2)
-        except (ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
 config_option = click.option(
     "--config", "config_path", required=True, type=click.Path(), help="Run configuration file."
 )
@@ -299,23 +281,31 @@ normalization_option = click.option(
 
 
 class _Group(click.Group):
-    """A click group whose usage errors (a missing option, a bad choice, an
-    unknown command) exit 1 with one line, like any other invalid input,
-    instead of click's usage block and exit 2."""
+    """A click group that ends every error with a one-line message and its
+    exit code, in one place: a usage error (a missing option, a bad choice,
+    an unknown command) exits 1 like any other invalid input (ValueError)
+    or OSError, instead of click's usage block and exit 2; overflow and
+    underflow exit 2."""
 
     def parse_args(self, ctx, args):
-        return _usage_checked(super().parse_args, ctx, args)
+        return _checked(super().parse_args, ctx, args)
 
     def invoke(self, ctx):
-        return _usage_checked(super().invoke, ctx)
+        return _checked(super().invoke, ctx)
 
 
-def _usage_checked(call, *args):
+def _checked(call, *args):
     try:
         return call(*args)
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        sys.exit(1)
+        message, code = exc.format_message(), 1
+    except (OverflowError, UnderflowError) as exc:
+        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+        message, code = f"numerical {kind}: {exc}", 2
+    except (ValueError, OSError) as exc:
+        message, code = str(exc), 1
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
 
 
 @click.group(cls=_Group, no_args_is_help=False)
@@ -335,7 +325,6 @@ def _space_from(cfg: RunConfig, normalization: str | None) -> GamowSubspace:
 @format_option
 @normalization_option
 @click.option("--exact", is_flag=True, help="Leave the 2 pi Gamma scale off the wsum columns.")
-@_guarded
 def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     """Norm of every evolved operator against the pure exponential law.
 
@@ -400,7 +389,6 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
 @config_option
 @out_option
 @format_option
-@_guarded
 def lineshape_cmd(config_path, out_path, fmt_name):
     """Energy-domain intensity of each pole order, peak scaled to 1."""
     cfg = load_config(config_path)
@@ -418,7 +406,6 @@ def lineshape_cmd(config_path, out_path, fmt_name):
 @main.command("pole-term")
 @config_option
 @out_option
-@_guarded
 def pole_term_cmd(config_path, out_path):
     """Pole term of the configured pairing plus its decay-ratio table.
 
@@ -457,7 +444,6 @@ def pole_term_cmd(config_path, out_path):
 @main.command("uniqueness")
 @config_option
 @out_option
-@_guarded
 def uniqueness_cmd(config_path, out_path):
     """Exact certificate that only the binomial anti-diagonal family
     decays purely exponentially; exit code 3 if certification fails."""
@@ -476,7 +462,6 @@ def uniqueness_cmd(config_path, out_path):
 @config_option
 @out_option
 @normalization_option
-@_guarded
 def jordan_info_cmd(config_path, out_path, normalization):
     """Jordan-block structure report: Hamiltonian layouts, nilpotent
     ranks, and the evolution matrix sampled at t = 1/Gamma."""

@@ -34,8 +34,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import _lift, _turn, binom
+from .algebra import GaussianRational, _lift, _turn, binom
 from .errors import NegativeTimeError
 from .smatrix import ResonancePole
 
@@ -95,15 +96,22 @@ class OperatorOnM:
         object.__setattr__(self, "matrix", mat)
 
     def norm(self) -> float:
-        """Frobenius norm of the entries (numeric and exact entries only)."""
-        import numpy as np
-
-        return float(np.linalg.norm(self.matrix.astype(complex)))
-
-
-def _subdiagonal_weight(space: GamowSubspace, k: int):
-    # weight multiplying |k-1> in H|k>
-    return k if space.normalization == "derivative" else 1
+        """Frobenius norm of the entries (finite numeric and exact entries
+        only), correctly rounded: the sum of squares is exact, and its root
+        is taken in integers and rounded once."""
+        parts = [
+            (x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x.real), Fraction(x.imag))
+            for x in self.matrix.flat
+            if x
+        ]
+        values, den = _lift(parts)
+        total = sum(re * re + im * im for re, im in values)
+        # the root of total / den**2 in integers to at least 60 bits, with a
+        # sticky last bit where inexact, rounds to float as the exact root
+        shift = max(0, 120 - total.bit_length() + 2 * den.bit_length()) // 2 + 1
+        scaled, rest = divmod(total << (2 * shift), den * den)
+        root = math.isqrt(scaled)
+        return math.ldexp(root | (rest != 0 or root * root != scaled), -shift)
 
 
 def hamiltonian_matrix(space: GamowSubspace) -> OperatorOnM:
@@ -120,7 +128,7 @@ def hamiltonian_matrix(space: GamowSubspace) -> OperatorOnM:
     for k in range(r):
         mat[k][k] = z
         if k > 0:
-            mat[k][k - 1] = _subdiagonal_weight(space, k)
+            mat[k][k - 1] = k if space.normalization == "derivative" else 1
     return OperatorOnM(space, mat)
 
 
@@ -133,22 +141,21 @@ def hamiltonian_action_matrix(space: GamowSubspace) -> OperatorOnM:
 def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     """(H - z)**k in the ket-coordinate layout.
 
-    The entries stay small integers, so the floating products are exact:
-    the k-th power kills |0>..|k-1> exactly, has rank r - k for k <= r,
-    and is the exact zero matrix from k = r on.
+    (H - z)|m> = w_m |m-1> with no float z to cancel, so the k-th power
+    sends |m> to w_m w_(m-1) ... w_(m-k+1) |m-k>: its k-th superdiagonal
+    holds the integer perm(m, k) (derivative) or 1 (factorial), rounded
+    once to float, and every other entry is 0.  It kills |0>..|k-1>, has
+    rank r - k for k <= r, and is the exact zero matrix from k = r on.
     """
     import numpy as np
 
     if k < 0:
         raise ValueError("power must be nonnegative")
     r = space.dimension
-    # H|k> - z|k> = w_k |k-1>, with no float z to cancel
     nil = np.zeros((r, r))
-    for m in range(1, r):
-        nil[m - 1, m] = _subdiagonal_weight(space, m)
-    # nil**r is already exactly zero, so capping the exponent changes nothing
-    # but keeps huge powers cheap.
-    return OperatorOnM(space, np.linalg.matrix_power(nil, min(k, r)))
+    for m in range(k, r):
+        nil[m - k, m] = float(math.perm(m, k) if space.normalization == "derivative" else 1)
+    return OperatorOnM(space, nil)
 
 
 def _ket_weights(normalization: str, top: int) -> tuple:

@@ -43,7 +43,6 @@ __all__ = [
     "PoleJet",
     "pole_jet",
     "pole_term",
-    "expansion_coeffs",
     "lineshape",
 ]
 
@@ -250,11 +249,6 @@ def _jet_mul(a, b, order: int) -> tuple:
     return out, da * db
 
 
-def _pole_position(pole: ResonancePole) -> tuple:
-    """z = E_R - i Gamma / 2 as exact rationals (re, im)."""
-    return Fraction(pole.E_R), Fraction(pole.Gamma) / -2
-
-
 def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
     """Taylor coefficients at z of sum c / (w - i a)**m, from the closed form
     c (-1)**k binom(m+k-1, k) (z - i a)**(-m-k)."""
@@ -352,7 +346,14 @@ class PoleJet:
     coefficient of t**m, as a Gaussian integer (re, im).  phase is
     exp(2i gamma(z)) in floats (1 without the gauge).  Q is evaluated
     exactly at the float t (algebra._exact_at) and rounded once.
-    expansion_coeffs are the b_k that Q pairs with the observable leg.
+
+    expansion_coeffs are the b_k that Q pairs with the observable leg,
+
+        b_k = (-2 pi Gamma) sum_{n=k}^{r-1} binom(r, n+1) binom(n, k)
+              ((-i Gamma)**n / n!) phi^(n-k)(z),
+
+    so that pole_term == sum_k b_k psi^(k)(z) with the same gauge
+    placement; each part is rounded once from its exact value.
     """
 
     width: float
@@ -404,16 +405,18 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     """The exact polynomial of the pole term, built once from the Taylor
     jets of both legs at the pole.
 
-    The state leg enters once, as b = _contract(jet of phi): -2 pi b are
-    the expansion_coeffs.  With L the jet of the observable leg (times
-    exp(2i (gamma(w) - gamma(z))) when the gauge is absorbed) and the shift
+    The state leg enters once, as b = _contract(jet of phi), and -2 pi b
+    rounded once per part are the expansion_coeffs.  With L the jet of the
+    observable leg (times exp(2i (gamma(w) - gamma(z))) when the gauge is
+    absorbed) and the shift
     exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pole sum
     of pole_term becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
     Q_m = -(-i)**m sum_{k>=m} (k! / m!) b_k L[k-m].
     """
     pole = model.pole
     r = pole.r
-    z = _pole_position(pole)
+    # z = E_R - i Gamma / 2 as exact rationals (re, im)
+    z = Fraction(pole.E_R), Fraction(pole.Gamma) / -2
     b, b_den = _contract(_rational_jet(pair.phi, z, r), pole)
     leg, leg_den = _rational_jet(pair.psi, z, r)
     phase = 1 + 0j
@@ -434,7 +437,8 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     den = b_den * leg_den
     common = math.gcd(den, *(x for c in coeffs for x in c))
     reduced = tuple((re // common, im // common) for re, im in coeffs)
-    return PoleJet(pole.Gamma, phase, reduced, den // common, tuple(_expansion_floats(b, b_den)))
+    expansion = tuple(-2.0 * math.pi * complex(re / b_den, im / b_den) for re, im in b)
+    return PoleJet(pole.Gamma, phase, reduced, den // common, expansion)
 
 
 def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
@@ -449,25 +453,6 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
     derivatives are exact Taylor coefficients (see pole_jet).
     """
     return pole_jet(pair, model).amplitude()
-
-
-def expansion_coeffs(phi: TestFunction, model: SMatrixModel) -> list:
-    """Coefficients b_k multiplying the k-th observable-leg derivative.
-
-    b_k = (-2 pi Gamma) * sum_{n=k}^{r-1} binom(r, n+1) binom(n, k)
-          ((-i Gamma)**n / n!) phi^(n-k)(z)
-
-    so that pole_term == sum_k b_k psi^(k)(z) with the same gauge placement.
-    In Taylor coefficients phi_j = phi^(j)(z) / j! this is -2 pi times
-    _contract of the exact jet of phi, rounded once per part.
-    """
-    pole = model.pole
-    return _expansion_floats(*_contract(_rational_jet(phi, _pole_position(pole), pole.r), pole))
-
-
-def _expansion_floats(coeffs, den) -> list:
-    """-2 pi times a contraction, Gaussian integers over den, rounded once per part."""
-    return [-2.0 * math.pi * complex(re / den, im / den) for re, im in coeffs]
 
 
 def lineshape(model: SMatrixModel, n: int, e_grid) -> numpy.ndarray:

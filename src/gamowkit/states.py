@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GaussianRational, _exp_decay, _exp_poly_rows, _horner, _turn, binom
+from .algebra import ExpPolynomial, GaussianRational, Polynomial, _exp_decay, _horner, _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, OperatorOnM, conjugation_polys
 from .smatrix import SMatrixModel, pole_jet
@@ -173,10 +173,16 @@ def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
     dyadic value, so the coefficients are Gaussian rationals and the rate
     is the exact rational value of -Gamma on either carrier.
     """
-    space = W.space
+    r = W.space.dimension
     polys, denominator = _conjugation(W)
-    rate = GaussianRational(-Fraction(space.pole.Gamma))
-    return OperatorOnM(space, _exp_poly_rows(polys, denominator, rate, space.dimension))
+    rate = GaussianRational(-Fraction(W.space.pole.Gamma))
+    rows = [[ExpPolynomial(rate, Polynomial()) for _ in range(r)] for _ in range(r)]
+    for (i, j), poly in polys.items():
+        coeffs = [GaussianRational(0)] * (max(poly) + 1)
+        for d, (re, im) in poly.items():
+            coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+        rows[i][j] = ExpPolynomial(rate, Polynomial(coeffs))
+    return OperatorOnM(W.space, rows)
 
 
 def evolved_norm_squared(W: StateOperator) -> tuple:

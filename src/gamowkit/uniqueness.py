@@ -26,7 +26,8 @@ canonical basis element n carrying binom(n, k) on anti-diagonal n, and
 no rank or zero decision leaves the integers.  An oracle that never reads
 the constraint rows confirms each basis element evolves as a pure
 exponential: it conjugates the element with jordan.conjugation_polys,
-the exact expansion every evolved quantity of the package uses.
+the exact expansion every evolved quantity of the package uses, and
+certify compares the integers it returns with the element itself.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import GaussianRational, _exp_poly_rows
+from .algebra import GaussianRational
 from .jordan import conjugation_polys
 
 __all__ = [
@@ -132,10 +133,11 @@ def oracle_evolution(A):
     |k><h|.  The shared exact expansion jordan.conjugation_polys
     (derivative normalization) sends it to binom(k, l) binom(h, m)
     (-i t)**(k-l) (i t)**(h-m) on every dyad |l><m| and sums by power of
-    t in integers.  The overall exp(-Gamma t) factor is carried as the
-    formal rate -1 (time measured in units of 1/Gamma), so a pure
-    exponential decay shows up as every entry polynomial being constant.
-    Returns a nested list of exact ExpPolynomial entries indexed [l][m].
+    t in integers.  The overall exp(-Gamma t) factor is left out (time in
+    units of 1/Gamma), so a pure exponential decay shows up as no power
+    of t above 0 surviving.  Returns conjugation_polys' (polys,
+    denominator): polys[l, m] maps each surviving power of t to a
+    Gaussian integer (re, im) over denominator.
     """
     size = len(A)
     if any(len(row) != size for row in A):
@@ -143,8 +145,7 @@ def oracle_evolution(A):
     # adding to a GaussianRational coerces int and Fraction and refuses floats
     zero = GaussianRational(0)
     entries = {(k, h): zero + x for h, row in enumerate(A) for k, x in enumerate(row) if x}
-    polys, denominator = conjugation_polys("derivative", entries)
-    return _exp_poly_rows(polys, denominator, GaussianRational(-1), size)
+    return conjugation_polys("derivative", entries)
 
 
 def _chain_vector(block, width: int, n: int):
@@ -248,17 +249,12 @@ def certify(j: int) -> dict:
         for n in range(size)
     ]
 
-    oracle_ok = []
-    for elem in basis:
-        evolved = oracle_evolution(elem)
-        constant = all(p.poly.degree <= 0 for row in evolved for p in row)
-        # the constant part must reproduce the element itself
-        matches = all(
-            evolved[l][m].poly.coefficient(0) == elem[l][m]
-            for l in range(size)
-            for m in range(size)
-        )
-        oracle_ok.append(constant and matches)
+    # the element's integer dyads |k><h| alone, at power 0, over denominator 1
+    oracle_ok = [
+        oracle_evolution(elem)
+        == ({(k, h): {0: (x, 0)} for h, row in enumerate(elem) for k, x in enumerate(row) if x}, 1)
+        for elem in basis
+    ]
 
     return {
         "j": j,

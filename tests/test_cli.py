@@ -22,7 +22,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowkit.cli import J_CAP, R_CAP, STEPS_CAP, RunConfig, main, parse_config_text
+from gamowkit.cli import J_CAP, M_CAP, R_CAP, STEPS_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import ConfigInvalidError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -215,6 +215,15 @@ class TestExitCodes:
             result = runner.invoke(main, [command, "--config", str(conf)])
             assert result.exit_code == 1
             assert result.stderr == f"error: r = {R_CAP + 1} exceeds the cap {R_CAP}\n"
+
+    @pytest.mark.parametrize("key,a", [("psi", "1.0"), ("phi", "1.5")])
+    def test_test_function_order_above_cap_rejected(self, runner, tmp_path, key, a):
+        conf = tmp_path / "big.conf"
+        for m, code in ((M_CAP, 0), (M_CAP + 1, 1)):
+            conf.write_text(POLE_CONF.replace(f"{key} = {a} 1 ", f"{key} = {a} {m} "))
+            result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+            assert result.exit_code == code
+        assert result.stderr == f"error: {key} pole order m = {M_CAP + 1} exceeds the cap {M_CAP}\n"
 
     def test_steps_above_cap_rejected(self, runner, tmp_path):
         conf = tmp_path / "big.conf"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from gamowkit.algebra import GaussianRational
+from gamowkit.cli import R_CAP
 from gamowkit.errors import NegativeTimeError
 from gamowkit.jordan import (
     GamowSubspace,
@@ -37,6 +38,14 @@ def numeric_rank(mat: np.ndarray) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > 1e-9 * s[0]))
+
+
+def rounds_root(value: float, square: Fraction) -> bool:
+    """Whether value is sqrt(square) rounded to the nearest float: square
+    lies between the squares of the midpoints to both float neighbours."""
+    below, above = math.nextafter(value, 0.0), math.nextafter(value, math.inf)
+    low, high = (Fraction(below) + Fraction(value)) / 2, (Fraction(value) + Fraction(above)) / 2
+    return low * low <= square <= high * high
 
 
 @pytest.fixture
@@ -72,6 +81,21 @@ class TestStructures:
         mat[0, 1] = 3.0
         mat[2, 3] = 4.0j
         assert OperatorOnM(space, mat).norm() == pytest.approx(5.0)
+
+    def test_operator_norm_is_correctly_rounded(self, space):
+        # float and Gaussian-rational entries, against their exact sum of squares
+        rng = random.Random(RNG_SEED)
+        for _ in range(50):
+            floats = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-9, 9)
+                      for _ in range(16)]
+            exact = [GaussianRational(Fraction(rng.randint(-99, 99), rng.randint(1, 99)),
+                                      Fraction(rng.randint(-99, 99), rng.randint(1, 99)))
+                     for _ in range(16)]
+            for entries in (floats, exact):
+                mat = np.array(entries, dtype=object).reshape(4, 4)
+                square = sum(x.re**2 + x.im**2 if isinstance(x, GaussianRational)
+                             else Fraction(x.real) ** 2 + Fraction(x.imag) ** 2 for x in entries)
+                assert rounds_root(OperatorOnM(space, mat).norm(), square)
 
 
 class TestHamiltonian:
@@ -120,6 +144,23 @@ class TestNilpotentPowers:
         nil = nilpotent_power(space, 1).matrix
         for k in range(1, 4):
             assert nil[k - 1, k] == k
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_entries_and_norms_are_correctly_rounded_up_to_the_cap(self, normalization):
+        # oracle: integer powers of the integer lowering matrix N, built one
+        # factor at a time as (P N)[i][j] = P[i][j-1] w_j, each entry rounded
+        # once; the norm is the root of the exact sum of squares of those floats
+        for r in range(1, R_CAP + 1):
+            space = GamowSubspace(ResonancePole(2.0, 1.0, r), normalization)
+            weight = [m if normalization == "derivative" else 1 for m in range(r)]
+            power = [[int(i == j) for j in range(r)] for i in range(r)]
+            for k in range(r + 1):
+                nil = nilpotent_power(space, k)
+                want = [[float(x) for x in row] for row in power]
+                assert nil.matrix.tolist() == want
+                square = sum(int(x) ** 2 for row in want for x in row)
+                assert rounds_root(nil.norm(), Fraction(square))
+                power = [[row[j - 1] * weight[j] if j else 0 for j in range(r)] for row in power]
 
 
 class TestEvolutionMatrix:

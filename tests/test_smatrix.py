@@ -24,7 +24,6 @@ from gamowkit.smatrix import (
     TestFunction,
     TestFunctionPair,
     analytic_derivatives,
-    expansion_coeffs,
     lineshape,
     pole_expansion_coeffs,
     pole_jet,
@@ -370,7 +369,7 @@ class TestExpansionCoeffs:
     def test_simple_pole_coefficient(self, pair):
         pole = ResonancePole(2.0, 1.0, 1)
         model = SMatrixModel(pole)
-        b = expansion_coeffs(pair.phi, model)
+        b = pole_jet(pair, model).expansion_coeffs
         want = -2.0 * math.pi * pole.Gamma * pair.phi.value(pole.z_R)
         assert b[0] == pytest.approx(want, rel=1e-12)
 
@@ -379,7 +378,7 @@ class TestExpansionCoeffs:
         # pole_term == sum_k b_k psi^(k)(z) with the bare observable leg
         pole = ResonancePole(2.0, 1.0, r)
         model = SMatrixModel(pole)
-        b = expansion_coeffs(pair.phi, model)
+        b = pole_jet(pair, model).expansion_coeffs
         psi_d = rational_derivatives(pair.psi.terms, pole.z_R, r - 1)
         contracted = sum(b[k] * psi_d[k] for k in range(r))
         want = pole_term(pair, model)

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from gamowkit import uniqueness
-from gamowkit.algebra import GaussianRational, Polynomial, binom
+from gamowkit.algebra import GaussianRational, binom
 from gamowkit.cli import J_CAP, main
 from gamowkit.uniqueness import (
     ConstraintRow,
@@ -109,16 +109,13 @@ class TestCoefficientMatrix:
             oracle_evolution([[1, 0], [0]])
 
     def test_zero_and_entry_access(self):
-        evolved = oracle_evolution(zero_matrix(2))
-        assert len(evolved) == 3 and all(len(row) == 3 for row in evolved)
-        assert all(p.is_zero for row in evolved for p in row)
-        assert oracle_evolution([]) == []
+        # a zero square leaves no dyad, and the empty square no entry at all
+        assert oracle_evolution(zero_matrix(2)) == ({}, 1)
+        assert oracle_evolution([]) == ({}, 1)
 
     def test_int_entries_coerce(self):
-        assert oracle_evolution([[3]])[0][0].poly == Polynomial([GaussianRational(3)])
-        assert oracle_evolution([[Fraction(1, 2)]])[0][0].poly == Polynomial(
-            [GaussianRational(Fraction(1, 2))]
-        )
+        assert oracle_evolution([[3]]) == ({(0, 0): {0: (3, 0)}}, 1)
+        assert oracle_evolution([[Fraction(1, 2)]]) == ({(0, 0): {0: (1, 0)}}, 2)
         with pytest.raises(TypeError):
             oracle_evolution([[0.5]])
 
@@ -219,30 +216,41 @@ class TestCanonicalFamily:
         assert chain == [binom(n, k) for k in range(n + 1)]
 
 
+def as_gaussian(polys, denominator):
+    """Integer conjugation output as {(l, m): {d: GaussianRational}}."""
+    return {
+        lm: {d: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+             for d, (re, im) in poly.items()}
+        for lm, poly in polys.items()
+    }
+
+
 class TestConjugationOracle:
     def test_identity_grows_a_square_term(self):
         # |1><1| leaks t**2 onto |0><0| under conjugation
-        evolved = oracle_evolution([[1, 0], [0, 1]])
-        one = GaussianRational(1)
-        zero = GaussianRational(0)
-        assert evolved[0][0].poly == Polynomial([one, zero, one])
-        assert evolved[1][1].poly == Polynomial([one])
+        polys, denominator = oracle_evolution([[1, 0], [0, 1]])
+        assert denominator == 1
+        assert polys[0, 0] == {0: (1, 0), 2: (1, 0)}
+        assert polys[1, 1] == {0: (1, 0)}
 
     def test_single_dyad_degree(self):
         entries = zero_matrix(2)
         entries[2][1] = GaussianRational(1)  # the dyad |1><2|
-        evolved = oracle_evolution(entries)
-        assert evolved[0][0].poly.degree == 3
-        assert all(p.rate == GaussianRational(-1) for row in evolved for p in row)
+        polys, _ = oracle_evolution(entries)
+        assert max(polys[0, 0]) == 3
+        # every dyad |l><m| it reaches carries the full power (1-l) + (2-m)
+        assert {lm: max(poly) for lm, poly in polys.items()} == {
+            (l, m): (1 - l) + (2 - m) for l in range(2) for m in range(3)
+        }
 
     @pytest.mark.parametrize("j,n", [(1, 1), (2, 2), (3, 1), (4, 3)])
     def test_canonical_element_is_time_constant(self, j, n):
         elem = canonical_element(j, n)
-        evolved = oracle_evolution(elem)
-        for l in range(j + 1):
-            for m in range(j + 1):
-                assert evolved[l][m].poly.degree <= 0
-                assert evolved[l][m].poly.coefficient(0) == elem[l][m]
+        polys, denominator = oracle_evolution(elem)
+        assert denominator == 1
+        assert polys == {
+            (k, h): {0: (x, 0)} for h, row in enumerate(elem) for k, x in enumerate(row) if x
+        }
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_matches_polynomial_sum_of_monomials(self, j):
@@ -257,12 +265,10 @@ class TestConjugationOracle:
                  for _ in range(size)]
                 for _ in range(size)
             ]
-            evolved = oracle_evolution(A)
-            want = expand("derivative", {(k, h): A[h][k] for h in range(size) for k in range(size)})
-            for l in range(size):
-                for m in range(size):
-                    got = {d: c for d, c in enumerate(evolved[l][m].poly.coeffs) if c}
-                    assert got == want.get((l, m), {})
+            got = as_gaussian(*oracle_evolution(A))
+            assert got == expand(
+                "derivative", {(k, h): A[h][k] for h in range(size) for k in range(size)}
+            )
 
 
 class TestIdentities:
