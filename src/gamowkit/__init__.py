@@ -27,6 +27,7 @@ from .jordan import (
     evolution_matrix,
     hamiltonian_action_matrix,
     hamiltonian_matrix,
+    nilpotent_norm,
     nilpotent_power,
 )
 from .smatrix import (

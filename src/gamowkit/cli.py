@@ -28,7 +28,7 @@ from .jordan import (
     evolution_matrix,
     hamiltonian_action_matrix,
     hamiltonian_matrix,
-    nilpotent_power,
+    nilpotent_norm,
 )
 from .smatrix import (
     BackgroundPhase,
@@ -38,13 +38,7 @@ from .smatrix import (
     lineshape,
     pole_jet,
 )
-from .states import (
-    _w_prefactor,
-    dyad_operator,
-    evolved_norm_squared,
-    w_n,
-    w_total,
-)
+from .states import dyad_operator, evolved_norm_squared, w_n, w_total
 from .uniqueness import certify
 
 # Largest inputs that set the amount of work.  j = 32 certifies in about
@@ -113,25 +107,25 @@ class RunConfig:
             raise ConfigInvalidError(f"key {key!r} given more than once")
         return values[0]
 
-    def get_float(self, key: str, default=None) -> float:
-        value = self._single(key, default)
+    def get_float(self, key: str) -> float:
+        value = self._single(key)
         try:
             return _finite(value)
-        except (TypeError, ValueError):
+        except ValueError:
             raise ConfigInvalidError(f"key {key!r}: expected a finite number, got {value!r}")
 
-    def get_int(self, key: str, default=None, cap: int | None = None) -> int:
-        value = self._single(key, default)
+    def get_int(self, key: str, cap: int) -> int:
+        value = self._single(key)
         try:
-            number = int(str(value))
-        except (TypeError, ValueError):
+            number = int(value)
+        except ValueError:
             raise ConfigInvalidError(f"key {key!r}: expected an integer, got {value!r}")
-        if cap is not None and number > cap:
+        if number > cap:
             raise ConfigInvalidError(f"{key} = {number} exceeds the cap {cap}")
         return number
 
-    def get_choice(self, key: str, choices, default=None) -> str:
-        value = str(self._single(key, default))
+    def get_choice(self, key: str, choices, default: str) -> str:
+        value = self._single(key, default)
         if value not in choices:
             raise ConfigInvalidError(f"key {key!r}: expected one of {choices}, got {value!r}")
         return value
@@ -340,9 +334,9 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     r = space.dimension
 
     # every operator is exact; only the float table scales W's norms by 2 pi Gamma
-    operators = [(f"w{n}", w_n(space, n, exact=True), 1.0) for n in range(r)]
-    operators.append(("wsum", w_total(space, exact=True), 1.0 if exact else _w_prefactor(space)))
-    dyads = [(f"dyad{k}", dyad_operator(space, k, exact=True)) for k in range(r)]
+    operators = [(f"w{n}", w_n(space, n), 1.0) for n in range(r)]
+    operators.append(("wsum", w_total(space), 1.0 if exact else 2.0 * math.pi * space.pole.Gamma))
+    dyads = [(f"dyad{k}", dyad_operator(space, k)) for k in range(r)]
 
     def norm_columns(name, op, scale=1.0):
         # exact coefficients of N(t) over 4**k, k from N(0) in lowest terms, which
@@ -479,7 +473,7 @@ def jordan_info_cmd(config_path, out_path, normalization):
         "pole": {"E_R": space.pole.E_R, "Gamma": space.pole.Gamma},
         "hamiltonian_pairing_layout": matrix_payload(hamiltonian_matrix(space).matrix),
         "hamiltonian_action_layout": matrix_payload(hamiltonian_action_matrix(space).matrix),
-        "nilpotent_norms": [nilpotent_power(space, k).norm() for k in range(r + 1)],
+        "nilpotent_norms": [nilpotent_norm(space, k) for k in range(r + 1)],
         "evolution_sample_t": sample_t,
         "evolution_sample": matrix_payload(evolution_matrix(space, sample_t).matrix),
     }

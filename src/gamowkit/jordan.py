@@ -46,6 +46,7 @@ __all__ = [
     "hamiltonian_matrix",
     "hamiltonian_action_matrix",
     "nilpotent_power",
+    "nilpotent_norm",
     "evolution_matrix",
     "conjugation_polys",
 ]
@@ -105,13 +106,17 @@ class OperatorOnM:
             if x
         ]
         values, den = _lift(parts)
-        total = sum(re * re + im * im for re, im in values)
-        # the root of total / den**2 in integers to at least 60 bits, with a
-        # sticky last bit where inexact, rounds to float as the exact root
-        shift = max(0, 120 - total.bit_length() + 2 * den.bit_length()) // 2 + 1
-        scaled, rest = divmod(total << (2 * shift), den * den)
-        root = math.isqrt(scaled)
-        return math.ldexp(root | (rest != 0 or root * root != scaled), -shift)
+        return _root(sum(re * re + im * im for re, im in values), den)
+
+
+def _root(total: int, den: int) -> float:
+    """sqrt(total) / den, correctly rounded: the root of total / den**2 in
+    integers to at least 60 bits, with a sticky last bit where inexact,
+    rounds to float as the exact root."""
+    shift = max(0, 120 - total.bit_length() + 2 * den.bit_length()) // 2 + 1
+    scaled, rest = divmod(total << (2 * shift), den * den)
+    root = math.isqrt(scaled)
+    return math.ldexp(root | (rest != 0 or root * root != scaled), -shift)
 
 
 def hamiltonian_matrix(space: GamowSubspace) -> OperatorOnM:
@@ -138,6 +143,14 @@ def hamiltonian_action_matrix(space: GamowSubspace) -> OperatorOnM:
     return OperatorOnM(space, mat)
 
 
+def _column_weights(space: GamowSubspace, k: int) -> list:
+    # column m of (H - z)**k holds this integer at row m - k; 0 for m < k
+    if k < 0:
+        raise ValueError("power must be nonnegative")
+    derivative = space.normalization == "derivative"
+    return [math.perm(m, k) if derivative else int(m >= k) for m in range(space.dimension)]
+
+
 def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     """(H - z)**k in the ket-coordinate layout.
 
@@ -149,13 +162,14 @@ def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     """
     import numpy as np
 
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    r = space.dimension
-    nil = np.zeros((r, r))
-    for m in range(k, r):
-        nil[m - k, m] = float(math.perm(m, k) if space.normalization == "derivative" else 1)
-    return OperatorOnM(space, nil)
+    weights = [float(weight) for weight in _column_weights(space, k)]
+    return OperatorOnM(space, np.eye(space.dimension, k=k) * weights)
+
+
+def nilpotent_norm(space: GamowSubspace, k: int) -> float:
+    """Frobenius norm of (H - z)**k, correctly rounded from its integer
+    entries, which the float matrix of nilpotent_power rounds above 2**53."""
+    return _root(sum(weight * weight for weight in _column_weights(space, k)), 1)
 
 
 def _ket_weights(normalization: str, top: int) -> tuple:

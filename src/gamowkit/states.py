@@ -10,18 +10,17 @@ Conjugating with the semigroup, T(t) A T(t)^dagger, multiplies every W(n)
 by exp(-Gamma t) with no polynomial remainder, while a plain dyad
 |k><k| (k >= 1) picks up polynomial contamination up to t**(2k).
 
-Every operator is built once, as exact Gaussian-rational entries in which
-Gamma enters as the exact rational value of its float.  One step then
-materializes them: exact=True keeps the entries, and the float carrier
-is each exact entry rounded once.  A StateOperator holds only these
-sparse entries {(k, l): value}, a few dyads on its anti-diagonals; its
-dense r x r view op is built on demand, and only that view loads numpy.
-The 2 pi Gamma scale of W has no exact carrier because pi is irrational,
-so only the float carrier applies it; every certified property is
-invariant under that scale.
+Every operator has one carrier: exact Gaussian-rational entries, in which
+Gamma enters as the exact rational value of its float.  A StateOperator
+holds only these sparse entries {(k, l): value}, a few dyads on its
+anti-diagonals; its dense r x r view op is built on demand, and only that
+view loads numpy.  The 2 pi Gamma scale of W has no exact value because
+pi is irrational, so w_total leaves it off; every certified property is
+invariant under that scale, and decay-curve applies it to the float norms
+it prints.
 
-Evolution runs one path for both carriers: float entries enter at their
-exact binary value, jordan.conjugation_polys expands the conjugation
+Evolution runs one path: float entries, which a caller may pass, enter at
+their exact binary value, jordan.conjugation_polys expands the conjugation
 exactly, and floats appear only when a quantity is evaluated at a time.
 evolve_operator_symbolic, evolved_norm_squared and decay_deviation are
 three readings of that one expansion.  The arithmetic they share is
@@ -31,7 +30,6 @@ exp(-Gamma t).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,13 +56,14 @@ class StateOperator:
     """Operator on the pole subspace whose dyads evolve under the semigroup.
 
     entries maps (k, l) to the coefficient of |k><l|; absent dyads are 0.
-    exact picks the carrier: GaussianRational entries (True) or complex
-    floats (False).  op is the dense r x r view, built on demand.
+    The constructors below give exact GaussianRational entries; complex
+    float entries are accepted too and enter evolution at their exact
+    binary value.  op is the dense r x r view, built on demand, with 0 for
+    every absent dyad, so the view's dtype follows the entries.
     """
 
     space: GamowSubspace
     entries: dict
-    exact: bool = False
 
     def __post_init__(self):
         r = self.space.dimension
@@ -75,65 +74,42 @@ class StateOperator:
     @property
     def op(self) -> OperatorOnM:
         r = self.space.dimension
-        zero = GaussianRational(0) if self.exact else 0j
-        rows = [[self.entries.get((k, l), zero) for l in range(r)] for k in range(r)]
+        rows = [[self.entries.get((k, l), 0) for l in range(r)] for k in range(r)]
         return OperatorOnM(self.space, rows)
 
 
-def _materialize(space: GamowSubspace, entries: dict, exact: bool, scale: float = 1.0):
-    """The one step from exact entries {(k, l): GaussianRational} to an
-    operator: exact=True keeps them, the float carrier rounds each entry
-    once and multiplies it by scale, and raises OverflowError for an entry
-    that leaves the float range."""
-    if not exact:
-        entries = {kl: complex(value) * scale for kl, value in entries.items()}
-        for kl, value in entries.items():
-            if not cmath.isfinite(value):
-                raise OverflowError(f"entry {kl} of the operator leaves the float range")
-    return StateOperator(space, entries, exact)
-
-
-def _wn_entries(space: GamowSubspace, n: int) -> dict:
+def w_n(space: GamowSubspace, n: int) -> StateOperator:
+    """The n-th binomial anti-diagonal operator W(n), each entry built once
+    from the integers of Gamma's float, n! and binom(n, k)."""
     r = space.dimension
     if not 0 <= n <= r - 1:
         raise IndexOutOfRangeError(f"operator index n must be in 0..{r - 1}, got {n}")
-    width_n = Fraction(space.pole.Gamma) ** n
-    if space.normalization == "factorial":
-        return {(k, n - k): GaussianRational(width_n) for k in range(n + 1)}
-    scale = width_n / math.factorial(n)
-    return {(k, n - k): GaussianRational(scale * binom(n, k)) for k in range(n + 1)}
+    derivative = space.normalization == "derivative"
+    num, den = (part**n for part in space.pole.Gamma.as_integer_ratio())
+    den *= math.factorial(n) if derivative else 1
+    weights = [binom(n, k) if derivative else 1 for k in range(n + 1)]
+    entries = {(k, n - k): GaussianRational(Fraction(num * w, den)) for k, w in enumerate(weights)}
+    return StateOperator(space, entries)
 
 
-def w_n(space: GamowSubspace, n: int, exact: bool = False) -> StateOperator:
-    """The n-th binomial anti-diagonal operator W(n)."""
-    return _materialize(space, _wn_entries(space, n), exact)
-
-
-def _w_prefactor(space: GamowSubspace) -> float:
-    # the 2 pi Gamma scale of W, which only the float carrier applies
-    return 2.0 * math.pi * space.pole.Gamma
-
-
-def w_total(space: GamowSubspace, exact: bool = False) -> StateOperator:
-    """Microphysical state operator W = 2 pi Gamma sum_n binom(r, n+1) (-i)**n W(n).
-
-    The exact carrier omits the 2 pi Gamma prefactor (pi is irrational);
-    all certified statements about W are scale invariant.
-    """
+def w_total(space: GamowSubspace) -> StateOperator:
+    """W / (2 pi Gamma) = sum_n binom(r, n+1) (-i)**n W(n), the microphysical
+    state operator without its 2 pi Gamma scale, which has no exact value
+    (pi is irrational); every certified statement about W is scale
+    invariant, and decay-curve applies the scale to the norms it prints."""
     r = space.dimension
     entries = {}
     for n in range(r):
         # entry (k, l) lies on the single anti-diagonal n = k + l; (-i)**n = i**(3n)
-        coeff = GaussianRational(*_turn((binom(r, n + 1), 0), 3 * n))
-        entries.update((kl, coeff * value) for kl, value in _wn_entries(space, n).items())
-    return _materialize(space, entries, exact, _w_prefactor(space))
+        re, im = _turn((binom(r, n + 1), 0), 3 * n)
+        for kl, value in w_n(space, n).entries.items():
+            entries[kl] = GaussianRational(re * value.re, im * value.re)
+    return StateOperator(space, entries)
 
 
-def dyad_operator(
-    space: GamowSubspace, k: int, l: int | None = None, exact: bool = False
-) -> StateOperator:
-    """Single dyad |k><l| (l defaults to k)."""
-    return _materialize(space, {(k, k if l is None else l): GaussianRational(1)}, exact)
+def dyad_operator(space: GamowSubspace, k: int) -> StateOperator:
+    """The single dyad |k><k|."""
+    return StateOperator(space, {(k, k): GaussianRational(1)})
 
 
 def _conjugation(W: StateOperator):
@@ -170,8 +146,8 @@ def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
     The two boundary phases exp(-i z t) and exp(i conj(z) t) combine to the
     shared rate -Gamma, carried on each entry; the polynomial parts are the
     exact conjugation polynomials.  Float entries enter at their exact
-    dyadic value, so the coefficients are Gaussian rationals and the rate
-    is the exact rational value of -Gamma on either carrier.
+    dyadic value, so the coefficients are Gaussian rationals whatever the
+    entries, and the rate is the exact rational value of -Gamma.
     """
     r = W.space.dimension
     polys, denominator = _conjugation(W)

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb, factorial
 from pathlib import Path
 
@@ -613,6 +614,29 @@ class TestOtherCommands:
         assert payload["evolution_sample_t"] == 1.0
         assert payload["nilpotent_norms"][-1] == 0.0
         assert payload["hamiltonian_pairing_layout"][1][0] == {"re": 1.0, "im": 0.0}
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_jordan_info_nilpotent_norms_are_correctly_rounded(self, runner, tmp_path,
+                                                               normalization):
+        # oracle: the exact sum of squares of the integer superdiagonal
+        # w_m w_(m-1) ... w_(m-k+1) of (H - z)**k; each printed norm must lie
+        # between the roots of the midpoints to its float neighbours.  The
+        # float matrix rounds perm(m, k) above 2**53, first off at r = 24
+        conf = tmp_path / "j.conf"
+        for r in range(1, R_CAP + 1):
+            conf.write_text(f"E_R = 2.0\nGamma = 1.0\nr = {r}\nnormalization = {normalization}\n")
+            result = runner.invoke(main, ["jordan-info", "--config", str(conf)])
+            assert result.exit_code == 0
+            norms = json.loads(result.output)["nilpotent_norms"]
+            assert len(norms) == r + 1
+            for k, value in enumerate(norms):
+                derivative = normalization == "derivative"
+                square = sum(math.prod(range(m - k + 1, m + 1)) ** 2 if derivative else 1
+                             for m in range(k, r))
+                below, above = math.nextafter(value, 0.0), math.nextafter(value, math.inf)
+                low = (Fraction(below) + Fraction(value)) / 2
+                high = (Fraction(value) + Fraction(above)) / 2
+                assert low * low <= square <= high * high, (r, k)
 
 
 class TestDeterminism:

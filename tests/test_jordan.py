@@ -22,10 +22,11 @@ from gamowkit.jordan import (
     evolution_matrix,
     hamiltonian_action_matrix,
     hamiltonian_matrix,
+    nilpotent_norm,
     nilpotent_power,
 )
 from gamowkit.smatrix import ResonancePole
-from gamowkit.states import StateOperator, dyad_operator, evolve_operator_symbolic
+from gamowkit.states import StateOperator, evolve_operator_symbolic
 
 from expansion import expand
 
@@ -149,7 +150,8 @@ class TestNilpotentPowers:
     def test_entries_and_norms_are_correctly_rounded_up_to_the_cap(self, normalization):
         # oracle: integer powers of the integer lowering matrix N, built one
         # factor at a time as (P N)[i][j] = P[i][j-1] w_j, each entry rounded
-        # once; the norm is the root of the exact sum of squares of those floats
+        # once; the norm of the float matrix is the root of the exact sum of
+        # squares of those floats, nilpotent_norm that of the integers
         for r in range(1, R_CAP + 1):
             space = GamowSubspace(ResonancePole(2.0, 1.0, r), normalization)
             weight = [m if normalization == "derivative" else 1 for m in range(r)]
@@ -160,6 +162,8 @@ class TestNilpotentPowers:
                 assert nil.matrix.tolist() == want
                 square = sum(int(x) ** 2 for row in want for x in row)
                 assert rounds_root(nil.norm(), Fraction(square))
+                exact = sum(x * x for row in power for x in row)
+                assert rounds_root(nilpotent_norm(space, k), Fraction(exact))
                 power = [[row[j - 1] * weight[j] if j else 0 for j in range(r)] for row in power]
 
 
@@ -205,7 +209,8 @@ class TestEvolutionMatrix:
         # column k of T(t)
         z = space.pole.z_R
         for k in range(4):
-            sym = evolve_operator_symbolic(dyad_operator(space, 0, k)).matrix
+            dyad = StateOperator(space, {(0, k): GaussianRational(1)})
+            sym = evolve_operator_symbolic(dyad).matrix
             for t in (0.0, 0.4, 2.3):
                 ket = evolution_matrix(space, t).matrix
                 for p in range(4):
@@ -326,7 +331,7 @@ class TestSymbolicEvolution:
         # exp(i conj(z) t); their shared rate -Gamma is held at the exact
         # rational value of the float width
         space = GamowSubspace(ResonancePole(2.0, 0.3, 3))
-        sym = evolve_operator_symbolic(dyad_operator(space, 2, 1)).matrix
+        sym = evolve_operator_symbolic(StateOperator(space, {(2, 1): GaussianRational(1)})).matrix
         for entry in sym.flat:
             assert entry.rate == GaussianRational(-Fraction(0.3))
         z = space.pole.z_R
@@ -337,7 +342,8 @@ class TestSymbolicEvolution:
         # T |k><0| T^dagger = T|k> exp(i conj(z) t) <0|
         z = space.pole.z_R
         for k in range(4):
-            sym = evolve_operator_symbolic(dyad_operator(space, k, 0)).matrix
+            dyad = StateOperator(space, {(k, 0): GaussianRational(1)})
+            sym = evolve_operator_symbolic(dyad).matrix
             for t in (0.0, 0.9, 3.7):
                 numeric = evolution_matrix(space, t).matrix
                 for p in range(4):

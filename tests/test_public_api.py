@@ -71,3 +71,18 @@ def test_every_export_is_read_outside_the_unit_tests():
             if name not in elsewhere | _used_names(tree, definition):
                 unread.append(f"{module}.{name}")
     assert unread == []
+
+
+def test_private_names_cross_modules_only_from_algebra():
+    # algebra is the home of the shared kernels; any other private name
+    # is read only in the module that defines it
+    crossing = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = (node.module or "").rpartition(".")[2]
+            if node.level or (node.module or "").startswith("gamowkit"):
+                crossing += [f"{path.stem} imports {source}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and source != "algebra"]
+    assert crossing == []

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gamowkit.algebra import GaussianRational, Polynomial, _exp_decay
+from gamowkit.cli import R_CAP
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, evolution_matrix
 from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair
@@ -45,6 +46,11 @@ def float_deviation(W, t_grid):
     )
 
 
+def rounded(W):
+    """W with each exact entry rounded once to a complex float."""
+    return StateOperator(W.space, {kl: complex(v) for kl, v in W.entries.items()})
+
+
 def random_operator(space, rng):
     r = space.dimension
     raw = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
@@ -68,21 +74,21 @@ class TestOperatorConstruction:
         mat = w_n(space, 0).op.matrix
         want = np.zeros((3, 3))
         want[0, 0] = 1.0
-        assert np.array_equal(mat, want)
+        assert np.array_equal(np.asarray(mat, dtype=complex), want)
 
     def test_w2_binomial_anti_diagonal(self, space):
         # (Gamma^2/2) * (|0><2| + 2 |1><1| + |2><0|)
         mat = w_n(space, 2).op.matrix
-        assert mat[0, 2] == pytest.approx(0.5)
-        assert mat[1, 1] == pytest.approx(1.0)
-        assert mat[2, 0] == pytest.approx(0.5)
+        assert mat[0, 2] == GaussianRational(Fraction(1, 2))
+        assert mat[1, 1] == GaussianRational(1)
+        assert mat[2, 0] == GaussianRational(Fraction(1, 2))
         assert np.count_nonzero(mat) == 3
 
     def test_factorial_normalization_flattens_weights(self):
         space = GamowSubspace(ResonancePole(2.0, 0.5, 3), "factorial")
         mat = w_n(space, 2).op.matrix
         for k in range(3):
-            assert mat[k, 2 - k] == pytest.approx(0.25)
+            assert mat[k, 2 - k] == GaussianRational(Fraction(1, 4))
 
     def test_index_out_of_range(self, space):
         with pytest.raises(IndexOutOfRangeError):
@@ -95,21 +101,47 @@ class TestOperatorConstruction:
             StateOperator(space, {(0, 3): 1.0})
 
     def test_dense_view_fills_absent_dyads_with_the_carriers_zero(self, space):
-        exact = dyad_operator(space, 1, 2, exact=True)
-        assert exact.entries == {(1, 2): GaussianRational(1)}
-        assert exact.op.matrix[0, 0] == GaussianRational(0)
-        floats = dyad_operator(space, 1, 2)
+        # 0 fills every absent dyad, so the view's dtype follows the entries
+        exact = StateOperator(space, {(1, 2): GaussianRational(1)})
+        assert exact.op.matrix[1, 2] == GaussianRational(1)
+        assert exact.op.matrix[0, 0] == 0
+        floats = StateOperator(space, {(1, 2): 1.0})
         assert floats.op.matrix.dtype == complex
         assert np.count_nonzero(floats.op.matrix) == 1
 
-    def test_exact_entries_match_float_entries(self, space):
-        # the float carrier is the exact operator with each entry rounded
-        # once; 0.9137 is not dyadic, so its powers do not round alike
-        wide = GamowSubspace(ResonancePole(2.0, 0.9137, 8), "derivative")
-        for sp, n in [(space, 2)] + [(wide, n) for n in range(8)]:
-            exact = w_n(sp, n, exact=True).op.matrix
-            floats = w_n(sp, n).op.matrix
-            assert all(f == complex(e) for f, e in zip(floats.flat, exact.flat))
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    @pytest.mark.parametrize("gamma", [0.9137, 1e-300, 1e308])
+    def test_entries_match_the_closed_forms(self, gamma, normalization):
+        # oracle: Gamma**n / n! * binom(n, k) (or Gamma**n) at the exact value
+        # of the float Gamma, the weights binom(r, n+1) (-i)**n of W / (2 pi
+        # Gamma) as complex integers, and 1 on the dyad; 1e308 is where the
+        # 2 pi Gamma scale leaves the float range
+        units = [(1, 0), (0, -1), (-1, 0), (0, 1)]
+        members = []
+        for n in range(R_CAP):
+            power = Fraction(gamma) ** n
+            if normalization == "derivative":
+                row = [power * math.comb(n, k) / math.factorial(n) for k in range(n + 1)]
+            else:
+                row = [power] * (n + 1)
+            members.append({(k, n - k): value for k, value in enumerate(row)})
+        # W(n) does not depend on r beyond n < r
+        top = GamowSubspace(ResonancePole(2.0, gamma, R_CAP), normalization)
+        for n, member in enumerate(members):
+            got = {kl: (v.re, v.im) for kl, v in w_n(top, n).entries.items()}
+            assert got == {kl: (value, 0) for kl, value in member.items()}
+        for r in range(1, R_CAP + 1):
+            space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
+            want = {}
+            for n in range(r):
+                re, im = units[n % 4]
+                weight = math.comb(r, n + 1)
+                want.update(
+                    (kl, (re * weight * v, im * weight * v)) for kl, v in members[n].items()
+                )
+            assert {kl: (v.re, v.im) for kl, v in w_total(space).entries.items()} == want
+            for k in range(r):
+                assert dyad_operator(space, k).entries == {(k, k): GaussianRational(1)}
 
     def test_star_import_provides_constructors(self):
         namespace = {}
@@ -117,30 +149,24 @@ class TestOperatorConstruction:
         assert {"w_n", "w_total", "dyad_operator"} <= namespace.keys()
 
     def test_total_is_weighted_sum(self, space):
-        total = w_total(space).op.matrix
+        total = np.asarray(w_total(space).op.matrix, dtype=complex)
         acc = np.zeros((3, 3), dtype=complex)
         for n in range(3):
-            acc += math.comb(3, n + 1) * (-1j) ** n * w_n(space, n).op.matrix
-        np.testing.assert_allclose(total, 2.0 * math.pi * 1.0 * acc, rtol=1e-15)
+            member = np.asarray(w_n(space, n).op.matrix, dtype=complex)
+            acc += math.comb(3, n + 1) * (-1j) ** n * member
+        np.testing.assert_allclose(total, acc, rtol=1e-15)
 
     def test_exact_total_cycles_through_powers_of_minus_i(self):
         # r = 6 reaches (-i)**n for every residue of n mod 4
         space = GamowSubspace(ResonancePole(2.0, 0.75, 6))
-        total = w_total(space, exact=True).op.matrix
+        total = w_total(space).op.matrix
         units = [(1, 0), (0, -1), (-1, 0), (0, 1)]
         for n in range(6):
             re, im = units[n % 4]
-            member = w_n(space, n, exact=True).op.matrix
+            member = w_n(space, n).op.matrix
             for k in range(n + 1):
                 value = math.comb(6, n + 1) * member[k, n - k].re
                 assert total[k, n - k] == GaussianRational(re * value, im * value)
-
-    def test_exact_total_drops_two_pi_gamma(self, space):
-        exact = np.asarray(w_total(space, exact=True).op.matrix, dtype=complex)
-        floats = w_total(space).op.matrix
-        np.testing.assert_allclose(
-            floats, 2.0 * math.pi * space.pole.Gamma * exact, rtol=1e-14
-        )
 
 
 class TestEvolution:
@@ -153,7 +179,7 @@ class TestEvolution:
 
     def test_time_zero_is_identity_map(self, space):
         # float entries enter at their exact value, so t = 0 gives them back bit for bit
-        W = w_total(space)
+        W = rounded(w_total(space))
         sym = evolve_operator_symbolic(W).matrix
         evolved = np.array([[entry(0.0) for entry in row] for row in sym])
         assert np.array_equal(evolved, W.op.matrix)
@@ -164,8 +190,8 @@ class TestEvolution:
         space = GamowSubspace(ResonancePole(2.0, 1.0, r), normalization)
         grid = np.linspace(0.0, 10.0, 21)
         for n in range(r):
-            assert decay_deviation(w_n(space, n), grid) <= 1e-12
-        assert decay_deviation(w_total(space), grid) <= 1e-12
+            assert decay_deviation(rounded(w_n(space, n)), grid) <= 1e-12
+        assert decay_deviation(rounded(w_total(space)), grid) <= 1e-12
 
     def test_evolved_family_member_stays_hermitian(self, space):
         sym = evolve_operator_symbolic(w_n(space, 2)).matrix
@@ -191,7 +217,7 @@ class TestEvolution:
     def test_symbolic_family_member_has_no_polynomial_tail(self, space):
         # the strong form of the decay law: zero remainder, not small
         for n in range(3):
-            W = w_n(space, n, exact=True)
+            W = w_n(space, n)
             sym = evolve_operator_symbolic(W).matrix
             for i in range(3):
                 for j in range(3):
@@ -203,12 +229,12 @@ class TestEvolution:
     def test_symbolic_evolution_is_linear(self, space):
         a = GaussianRational(2)
         b = GaussianRational(0, 1)
-        A = dyad_operator(space, 1, 2, exact=True).entries
-        B = dyad_operator(space, 0, 0, exact=True).entries
+        A = {(1, 2): GaussianRational(1)}
+        B = dyad_operator(space, 0).entries
         combo = {kl: a * A.get(kl, 0) + b * B.get(kl, 0) for kl in A.keys() | B.keys()}
-        lhs = evolve_operator_symbolic(StateOperator(space, combo, exact=True)).matrix
-        sym_a = evolve_operator_symbolic(StateOperator(space, A, exact=True)).matrix
-        sym_b = evolve_operator_symbolic(StateOperator(space, B, exact=True)).matrix
+        lhs = evolve_operator_symbolic(StateOperator(space, combo)).matrix
+        sym_a = evolve_operator_symbolic(StateOperator(space, A)).matrix
+        sym_b = evolve_operator_symbolic(StateOperator(space, B)).matrix
         for idx in np.ndindex(3, 3):
             # a P_a(t) + b P_b(t), summed by power of t
             p_a, p_b = sym_a[idx].poly, sym_b[idx].poly
@@ -221,7 +247,7 @@ class TestDyadContamination:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_corner_entry_grows_like_t_to_the_2k(self, k):
         space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
-        sym = evolve_operator_symbolic(dyad_operator(space, k, exact=True)).matrix
+        sym = evolve_operator_symbolic(dyad_operator(space, k)).matrix
         corner = sym[0, 0].poly
         assert corner.degree == 2 * k
         assert corner.coefficient(2 * k) == GaussianRational(1)
@@ -242,13 +268,14 @@ class TestEvolvedNormSquared:
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
     @pytest.mark.parametrize(
         "gamma,r,exact",
-        # exact entries cancel for any width; float entries only while the
+        # exact entries cancel for any width; rounded entries only while the
         # rounded anti-diagonal stays proportional to its binomial row
         [(0.8, 6, True), (1.0, 3, False)],
     )
     def test_family_member_norm_is_constant(self, normalization, gamma, r, exact):
         space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
-        for W in [w_n(space, n, exact=exact) for n in range(r)] + [w_total(space, exact=exact)]:
+        for W in [w_n(space, n) for n in range(r)] + [w_total(space)]:
+            W = W if exact else rounded(W)
             coeffs, den = evolved_norm_squared(W)
             assert len(coeffs) == 1
             assert Fraction(coeffs[0], den) == sum(_exact_abs_squared(v) for v in W.op.matrix.flat)
@@ -287,7 +314,7 @@ class TestDecayDeviation:
     def test_exact_family_members_deviate_by_exactly_zero(self, normalization):
         space = GamowSubspace(ResonancePole(2.0, 0.8, 6), normalization)
         grid = np.linspace(0.0, 10.0, 21)
-        for W in [w_n(space, n, exact=True) for n in range(6)] + [w_total(space, exact=True)]:
+        for W in [w_n(space, n) for n in range(6)] + [w_total(space)]:
             assert decay_deviation(W, grid) == 0.0
 
     @pytest.mark.parametrize("t,tail", [(5.0, 675.0), (9.0, 6723.0)])
@@ -300,13 +327,10 @@ class TestDecayDeviation:
         deviation = decay_deviation(dyad_operator(space, 1), [t])
         assert deviation == _exp_decay(width, t) * math.sqrt(tail)
 
-    def test_scale_beyond_float_range_raises(self):
-        # 2 pi Gamma overflows: the float carrier refuses to build W (it
-        # held inf+nanj entries), and the exact carrier, unscaled, still works
+    def test_total_at_the_top_of_the_float_range_decays_exactly(self):
+        # 2 pi Gamma leaves the float range, but W / (2 pi Gamma) is exact
         space = GamowSubspace(ResonancePole(2.0, 1e308, 2))
-        with pytest.raises(OverflowError, match="float range"):
-            w_total(space)
-        assert decay_deviation(w_total(space, exact=True), [0.0, 1.0]) == 0.0
+        assert decay_deviation(w_total(space), [0.0, 1.0]) == 0.0
 
     def test_tail_beyond_float_range_raises(self):
         # |1><1| has D(t) = 2 t**2 + t**4: at t = 1e80 the true deviation is
