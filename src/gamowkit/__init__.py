@@ -22,7 +22,6 @@ from .errors import (
 )
 from .jordan import (
     GamowSubspace,
-    OperatorOnM,
     conjugation_polys,
     evolution_matrix,
     hamiltonian_action_matrix,

@@ -9,9 +9,10 @@ construction, comparison, sums and products of scalars, and evaluation.
 
 The kernels run on Gaussian integers (re, im) over one common
 denominator, and their readers take those integers as they come: only
-the symbolic evolution of states builds the objects above from them.
-Each kernel is defined here once for every module: _lift, _gmul, _turn,
-_exact_at, _horner, _exp_decay and _exp_exact.
+the state operators and their symbolic evolution build the objects above
+from them, with _over.  Each kernel is defined here once for every
+module: _lift, _gmul, _turn, _exact_at, _horner, _exp_decay and
+_exp_exact.
 """
 
 from __future__ import annotations
@@ -153,6 +154,11 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _over(re: int, im: int, den: int) -> GaussianRational:
+    """The Gaussian integer re + i im over the int den."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 class Polynomial:

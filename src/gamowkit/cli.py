@@ -464,18 +464,18 @@ def jordan_info_cmd(config_path, out_path, normalization):
     r = space.dimension
     sample_t = 1.0 / space.pole.Gamma
 
-    def matrix_payload(mat):
-        return [[_cplx(mat[i, j]) for j in range(mat.shape[1])] for i in range(mat.shape[0])]
+    def matrix_payload(rows):
+        return [[_cplx(x) for x in row] for row in rows]
 
     payload = {
         "r": r,
         "normalization": space.normalization,
         "pole": {"E_R": space.pole.E_R, "Gamma": space.pole.Gamma},
-        "hamiltonian_pairing_layout": matrix_payload(hamiltonian_matrix(space).matrix),
-        "hamiltonian_action_layout": matrix_payload(hamiltonian_action_matrix(space).matrix),
+        "hamiltonian_pairing_layout": matrix_payload(hamiltonian_matrix(space)),
+        "hamiltonian_action_layout": matrix_payload(hamiltonian_action_matrix(space)),
         "nilpotent_norms": [nilpotent_norm(space, k) for k in range(r + 1)],
         "evolution_sample_t": sample_t,
-        "evolution_sample": matrix_payload(evolution_matrix(space, sample_t).matrix),
+        "evolution_sample": matrix_payload(evolution_matrix(space, sample_t)),
     }
     _emit(out_path, _json_text(payload))
 

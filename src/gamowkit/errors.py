@@ -10,7 +10,7 @@ class NoConvergenceError(RuntimeError):
 
 
 class NegativeTimeError(ValueError):
-    """Semigroup evolution is only defined for t >= 0."""
+    """Semigroup evolution is only defined for t >= 0; nan is no such time."""
 
 
 class IndexOutOfRangeError(IndexError):

@@ -17,10 +17,8 @@ deviations, the uniqueness oracle) is read off it.
 
 conjugation_polys reads an operator as its sparse nonzero entries
 {(k, l): value}, the form in which states holds every state operator.
-OperatorOnM is the dense r x r view, built on demand: the Hamiltonian
-layouts, nilpotent powers and sampled evolution matrices, and the dense
-view of a state operator or of its symbolic evolution.  numpy is imported
-inside the functions that build or read such a view, never at import.
+The Hamiltonian layouts, nilpotent powers and sampled evolution matrices
+are r rows of Python numbers, row p holding the entries (p, 0..r-1).
 
 Matrix layout conventions: operators that act on ket coordinates (the
 evolution matrices, nilpotent powers) hold the image of basis ket k in
@@ -34,15 +32,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import GaussianRational, _lift, _turn, binom
+from .algebra import _lift, _turn, binom
 from .errors import NegativeTimeError
 from .smatrix import ResonancePole
 
 __all__ = [
     "GamowSubspace",
-    "OperatorOnM",
     "hamiltonian_matrix",
     "hamiltonian_action_matrix",
     "nilpotent_power",
@@ -70,56 +66,17 @@ class GamowSubspace:
         return self.pole.r
 
 
-@dataclass(frozen=True)
-class OperatorOnM:
-    """Dense r x r matrix over the dyad basis |k><l| of the subspace.
-
-    Entries are complex for the numeric path or objects (GaussianRational,
-    ExpPolynomial) for the exact and symbolic paths; entry (k, l) is the
-    coefficient of |k><l|.  matrix may be given as nested lists; it is
-    held as a read-only numpy array.
-    """
-
-    space: GamowSubspace
-    matrix: numpy.ndarray
-
-    def __post_init__(self):
-        import numpy as np
-
-        mat = np.asarray(self.matrix)
-        if mat.dtype != object:
-            mat = mat.astype(complex)
-        r = self.space.dimension
-        if mat.shape != (r, r):
-            raise ValueError(f"matrix must be {r}x{r}, got {mat.shape}")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-
-    def norm(self) -> float:
-        """Frobenius norm of the entries (finite numeric and exact entries
-        only), correctly rounded: the sum of squares is exact, and its root
-        is taken in integers and rounded once."""
-        parts = [
-            (x.re, x.im) if isinstance(x, GaussianRational) else (Fraction(x.real), Fraction(x.imag))
-            for x in self.matrix.flat
-            if x
-        ]
-        values, den = _lift(parts)
-        return _root(sum(re * re + im * im for re, im in values), den)
-
-
-def _root(total: int, den: int) -> float:
-    """sqrt(total) / den, correctly rounded: the root of total / den**2 in
-    integers to at least 60 bits, with a sticky last bit where inexact,
-    rounds to float as the exact root."""
-    shift = max(0, 120 - total.bit_length() + 2 * den.bit_length()) // 2 + 1
-    scaled, rest = divmod(total << (2 * shift), den * den)
+def _root(total: int) -> float:
+    """sqrt(total), correctly rounded: the root of the int total in integers
+    to at least 60 bits, with a sticky last bit where inexact, rounds to
+    float as the exact root."""
+    shift = max(0, 120 - total.bit_length()) // 2 + 1
+    scaled = total << (2 * shift)
     root = math.isqrt(scaled)
-    return math.ldexp(root | (rest != 0 or root * root != scaled), -shift)
+    return math.ldexp(root | (root * root != scaled), -shift)
 
 
-def hamiltonian_matrix(space: GamowSubspace) -> OperatorOnM:
+def hamiltonian_matrix(space: GamowSubspace) -> list:
     """Hamiltonian in the pairing-value layout: the lower Jordan block.
 
     Row k of this matrix sends the column of pairing values <psi|0..r-1>
@@ -134,13 +91,12 @@ def hamiltonian_matrix(space: GamowSubspace) -> OperatorOnM:
         mat[k][k] = z
         if k > 0:
             mat[k][k - 1] = k if space.normalization == "derivative" else 1
-    return OperatorOnM(space, mat)
+    return mat
 
 
-def hamiltonian_action_matrix(space: GamowSubspace) -> OperatorOnM:
+def hamiltonian_action_matrix(space: GamowSubspace) -> list:
     """Hamiltonian acting on ket coordinates: column k holds H|k>."""
-    mat = hamiltonian_matrix(space).matrix.T
-    return OperatorOnM(space, mat)
+    return [list(column) for column in zip(*hamiltonian_matrix(space))]
 
 
 def _column_weights(space: GamowSubspace, k: int) -> list:
@@ -151,7 +107,7 @@ def _column_weights(space: GamowSubspace, k: int) -> list:
     return [math.perm(m, k) if derivative else int(m >= k) for m in range(space.dimension)]
 
 
-def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
+def nilpotent_power(space: GamowSubspace, k: int) -> list:
     """(H - z)**k in the ket-coordinate layout.
 
     (H - z)|m> = w_m |m-1> with no float z to cancel, so the k-th power
@@ -160,16 +116,15 @@ def nilpotent_power(space: GamowSubspace, k: int) -> OperatorOnM:
     once to float, and every other entry is 0.  It kills |0>..|k-1>, has
     rank r - k for k <= r, and is the exact zero matrix from k = r on.
     """
-    import numpy as np
-
-    weights = [float(weight) for weight in _column_weights(space, k)]
-    return OperatorOnM(space, np.eye(space.dimension, k=k) * weights)
+    weights = _column_weights(space, k)
+    r = space.dimension
+    return [[float(weights[m]) if m - p == k else 0.0 for m in range(r)] for p in range(r)]
 
 
 def nilpotent_norm(space: GamowSubspace, k: int) -> float:
     """Frobenius norm of (H - z)**k, correctly rounded from its integer
-    entries, which the float matrix of nilpotent_power rounds above 2**53."""
-    return _root(sum(weight * weight for weight in _column_weights(space, k)), 1)
+    entries, which the float rows of nilpotent_power round above 2**53."""
+    return _root(sum(weight * weight for weight in _column_weights(space, k)))
 
 
 def _ket_weights(normalization: str, top: int) -> tuple:
@@ -182,28 +137,27 @@ def _ket_weights(normalization: str, top: int) -> tuple:
     return [[scaled[k - p] for p in range(k + 1)] for k in range(top + 1)], lift
 
 
-def evolution_matrix(space: GamowSubspace, t: float) -> OperatorOnM:
+def evolution_matrix(space: GamowSubspace, t: float) -> list:
     """Semigroup matrix T(t); column k holds the evolved |k>.
 
     Entry (p, k) is exp(-i z t) * w(k, p) * (-i t)**(k-p) for p <= k, with
     w(k, p) = binom(k, p) in derivative normalization and 1/(k-p)! in
-    factorial normalization.
+    factorial normalization.  Every entry, the complex zeros below the
+    diagonal included, is one complex product with the phase, so their
+    signs follow the phase.
     """
-    import numpy as np
-
-    if t < 0:
+    if not t >= 0:
         raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
     r = space.dimension
     exponent = -1j * space.pole.z_R * t
     if not cmath.isfinite(exponent):
         raise OverflowError(f"the phase exponent -i z t leaves the float range at t = {t!r}")
-    phase = np.exp(exponent)
+    phase = cmath.exp(exponent)
     weights, lift = _ket_weights(space.normalization, r - 1)
-    mat = np.zeros((r, r), dtype=complex)
-    for k in range(r):
-        for p in range(k + 1):
-            mat[p, k] = weights[k][p] / lift * (-1j * t) ** (k - p)
-    return OperatorOnM(space, phase * mat)
+    return [
+        [phase * (weights[k][p] / lift * (-1j * t) ** (k - p) if p <= k else 0j) for k in range(r)]
+        for p in range(r)
+    ]
 
 
 def conjugation_polys(normalization: str, entries: dict):

@@ -13,11 +13,10 @@ by exp(-Gamma t) with no polynomial remainder, while a plain dyad
 Every operator has one carrier: exact Gaussian-rational entries, in which
 Gamma enters as the exact rational value of its float.  A StateOperator
 holds only these sparse entries {(k, l): value}, a few dyads on its
-anti-diagonals; its dense r x r view op is built on demand, and only that
-view loads numpy.  The 2 pi Gamma scale of W has no exact value because
-pi is irrational, so w_total leaves it off; every certified property is
-invariant under that scale, and decay-curve applies it to the float norms
-it prints.
+anti-diagonals; an absent dyad is 0.  The 2 pi Gamma scale of W has no
+exact value because pi is irrational, so w_total leaves it off; every
+certified property is invariant under that scale, and decay-curve
+applies it to the float norms it prints.
 
 Evolution runs one path: float entries, which a caller may pass, enter at
 their exact binary value, jordan.conjugation_polys expands the conjugation
@@ -32,11 +31,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, _exp_decay, _horner, _turn, binom
+from .algebra import (
+    ExpPolynomial,
+    GaussianRational,
+    Polynomial,
+    _exp_decay,
+    _horner,
+    _over,
+    _turn,
+    binom,
+)
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
-from .jordan import GamowSubspace, OperatorOnM, conjugation_polys
+from .jordan import GamowSubspace, conjugation_polys
 from .smatrix import SMatrixModel, pole_jet
 
 __all__ = [
@@ -58,8 +65,7 @@ class StateOperator:
     entries maps (k, l) to the coefficient of |k><l|; absent dyads are 0.
     The constructors below give exact GaussianRational entries; complex
     float entries are accepted too and enter evolution at their exact
-    binary value.  op is the dense r x r view, built on demand, with 0 for
-    every absent dyad, so the view's dtype follows the entries.
+    binary value.
     """
 
     space: GamowSubspace
@@ -70,12 +76,6 @@ class StateOperator:
         for k, l in self.entries:
             if not 0 <= k < r or not 0 <= l < r:
                 raise IndexOutOfRangeError(f"dyad indices must be in 0..{r - 1}, got ({k}, {l})")
-
-    @property
-    def op(self) -> OperatorOnM:
-        r = self.space.dimension
-        rows = [[self.entries.get((k, l), 0) for l in range(r)] for k in range(r)]
-        return OperatorOnM(self.space, rows)
 
 
 def w_n(space: GamowSubspace, n: int) -> StateOperator:
@@ -88,7 +88,7 @@ def w_n(space: GamowSubspace, n: int) -> StateOperator:
     num, den = (part**n for part in space.pole.Gamma.as_integer_ratio())
     den *= math.factorial(n) if derivative else 1
     weights = [binom(n, k) if derivative else 1 for k in range(n + 1)]
-    entries = {(k, n - k): GaussianRational(Fraction(num * w, den)) for k, w in enumerate(weights)}
+    entries = {(k, n - k): _over(num * w, 0, den) for k, w in enumerate(weights)}
     return StateOperator(space, entries)
 
 
@@ -119,7 +119,7 @@ def _conjugation(W: StateOperator):
         if not value:
             continue
         if not isinstance(value, GaussianRational):
-            value = GaussianRational(Fraction(value.real), Fraction(value.imag))
+            value = GaussianRational(value.real, value.imag)
         entries[kl] = value
     return conjugation_polys(W.space.normalization, entries)
 
@@ -140,8 +140,9 @@ def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
     return coeffs
 
 
-def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
-    """T(t) . A . T(t)^dagger as ExpPolynomial entries in the time variable.
+def evolve_operator_symbolic(W: StateOperator) -> list:
+    """T(t) . A . T(t)^dagger as r rows of ExpPolynomial entries in the time
+    variable.
 
     The two boundary phases exp(-i z t) and exp(i conj(z) t) combine to the
     shared rate -Gamma, carried on each entry; the polynomial parts are the
@@ -151,14 +152,14 @@ def evolve_operator_symbolic(W: StateOperator) -> OperatorOnM:
     """
     r = W.space.dimension
     polys, denominator = _conjugation(W)
-    rate = GaussianRational(-Fraction(W.space.pole.Gamma))
+    rate = GaussianRational(-W.space.pole.Gamma)
     rows = [[ExpPolynomial(rate, Polynomial()) for _ in range(r)] for _ in range(r)]
     for (i, j), poly in polys.items():
         coeffs = [GaussianRational(0)] * (max(poly) + 1)
         for d, (re, im) in poly.items():
-            coeffs[d] = GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+            coeffs[d] = _over(re, im, denominator)
         rows[i][j] = ExpPolynomial(rate, Polynomial(coeffs))
-    return OperatorOnM(W.space, rows)
+    return rows
 
 
 def evolved_norm_squared(W: StateOperator) -> tuple:
@@ -188,13 +189,15 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     grid = [float(t) for t in t_grid]
     if not grid:
         raise EmptyGridError("decay_deviation needs a non-empty time grid")
-    if min(grid) < 0:
-        raise NegativeTimeError(f"evolution is defined for t >= 0, got {min(grid)}")
+    for t in grid:
+        if not t >= 0:
+            raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
     polys, _ = _conjugation(W)
     norm0 = sum(re * re + im * im for poly in polys.values() for re, im in [poly.get(0, (0, 0))])
     if not norm0:
         return 0.0
-    tail = [float(Fraction(c, norm0)) for c in _sum_of_squares(polys, lowest=1)]
+    # int true division rounds correctly
+    tail = [c / norm0 for c in _sum_of_squares(polys, lowest=1)]
     width = W.space.pole.Gamma
     worst = 0.0
     for t in grid:
@@ -216,7 +219,7 @@ def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:
     exp(-Gamma t) times the t = 0 value; higher orders deviate by
     polynomial factors.
     """
-    if t < 0:
+    if not t >= 0:
         raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
     return pole_jet(pair, model).probability(t)
 

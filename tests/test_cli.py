@@ -132,8 +132,8 @@ class TestGrid:
 
 class TestNumpyFree:
     def test_only_dense_commands_load_numpy(self, tmp_path):
-        # decay-curve on both carriers, pole-term and uniqueness run in pure
-        # Python; jordan-info and lineshape load numpy when they run
+        # decay-curve on both carriers, pole-term, uniqueness and jordan-info
+        # run in pure Python; lineshape loads numpy when it runs
         runs = [
             ("decay-curve", "decay_r1.conf", "decay_r1.csv"),
             ("decay-curve", "decay_r3.conf", "decay_r3.csv"),
@@ -162,7 +162,7 @@ class TestNumpyFree:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         # after the import, then after each run in order
-        assert json.loads(done.stdout.lower()) == [False] * 8 + [True, True]
+        assert json.loads(done.stdout.lower()) == [False] * 9 + [True]
         for i, (_, _, golden) in enumerate(runs):
             if golden is not None:
                 assert (tmp_path / str(i)).read_bytes() == (GOLDEN / golden).read_bytes()
