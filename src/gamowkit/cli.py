@@ -392,7 +392,7 @@ def lineshape_cmd(config_path, out_path, fmt_name):
     columns = [grid]
     for n in range(model.pole.r):
         header.append(f"intensity_n{n}")
-        columns.append([float(v) for v in lineshape(model, n, grid)])
+        columns.append(lineshape(model, n, grid))
     rows = list(zip(*columns))
     _emit(out_path, _table_text(header, rows, fmt_name))
 

@@ -17,8 +17,9 @@ for one exact polynomial Q of degree < r (pole_jet), which pairs the
 observable leg with the expansion coefficients b_k of the state leg, as
 in pole_term = sum_k b_k psi^(k)(z).  The Gaussian-integer kernels and
 the exponentials of exact arguments are algebra's.
-analytic_derivatives (contour quadrature) remains as a general tool; no
-pole term uses it.
+analytic_derivatives (contour quadrature, in plain Python) remains as a
+general tool; no pole term uses it.  lineshape is one ratio of exact
+squared distances to the pole.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _lift, _turn, binom
-from .errors import NoConvergenceError, PoleEvaluationError, UnderflowError
+from .errors import NoConvergenceError, PoleEvaluationError
 
 __all__ = [
     "ResonancePole",
@@ -180,45 +181,44 @@ def pole_expansion_coeffs(model: SMatrixModel) -> list:
     return [binom(r, l) * (-1j * gamma_width) ** l for l in range(1, r + 1)]
 
 
-def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> numpy.ndarray:
+def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> list:
     """Derivatives f(z0), f'(z0), ..., f^(n_max)(z0) by contour quadrature.
 
     Samples f on the circle |w - z0| = radius and reads the derivatives off
     the Fourier coefficients of the samples (the trapezoid form of the
-    Cauchy integral for f^(k)).  Nodes double from 64 until two successive
-    estimate vectors agree to 1e-12 in the scaled maximum norm; failing at
-    4096 nodes raises NoConvergenceError.  Requires f analytic on a
-    neighbourhood of the closed disk.
+    Cauchy integral for f^(k)), each a direct sum over the nodes.  Nodes
+    double from 64 until two successive estimate lists agree to 1e-12 in
+    the scaled maximum norm; failing at 4096 nodes raises
+    NoConvergenceError.  Requires f analytic on a neighbourhood of the
+    closed disk.
 
     The agreement scale for order k is the Cauchy bound k! max|f| / R**k:
     rounding noise in the k-th Fourier coefficient is amplified by exactly
     that factor, so a flat scale would keep high orders from ever settling
     at small radii.
     """
-    import numpy as np
-
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if not radius > 0:
         raise ValueError("contour radius must be positive")
 
-    factorials = np.array([math.factorial(k) for k in range(n_max + 1)])
-    powers = radius ** np.arange(n_max + 1)
+    orders = range(n_max + 1)
+    factorials = [math.factorial(k) for k in orders]
+    powers = [radius**k for k in orders]
 
     previous = None
     nodes = CONTOUR_START_NODES
     while nodes <= CONTOUR_MAX_NODES:
-        theta = 2.0 * np.pi * np.arange(nodes) / nodes
-        points = z0 + radius * np.exp(1j * theta)
-        samples = np.array([f(w) for w in points], dtype=complex)
-        # FFT index k carries exp(-2 pi i j k / n), exactly the weight the
-        # k-th derivative needs.
-        spectrum = np.fft.fft(samples)[: n_max + 1]
-        estimate = factorials * spectrum / (nodes * powers)
+        circle = [cmath.exp(1j * (2.0 * math.pi * j / nodes)) for j in range(nodes)]
+        samples = [complex(f(z0 + radius * u)) for u in circle]
+        # node j of coefficient k carries exp(-2 pi i j k / n) = circle[-j k mod n],
+        # exactly the weight the k-th derivative needs
+        spectrum = [sum(s * circle[-j * k % nodes] for j, s in enumerate(samples)) for k in orders]
+        estimate = [a * c / (nodes * p) for a, c, p in zip(factorials, spectrum, powers)]
         if previous is not None:
-            sample_peak = max(float(np.max(np.abs(samples))), 1e-300)
-            scale = factorials * sample_peak / powers
-            if float(np.max(np.abs(estimate - previous) / scale)) <= CONTOUR_REL_TOL:
+            sample_peak = max(max(map(abs, samples)), 1e-300)
+            scale = [a * sample_peak / p for a, p in zip(factorials, powers)]
+            if max(abs(e - q) / c for e, q, c in zip(estimate, previous, scale)) <= CONTOUR_REL_TOL:
                 return estimate
         previous = estimate
         nodes *= 2
@@ -455,37 +455,27 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
     return pole_jet(pair, model).amplitude()
 
 
-def lineshape(model: SMatrixModel, n: int, e_grid) -> numpy.ndarray:
+def lineshape(model: SMatrixModel, n: int, e_grid) -> list:
     """|1 / (E - z)**(n+1)|**2 on the grid, scaled to peak at 1.
 
     n = 0 is the familiar width-Gamma resonance bump; higher n sharpen it.
-    A peak that is not a float (|E - z|**(2n+2) underflows to 0 next to a
-    narrow pole) raises instead of scaling the grid to nan.  Points where
-    it overflows get the scaled value (d_min / d)**(2n+2), with
-    d = |E - z|, instead of 0; on a grid where it overflows everywhere
-    that is every point, and the point nearest the pole reads 1.
+    Each value is the one ratio (D_min / D)**(n+1), with D = |E - z|**2 and
+    D_min its smallest value on the grid.  E, E_R and Gamma / 2 are
+    integers over one power of two, so every D is an exact integer, and
+    the quotient D_min / D <= 1 is rounded once: no value overflows, a
+    distance below the float range loses no digits, and the point nearest
+    the pole reads 1.
     """
-    import numpy as np
-
     pole = model.pole
     if not 0 <= n <= pole.r - 1:
         raise ValueError(f"derivative order n must be in 0..{pole.r - 1}, got {n}")
-    grid = np.asarray(e_grid, dtype=float)
-    power = 2 * (n + 1)
-    with np.errstate(divide="ignore", over="ignore"):
-        distance = np.abs(grid - pole.z_R)
-        if np.isinf(distance).any():
-            # E - z leaves the float range only where halving is exact, and
-            # the scaled intensities are ratios of distances
-            distance = np.abs(grid / 2.0 - pole.z_R / 2.0)
-        scaled = distance**power
-        intensity = 1.0 / scaled
-    if intensity.size:
-        peak = intensity.max()
-        if peak == math.inf:
-            raise UnderflowError(f"|E - z|**{power} is 0 in floating point on the grid")
-        if peak:
-            intensity = intensity / peak
-        far = np.isinf(scaled)
-        intensity[far] = (distance.min() / distance[far]) ** power
-    return intensity
+    points = [float(e).as_integer_ratio() for e in e_grid]
+    center, center_den = pole.E_R.as_integer_ratio()
+    width, width_den = pole.Gamma.as_integer_ratio()
+    # every denominator is a power of two; lift each value to 2**(top - 1)
+    top = max(center_den, 2 * width_den, *(den for _, den in points)).bit_length()
+    center <<= top - center_den.bit_length()
+    half_width = width << (top - (2 * width_den).bit_length())
+    squared = [((e << (top - den.bit_length())) - center) ** 2 + half_width**2 for e, den in points]
+    nearest = min(squared, default=0)
+    return [(nearest / d) ** (n + 1) for d in squared]

@@ -23,8 +23,8 @@ their exact binary value, jordan.conjugation_polys expands the conjugation
 exactly, and floats appear only when a quantity is evaluated at a time.
 evolve_operator_symbolic, evolved_norm_squared and decay_deviation are
 three readings of that one expansion.  The arithmetic they share is
-algebra's: the quarter turns of the i-powers, float Horner and
-exp(-Gamma t).
+algebra's: the quarter turns of the i-powers, exact evaluation at a
+float t and exp(-Gamma t).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .algebra import (
     ExpPolynomial,
     GaussianRational,
     Polynomial,
+    _exact_at,
     _exp_decay,
-    _horner,
     _over,
     _turn,
     binom,
@@ -182,9 +182,14 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     max over t of || evolve(W, t) - exp(-Gamma t) W ||_F / ||W||_F.  The
     difference is exp(-Gamma t) times the terms of degree >= 1 of the
     conjugation polynomials, so the ratio is exp(-Gamma t) sqrt(D(t)) with
-    D(t) the exact squared norm of those terms over ||W||_F**2, evaluated
-    by Horner in floats.  A family member whose tail cancels gets exactly
-    0.0.  Raises OverflowError where D(t) leaves the float range.
+    D(t) the exact squared norm of those terms over ||W||_F**2.  D is read
+    exactly at each float t and scaled by 4**-k, k from its bit lengths,
+    before it is rounded once, as PoleJet.ratio does; the square root and
+    the product with the mantissa of exp(-Gamma t) are the only other
+    roundings.  So a deviation that is a float is returned where D(t)
+    alone leaves the float range, and one that is not raises
+    OverflowError naming t.  A family member whose tail cancels gets
+    exactly 0.0.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -194,18 +199,21 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
             raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
     polys, _ = _conjugation(W)
     norm0 = sum(re * re + im * im for poly in polys.values() for re, im in [poly.get(0, (0, 0))])
-    if not norm0:
+    tail = [(c, 0) for c in _sum_of_squares(polys, lowest=1)]
+    if not norm0 or not tail:
         return 0.0
-    # int true division rounds correctly
-    tail = [c / norm0 for c in _sum_of_squares(polys, lowest=1)]
     width = W.space.pole.Gamma
     worst = 0.0
     for t in grid:
-        value = _horner(tail, t)
-        if not math.isfinite(value):
-            raise OverflowError(f"the deviation leaves the float range at t = {t!r}")
-        # D(t) >= 0; a negative value is rounding in the evaluation
-        worst = max(worst, _exp_decay(width, t) * math.sqrt(max(value, 0.0)))
+        num, _, scale = _exact_at(tail, t)
+        den = norm0 * scale
+        k = (num.bit_length() - den.bit_length()) // 2
+        mantissa, exponent = math.frexp(_exp_decay(width, t))
+        value = mantissa * math.sqrt((num << max(-2 * k, 0)) / (den << max(2 * k, 0)))
+        try:
+            worst = max(worst, math.ldexp(value, exponent + k))
+        except OverflowError:
+            raise OverflowError(f"the deviation leaves the float range at t = {t!r}") from None
     return worst
 
 

@@ -131,9 +131,9 @@ class TestGrid:
 
 
 class TestNumpyFree:
-    def test_only_dense_commands_load_numpy(self, tmp_path):
-        # decay-curve on both carriers, pole-term, uniqueness and jordan-info
-        # run in pure Python; lineshape loads numpy when it runs
+    def test_no_command_loads_numpy(self, tmp_path):
+        # every command runs in pure Python: decay-curve on both carriers,
+        # pole-term, uniqueness, jordan-info and lineshape
         runs = [
             ("decay-curve", "decay_r1.conf", "decay_r1.csv"),
             ("decay-curve", "decay_r3.conf", "decay_r3.csv"),
@@ -162,7 +162,7 @@ class TestNumpyFree:
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         # after the import, then after each run in order
-        assert json.loads(done.stdout.lower()) == [False] * 9 + [True]
+        assert json.loads(done.stdout.lower()) == [False] * 10
         for i, (_, _, golden) in enumerate(runs):
             if golden is not None:
                 assert (tmp_path / str(i)).read_bytes() == (GOLDEN / golden).read_bytes()
@@ -368,16 +368,22 @@ class TestExitCodes:
         assert len(result.output.splitlines()) == 1
         assert "numerical underflow" in result.output
 
-    def test_lineshape_peak_below_float_range_maps_to_two(self, tmp_path):
-        # |E - z|**2 = Gamma**2 / 4 underflows at the grid point E = E_R
+    @pytest.mark.parametrize("width", ["1e-300", "5e-324"])
+    def test_lineshape_peak_below_float_range_reads_one(self, tmp_path, width):
+        # |E - z|**2 = Gamma**2 / 4 underflows at the grid point E = E_R, and
+        # at 5e-324 so does Gamma / 2; the intensities are still 0, 1, 0
         conf = tmp_path / "l.conf"
-        conf.write_text("E_R = 2.0\nGamma = 1e-300\nr = 1\ne_min = 1.0\ne_max = 3.0\ne_steps = 3\n")
+        conf.write_text(f"E_R = 2.0\nGamma = {width}\nr = 1\ne_min = 1.0\ne_max = 3.0\ne_steps = 3\n")
         done = _run_strict("lineshape", "--config", str(conf))
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr.splitlines() == [
-            "error: numerical underflow: |E - z|**2 is 0 in floating point on the grid"
-        ]
+        assert done.returncode == 0
+        assert done.stderr == ""
+        _, *rows = list(csv.reader(io.StringIO(done.stdout)))
+        assert rows == [["1", "0"], ["2", "1"], ["3", "0"]]
+        with mpmath.workdps(50):
+            half = mpmath.mpf(float(width)) / 2
+            for e, got in rows:
+                want = half**2 / ((mpmath.mpf(float(e)) - 2) ** 2 + half**2)
+                assert abs(float(got) - want) <= 2.0**-53 * want + 2.0**-1074
 
     @pytest.mark.parametrize("pole", ["E_R = 1e308\nGamma = 0.5", "E_R = 2.0\nGamma = 5e-324"])
     def test_jordan_info_phase_beyond_float_range_maps_to_two(self, tmp_path, pole):
@@ -580,6 +586,20 @@ class TestOtherCommands:
         assert result.exit_code == 0
         header = result.output.splitlines()[0].split(",")
         assert header == ["E", "intensity_n0", "intensity_n1", "intensity_n2"]
+
+    def test_lineshape_golden_within_the_stated_bound_of_mpmath(self):
+        # each intensity within (n + 2) * 2**-53 of the exact (D_min / D)**(n+1)
+        cfg = RunConfig(parse_config_text((CONFIGS / "lineshape_r3.conf").read_text()))
+        _, *rows = csv.reader(io.StringIO((GOLDEN / "lineshape_r3.csv").read_text()))
+        assert len(rows) == len(cfg.grid("e"))
+        with mpmath.workdps(50):
+            half = mpmath.mpf(cfg.get_float("Gamma")) / 2
+            squared = [(mpmath.mpf(float(row[0])) - cfg.get_float("E_R")) ** 2 + half**2 for row in rows]
+            nearest = min(squared)
+            for row, d in zip(rows, squared):
+                for n, got in enumerate(row[1:]):
+                    want = (nearest / d) ** (n + 1)
+                    assert abs(mpmath.mpf(float(got)) - want) <= (n + 2) * 2.0**-53 * want
 
     def test_pole_term_payload_keys(self, runner):
         result = runner.invoke(

@@ -86,3 +86,19 @@ def test_private_names_cross_modules_only_from_algebra():
                 crossing += [f"{path.stem} imports {source}.{alias.name}" for alias in node.names
                              if alias.name.startswith("_") and source != "algebra"]
     assert crossing == []
+
+
+def test_no_module_imports_numpy():
+    # click is the one runtime dependency; an import inside a function body
+    # counts too
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.stem} imports {name}" for name in names if name.split(".")[0] == "numpy"]
+    assert imports == []

@@ -10,11 +10,13 @@ import math
 import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamowkit.cli import R_CAP, RunConfig, parse_config_text
 from gamowkit.errors import NoConvergenceError, PoleEvaluationError
 from gamowkit.smatrix import (
     BackgroundPhase,
@@ -385,14 +387,53 @@ class TestExpansionCoeffs:
         assert abs(contracted - want) < 1e-11 * max(1.0, abs(want))
 
 
+positive_float = st.floats(min_value=1e-3, max_value=1e3) | st.floats(
+    min_value=0.0, exclude_min=True, allow_infinity=False
+)
+finite_float = st.floats(min_value=-1e3, max_value=1e3) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
 class TestLineshape:
     def test_peak_normalized_to_one(self):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 2))
         grid = np.linspace(0.0, 4.0, 801)
         for n in range(2):
-            vals = lineshape(model, n, grid)
+            vals = np.asarray(lineshape(model, n, grid))
             assert vals.max() == pytest.approx(1.0)
             assert vals[np.argmax(vals)] == vals[400]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        E_R=positive_float,
+        Gamma=positive_float,
+        ends=st.lists(finite_float, min_size=2, max_size=2),
+        steps=st.integers(min_value=1, max_value=12),
+        r=st.integers(min_value=1, max_value=R_CAP),
+        data=st.data(),
+    )
+    # Gamma / 2 and every distance below the normal range
+    @example(E_R=1e-323, Gamma=1e-323, ends=[0.0, 2e-323], steps=5, r=1, data=None)
+    # Gamma / 2 is 0 in floats, and E_R lies on the grid
+    @example(E_R=2.0, Gamma=5e-324, ends=[1.0, 3.0], steps=3, r=2, data=None)
+    # E - z overflows at both ends
+    @example(E_R=1e308, Gamma=1.0, ends=[-1.7e308, -1e308], steps=4, r=3, data=None)
+    def test_within_the_stated_bound_of_mpmath(self, E_R, Gamma, ends, steps, r, data):
+        # each value is within (n + 2) * 2**-53 relative of the exact
+        # (D_min / D)**(n+1), D = |E - z|**2, and within 2**-1074 below
+        # the normal range
+        lo, hi = sorted(ends)
+        config = f"e_min = {lo!r}\ne_max = {hi!r}\ne_steps = {steps}\n"
+        grid = RunConfig(parse_config_text(config)).grid("e")
+        n = r - 1 if data is None else data.draw(st.integers(min_value=0, max_value=r - 1))
+        got = lineshape(SMatrixModel(ResonancePole(E_R, Gamma, r)), n, grid)
+        with mpmath.workprec(150):
+            squared = [(mpmath.mpf(e) - E_R) ** 2 + (mpmath.mpf(Gamma) / 2) ** 2 for e in grid]
+            nearest = min(squared)
+            for value, d in zip(got, squared):
+                want = (nearest / d) ** (n + 1)
+                assert abs(value - want) <= (n + 2) * 2.0**-53 * want + 2.0**-1074
 
     def test_out_of_range_order_rejected(self):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 2))
@@ -405,7 +446,7 @@ class TestLineshape:
         gamma_width = 0.8
         model = SMatrixModel(ResonancePole(2.0, gamma_width, 3))
         grid = np.linspace(0.0, 4.0, 160001)
-        vals = lineshape(model, n, grid)
+        vals = np.asarray(lineshape(model, n, grid))
         above = vals >= 0.5
         left = np.argmax(above)
         right = len(vals) - np.argmax(above[::-1]) - 1

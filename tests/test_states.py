@@ -8,6 +8,7 @@ plain dyads do not, and the pole-term pairing sees the same thing.
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -329,12 +330,21 @@ class TestDecayDeviation:
         space = GamowSubspace(ResonancePole(2.0, 1e308, 2))
         assert decay_deviation(w_total(space), [0.0, 1.0]) == 0.0
 
-    def test_tail_beyond_float_range_raises(self):
-        # |1><1| has D(t) = 2 t**2 + t**4: at t = 1e80 the true deviation is
-        # about 1e160, but t**4 leaves the float range (it read inf)
+    def test_tail_beyond_float_range_is_the_finite_value(self):
+        # |1><1| has D(t) = 2 t**2 + t**4: at t = 1e80, t**4 leaves the float
+        # range, but the deviation exp(-Gamma t) sqrt(D(t)) is about 1e160
         space = GamowSubspace(ResonancePole(2.0, 1e-100, 2))
-        with pytest.raises(OverflowError, match=r"t = 1e\+80"):
-            decay_deviation(dyad_operator(space, 1), [1.0, 1e80])
+        got = decay_deviation(dyad_operator(space, 1), [1.0, 1e80])
+        with mpmath.workdps(50):
+            t = mpmath.mpf(1e80)
+            want = mpmath.exp(-mpmath.mpf(1e-100) * t) * mpmath.sqrt(2 * t**2 + t**4)
+            assert abs(got - want) <= 2.0**-51 * want
+
+    def test_deviation_beyond_float_range_raises(self):
+        # the true deviation at t = 1e160 is about 1e320
+        space = GamowSubspace(ResonancePole(2.0, 1e-300, 2))
+        with pytest.raises(OverflowError, match=r"t = 1e\+160"):
+            decay_deviation(dyad_operator(space, 1), [1.0, 1e160])
 
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
     @pytest.mark.parametrize("r", [1, 2, 3, 5])
