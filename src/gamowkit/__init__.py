@@ -45,6 +45,7 @@ from .smatrix import (
 )
 from .states import (
     StateOperator,
+    decay_columns,
     decay_deviation,
     dyad_operator,
     evolve_operator_symbolic,

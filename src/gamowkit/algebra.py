@@ -1,18 +1,15 @@
 """Exact scalars and polynomials, and the kernels every module computes with.
 
-Gaussian rationals (a pair of arbitrary-precision rationals) are the
-exact output carrier: the entries of exact state operators and the
-coefficients of symbolically evolved ones.  The time dependence of every
-evolved quantity is exp(rate*t) * p(t) with p a polynomial, so that
-shape gets its own type.  Only what the package reads is kept:
-construction, comparison, sums and products of scalars, and evaluation.
-
-The kernels run on Gaussian integers (re, im) over one common
-denominator, and their readers take those integers as they come: only
-the state operators and their symbolic evolution build the objects above
-from them, with _over.  Each kernel is defined here once for every
-module: _lift, _gmul, _turn, _exact_at, _horner, _exp_decay and
-_exp_exact.
+Gaussian rationals are the exact output carrier: the entries of state
+operators and the coefficients of symbolically evolved ones, whose time
+dependence exp(rate*t) * p(t) gets its own type.  The kernels run on
+Gaussian integers (re, im) over one common denominator; only the state
+operators and their symbolic evolution build the objects from them, with
+_over.  Each kernel is defined here once: _lift, _gmul, _turn, _exact_at,
+_horner, _exp_exact, and the one reading of exp(-Gamma t) times an exact
+value: _exp_decay returns the factor as mantissa and exponent, _scaled
+rounds an exact quotient (or its root) once, scaled by a power of two,
+and _ldexp applies the carried exponents.
 """
 
 from __future__ import annotations
@@ -84,20 +81,64 @@ def _exp_exact(re: Fraction, im: Fraction) -> complex:
     return cmath.exp(complex(hi_re, hi_im)) * complex(1.0 + lo_re, lo_im)
 
 
-def _exp_decay(width: float, t: float) -> float:
-    """exp(-width t) from the exact product: width t = hi + lo with hi the
-    rounded float product and lo its exact remainder, below half an ulp of
-    hi, so exp(-hi - lo) = e - e lo with e = exp(-hi) to far below an ulp."""
+# ln 2 to 128 bits, over 2**128: for k < 2**17 the error of k ln 2 is below
+# 2**-111.  Beyond 2**17 ln 2, exp(-x) < 2**-131072 reads every product as 0:
+# the values it scales stay far below 2**130000 (norms below 2**34000).
+_LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
+_EXP_CUTOFF = 2**17 * math.log(2)
+
+
+def _exp_decay(width: float, t: float) -> tuple:
+    """(m, e), m in [1/2, 1), with exp(-x) = m 2**e for the exact product x
+    of the floats width and t; (0.0, 0) beyond _EXP_CUTOFF.  Up to 700, x
+    is split as hi + lo, hi the rounded float product and lo its exact
+    remainder, so exp(-x) = f - f lo with f = exp(-hi) to far below an ulp;
+    above, the exact x - k ln 2 is split alike and 2**-k carried."""
     hi = width * t
-    e = math.exp(-hi)
-    if not e:
-        # nothing to correct, and an infinite hi has no integer ratio
-        return e
-    a, b = width.as_integer_ratio()
-    c, d = float(t).as_integer_ratio()
+    if not hi <= _EXP_CUTOFF:
+        return 0.0, 0
+    (a, b), (c, d) = width.as_integer_ratio(), float(t).as_integer_ratio()
+    num, den, k = a * c, b * d, 0
+    if hi > 700:
+        k = ((num << 129) + den * _LN2) // (2 * den * _LN2)  # round(x / ln 2)
+        num, den = (num << 128) - k * _LN2 * den, den << 128
+        hi = num / den
     p, q = hi.as_integer_ratio()
-    lo = (a * c * q - p * b * d) / (b * d * q)
-    return e - e * lo
+    lo = (num * q - p * den) / (den * q)
+    f = math.exp(-hi)
+    m, e = math.frexp(f - f * lo)
+    return m, e - k
+
+
+def _quotient(nums, den: int, k: int) -> list:
+    """[num / (den 2**k)] for ints num >= 0 and den > 0, each rounded once."""
+    up, den = max(-k, 0), den << max(k, 0)
+    return [(num << up) / den for num in nums]
+
+
+def _scaled(num: int, den: int, root: bool = False) -> tuple:
+    """(m, k) with m 2**k = num / den, or its square root, for ints num >= 0
+    and den > 0; k from the bit lengths keeps m near 1, so m rounds like
+    the unscaled value wherever that is a normal float."""
+    step = 2 if root else 1
+    k = (num.bit_length() - den.bit_length()) // step
+    (m,) = _quotient([num], den, step * k)
+    return (math.sqrt(m) if root else m), k
+
+
+def _ldexp(values, exponents, what: str, times) -> list:
+    """[v 2**x] with each carried exponent applied once; OverflowError
+    naming what and the first t whose value leaves the float range
+    (ldexp(inf, x) itself does not raise)."""
+    try:
+        out = list(map(math.ldexp, values, exponents))
+        if math.inf not in out:
+            return out
+    except OverflowError:
+        pass
+    for v, x, t in zip(values, exponents, times):
+        if v == math.inf or v and math.frexp(v)[1] + x > 1024:
+            raise OverflowError(f"{what} leaves the float range at t = {t!r}")
 
 
 class GaussianRational:

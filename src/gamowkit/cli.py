@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import click
 
-from .algebra import _exp_decay, _horner
 from .errors import ConfigInvalidError, UnderflowError
 from .jordan import (
     NORMALIZATIONS,
@@ -38,16 +37,12 @@ from .smatrix import (
     lineshape,
     pole_jet,
 )
-from .states import dyad_operator, evolved_norm_squared, w_n, w_total
+from .states import decay_columns, dyad_operator, w_n, w_total
 from .uniqueness import certify
 
-# Largest inputs that set the amount of work.  j = 32 certifies in about
-# 1 s, the cost grows fast beyond it, and the statement is order-uniform.
-# At r = 32, decay-curve and jordan-info take about 0.2 s on 5 points, and
-# decay-curve grows like r**4.5; on 5000 points decay-curve takes about
-# 1 s and pole-term about 3 s.  A test-function pole order m, like r,
-# sets the size of the exact jets: pole-term with three terms at m = 32
-# takes about 5 s at r = 32 on 5000 points, and the cost keeps growing.
+# Largest inputs that set the amount of work: j = 32 certifies in about
+# 1 s; at r = 32 on 5000 points decay-curve takes about 1 s and pole-term
+# about 3 s (5 s with three terms at m = 32), and the costs keep growing.
 J_CAP = 32
 R_CAP = 32
 M_CAP = 32
@@ -233,9 +228,7 @@ def _emit(out_path: str | None, text: str):
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(float(v)) for v in row))
+    lines = [",".join(header)] + [",".join(_fmt(float(v)) for v in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -250,11 +243,7 @@ def _json_text(payload) -> str:
 def _table_text(header, rows, fmt_name: str) -> str:
     if fmt_name == "csv":
         return _csv_text(header, rows)
-    payload = {
-        "columns": list(header),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
-    return _json_text(payload)
+    return _json_text({"columns": list(header), "rows": [[float(v) for v in row] for row in rows]})
 
 
 config_option = click.option(
@@ -329,54 +318,16 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     cfg = load_config(config_path)
     space = _space_from(cfg, normalization)
     grid = cfg.grid("t", minimum_allowed=0.0)
-    # exp(-Gamma t) once per grid point, shared by every column
-    decay = [_exp_decay(space.pole.Gamma, t) for t in grid]
     r = space.dimension
-
+    header, columns = ["t"], [grid]
     # every operator is exact; only the float table scales W's norms by 2 pi Gamma
-    operators = [(f"w{n}", w_n(space, n), 1.0) for n in range(r)]
-    operators.append(("wsum", w_total(space), 1.0 if exact else 2.0 * math.pi * space.pole.Gamma))
-    dyads = [(f"dyad{k}", dyad_operator(space, k)) for k in range(r)]
-
-    def norm_columns(name, op, scale=1.0):
-        # exact coefficients of N(t) over 4**k, k from N(0) in lowest terms, which
-        # puts N(0) near 1: a power of two rounds alike, and a norm that
-        # underflows keeps its deviation
-        coeffs, den = evolved_norm_squared(op)
-        common = math.gcd(coeffs[0], den)
-        k = ((coeffs[0] // common).bit_length() - (den // common).bit_length()) // 2
-        up, down = max(-2 * k, 0), max(2 * k, 0)
-        c0, *tail = [(c << up) / (den << down) for c in coeffs]
-        u0 = math.sqrt(c0)
-        norms, deviation = [], []
-        for t in [0.0, *grid]:
-            # N(t) = N(0) + t T(t): |u - u0| / u0 is |t T| / (u0 (u + u0)) on
-            # the unphased u = sqrt(N), free of cancellation and of exp(-Gamma t)
-            T = _horner(tail, t)
-            u = math.sqrt(T * t + c0)
-            try:
-                norm = math.ldexp(scale * u, k)
-            except OverflowError:
-                norm = math.inf
-            if norm == math.inf:
-                raise OverflowError(f"the {name} norm leaves the float range at t = {t!r}")
-            norms.append(norm)
-            deviation.append(abs(t * T) / (u0 * (u + u0)))
-        return norms[0], [u * e for u, e in zip(norms[1:], decay)], deviation[1:]
-
-    header = ["t"]
-    columns = [grid]
-    for name, op, scale in operators:
-        norm0, curve, deviation = norm_columns(name, op, scale)
+    for name, op in [(f"w{n}", w_n(space, n)) for n in range(r)] + [("wsum", w_total(space))]:
         header += [f"{name}_norm", f"{name}_exp_law", f"{name}_deviation"]
-        columns += [curve, [norm0 * e for e in decay], deviation]
-    for name, op in dyads:
-        _, curve, deviation = norm_columns(name, op)
-        header += [f"{name}_norm", f"{name}_deviation"]
-        columns += [curve, deviation]
-
-    rows = list(zip(*columns))
-    _emit(out_path, _table_text(header, rows, fmt_name))
+        columns += decay_columns(op, grid, name, times_2pi_gamma=name == "wsum" and not exact)
+    for k in range(r):
+        header += [f"dyad{k}_norm", f"dyad{k}_deviation"]
+        columns += decay_columns(dyad_operator(space, k), grid, f"dyad{k}")[::2]
+    _emit(out_path, _table_text(header, list(zip(*columns)), fmt_name))
 
 
 @main.command("lineshape")
@@ -388,13 +339,8 @@ def lineshape_cmd(config_path, out_path, fmt_name):
     cfg = load_config(config_path)
     model = cfg.model()
     grid = cfg.grid("e")
-    header = ["E"]
-    columns = [grid]
-    for n in range(model.pole.r):
-        header.append(f"intensity_n{n}")
-        columns.append(lineshape(model, n, grid))
-    rows = list(zip(*columns))
-    _emit(out_path, _table_text(header, rows, fmt_name))
+    header = ["E"] + [f"intensity_n{n}" for n in range(model.pole.r)]
+    _emit(out_path, _table_text(header, list(zip(grid, *lineshape(model, grid))), fmt_name))
 
 
 @main.command("pole-term")
@@ -408,26 +354,17 @@ def pole_term_cmd(config_path, out_path):
     exp(-Gamma t) |Q(t) / Q(0)|**2, with the quotient exact at the float t.
     """
     cfg = load_config(config_path)
-    model = cfg.model()
-    pair = cfg.pair()
-    grid = cfg.grid("t", minimum_allowed=0.0)
-
+    model, pair, grid = cfg.model(), cfg.pair(), cfg.grid("t", minimum_allowed=0.0)
     jet = pole_jet(pair, model)
-    value = jet.amplitude()
     if jet.vanishes:
         raise ConfigInvalidError("pole term vanishes at t = 0; ratio table undefined")
     p0 = jet.probability(0.0)
     if p0 == 0.0:
         raise UnderflowError("probability at t = 0 is 0 in floating point; the pole term is not")
-    table = []
-    for t in grid:
-        # one exp(-Gamma t) for both columns: at r = 1 they agree bit for bit
-        reference = _exp_decay(model.pole.Gamma, t)
-        table.append(
-            {"t": t, "ratio": jet.ratio(t, reference), "exponential_reference": reference}
-        )
+    ratios = [(t, *jet.ratio(t)) for t in grid]
+    table = [{"t": t, "ratio": q, "exponential_reference": e} for t, q, e in ratios]
     payload = {
-        "pole_term": _cplx(value),
+        "pole_term": _cplx(jet.amplitude()),
         "expansion_coeffs": [_cplx(b) for b in jet.expansion_coeffs],
         "probability_at_zero": p0,
         "ratio_table": table,

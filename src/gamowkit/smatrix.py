@@ -15,11 +15,8 @@ float entering at its exact value.  The pole term of the pairing with
 the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
 for one exact polynomial Q of degree < r (pole_jet), which pairs the
 observable leg with the expansion coefficients b_k of the state leg, as
-in pole_term = sum_k b_k psi^(k)(z).  The Gaussian-integer kernels and
-the exponentials of exact arguments are algebra's.
-analytic_derivatives (contour quadrature, in plain Python) remains as a
-general tool; no pole term uses it.  lineshape is one ratio of exact
-squared distances to the pole.
+in pole_term = sum_k b_k psi^(k)(z).  analytic_derivatives (contour
+quadrature) remains as a general tool; no pole term uses it.
 """
 
 from __future__ import annotations
@@ -29,7 +26,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _lift, _turn, binom
+from .algebra import _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _ldexp, _lift, _scaled
+from .algebra import _turn, binom
 from .errors import NoConvergenceError, PoleEvaluationError
 
 __all__ = [
@@ -343,11 +341,9 @@ class PoleJet:
         2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
 
     with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
-    coefficient of t**m, as a Gaussian integer (re, im).  phase is
-    exp(2i gamma(z)) in floats (1 without the gauge).  Q is evaluated
-    exactly at the float t (algebra._exact_at) and rounded once.
-
-    expansion_coeffs are the b_k that Q pairs with the observable leg,
+    coefficient of t**m, as a Gaussian integer (re, im), and phase is
+    exp(2i gamma(z)) in floats (1 without the gauge).  expansion_coeffs
+    are the b_k that Q pairs with the observable leg,
 
         b_k = (-2 pi Gamma) sum_{n=k}^{r-1} binom(r, n+1) binom(n, k)
               ((-i Gamma)**n / n!) phi^(n-k)(z),
@@ -376,29 +372,20 @@ class PoleJet:
     def probability(self, t: float) -> float:
         """exp(-Gamma t) |amplitude(t)|**2."""
         value = self.amplitude(t)
-        return _exp_decay(self.width, t) * (value.real * value.real + value.imag * value.imag)
+        m, e = _exp_decay(self.width, t)
+        s, k = math.frexp(value.real * value.real + value.imag * value.imag)
+        return _ldexp([m * s], [e + k], "probability", [t])[0]
 
-    def ratio(self, t: float, reference: float) -> float:
-        """reference * |Q(t) / Q(0)|**2.
-
-        With reference = exp(-Gamma t) this is probability(t) /
-        probability(0), and for r = 1 it is the reference itself.  The exact
-        quotient is scaled by 2**-k, k from its bit lengths, and rounded
-        once; its product with the mantissa of the reference is the only
-        other rounding.  So the value rounds as reference * quotient
-        wherever that is a normal float, and a ratio below the float range
-        reads 0 even where the quotient alone overflows.
-        """
+    def ratio(self, t: float) -> tuple:
+        """(ratio, reference) at t: reference = exp(-Gamma t) and ratio =
+        reference |Q(t) / Q(0)|**2, the exact quotient rounded once, scaled
+        by a power of two, times the mantissa of the reference, exponents
+        last: at r = 1 the two agree bit for bit."""
         re, im, scale = _exact_at(self.coeffs, t)
         q_re, q_im = self.coeffs[0]
-        num, den = re * re + im * im, (q_re * q_re + q_im * q_im) * scale * scale
-        k = num.bit_length() - den.bit_length()
-        mantissa, exponent = math.frexp(reference)
-        value = mantissa * ((num << max(-k, 0)) / (den << max(k, 0)))
-        try:
-            return math.ldexp(value, exponent + k)
-        except OverflowError:
-            raise OverflowError(f"the ratio leaves the float range at t = {t!r}") from None
+        quotient, k = _scaled(re * re + im * im, (q_re * q_re + q_im * q_im) * scale * scale)
+        m, e = _exp_decay(self.width, t)
+        return _ldexp([m * quotient], [e + k], "ratio", [t])[0], math.ldexp(m, e)
 
 
 def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
@@ -455,20 +442,17 @@ def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
     return pole_jet(pair, model).amplitude()
 
 
-def lineshape(model: SMatrixModel, n: int, e_grid) -> list:
-    """|1 / (E - z)**(n+1)|**2 on the grid, scaled to peak at 1.
+def lineshape(model: SMatrixModel, e_grid) -> list:
+    """|1 / (E - z)**(n+1)|**2 on the grid, scaled to peak at 1: one
+    column for each order n = 0..r-1.
 
-    n = 0 is the familiar width-Gamma resonance bump; higher n sharpen it.
-    Each value is the one ratio (D_min / D)**(n+1), with D = |E - z|**2 and
-    D_min its smallest value on the grid.  E, E_R and Gamma / 2 are
-    integers over one power of two, so every D is an exact integer, and
-    the quotient D_min / D <= 1 is rounded once: no value overflows, a
-    distance below the float range loses no digits, and the point nearest
-    the pole reads 1.
+    Each value is (D_min / D)**(n+1), with D = |E - z|**2 and D_min its
+    smallest value on the grid.  E, E_R and Gamma / 2 are integers over
+    one power of two, so every D is an exact integer, and the quotient
+    D_min / D <= 1 is rounded once, for all orders: no value overflows, and
+    the point nearest the pole reads 1.
     """
     pole = model.pole
-    if not 0 <= n <= pole.r - 1:
-        raise ValueError(f"derivative order n must be in 0..{pole.r - 1}, got {n}")
     points = [float(e).as_integer_ratio() for e in e_grid]
     center, center_den = pole.E_R.as_integer_ratio()
     width, width_den = pole.Gamma.as_integer_ratio()
@@ -478,4 +462,5 @@ def lineshape(model: SMatrixModel, n: int, e_grid) -> list:
     half_width = width << (top - (2 * width_den).bit_length())
     squared = [((e << (top - den.bit_length())) - center) ** 2 + half_width**2 for e, den in points]
     nearest = min(squared, default=0)
-    return [(nearest / d) ** (n + 1) for d in squared]
+    ratios = [nearest / d for d in squared]
+    return [[q ** (n + 1) for q in ratios] for n in range(pole.r)]

@@ -15,33 +15,26 @@ Gamma enters as the exact rational value of its float.  A StateOperator
 holds only these sparse entries {(k, l): value}, a few dyads on its
 anti-diagonals; an absent dyad is 0.  The 2 pi Gamma scale of W has no
 exact value because pi is irrational, so w_total leaves it off; every
-certified property is invariant under that scale, and decay-curve
-applies it to the float norms it prints.
+certified property is invariant under that scale, and decay_columns
+applies it on request, as a mantissa and an exponent.
 
-Evolution runs one path: float entries, which a caller may pass, enter at
-their exact binary value, jordan.conjugation_polys expands the conjugation
-exactly, and floats appear only when a quantity is evaluated at a time.
-evolve_operator_symbolic, evolved_norm_squared and decay_deviation are
-three readings of that one expansion.  The arithmetic they share is
-algebra's: the quarter turns of the i-powers, exact evaluation at a
-float t and exp(-Gamma t).
+Evolution runs one path: float entries enter at their exact binary
+value, jordan.conjugation_polys expands the conjugation exactly, and
+evolve_operator_symbolic, evolved_norm_squared, decay_columns and
+decay_deviation read that one expansion.  Each value exp(-Gamma t) * x
+they print is algebra's one reading, with the exponent carried.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
-from .algebra import (
-    ExpPolynomial,
-    GaussianRational,
-    Polynomial,
-    _exact_at,
-    _exp_decay,
-    _over,
-    _turn,
-    binom,
-)
+from .algebra import ExpPolynomial, GaussianRational, Polynomial, _exact_at, _exp_decay, _horner
+from .algebra import _ldexp, _over, _quotient, _scaled, _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, conjugation_polys
 from .smatrix import SMatrixModel, pole_jet
@@ -53,6 +46,7 @@ __all__ = [
     "dyad_operator",
     "evolve_operator_symbolic",
     "evolved_norm_squared",
+    "decay_columns",
     "decay_deviation",
     "pole_term_probability",
 ]
@@ -94,9 +88,9 @@ def w_n(space: GamowSubspace, n: int) -> StateOperator:
 
 def w_total(space: GamowSubspace) -> StateOperator:
     """W / (2 pi Gamma) = sum_n binom(r, n+1) (-i)**n W(n), the microphysical
-    state operator without its 2 pi Gamma scale, which has no exact value
-    (pi is irrational); every certified statement about W is scale
-    invariant, and decay-curve applies the scale to the norms it prints."""
+    state operator without its scale, which has no exact value; every
+    certified statement about W is scale invariant, and decay_columns
+    applies the scale on request."""
     r = space.dimension
     entries = {}
     for n in range(r):
@@ -176,20 +170,68 @@ def evolved_norm_squared(W: StateOperator) -> tuple:
     return _sum_of_squares(polys), denominator**2
 
 
+@functools.lru_cache(maxsize=1)
+def _time_points(width: float, grid: tuple) -> list:
+    """(t, s, j, m, e) per point, cached for every column: t = s 2**j with
+    j a multiple of 8 and s < 2**8, j = 0 below t = 128; exp(-width t) = m 2**e."""
+    shifts = [max(math.frexp(t)[1], 0) // 8 * 8 for t in grid]
+    return [(t, math.ldexp(t, -j), j, *_exp_decay(width, t)) for t, j in zip(grid, shifts)]
+
+
+def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = False) -> tuple:
+    """(norm, exp_law, deviation) columns of W on the grid: exp(-Gamma t)
+    sqrt(N(t)) with N = evolved_norm_squared(W), exp(-Gamma t) sqrt(N(0)),
+    and |u - u0| / u0 on u = sqrt(N(t)), read as |t T(t)| / (u0 (u + u0))
+    with N(t) = N(0) + t T(t); times_2pi_gamma scales the first two.
+
+    N, scaled by 4**-k with k from N(0), is rounded once and read by a float
+    Horner pass, at t = s 2**j >= 128 in s < 2**8 on the coefficients times
+    2**((d - deg N) j): every float operation is the unscaled one times a
+    power of two, and N stays in range.  The exponents are applied last,
+    naming the column (name_norm, ...) of a value beyond the float range.
+    """
+    coeffs, den = evolved_norm_squared(W)
+    common = math.gcd(coeffs[0], den)
+    u0, k = _scaled(coeffs[0] // common, den // common, root=True)
+    scaled = _quotient(coeffs, den, 2 * k)
+    degree = len(coeffs) - 1
+    mantissa, power = math.frexp(W.space.pole.Gamma)
+    scale, exponent = (2.0 * math.pi * mantissa, k + power) if times_2pi_gamma else (1.0, k)
+    grid = tuple(t_grid)
+    points = _time_points(W.space.pole.Gamma, grid)
+    exp_law = [scale * u0 * m for _, _, _, m, _ in points]
+    exp_exponents = [exponent + e for _, _, _, _, e in points]
+    if not degree:
+        norm = _ldexp(exp_law, exp_exponents, f"{name}_norm", grid)
+        return norm, norm, [0.0] * len(points)
+    norm, norm_exponents, deviation, shifts = [], [], [], []
+    for j, group in itertools.groupby(points, key=operator.itemgetter(2)):
+        half = degree * j // 2
+        c0, *tail = [math.ldexp(c, (d - degree) * j) for d, c in enumerate(scaled)] if j else scaled
+        u0_shifted = math.ldexp(u0, -half)
+        for _, s, _, m, e in group:
+            T = _horner(tail, s)
+            u = math.sqrt(T * s + c0)
+            norm.append(scale * u * m)
+            norm_exponents.append(exponent + half + e)
+            deviation.append(abs(s * T) / (u0 * (u + u0_shifted)))
+            shifts.append(half)
+    norm = _ldexp(norm, norm_exponents, f"{name}_norm", grid)
+    exp_law = _ldexp(exp_law, exp_exponents, f"{name}_exp_law", grid)
+    return norm, exp_law, _ldexp(deviation, shifts, f"{name}_deviation", grid)
+
+
 def decay_deviation(W: StateOperator, t_grid) -> float:
     """Largest relative departure from the pure exponential law on the grid.
 
     max over t of || evolve(W, t) - exp(-Gamma t) W ||_F / ||W||_F.  The
     difference is exp(-Gamma t) times the terms of degree >= 1 of the
     conjugation polynomials, so the ratio is exp(-Gamma t) sqrt(D(t)) with
-    D(t) the exact squared norm of those terms over ||W||_F**2.  D is read
-    exactly at each float t and scaled by 4**-k, k from its bit lengths,
-    before it is rounded once, as PoleJet.ratio does; the square root and
-    the product with the mantissa of exp(-Gamma t) are the only other
-    roundings.  So a deviation that is a float is returned where D(t)
-    alone leaves the float range, and one that is not raises
-    OverflowError naming t.  A family member whose tail cancels gets
-    exactly 0.0.
+    D(t) the exact squared norm of those terms over ||W||_F**2, read
+    exactly at each float t and rooted as PoleJet.ratio reads its quotient.
+    So a deviation that is a float is returned where D(t) or exp(-Gamma t)
+    alone is not, one that is not raises OverflowError naming t, and a
+    family member whose tail cancels gets exactly 0.0.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -202,19 +244,13 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     tail = [(c, 0) for c in _sum_of_squares(polys, lowest=1)]
     if not norm0 or not tail:
         return 0.0
-    width = W.space.pole.Gamma
-    worst = 0.0
+    readings = []
     for t in grid:
         num, _, scale = _exact_at(tail, t)
-        den = norm0 * scale
-        k = (num.bit_length() - den.bit_length()) // 2
-        mantissa, exponent = math.frexp(_exp_decay(width, t))
-        value = mantissa * math.sqrt((num << max(-2 * k, 0)) / (den << max(2 * k, 0)))
-        try:
-            worst = max(worst, math.ldexp(value, exponent + k))
-        except OverflowError:
-            raise OverflowError(f"the deviation leaves the float range at t = {t!r}") from None
-    return worst
+        root, k = _scaled(num, norm0 * scale, root=True)
+        m, e = _exp_decay(W.space.pole.Gamma, t)
+        readings.append((m * root, e + k))
+    return max(_ldexp(*zip(*readings), "deviation", grid))
 
 
 def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:

@@ -1,13 +1,24 @@
 """Tests for the exact scalar and polynomial layer."""
 
 import cmath
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowkit.algebra import ExpPolynomial, GaussianRational, Polynomial, binom
+from gamowkit.algebra import (
+    _EXP_CUTOFF,
+    _LN2,
+    ExpPolynomial,
+    GaussianRational,
+    Polynomial,
+    _exp_decay,
+    _ldexp,
+    binom,
+)
 
 from expansion import monomial_product
 
@@ -150,3 +161,41 @@ class TestExpPolynomial:
         f = ExpPolynomial(-1.0 + 2.0j, Polynomial([1.0, 3.0]))
         t = 0.8
         assert f(t) == pytest.approx(cmath.exp((-1.0 + 2.0j) * t) * (1.0 + 3.0 * t))
+
+
+class TestExpDecay:
+    def test_ln2_constant_is_ln2_to_128_bits(self):
+        with mpmath.workprec(300):
+            assert abs(_LN2 - mpmath.ln(2) * 2**128) <= 0.5
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(
+        width=st.floats(min_value=1e-3, max_value=1e3)
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        t=st.floats(min_value=0.0, max_value=1e5) | st.floats(min_value=0.0, allow_infinity=False),
+    )
+    # the product is not a float, and exp of the rounded product was 8 ulp off
+    @example(width=0.9137, t=7.3)
+    # both sides of the switch to the reduced argument, and of the cutoff
+    @example(width=1.0, t=700.0)
+    @example(width=1.0, t=700.0000000000001)
+    @example(width=1.0, t=_EXP_CUTOFF)
+    @example(width=0.9137, t=99431.3)
+    @example(width=1.7e308, t=1.7e308)
+    def test_mantissa_and_exponent_within_one_ulp(self, width, t):
+        m, e = _exp_decay(width, t)
+        with mpmath.workprec(200):
+            exact = mpmath.exp(-mpmath.mpf(width) * mpmath.mpf(t))
+            if width * t > _EXP_CUTOFF:
+                assert (m, e) == (0.0, 0)
+                assert exact < mpmath.mpf(2) ** -131000
+                return
+            assert 0.5 <= m < 1
+            # one ulp of the mantissa, 2**-53, at the carried exponent
+            assert abs(mpmath.ldexp(m, e) - exact) <= mpmath.ldexp(1, e - 53)
+
+    def test_carried_exponent_names_the_value_beyond_the_float_range(self):
+        assert _ldexp([0.75, 0.5], [-1074, 1024], "w0_norm", [3.0, 4.0]) == [5e-324, 2.0**1023]
+        for value, exponent in ((0.75, 1025), (math.inf, -5)):
+            with pytest.raises(OverflowError, match=r"^w0_norm leaves the float range at t = 4\.0$"):
+                _ldexp([0.5, value], [0, exponent], "w0_norm", [3.0, 4.0])

@@ -459,6 +459,75 @@ class TestExitCodes:
         assert result.exit_code == 1
 
 
+def _dyad_norm(k: int, Gamma: float, t: float):
+    """exp(-Gamma t) s_k(t) in mpmath, s_k(t) = sum_p binom(k, p)**2 t**(2(k-p))."""
+    G, t = mpmath.mpf(Gamma), mpmath.mpf(t)
+    return mpmath.exp(-G * t) * sum(comb(k, p) ** 2 * t ** (2 * (k - p)) for p in range(k + 1))
+
+
+class TestCarriedExponent:
+    """Values that are floats although a factor of them is not, which exited
+    2 or printed 0 while exp(-Gamma t) was read as a bare float, and a
+    value that is not a float, which still exits 2 naming its column."""
+
+    def test_norm_where_the_squared_norm_overflows(self, runner, tmp_path):
+        # N(t) of |20><20| is about 1e314 at t = 8342.86, the norm 3.2e152
+        conf = tmp_path / "d.conf"
+        conf.write_text(
+            "E_R = 2.0\nGamma = 0.0011986299841722909\nr = 24\n"
+            "t_min = 0\nt_max = 8342.85820649269\nt_steps = 7\n"
+        )
+        result = runner.invoke(main, ["decay-curve", "--exact", "--config", str(conf)])
+        assert result.exit_code == 0, result.output
+        header, *rows = list(csv.reader(io.StringIO(result.output)))
+        got = float(rows[-1][header.index("dyad20_norm")])
+        with mpmath.workdps(40):
+            want = _dyad_norm(20, 0.0011986299841722909, 8342.85820649269)
+            assert abs(got - want) <= 1e-15 * want
+        assert got == pytest.approx(3.2333459594357051e152, rel=1e-15)
+
+    def test_norm_where_the_exponential_underflows(self, runner, tmp_path):
+        # exp(-800) is below the float range, exp(-800) s_7(800) is 1.6e-307
+        conf = tmp_path / "d.conf"
+        conf.write_text("E_R = 2.0\nGamma = 1.0\nr = 8\nt_min = 800\nt_max = 800\nt_steps = 1\n")
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 0, result.output
+        header, row = list(csv.reader(io.StringIO(result.output)))
+        got = float(row[header.index("dyad7_norm")])
+        with mpmath.workdps(40):
+            want = _dyad_norm(7, 1.0, 800.0)
+            assert abs(got - want) <= 1e-15 * want
+        assert got == pytest.approx(1.6133e-307, rel=1e-4)
+
+    def test_ratio_where_the_exponential_underflows(self, runner, tmp_path):
+        # the ratio at t = 760 is 2.0e-298; its reference exp(-760) = 8.6e-331
+        # lies below the subnormal range and reads 0
+        config = (CONFIGS / "pole_term_r2.conf").read_text()
+        config = config.replace("r = 2", "r = 8").replace("t_max = 10.0", "t_max = 760")
+        config = config.replace("t_steps = 11", "t_steps = 2")
+        conf = tmp_path / "p.conf"
+        conf.write_text(config)
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 0, result.output
+        last = json.loads(result.output)["ratio_table"][-1]
+        assert last["t"] == 760.0 and last["exponential_reference"] == 0.0
+        fields = dict((name, want) for name, _, want in _pole_fields(config, json.loads(result.output)))
+        want = fields["ratio at t = 760.0"]
+        assert abs(last["ratio"] - want) <= 1e-15 * want
+        assert last["ratio"] == pytest.approx(2.0225319744981917e-298, rel=1e-15)
+
+    def test_deviation_beyond_the_float_range_names_its_column(self, runner, tmp_path):
+        # every norm is 0 at t = 1e80, but the dyad2 deviation t**4 + 4 t**2
+        # is 1e320
+        conf = tmp_path / "d.conf"
+        conf.write_text("E_R = 1.0\nGamma = 1.0\nr = 3\nt_min = 0\nt_max = 1e80\nt_steps = 2\n")
+        result = runner.invoke(main, ["decay-curve", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert result.output == (
+            "error: numerical overflow: dyad2_deviation leaves the float range at t = 1e+80\n"
+        )
+
+
 class TestDecayCurve:
     def test_csv_header_lists_all_operators(self, runner, tmp_path):
         conf = tmp_path / "d.conf"
@@ -810,10 +879,10 @@ class TestDecayGoldenOracle:
         assert [p.split(" ")[0] for p in problems] == ["w1_norm", "wsum_deviation"]
 
 
-def _pole_fields(config_text: str, payload: dict) -> list:
+def _pole_fields(config_text: str, payload: dict, dps: int = 40) -> list:
     """(name, printed value, oracle value) for every number of a pole-term
     payload, the oracle from exact Taylor series at the pole in mpmath at
-    40 digits.
+    dps digits.
 
     Each test-function term c / (w - i a)**m has Taylor coefficients
     c (-1)**k binom(m+k-1, k) (z - i a)**(-m-k); the phase exp(2i gamma)
@@ -824,7 +893,7 @@ def _pole_fields(config_text: str, payload: dict) -> list:
     """
     cfg = parse_config_text(config_text)
     r = int(cfg["r"][0])
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         G = mpmath.mpf(float(cfg["Gamma"][0]))
         z = mpmath.mpc(float(cfg["E_R"][0]), -G / 2)
 

@@ -102,3 +102,14 @@ def test_no_module_imports_numpy():
                 continue
             imports += [f"{path.stem} imports {name}" for name in names if name.split(".")[0] == "numpy"]
     assert imports == []
+
+
+def test_cli_reads_no_kernel_of_algebra():
+    # the command line only formats: every reading of an exact value at a
+    # time, exp(-Gamma t) included, lives in states and smatrix
+    tree = ast.parse((SRC / "cli.py").read_text())
+    sources = [(node.module or "").rpartition(".")[2] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert "algebra" not in sources

@@ -323,7 +323,7 @@ class TestDecayDeviation:
         width = 0.9137
         space = GamowSubspace(ResonancePole(2.0, width, 2))
         deviation = decay_deviation(dyad_operator(space, 1), [t])
-        assert deviation == _exp_decay(width, t) * math.sqrt(tail)
+        assert deviation == math.ldexp(*_exp_decay(width, t)) * math.sqrt(tail)
 
     def test_total_at_the_top_of_the_float_range_decays_exactly(self):
         # 2 pi Gamma leaves the float range, but W / (2 pi Gamma) is exact
@@ -339,6 +339,18 @@ class TestDecayDeviation:
             t = mpmath.mpf(1e80)
             want = mpmath.exp(-mpmath.mpf(1e-100) * t) * mpmath.sqrt(2 * t**2 + t**4)
             assert abs(got - want) <= 2.0**-51 * want
+
+    def test_deviation_where_the_exponential_underflows(self):
+        # exp(-800) is below the float range; |7><7| leaves the tail of
+        # squared norm s_7(t)**2 - 1, s_7(t) = sum_p binom(7, p)**2 t**(14-2p)
+        space = GamowSubspace(ResonancePole(2.0, 1.0, 8))
+        got = decay_deviation(dyad_operator(space, 7), [800.0])
+        with mpmath.workdps(40):
+            t = mpmath.mpf(800)
+            s = sum(math.comb(7, p) ** 2 * t ** (14 - 2 * p) for p in range(8))
+            want = mpmath.exp(-t) * mpmath.sqrt(s * s - 1)
+            assert abs(got - want) <= 2.0**-51 * want
+        assert got == pytest.approx(1.6133e-307, rel=1e-4)
 
     def test_deviation_beyond_float_range_raises(self):
         # the true deviation at t = 1e160 is about 1e320
