@@ -172,10 +172,10 @@ def evolved_norm_squared(W: StateOperator) -> tuple:
 
 @functools.lru_cache(maxsize=1)
 def _time_points(width: float, grid: tuple) -> list:
-    """(t, s, j, m, e) per point, cached for every column: t = s 2**j with
+    """(s, j, m, e) per point t, cached for every column: t = s 2**j with
     j a multiple of 8 and s < 2**8, j = 0 below t = 128; exp(-width t) = m 2**e."""
     shifts = [max(math.frexp(t)[1], 0) // 8 * 8 for t in grid]
-    return [(t, math.ldexp(t, -j), j, *_exp_decay(width, t)) for t, j in zip(grid, shifts)]
+    return [(math.ldexp(t, -j), j, *_exp_decay(width, t)) for t, j in zip(grid, shifts)]
 
 
 def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = False) -> tuple:
@@ -199,17 +199,17 @@ def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = F
     scale, exponent = (2.0 * math.pi * mantissa, k + power) if times_2pi_gamma else (1.0, k)
     grid = tuple(t_grid)
     points = _time_points(W.space.pole.Gamma, grid)
-    exp_law = [scale * u0 * m for _, _, _, m, _ in points]
-    exp_exponents = [exponent + e for _, _, _, _, e in points]
+    exp_law = [scale * u0 * m for _, _, m, _ in points]
+    exp_exponents = [exponent + e for _, _, _, e in points]
     if not degree:
         norm = _ldexp(exp_law, exp_exponents, f"{name}_norm", grid)
         return norm, norm, [0.0] * len(points)
     norm, norm_exponents, deviation, shifts = [], [], [], []
-    for j, group in itertools.groupby(points, key=operator.itemgetter(2)):
+    for j, group in itertools.groupby(points, key=operator.itemgetter(1)):
         half = degree * j // 2
         c0, *tail = [math.ldexp(c, (d - degree) * j) for d, c in enumerate(scaled)] if j else scaled
         u0_shifted = math.ldexp(u0, -half)
-        for _, s, _, m, e in group:
+        for s, _, m, e in group:
             T = _horner(tail, s)
             u = math.sqrt(T * s + c0)
             norm.append(scale * u * m)
