@@ -7,18 +7,17 @@ significant digits, CSV uses '.' as the decimal mark and ',' as the
 separator, JSON is sorted and indented, so identical configs produce
 byte-identical files.
 
-Exit codes: 0 success, 1 validation or I/O error, 2 overflow or
-underflow, 3 certification failure.
+Exit codes: 0 success or --help, 1 usage, validation or I/O error, 2
+overflow or underflow, 3 certification failure.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from dataclasses import dataclass
-
-import click
 
 from .errors import ConfigInvalidError, UnderflowError
 from .jordan import (
@@ -218,7 +217,7 @@ def load_config(path: str) -> RunConfig:
 
 def _emit(out_path: str | None, text: str):
     if out_path is None:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
         return
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -246,55 +245,69 @@ def _table_text(header, rows, fmt_name: str) -> str:
     return _json_text({"columns": list(header), "rows": [[float(v) for v in row] for row in rows]})
 
 
-config_option = click.option(
-    "--config", "config_path", required=True, type=click.Path(), help="Run configuration file."
-)
-out_option = click.option(
-    "--out", "out_path", default=None, type=click.Path(), help="Output file (default stdout)."
-)
-format_option = click.option(
-    "--format", "fmt_name", type=click.Choice(["csv", "json"]), default="csv", help="Table format."
-)
-normalization_option = click.option(
-    "--normalization",
-    type=click.Choice(["derivative", "factorial"]),
-    default=None,
-    help="Basis normalization (overrides the config).",
-)
+# every option of every command; a command names the ones it takes
+_OPTIONS = {
+    "--config": dict(dest="config_path", required=True, help="Run configuration file."),
+    "--out": dict(dest="out_path", help="Output file (default stdout)."),
+    "--format": dict(dest="fmt_name", choices=["csv", "json"], default="csv", help="Table format."),
+    "--normalization": dict(choices=NORMALIZATIONS, help="Basis normalization (overrides config)."),
+    "--exact": dict(action="store_true", help="Leave the 2 pi Gamma scale off the wsum columns."),
+}
 
 
-class _Group(click.Group):
-    """A click group that ends every error with a one-line message and its
-    exit code, in one place: a usage error (a missing option, a bad choice,
-    an unknown command) exits 1 like any other invalid input (ValueError)
-    or OSError, instead of click's usage block and exit 2; overflow and
-    underflow exit 2."""
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are invalid input."""
 
-    def parse_args(self, ctx, args):
-        return _checked(super().parse_args, ctx, args)
-
-    def invoke(self, ctx):
-        return _checked(super().invoke, ctx)
+    def error(self, message):
+        raise ConfigInvalidError(message)
 
 
-def _checked(call, *args):
-    try:
-        return call(*args)
-    except click.UsageError as exc:
-        message, code = exc.format_message(), 1
-    except (OverflowError, UnderflowError) as exc:
-        kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
-        message, code = f"numerical {kind}: {exc}", 2
-    except (ValueError, OSError) as exc:
-        message, code = str(exc), 1
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-@click.group(cls=_Group, no_args_is_help=False)
-def main():
+class _Main(_Parser):
     """Resonance poles of arbitrary order: decay curves, lineshapes,
     pole terms, Jordan-block structure and exact uniqueness certificates."""
+
+    name = "gamowkit"
+
+    def __init__(self, table: dict):
+        super().__init__(prog=self.name, description=self.__doc__, allow_abbrev=False)
+        parsers = self.add_subparsers(dest="command", metavar="<command>", parser_class=_Parser)
+        for name, (callback, *options) in table.items():
+            doc = callback.__doc__
+            parser = parsers.add_parser(
+                name, help=doc.split(".")[0], description=doc, allow_abbrev=False
+            )
+            parser.callback = callback
+            for option in options:
+                parser.add_argument(option, **_OPTIONS[option])
+        # name -> parser; callback is read at each call, so a wrapper set there runs
+        self.commands = parsers.choices
+
+    def main(self, args=None, **_):
+        """Run the command that args (default sys.argv[1:]) name.  An error ends
+        in one line on stderr and SystemExit; argparse would not name a bad
+        first argument, so it is checked here.  Other keywords are ignored."""
+        args = sys.argv[1:] if args is None else list(args)
+        try:
+            if not args:
+                raise ConfigInvalidError("Missing command.")
+            if args[0] not in self.commands and args[0] not in ("-h", "--help"):
+                kind = "option" if args[0].startswith("-") else "command"
+                raise ConfigInvalidError(f"No such {kind} '{args[0]}'.")
+            options = vars(self.parse_args(args))
+            code = self.commands[options.pop("command")].callback(**options)
+            if code is None:
+                return
+            message = "certification FAILED"
+        except (OverflowError, UnderflowError) as exc:
+            kind = "overflow" if isinstance(exc, OverflowError) else "underflow"
+            message, code = f"error: numerical {kind}: {exc}", 2
+        except (ValueError, OSError) as exc:
+            message, code = f"error: {exc}", 1
+        sys.stdout.flush()
+        sys.stderr.write(message + "\n")
+        raise SystemExit(code)
+
+    __call__ = main
 
 
 def _space_from(cfg: RunConfig, normalization: str | None) -> GamowSubspace:
@@ -302,12 +315,6 @@ def _space_from(cfg: RunConfig, normalization: str | None) -> GamowSubspace:
     return GamowSubspace(cfg.pole(), chosen)
 
 
-@main.command("decay-curve")
-@config_option
-@out_option
-@format_option
-@normalization_option
-@click.option("--exact", is_flag=True, help="Leave the 2 pi Gamma scale off the wsum columns.")
 def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     """Norm of every evolved operator against the pure exponential law.
 
@@ -330,10 +337,6 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     _emit(out_path, _table_text(header, list(zip(*columns)), fmt_name))
 
 
-@main.command("lineshape")
-@config_option
-@out_option
-@format_option
 def lineshape_cmd(config_path, out_path, fmt_name):
     """Energy-domain intensity of each pole order, peak scaled to 1."""
     cfg = load_config(config_path)
@@ -343,9 +346,6 @@ def lineshape_cmd(config_path, out_path, fmt_name):
     _emit(out_path, _table_text(header, list(zip(grid, *lineshape(model, grid))), fmt_name))
 
 
-@main.command("pole-term")
-@config_option
-@out_option
 def pole_term_cmd(config_path, out_path):
     """Pole term of the configured pairing plus its decay-ratio table.
 
@@ -372,9 +372,6 @@ def pole_term_cmd(config_path, out_path):
     _emit(out_path, _json_text(payload))
 
 
-@main.command("uniqueness")
-@config_option
-@out_option
 def uniqueness_cmd(config_path, out_path):
     """Exact certificate that only the binomial anti-diagonal family
     decays purely exponentially; exit code 3 if certification fails."""
@@ -385,14 +382,9 @@ def uniqueness_cmd(config_path, out_path):
     report = certify(j)
     _emit(out_path, _json_text(report))
     if not report["certified"]:
-        click.echo("certification FAILED", err=True)
-        sys.exit(3)
+        return 3
 
 
-@main.command("jordan-info")
-@config_option
-@out_option
-@normalization_option
 def jordan_info_cmd(config_path, out_path, normalization):
     """Jordan-block structure report: Hamiltonian layouts, nilpotent
     ranks, and the evolution matrix sampled at t = 1/Gamma."""
@@ -416,6 +408,14 @@ def jordan_info_cmd(config_path, out_path, normalization):
     }
     _emit(out_path, _json_text(payload))
 
+
+main = _Main({
+    "decay-curve": (decay_curve_cmd, "--config", "--out", "--format", "--normalization", "--exact"),
+    "lineshape": (lineshape_cmd, "--config", "--out", "--format"),
+    "pole-term": (pole_term_cmd, "--config", "--out"),
+    "uniqueness": (uniqueness_cmd, "--config", "--out"),
+    "jordan-info": (jordan_info_cmd, "--config", "--out", "--normalization"),
+})
 
 if __name__ == "__main__":
     main()

@@ -331,6 +331,15 @@ def _contract(jet, pole: ResonancePole) -> tuple:
     return out, den * width_den**r * top
 
 
+def _complex(re: int, im: int, den: int, what: str) -> complex:
+    """complex(re / den, im / den), naming what when a part leaves the
+    float range (the int division raises OverflowError with no name)."""
+    try:
+        return complex(re / den, im / den)
+    except OverflowError:
+        raise OverflowError(f"{what} leaves the float range") from None
+
+
 @dataclass(frozen=True)
 class PoleJet:
     """Pole term of a pairing whose observable is translated by t >= 0.
@@ -367,7 +376,7 @@ class PoleJet:
         """2 pi exp(2i gamma(z)) Q(t); at t = 0 this is the pole term."""
         re, im, scale = _exact_at(self.coeffs, t)
         den = self.denominator * scale
-        return 2.0 * math.pi * self.phase * complex(re / den, im / den)
+        return 2.0 * math.pi * self.phase * _complex(re, im, den, f"pole_term at t = {t!r}")
 
     def probability(self, t: float) -> float:
         """exp(-Gamma t) |amplitude(t)|**2."""
@@ -424,7 +433,10 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     den = b_den * leg_den
     common = math.gcd(den, *(x for c in coeffs for x in c))
     reduced = tuple((re // common, im // common) for re, im in coeffs)
-    expansion = tuple(-2.0 * math.pi * complex(re / b_den, im / b_den) for re, im in b)
+    expansion = tuple(
+        -2.0 * math.pi * _complex(re, im, b_den, f"expansion_coeffs[{k}]")
+        for k, (re, im) in enumerate(b)
+    )
     return PoleJet(pole.Gamma, phase, reduced, den // common, expansion)
 
 

@@ -132,8 +132,9 @@ class TestGrid:
 
 class TestNumpyFree:
     def test_no_command_loads_numpy(self, tmp_path):
-        # every command runs in pure Python: decay-curve on both carriers,
-        # pole-term, uniqueness, jordan-info and lineshape
+        # every command runs on the standard library alone: decay-curve on
+        # both carriers, pole-term, uniqueness, jordan-info and lineshape
+        # load neither numpy nor click nor any other module from outside it
         runs = [
             ("decay-curve", "decay_r1.conf", "decay_r1.csv"),
             ("decay-curve", "decay_r3.conf", "decay_r3.csv"),
@@ -149,20 +150,26 @@ class TestNumpyFree:
             [*command.split(), "--config", str(CONFIGS / config), "--out", str(tmp_path / str(i))]
             for i, (command, config, _) in enumerate(runs)
         ]
+        # modules the interpreter loaded at start (site hooks) do not count
         script = (
-            "import sys\n"
+            "import json, sys\n"
+            "start = set(sys.modules)\n"
+            "def outside():\n"
+            "    names = {m.split('.')[0] for m in set(sys.modules) - start}\n"
+            "    names -= {*sys.stdlib_module_names, 'gamowkit'}\n"
+            "    return [sorted(names), 'numpy' in sys.modules, 'click' in sys.modules]\n"
             "import gamowkit.cli\n"
-            "loaded = ['numpy' in sys.modules]\n"
+            "loaded = [outside()]\n"
             f"for args in {calls!r}:\n"
             "    gamowkit.cli.main.main(args=args, prog_name='gamowkit', standalone_mode=False)\n"
-            "    loaded.append('numpy' in sys.modules)\n"
-            "print(loaded)\n"
+            "    loaded.append(outside())\n"
+            "print(json.dumps(loaded))\n"
         )
         done = _python_strict("-c", script)
         assert done.returncode == 0, done.stderr
         assert done.stderr == ""
         # after the import, then after each run in order
-        assert json.loads(done.stdout.lower()) == [False] * 10
+        assert json.loads(done.stdout) == [[[], False, False]] * 10
         for i, (_, _, golden) in enumerate(runs):
             if golden is not None:
                 assert (tmp_path / str(i)).read_bytes() == (GOLDEN / golden).read_bytes()
@@ -236,21 +243,39 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "args,text",
         [
-            (["decay-curve"], "Missing option '--config'"),
-            (["decay-curve", "--config", "x.conf", "--format", "xml"], "'xml' is not one of"),
+            (["decay-curve"], "--config"),
+            (["decay-curve", "--config", "x.conf", "--format", "xml"], "'xml'"),
             (["no-such-command"], "No such command 'no-such-command'"),
             (["--no-such-option"], "No such option '--no-such-option'"),
             ([], "Missing command"),
+            (["uniqueness", "--config", "x.conf", "extra"], "extra"),
+            (["uniqueness", "--config"], "--config"),
+            (["uniqueness", "--config", "x.conf", "--format", "csv"], "--format"),
         ],
     )
     def test_usage_error_exits_one_with_one_line(self, runner, args, text):
-        # exit 2 is kept for overflow; click's usage block would take three lines
+        # exit 2 is kept for overflow; a usage block would take three lines
         result = runner.invoke(main, args)
         assert result.exit_code == 1
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
         assert result.stderr.startswith("error: ")
         assert text in result.stderr
+
+    @pytest.mark.parametrize(
+        "args,text",
+        [
+            (["--help"], ["decay-curve", "lineshape", "pole-term", "uniqueness", "jordan-info"]),
+            (["decay-curve", "--help"], ["--config", "--out", "--format", "--normalization",
+                                         "--exact"]),
+        ],
+        ids=["gamowkit", "decay-curve"],
+    )
+    def test_help_exits_zero(self, args, text):
+        done = _run_strict(*args)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert all(word in done.stdout for word in text)
 
     def test_overflow_maps_to_two(self, runner, tmp_path):
         # ||W||**2 ~ Gamma**30 leaves the float range at r = 16
@@ -358,6 +383,28 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert len(result.output.splitlines()) == 1
         assert "numerical overflow" in result.output
+
+    @pytest.mark.parametrize(
+        "pole,legs,message",
+        [
+            # b_2 ~ Gamma**3 leaves the float range before any output
+            ("E_R = 1e-300\nGamma = 1e300\nr = 4", ("1.0 1 1.0 0.0", "1.5 1 1.0 0.0"),
+             "expansion_coeffs[2] leaves the float range"),
+            # b_0 ~ phi(z) ~ 1e300 fits; the pole term b_0 psi(z) ~ 1e600 does not
+            ("E_R = 2.0\nGamma = 1.0\nr = 1", ("1.0 1 1e300 0.0", "1.0 1 1e300 0.0"),
+             "pole_term at t = 0.0 leaves the float range"),
+        ],
+        ids=["expansion_coeffs", "pole_term"],
+    )
+    def test_pole_term_beyond_float_range_names_its_field(self, runner, tmp_path, pole, legs,
+                                                          message):
+        conf = tmp_path / "p.conf"
+        grid = "t_min = 0\nt_max = 1\nt_steps = 2\n"
+        conf.write_text(f"{pole}\npsi = {legs[0]}\nphi = {legs[1]}\n{grid}")
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: numerical overflow: {message}\n"
 
     def test_underflowing_pole_term_maps_to_two(self, runner, tmp_path):
         # psi(z) phi(z) ~ 1e-600: exactly nonzero, 0 in floating point
