@@ -11,7 +11,7 @@ certificate that the binomial anti-diagonal family is the only one.
 
 import types
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, binom
+from .algebra import binom
 from .errors import (
     ConfigInvalidError,
     EmptyGridError,
@@ -48,7 +48,6 @@ from .states import (
     decay_columns,
     decay_deviation,
     dyad_operator,
-    evolve_operator_symbolic,
     evolved_norm_squared,
     pole_term_probability,
     w_n,

@@ -1,15 +1,16 @@
-"""Exact scalars and polynomials, and the kernels every module computes with.
+"""Exact arithmetic kernels, each defined here once for every module.
 
-Gaussian rationals are the exact output carrier: the entries of state
-operators and the coefficients of symbolically evolved ones, whose time
-dependence exp(rate*t) * p(t) gets its own type.  The kernels run on
-Gaussian integers (re, im) over one common denominator; only the state
-operators and their symbolic evolution build the objects from them, with
-_over.  Each kernel is defined here once: _lift, _gmul, _turn, _exact_at,
-_horner, _exp_exact, and the one reading of exp(-Gamma t) times an exact
-value: _exp_decay returns the factor as mantissa and exponent, _scaled
-rounds an exact quotient (or its root) once, scaled by a power of two,
-and _ldexp applies the carried exponents.
+The kernels run on Gaussian integers (re, im) over one int denominator,
+the format of every exact quantity of the package: _lift, _gmul, _turn,
+_exact_at, _horner, _exp_exact, and the one reading of exp(-Gamma t)
+times an exact value: _exp_decay returns the factor as mantissa and
+exponent, _scaled rounds an exact quotient (or its root) once, scaled by
+a power of two, and _ldexp applies the carried exponents.
+
+No package path uses the classes GaussianRational, Polynomial and
+ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
+algebra.poly_*_us metrics, and ROADMAP item 1 deletes them when it
+points those metrics at the kernels.
 """
 
 from __future__ import annotations
@@ -195,11 +196,6 @@ class GaussianRational:
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
-
-
-def _over(re: int, im: int, den: int) -> GaussianRational:
-    """The Gaussian integer re + i im over the int den."""
-    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 class Polynomial:

@@ -14,6 +14,7 @@ overflow or underflow, 3 certification failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -277,6 +278,7 @@ class _Main(_Parser):
                 name, help=doc.split(".")[0], description=doc, allow_abbrev=False
             )
             parser.callback = callback
+            parser.options = {"--help", *options}
             for option in options:
                 parser.add_argument(option, **_OPTIONS[option])
         # name -> parser; callback is read at each call, so a wrapper set there runs
@@ -285,7 +287,8 @@ class _Main(_Parser):
     def main(self, args=None, **_):
         """Run the command that args (default sys.argv[1:]) name.  An error ends
         in one line on stderr and SystemExit; argparse would not name a bad
-        first argument, so it is checked here.  Other keywords are ignored."""
+        first argument, nor an unknown option while a required one is
+        missing, so both are checked here.  Other keywords are ignored."""
         args = sys.argv[1:] if args is None else list(args)
         try:
             if not args:
@@ -293,6 +296,12 @@ class _Main(_Parser):
             if args[0] not in self.commands and args[0] not in ("-h", "--help"):
                 kind = "option" if args[0].startswith("-") else "command"
                 raise ConfigInvalidError(f"No such {kind} '{args[0]}'.")
+            if args[0] in self.commands:
+                # tokens after "--" are no options
+                for token in itertools.takewhile("--".__ne__, args[1:]):
+                    name = token.partition("=")[0]
+                    if name.startswith("--") and name not in self.commands[args[0]].options:
+                        raise ConfigInvalidError(f"No such option '{name}'.")
             options = vars(self.parse_args(args))
             code = self.commands[options.pop("command")].callback(**options)
             if code is None:

@@ -12,13 +12,14 @@ and the bra side evolves with the conjugate transpose.  evolution_matrix
 samples T(t) in complex floats.  conjugation_polys is the one exact
 expansion of the conjugation T(t) A T(t)^dagger: integer coefficients of
 every power of t in every dyad, over one common denominator.  Every
-evolved quantity of the package (symbolic evolution, evolved norms, decay
+evolved quantity of the package (evolved norms, decay columns, decay
 deviations, the uniqueness oracle) is read off it.
 
-conjugation_polys reads an operator as its sparse nonzero entries
-{(k, l): value}, the form in which states holds every state operator.
-The Hamiltonian layouts, nilpotent powers and sampled evolution matrices
-are r rows of Python numbers, row p holding the entries (p, 0..r-1).
+conjugation_polys takes and returns the one exact format of states: sparse
+Gaussian integers {(k, l): (re, im)} over one int denominator, the form
+in which a StateOperator holds its entries.  The Hamiltonian layouts,
+nilpotent powers and sampled evolution matrices are r rows of Python
+numbers, row p holding the entries (p, 0..r-1).
 
 Matrix layout conventions: operators that act on ket coordinates (the
 evolution matrices, nilpotent powers) hold the image of basis ket k in
@@ -33,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import _lift, _turn, binom
+from .algebra import _turn, binom
 from .errors import NegativeTimeError
 from .smatrix import ResonancePole
 
@@ -160,30 +161,31 @@ def evolution_matrix(space: GamowSubspace, t: float) -> list:
     ]
 
 
-def conjugation_polys(normalization: str, entries: dict):
+def conjugation_polys(normalization: str, entries: dict, denominator: int):
     """Exact polynomial parts of T~(t) A T~(t)^dagger, dyad by dyad.
 
     T~(t) is T(t) without its phase exp(-i z t); the phases of the two
-    sides combine to exp(-Gamma t), which the caller carries.  entries
-    maps (k, l) to the nonzero GaussianRational coefficient of |k><l| in
-    A.  Each such dyad sends
+    sides combine to exp(-Gamma t), which the caller carries.  A is given
+    as a StateOperator holds it: entries maps (k, l) to the Gaussian
+    integer (re, im) of |k><l|, and the coefficient is (re + i im) /
+    denominator.  Each such dyad sends
 
         w(k, i) w(l, j) (-i t)**(k-i) (i t)**(l-j)
 
     to |i><j| for i <= k and j <= l, with w as in evolution_matrix.
 
-    Returns (polys, denominator): polys[i, j] maps each power d of t to a
-    Gaussian integer (re, im), and the coefficient of t**d in the |i><j|
-    entry is (re + i im) / denominator.  All sums run in integers, so
-    cancellation is exact; powers that cancel are dropped, and so are
-    dyads whose polynomial cancels entirely.  The degree-0 part is A
-    itself.
+    Returns (polys, denominator) in the same form: polys[i, j] maps each
+    power d of t to a Gaussian integer (re, im), and the coefficient of
+    t**d in the |i><j| entry is (re + i im) / denominator, the input
+    denominator times the square of the ket weights' lift.  All sums run
+    in integers, so cancellation is exact; powers that cancel are
+    dropped, and so are dyads whose polynomial cancels entirely.  The
+    degree-0 part is A itself.
     """
     top = max((max(kl) for kl in entries), default=0)
     weights, lift = _ket_weights(normalization, top)
-    values, scale = _lift([(v.re, v.im) for v in entries.values()])
     sums = {}
-    for (k, l), value in zip(entries, values):
+    for (k, l), value in entries.items():
         # value * i**q for q = 0..3
         turns = [_turn(value, q) for q in range(4)]
         for i in range(k + 1):
@@ -199,5 +201,4 @@ def conjugation_polys(normalization: str, entries: dict):
         kept = {d: (re, im) for d, (re, im) in poly.items() if re or im}
         if kept:
             polys[ij] = kept
-    return polys, scale * lift * lift
-
+    return polys, denominator * lift * lift

@@ -10,19 +10,21 @@ Conjugating with the semigroup, T(t) A T(t)^dagger, multiplies every W(n)
 by exp(-Gamma t) with no polynomial remainder, while a plain dyad
 |k><k| (k >= 1) picks up polynomial contamination up to t**(2k).
 
-Every operator has one carrier: exact Gaussian-rational entries, in which
-Gamma enters as the exact rational value of its float.  A StateOperator
-holds only these sparse entries {(k, l): value}, a few dyads on its
-anti-diagonals; an absent dyad is 0.  The 2 pi Gamma scale of W has no
-exact value because pi is irrational, so w_total leaves it off; every
-certified property is invariant under that scale, and decay_columns
-applies it on request, as a mantissa and an exponent.
+Every operator has one carrier, the exact format of the kernels: a
+StateOperator holds Gaussian integers {(k, l): (re, im)} over one int
+denominator, a few dyads on its anti-diagonals; an absent dyad is 0.
+StateOperator.lift is the one constructor from values: ints, Fractions,
+floats, complex floats and numpy scalars all enter at their exact value,
+Gamma in particular as the exact rational value of its float.  The
+2 pi Gamma scale of W has no exact value because pi is irrational, so
+w_total leaves it off; every certified property is invariant under that
+scale, and decay_columns applies it on request, as a mantissa and an
+exponent.
 
-Evolution runs one path: float entries enter at their exact binary
-value, jordan.conjugation_polys expands the conjugation exactly, and
-evolve_operator_symbolic, evolved_norm_squared, decay_columns and
-decay_deviation read that one expansion.  Each value exp(-Gamma t) * x
-they print is algebra's one reading, with the exponent carried.
+Evolution runs one path: jordan.conjugation_polys expands the conjugation
+exactly, and evolved_norm_squared, decay_columns and decay_deviation read
+that one expansion.  Each value exp(-Gamma t) * x they print is algebra's
+one reading, with the exponent carried.
 """
 
 from __future__ import annotations
@@ -32,9 +34,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import ExpPolynomial, GaussianRational, Polynomial, _exact_at, _exp_decay, _horner
-from .algebra import _ldexp, _over, _quotient, _scaled, _turn, binom
+from .algebra import _exact_at, _exp_decay, _horner, _ldexp, _lift, _quotient, _scaled, _turn
+from .algebra import binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, conjugation_polys
 from .smatrix import SMatrixModel, pole_jet
@@ -44,7 +47,6 @@ __all__ = [
     "w_n",
     "w_total",
     "dyad_operator",
-    "evolve_operator_symbolic",
     "evolved_norm_squared",
     "decay_columns",
     "decay_deviation",
@@ -56,14 +58,14 @@ __all__ = [
 class StateOperator:
     """Operator on the pole subspace whose dyads evolve under the semigroup.
 
-    entries maps (k, l) to the coefficient of |k><l|; absent dyads are 0.
-    The constructors below give exact GaussianRational entries; complex
-    float entries are accepted too and enter evolution at their exact
-    binary value.
+    entries maps (k, l) to the Gaussian integer (re, im) of |k><l|, whose
+    coefficient is (re + i im) / denominator; absent dyads are 0.  lift
+    builds one from exact values.
     """
 
     space: GamowSubspace
     entries: dict
+    denominator: int
 
     def __post_init__(self):
         r = self.space.dimension
@@ -71,19 +73,34 @@ class StateOperator:
             if not 0 <= k < r or not 0 <= l < r:
                 raise IndexOutOfRangeError(f"dyad indices must be in 0..{r - 1}, got ({k}, {l})")
 
+    @classmethod
+    def lift(cls, space: GamowSubspace, values: dict) -> StateOperator:
+        """The operator with values[k, l] on |k><l|: each value an int,
+        Fraction, float, complex or numpy scalar, taken at its exact value
+        (a float at its exact binary value).  Zero values are dropped, and
+        the denominator is the least common one of the rest."""
+        values = {kl: (Fraction(v.real), Fraction(v.imag)) for kl, v in values.items() if v}
+        ints, denominator = _lift(list(values.values()))
+        return cls(space, dict(zip(values, ints)), denominator)
 
-def w_n(space: GamowSubspace, n: int) -> StateOperator:
-    """The n-th binomial anti-diagonal operator W(n), each entry built once
-    from the integers of Gamma's float, n! and binom(n, k)."""
-    r = space.dimension
-    if not 0 <= n <= r - 1:
-        raise IndexOutOfRangeError(f"operator index n must be in 0..{r - 1}, got {n}")
+
+def _member(space: GamowSubspace, n: int) -> dict:
+    """The values {(k, n-k): Gamma**n / n! * binom(n, k)} of W(n), or
+    Gamma**n in the factorial normalization, each built once from the
+    integers of Gamma's float, n! and binom(n, k)."""
     derivative = space.normalization == "derivative"
     num, den = (part**n for part in space.pole.Gamma.as_integer_ratio())
     den *= math.factorial(n) if derivative else 1
     weights = [binom(n, k) if derivative else 1 for k in range(n + 1)]
-    entries = {(k, n - k): _over(num * w, 0, den) for k, w in enumerate(weights)}
-    return StateOperator(space, entries)
+    return {(k, n - k): Fraction(num * w, den) for k, w in enumerate(weights)}
+
+
+def w_n(space: GamowSubspace, n: int) -> StateOperator:
+    """The n-th binomial anti-diagonal operator W(n)."""
+    r = space.dimension
+    if not 0 <= n <= r - 1:
+        raise IndexOutOfRangeError(f"operator index n must be in 0..{r - 1}, got {n}")
+    return StateOperator.lift(space, _member(space, n))
 
 
 def w_total(space: GamowSubspace) -> StateOperator:
@@ -92,30 +109,17 @@ def w_total(space: GamowSubspace) -> StateOperator:
     certified statement about W is scale invariant, and decay_columns
     applies the scale on request."""
     r = space.dimension
-    entries = {}
-    for n in range(r):
-        # entry (k, l) lies on the single anti-diagonal n = k + l; (-i)**n = i**(3n)
-        re, im = _turn((binom(r, n + 1), 0), 3 * n)
-        for kl, value in w_n(space, n).entries.items():
-            entries[kl] = GaussianRational(re * value.re, im * value.re)
-    return StateOperator(space, entries)
+    W = StateOperator.lift(space, {
+        kl: binom(r, n + 1) * v for n in range(r) for kl, v in _member(space, n).items()
+    })
+    # entry (k, l) lies on the single anti-diagonal n = k + l; (-i)**n = i**(3n)
+    entries = {(k, l): _turn(v, 3 * (k + l)) for (k, l), v in W.entries.items()}
+    return StateOperator(space, entries, W.denominator)
 
 
 def dyad_operator(space: GamowSubspace, k: int) -> StateOperator:
     """The single dyad |k><k|."""
-    return StateOperator(space, {(k, k): GaussianRational(1)})
-
-
-def _conjugation(W: StateOperator):
-    """conjugation_polys of W; float entries enter at their exact dyadic value."""
-    entries = {}
-    for kl, value in W.entries.items():
-        if not value:
-            continue
-        if not isinstance(value, GaussianRational):
-            value = GaussianRational(value.real, value.imag)
-        entries[kl] = value
-    return conjugation_polys(W.space.normalization, entries)
+    return StateOperator.lift(space, {(k, k): 1})
 
 
 def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
@@ -134,28 +138,6 @@ def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
     return coeffs
 
 
-def evolve_operator_symbolic(W: StateOperator) -> list:
-    """T(t) . A . T(t)^dagger as r rows of ExpPolynomial entries in the time
-    variable.
-
-    The two boundary phases exp(-i z t) and exp(i conj(z) t) combine to the
-    shared rate -Gamma, carried on each entry; the polynomial parts are the
-    exact conjugation polynomials.  Float entries enter at their exact
-    dyadic value, so the coefficients are Gaussian rationals whatever the
-    entries, and the rate is the exact rational value of -Gamma.
-    """
-    r = W.space.dimension
-    polys, denominator = _conjugation(W)
-    rate = GaussianRational(-W.space.pole.Gamma)
-    rows = [[ExpPolynomial(rate, Polynomial()) for _ in range(r)] for _ in range(r)]
-    for (i, j), poly in polys.items():
-        coeffs = [GaussianRational(0)] * (max(poly) + 1)
-        for d, (re, im) in poly.items():
-            coeffs[d] = _over(re, im, denominator)
-        rows[i][j] = ExpPolynomial(rate, Polynomial(coeffs))
-    return rows
-
-
 def evolved_norm_squared(W: StateOperator) -> tuple:
     """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2: the
     coefficient of t**d is the int coeffs[d] over the int denominator.
@@ -166,7 +148,7 @@ def evolved_norm_squared(W: StateOperator) -> tuple:
     member the t-dependent terms cancel to exactly zero and N is the
     constant ||A||_F**2.
     """
-    polys, denominator = _conjugation(W)
+    polys, denominator = conjugation_polys(W.space.normalization, W.entries, W.denominator)
     return _sum_of_squares(polys), denominator**2
 
 
@@ -239,7 +221,7 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     for t in grid:
         if not t >= 0:
             raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
-    polys, _ = _conjugation(W)
+    polys, _ = conjugation_polys(W.space.normalization, W.entries, W.denominator)
     norm0 = sum(re * re + im * im for poly in polys.values() for re, im in [poly.get(0, (0, 0))])
     tail = [(c, 0) for c in _sum_of_squares(polys, lowest=1)]
     if not norm0 or not tail:

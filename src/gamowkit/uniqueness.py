@@ -25,17 +25,19 @@ the chain's vector.  So the solution set is (j+1)-dimensional with
 canonical basis element n carrying binom(n, k) on anti-diagonal n, and
 no rank or zero decision leaves the integers.  An oracle that never reads
 the constraint rows confirms each basis element evolves as a pure
-exponential: it conjugates the element with jordan.conjugation_polys,
-the exact expansion every evolved quantity of the package uses, and
-certify compares the integers it returns with the element itself.
+exponential: it conjugates the element, as Gaussian integers over one
+denominator, with jordan.conjugation_polys, the exact expansion every
+evolved quantity of the package uses, and certify compares the integers
+it returns with the element itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .algebra import GaussianRational
+from .algebra import _lift
 from .jordan import conjugation_polys
 
 __all__ = [
@@ -128,10 +130,11 @@ def oracle_evolution(A):
     """Symbolic conjugation of A with the semigroup, independent of the
     constraint rows.
 
-    A is the square of coefficients as nested rows of exact numbers (int,
-    Fraction or GaussianRational): A[h][k] is the coefficient of the dyad
-    |k><h|.  The shared exact expansion jordan.conjugation_polys
-    (derivative normalization) sends it to binom(k, l) binom(h, m)
+    A is the square of coefficients as nested rows of ints and Fractions
+    (a float raises TypeError): A[h][k] is the coefficient of the dyad
+    |k><h|.  Lifted to integers over one denominator, A goes through the
+    shared exact expansion jordan.conjugation_polys (derivative
+    normalization), which sends it to binom(k, l) binom(h, m)
     (-i t)**(k-l) (i t)**(h-m) on every dyad |l><m| and sums by power of
     t in integers.  The overall exp(-Gamma t) factor is left out (time in
     units of 1/Gamma), so a pure exponential decay shows up as no power
@@ -142,10 +145,11 @@ def oracle_evolution(A):
     size = len(A)
     if any(len(row) != size for row in A):
         raise ValueError(f"A must be a square of {size} rows of {size} entries")
-    # adding to a GaussianRational coerces int and Fraction and refuses floats
-    zero = GaussianRational(0)
-    entries = {(k, h): zero + x for h, row in enumerate(A) for k, x in enumerate(row) if x}
-    return conjugation_polys("derivative", entries)
+    if not all(isinstance(x, (int, Fraction)) for row in A for x in row):
+        raise TypeError("entries of A must be int or Fraction")
+    entries = {(k, h): (x, 0) for h, row in enumerate(A) for k, x in enumerate(row) if x}
+    values, denominator = _lift(list(entries.values()))
+    return conjugation_polys("derivative", dict(zip(entries, values)), denominator)
 
 
 def _chain_vector(block, width: int, n: int):

@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 from click.testing import CliRunner
 
-from gamowkit.algebra import GaussianRational
 from gamowkit.cli import main as cli_main
 from gamowkit.jordan import (
     GamowSubspace,
+    conjugation_polys,
     evolution_matrix,
     hamiltonian_action_matrix,
     nilpotent_power,
@@ -38,7 +38,6 @@ from gamowkit.states import (
     StateOperator,
     decay_deviation,
     dyad_operator,
-    evolve_operator_symbolic,
     pole_term_probability,
     w_n,
     w_total,
@@ -88,7 +87,8 @@ def _contour_pole_term(pair, model, nodes=4096):
 
 def test_criterion_1_pure_exponential_decay_of_the_family():
     """Every W(n) and their weighted sum decay exponentially to 1e-12
-    for r = 1..8, and the symbolic route has exactly zero remainder."""
+    for r = 1..8, and their exact conjugation polynomials have exactly
+    zero remainder."""
     start = time.perf_counter()
     problems = []
     grid = np.linspace(0.0, 10.0, 20)
@@ -98,16 +98,21 @@ def test_criterion_1_pure_exponential_decay_of_the_family():
             space = GamowSubspace(ResonancePole(2.0, 1.0, r), normalization)
             operators = [w_n(space, n) for n in range(r)] + [w_total(space)]
             for op in operators:
-                op = StateOperator(space, {kl: complex(v) for kl, v in op.entries.items()})
-                worst = max(worst, decay_deviation(op, grid))
+                den = op.denominator
+                rounded = {kl: complex(re / den, im / den) for kl, (re, im) in op.entries.items()}
+                worst = max(worst, decay_deviation(StateOperator.lift(space, rounded), grid))
         space = GamowSubspace(ResonancePole(2.0, 1.0, r), "derivative")
         for n in range(r):
             W = w_n(space, n)
-            sym = evolve_operator_symbolic(W)
+            polys, den = conjugation_polys("derivative", W.entries, W.denominator)
             for i in range(r):
                 for j in range(r):
-                    poly = sym[i][j].poly
-                    if poly.degree > 0 or poly.coefficient(0) != W.entries.get((i, j), 0):
+                    # no power above 0, and power 0 over den is W's entry over its denominator
+                    poly = polys.get((i, j), {})
+                    x, y = poly.get(0, (0, 0))
+                    re, im = W.entries.get((i, j), (0, 0))
+                    same = x * W.denominator == re * den and y * W.denominator == im * den
+                    if max(poly, default=0) > 0 or not same:
                         problems.append(f"r={r} n={n} entry ({i},{j}) has a remainder")
     if worst > 1e-12:
         problems.append(f"worst float deviation {worst:.3e} > 1e-12")
@@ -123,10 +128,12 @@ def test_criterion_2_dyad_contamination():
     problems = []
     space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
     for k in (1, 2, 3):
-        corner = evolve_operator_symbolic(dyad_operator(space, k))[0][0].poly
-        if corner.degree != 2 * k:
-            problems.append(f"k={k}: corner degree {corner.degree} != {2 * k}")
-        elif corner.coefficient(2 * k) != GaussianRational(1):
+        dyad = dyad_operator(space, k)
+        polys, denominator = conjugation_polys("derivative", dyad.entries, dyad.denominator)
+        corner = polys[0, 0]
+        if max(corner) != 2 * k:
+            problems.append(f"k={k}: corner degree {max(corner)} != {2 * k}")
+        elif corner[2 * k] != (denominator, 0):
             problems.append(f"k={k}: leading coefficient is not exactly 1")
     deviation = decay_deviation(dyad_operator(space, 2), [5.0])
     if deviation <= 1e-3:

@@ -251,6 +251,13 @@ class TestExitCodes:
             (["uniqueness", "--config", "x.conf", "extra"], "extra"),
             (["uniqueness", "--config"], "--config"),
             (["uniqueness", "--config", "x.conf", "--format", "csv"], "--format"),
+            # an unknown option is named before the missing --config
+            (["decay-curve", "--conf", "x.conf"], "No such option '--conf'."),
+            (["lineshape", "--conf=x.conf"], "No such option '--conf'."),
+            (["pole-term", "--out", "x.json", "--conf", "x.conf"], "No such option '--conf'."),
+            (["uniqueness", "--conf", "x.conf"], "No such option '--conf'."),
+            (["jordan-info", "--conf=x.conf", "--normalization", "factorial"],
+             "No such option '--conf'."),
         ],
     )
     def test_usage_error_exits_one_with_one_line(self, runner, args, text):

@@ -25,7 +25,7 @@ from gamowkit.jordan import (
     nilpotent_power,
 )
 from gamowkit.smatrix import ResonancePole
-from gamowkit.states import StateOperator, evolve_operator_symbolic
+from gamowkit.states import StateOperator
 
 from expansion import expand
 
@@ -46,6 +46,31 @@ def rounds_root(value: float, square: Fraction) -> bool:
     below, above = math.nextafter(value, 0.0), math.nextafter(value, math.inf)
     low, high = (Fraction(below) + Fraction(value)) / 2, (Fraction(value) + Fraction(above)) / 2
     return low * low <= square <= high * high
+
+
+def polys_at(space, entries, denominator, t):
+    """(P(t), P'(t)) as complex matrices, P the conjugation polynomials of
+    the operator with the Gaussian integers entries over denominator."""
+    r = space.dimension
+    polys, den = conjugation_polys(space.normalization, entries, denominator)
+    values, slopes = np.zeros((r, r), dtype=complex), np.zeros((r, r), dtype=complex)
+    for ij, poly in polys.items():
+        coeffs = {d: complex(re / den, im / den) for d, (re, im) in poly.items()}
+        values[ij] = sum(c * t**d for d, c in coeffs.items())
+        slopes[ij] = sum(d * c * t ** (d - 1) for d, c in coeffs.items() if d)
+    return values, slopes
+
+
+def evolved(space, entries, t):
+    """T(t) A T(t)^dagger for the integer entries of A, read off
+    conjugation_polys with the shared phase exp(-Gamma t) put back."""
+    return np.exp(-space.pole.Gamma * t) * polys_at(space, entries, 1, t)[0]
+
+
+def exact_entries(entries: dict) -> tuple:
+    """GaussianRational entries as Gaussian integers over their least common denominator."""
+    den = math.lcm(*(q.denominator for v in entries.values() for q in (v.re, v.im)))
+    return {kl: (int(v.re * den), int(v.im * den)) for kl, v in entries.items()}, den
 
 
 @pytest.fixture
@@ -174,12 +199,11 @@ class TestEvolutionMatrix:
         # column k of T(t)
         z = space.pole.z_R
         for k in range(4):
-            dyad = StateOperator(space, {(0, k): GaussianRational(1)})
-            sym = evolve_operator_symbolic(dyad)
             for t in (0.0, 0.4, 2.3):
+                row = evolved(space, {(0, k): (1, 0)}, t)[0]
                 ket = evolution_matrix(space, t)
                 for p in range(4):
-                    bra = sym[0][p](t) * np.exp(1j * z * t)
+                    bra = row[p] * np.exp(1j * z * t)
                     assert bra == pytest.approx(np.conj(ket[p][k]), rel=1e-13, abs=1e-15)
 
     def test_semigroup_property(self, space):
@@ -234,7 +258,7 @@ class TestEvolutionMatrixBytes:
 def _ket_column(normalization, k):
     """Column k of T~(t), read off the conjugated dyad |k><0|: for each p
     the single power of t and its exact coefficient."""
-    polys, denominator = conjugation_polys(normalization, {(k, 0): GaussianRational(1)})
+    polys, denominator = conjugation_polys(normalization, {(k, 0): (1, 0)}, 1)
     column = {}
     for (p, q), poly in polys.items():
         assert q == 0 and len(poly) == 1
@@ -252,7 +276,7 @@ class TestEvolutionPolys:
                 assert d == k - p
 
     def test_exact_coefficients_are_gaussian(self):
-        polys, denominator = conjugation_polys("derivative", {(3, 0): GaussianRational(1)})
+        polys, denominator = conjugation_polys("derivative", {(3, 0): (1, 0)}, 1)
         # binom(3, 0) * (-i)^3 = i
         assert denominator == 1
         assert polys[0, 0] == {3: (0, 1)}
@@ -260,8 +284,8 @@ class TestEvolutionPolys:
     def test_bra_polys_transpose_with_conjugate_units(self):
         # |0><k| spreads along row 0 with (i t) where |k><0| has (-i t)
         for k in range(4):
-            ket, ket_den = conjugation_polys("derivative", {(k, 0): GaussianRational(1)})
-            bra, bra_den = conjugation_polys("derivative", {(0, k): GaussianRational(1)})
+            ket, ket_den = conjugation_polys("derivative", {(k, 0): (1, 0)}, 1)
+            bra, bra_den = conjugation_polys("derivative", {(0, k): (1, 0)}, 1)
             assert bra_den == ket_den
             assert sorted(bra) == [(0, p) for p in range(k + 1)]
             for p in range(k + 1):
@@ -297,7 +321,7 @@ class TestConjugationPolys:
                             Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)),
                             Fraction(rng.randrange(-7, 8), rng.randrange(1, 6)),
                         )
-            polys, denominator = conjugation_polys(normalization, entries)
+            polys, denominator = conjugation_polys(normalization, *exact_entries(entries))
             got = {}
             for ij, poly in polys.items():
                 got[ij] = {}
@@ -310,57 +334,53 @@ class TestConjugationPolys:
 
     def test_degree_zero_part_is_the_operator(self):
         entries = {(2, 1): GaussianRational(Fraction(1, 3), -2), (0, 3): GaussianRational(5)}
-        polys, denominator = conjugation_polys("factorial", entries)
+        polys, denominator = conjugation_polys("factorial", *exact_entries(entries))
         for ij, value in entries.items():
             re, im = polys[ij][0]
             assert GaussianRational(Fraction(re, denominator), Fraction(im, denominator)) == value
 
     def test_empty_operator_has_no_terms(self):
-        assert conjugation_polys("derivative", {}) == ({}, 1)
+        assert conjugation_polys("derivative", {}, 1) == ({}, 1)
 
 
 class TestSymbolicEvolution:
     def test_rate_is_minus_i_z(self):
         # the ket side of T |k><l| T^dagger carries exp(-i z t), the bra side
-        # exp(i conj(z) t); their shared rate -Gamma is held at the exact
-        # rational value of the float width
+        # exp(i conj(z) t); the polynomials leave out only their shared rate
+        # -Gamma, so putting it back gives the matrix product
         space = GamowSubspace(ResonancePole(2.0, 0.3, 3))
-        sym = evolve_operator_symbolic(StateOperator(space, {(2, 1): GaussianRational(1)}))
-        for row in sym:
-            for entry in row:
-                assert entry.rate == GaussianRational(-Fraction(0.3))
-        z = space.pole.z_R
-        ket_rate = complex(sym[0][0].rate) - 1j * z.conjugate()
-        assert ket_rate == pytest.approx(-1j * z, rel=1e-15)
+        A = np.zeros((3, 3), dtype=complex)
+        A[2, 1] = 1.0
+        for t in (0.0, 0.6, 4.1):
+            ket = np.array(evolution_matrix(space, t))
+            want = ket @ A @ ket.conj().T
+            np.testing.assert_allclose(evolved(space, {(2, 1): (1, 0)}, t), want, rtol=1e-14,
+                                       atol=1e-15)
 
     def test_matches_numeric_evolution(self, space):
         # T |k><0| T^dagger = T|k> exp(i conj(z) t) <0|
         z = space.pole.z_R
         for k in range(4):
-            dyad = StateOperator(space, {(k, 0): GaussianRational(1)})
-            sym = evolve_operator_symbolic(dyad)
             for t in (0.0, 0.9, 3.7):
                 numeric = evolution_matrix(space, t)
+                values = evolved(space, {(k, 0): (1, 0)}, t)
                 for p in range(4):
-                    column = sym[p][0](t) * np.exp(-1j * z.conjugate() * t)
+                    column = values[p, 0] * np.exp(-1j * z.conjugate() * t)
                     assert column == pytest.approx(numeric[p][k], abs=1e-13)
 
     def test_symbolic_derivative_is_generator_applied(self, space):
         # entrywise: d/dt (T A T^dagger) == -i H (T A T^dagger) + i (T A T^dagger) H^dagger
         rng = np.random.default_rng(RNG_SEED)
         raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        sym = evolve_operator_symbolic(StateOperator(space, dict(np.ndenumerate(raw))))
+        W = StateOperator.lift(space, dict(np.ndenumerate(raw)))
         h_action = np.array(hamiltonian_action_matrix(space))
         h_dagger = h_action.conj().T
-        t = 1.3
-        values = np.array([[sym[p][q](t) for q in range(4)] for p in range(4)])
+        t, rate = 1.3, -space.pole.Gamma
+        poly, slope = polys_at(space, W.entries, W.denominator, t)
+        values = np.exp(rate * t) * poly
         applied = -1j * h_action @ values + 1j * values @ h_dagger
+        # d/dt exp(rate t) P(t) = exp(rate t) (rate P(t) + P'(t))
+        derived = np.exp(rate * t) * (rate * poly + slope)
         for p in range(4):
             for q in range(4):
-                # d/dt exp(rate t) P(t) = exp(rate t) (rate P(t) + P'(t))
-                entry = sym[p][q]
-                rate = complex(entry.rate)
-                coeffs = entry.poly.coeffs
-                slope = sum(d * complex(c) * t ** (d - 1) for d, c in enumerate(coeffs) if d)
-                derived = np.exp(rate * t) * (rate * entry.poly(t) + slope)
-                assert derived == pytest.approx(applied[p, q], rel=1e-12, abs=1e-12)
+                assert derived[p, q] == pytest.approx(applied[p, q], rel=1e-12, abs=1e-12)

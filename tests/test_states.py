@@ -1,8 +1,9 @@
 """Tests for the decaying operator families and their observables.
 
 The load-bearing facts: every member of the binomial anti-diagonal
-family evolves as a pure exponential (exactly, on the symbolic carrier),
-plain dyads do not, and the pole-term pairing sees the same thing.
+family evolves as a pure exponential (exactly, in the integers of its
+conjugation polynomials), plain dyads do not, and the pole-term pairing
+sees the same thing.
 """
 
 import math
@@ -11,17 +12,18 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gamowkit.algebra import GaussianRational, Polynomial, _exp_decay
+from gamowkit.algebra import _exp_decay, _gmul
 from gamowkit.cli import R_CAP
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
-from gamowkit.jordan import GamowSubspace, evolution_matrix
+from gamowkit.jordan import GamowSubspace, conjugation_polys, evolution_matrix
 from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair
 from gamowkit.states import (
     StateOperator,
     decay_deviation,
     dyad_operator,
-    evolve_operator_symbolic,
     evolved_norm_squared,
     pole_term_probability,
     w_n,
@@ -31,10 +33,33 @@ from gamowkit.states import (
 RNG_SEED = 20260823
 
 
+def exact_values(W):
+    """W's entries as {(k, l): (re, im)} in Fractions."""
+    return {kl: (Fraction(re, W.denominator), Fraction(im, W.denominator))
+            for kl, (re, im) in W.entries.items()}
+
+
 def dense(W):
-    """W as a complex matrix, 0 on every absent dyad."""
+    """W as a complex matrix, each entry rounded once, 0 on every absent dyad."""
     r = W.space.dimension
-    return np.array([[complex(W.entries.get((k, l), 0)) for l in range(r)] for k in range(r)])
+    values = {kl: complex(re / W.denominator, im / W.denominator)
+              for kl, (re, im) in W.entries.items()}
+    return np.array([[values.get((k, l), 0j) for l in range(r)] for k in range(r)])
+
+
+def conjugated(W):
+    """conjugation_polys of W."""
+    return conjugation_polys(W.space.normalization, W.entries, W.denominator)
+
+
+def evolved(W, t):
+    """exp(-Gamma t) times the conjugation polynomials at t, as a complex matrix."""
+    r = W.space.dimension
+    polys, den = conjugated(W)
+    out = np.zeros((r, r), dtype=complex)
+    for ij, poly in polys.items():
+        out[ij] = sum(complex(re / den, im / den) * t**d for d, (re, im) in poly.items())
+    return math.exp(-W.space.pole.Gamma * t) * out
 
 
 def float_evolution(W, t):
@@ -55,13 +80,32 @@ def float_deviation(W, t_grid):
 
 def rounded(W):
     """W with each exact entry rounded once to a complex float."""
-    return StateOperator(W.space, {kl: complex(v) for kl, v in W.entries.items()})
+    return StateOperator.lift(W.space, dict(np.ndenumerate(dense(W))))
 
 
 def random_operator(space, rng):
     r = space.dimension
     raw = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-    return StateOperator(space, dict(np.ndenumerate(raw)))
+    return StateOperator.lift(space, dict(np.ndenumerate(raw)))
+
+
+# a dyadic rational p / 2**e, exactly a float
+dyadics = st.builds(
+    lambda p, e: Fraction(p, 2**e),
+    st.integers(min_value=-(2**53) + 1, max_value=2**53 - 1),
+    st.integers(min_value=0, max_value=80),
+)
+
+
+def exact_forms(re, im):
+    """The forms of the exact value re + i im, for dyadic Fractions re and
+    im: complex and numpy complex, and for im == 0 also Fraction, float,
+    numpy float and, where integral, int."""
+    z = complex(re, im)
+    forms = [z, np.complex128(z)]
+    if im == 0:
+        forms += [re, float(re), np.float64(re)] + ([int(re)] if re.denominator == 1 else [])
+    return forms
 
 
 @pytest.fixture
@@ -85,16 +129,13 @@ class TestOperatorConstruction:
     def test_w2_binomial_anti_diagonal(self, space):
         # (Gamma^2/2) * (|0><2| + 2 |1><1| + |2><0|)
         W = w_n(space, 2)
-        assert W.entries.get((0, 2), 0) == GaussianRational(Fraction(1, 2))
-        assert W.entries.get((1, 1), 0) == GaussianRational(1)
-        assert W.entries.get((2, 0), 0) == GaussianRational(Fraction(1, 2))
-        assert np.count_nonzero(dense(W)) == 3
+        assert W.entries == {(0, 2): (1, 0), (1, 1): (2, 0), (2, 0): (1, 0)}
+        assert W.denominator == 2
 
     def test_factorial_normalization_flattens_weights(self):
         space = GamowSubspace(ResonancePole(2.0, 0.5, 3), "factorial")
         W = w_n(space, 2)
-        for k in range(3):
-            assert W.entries.get((k, 2 - k), 0) == GaussianRational(Fraction(1, 4))
+        assert (W.entries, W.denominator) == ({(k, 2 - k): (1, 0) for k in range(3)}, 4)
 
     def test_index_out_of_range(self, space):
         with pytest.raises(IndexOutOfRangeError):
@@ -103,8 +144,30 @@ class TestOperatorConstruction:
             dyad_operator(space, 3)
 
     def test_entries_outside_the_square_rejected(self, space):
-        with pytest.raises(IndexOutOfRangeError):
-            StateOperator(space, {(0, 3): 1.0})
+        # r = 3: an index past either edge, with the value in every form
+        for kl in [(0, 3), (3, 0), (-1, 0), (0, -1)]:
+            for value in exact_forms(Fraction(1), Fraction(0)):
+                with pytest.raises(IndexOutOfRangeError):
+                    StateOperator.lift(space, {kl: value})
+            with pytest.raises(IndexOutOfRangeError):
+                StateOperator(space, {kl: (1, 0)}, 1)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.integers(min_value=1, max_value=4), st.data())
+    def test_lift_reads_every_exact_form_alike(self, r, data):
+        # oracle: the nonzero values as Gaussian integers over the lcm of
+        # their denominators; every form of each value must give exactly that
+        space = GamowSubspace(ResonancePole(2.0, 1.0, r))
+        parts = st.one_of(st.just(Fraction(0)), dyadics)
+        cells = st.tuples(st.integers(0, r - 1), st.integers(0, r - 1))
+        values = data.draw(st.dictionaries(cells, st.tuples(parts, parts)))
+        nonzero = {kl: v for kl, v in values.items() if any(v)}
+        den = math.lcm(*(q.denominator for v in nonzero.values() for q in v))
+        want = ({kl: (int(re * den), int(im * den)) for kl, (re, im) in nonzero.items()}, den)
+        forms = {kl: exact_forms(*v) for kl, v in values.items()}
+        for i in range(6):
+            W = StateOperator.lift(space, {kl: f[i % len(f)] for kl, f in forms.items()})
+            assert (W.entries, W.denominator) == want
 
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
     @pytest.mark.parametrize("gamma", [0.9137, 1e-300, 1e308])
@@ -124,9 +187,11 @@ class TestOperatorConstruction:
             members.append({(k, n - k): value for k, value in enumerate(row)})
         # W(n) does not depend on r beyond n < r
         top = GamowSubspace(ResonancePole(2.0, gamma, R_CAP), normalization)
+        # each denominator is the least common one of the member's values
         for n, member in enumerate(members):
-            got = {kl: (v.re, v.im) for kl, v in w_n(top, n).entries.items()}
-            assert got == {kl: (value, 0) for kl, value in member.items()}
+            W = w_n(top, n)
+            assert exact_values(W) == {kl: (value, 0) for kl, value in member.items()}
+            assert W.denominator == math.lcm(*(v.denominator for v in member.values()))
         for r in range(1, R_CAP + 1):
             space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
             want = {}
@@ -136,9 +201,12 @@ class TestOperatorConstruction:
                 want.update(
                     (kl, (re * weight * v, im * weight * v)) for kl, v in members[n].items()
                 )
-            assert {kl: (v.re, v.im) for kl, v in w_total(space).entries.items()} == want
+            W = w_total(space)
+            assert exact_values(W) == want
+            assert W.denominator == math.lcm(*(q.denominator for v in want.values() for q in v))
             for k in range(r):
-                assert dyad_operator(space, k).entries == {(k, k): GaussianRational(1)}
+                dyad = dyad_operator(space, k)
+                assert (dyad.entries, dyad.denominator) == ({(k, k): (1, 0)}, 1)
 
     def test_star_import_provides_constructors(self):
         namespace = {}
@@ -156,30 +224,28 @@ class TestOperatorConstruction:
     def test_exact_total_cycles_through_powers_of_minus_i(self):
         # r = 6 reaches (-i)**n for every residue of n mod 4
         space = GamowSubspace(ResonancePole(2.0, 0.75, 6))
-        total = w_total(space).entries
+        total = exact_values(w_total(space))
         units = [(1, 0), (0, -1), (-1, 0), (0, 1)]
         for n in range(6):
             re, im = units[n % 4]
-            member = w_n(space, n).entries
+            member = exact_values(w_n(space, n))
             for k in range(n + 1):
-                value = math.comb(6, n + 1) * member[k, n - k].re
-                assert total[k, n - k] == GaussianRational(re * value, im * value)
+                value = math.comb(6, n + 1) * member[k, n - k][0]
+                assert total[k, n - k] == (re * value, im * value)
 
 
 class TestEvolution:
     def test_negative_time_rejected(self, space):
         with pytest.raises(NegativeTimeError):
             decay_deviation(w_n(space, 0), [0.0, 1.0, -1.0])
-        zero = StateOperator(space, {})
+        zero = StateOperator.lift(space, {})
         with pytest.raises(NegativeTimeError):
             decay_deviation(zero, [-0.5])
 
     def test_time_zero_is_identity_map(self, space):
         # float entries enter at their exact value, so t = 0 gives them back bit for bit
         W = rounded(w_total(space))
-        sym = evolve_operator_symbolic(W)
-        evolved = np.array([[entry(0.0) for entry in row] for row in sym])
-        assert np.array_equal(evolved, dense(W))
+        assert np.array_equal(evolved(W, 0.0), dense(W))
 
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
     @pytest.mark.parametrize("r", [1, 3, 5])
@@ -191,74 +257,58 @@ class TestEvolution:
         assert decay_deviation(rounded(w_total(space)), grid) <= 1e-12
 
     def test_evolved_family_member_stays_hermitian(self, space):
-        sym = evolve_operator_symbolic(w_n(space, 2))
+        polys, _ = conjugated(w_n(space, 2))
         for i in range(3):
             for j in range(3):
-                mirrored = [GaussianRational(c.re, -c.im) for c in sym[j][i].poly.coeffs]
-                assert sym[i][j].poly.coeffs == tuple(mirrored)
+                mirrored = {d: (re, -im) for d, (re, im) in polys.get((j, i), {}).items()}
+                assert polys.get((i, j), {}) == mirrored
 
     def test_numeric_and_symbolic_paths_agree(self, space):
         # a float input reproduces the float matrix-product reference
         rng = np.random.default_rng(RNG_SEED)
         W = random_operator(space, rng)
-        sym = evolve_operator_symbolic(W)
-        for entry in (entry for row in sym for entry in row):
-            assert entry.rate == GaussianRational(-1)
-            assert all(isinstance(c, GaussianRational) for c in entry.poly.coeffs)
+        polys, den = conjugated(W)
+        assert type(den) is int
+        assert all(type(part) is int
+                   for poly in polys.values() for pair in poly.values() for part in pair)
         for t in (0.0, 0.8, 2.5):
-            numeric = float_evolution(W, t)
-            for i in range(3):
-                for j in range(3):
-                    assert sym[i][j](t) == pytest.approx(numeric[i, j], abs=1e-12)
+            np.testing.assert_allclose(evolved(W, t), float_evolution(W, t), rtol=0, atol=1e-12)
 
     def test_symbolic_family_member_has_no_polynomial_tail(self, space):
         # the strong form of the decay law: zero remainder, not small
         for n in range(3):
             W = w_n(space, n)
-            sym = evolve_operator_symbolic(W)
-            for i in range(3):
-                for j in range(3):
-                    entry = sym[i][j]
-                    assert entry.rate == GaussianRational(-1)
-                    assert entry.poly.degree <= 0
-                    assert entry.poly.coefficient(0) == W.entries.get((i, j), 0)
+            assert conjugated(W) == ({kl: {0: v} for kl, v in W.entries.items()}, W.denominator)
 
     def test_symbolic_evolution_is_linear(self, space):
-        a = GaussianRational(2)
-        b = GaussianRational(0, 1)
-        A = {(1, 2): GaussianRational(1)}
-        B = dyad_operator(space, 0).entries
-        combo = {kl: a * A.get(kl, 0) + b * B.get(kl, 0) for kl in A.keys() | B.keys()}
-        lhs = evolve_operator_symbolic(StateOperator(space, combo))
-        sym_a = evolve_operator_symbolic(StateOperator(space, A))
-        sym_b = evolve_operator_symbolic(StateOperator(space, B))
-        for i, j in np.ndindex(3, 3):
-            # a P_a(t) + b P_b(t), summed by power of t
-            p_a, p_b = sym_a[i][j].poly, sym_b[i][j].poly
-            top = max(p_a.degree, p_b.degree)
-            combined = [a * p_a.coefficient(d) + b * p_b.coefficient(d) for d in range(top + 1)]
-            assert lhs[i][j].poly == Polynomial(combined)
+        # 2 |1><2| + i |0><0| against 2 P_A(t) + i P_B(t), summed by power of t
+        a, b = (2, 0), (0, 1)
+        A, B = StateOperator.lift(space, {(1, 2): 1}), dyad_operator(space, 0)
+        lhs, lhs_den = conjugated(StateOperator.lift(space, {(1, 2): 2, (0, 0): 1j}))
+        (p_a, den_a), (p_b, den_b) = conjugated(A), conjugated(B)
+        assert lhs_den == den_a == den_b == 1
+        combined = {}
+        for scale, polys in [(a, p_a), (b, p_b)]:
+            for ij, poly in polys.items():
+                for d, value in poly.items():
+                    old = combined.setdefault(ij, {}).get(d, (0, 0))
+                    re, im = _gmul(scale, value)
+                    combined[ij][d] = (old[0] + re, old[1] + im)
+        assert lhs == combined
 
 
 class TestDyadContamination:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_corner_entry_grows_like_t_to_the_2k(self, k):
         space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
-        sym = evolve_operator_symbolic(dyad_operator(space, k))
-        corner = sym[0][0].poly
-        assert corner.degree == 2 * k
-        assert corner.coefficient(2 * k) == GaussianRational(1)
+        polys, denominator = conjugated(dyad_operator(space, k))
+        assert max(polys[0, 0]) == 2 * k
+        assert polys[0, 0][2 * k] == (denominator, 0)
 
     def test_dyad_deviation_is_large_by_five_lifetimes(self):
         space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
         grid = np.linspace(0.0, 5.0, 11)
         assert decay_deviation(dyad_operator(space, 2), grid) > 1e-3
-
-
-def _exact_abs_squared(value):
-    if isinstance(value, GaussianRational):
-        return value.re**2 + value.im**2
-    return Fraction(value.real) ** 2 + Fraction(value.imag) ** 2
 
 
 class TestEvolvedNormSquared:
@@ -275,22 +325,20 @@ class TestEvolvedNormSquared:
             W = W if exact else rounded(W)
             coeffs, den = evolved_norm_squared(W)
             assert len(coeffs) == 1
-            norm0 = sum(_exact_abs_squared(v) for v in W.entries.values())
+            norm0 = sum(re**2 + im**2 for re, im in exact_values(W).values())
             assert Fraction(coeffs[0], den) == norm0
 
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_dyad_norm_is_square_of_weight_sum(self, k):
         # T~ |k><k| T~^dagger = v v^dagger with v_p = binom(k, p) (-i t)**(k-p)
         space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
-        inner = Polynomial(
-            [math.comb(k, k - d // 2) ** 2 if d % 2 == 0 else 0 for d in range(2 * k + 1)]
-        )
+        inner = [math.comb(k, k - d // 2) ** 2 if d % 2 == 0 else 0 for d in range(2 * k + 1)]
         coeffs, den = evolved_norm_squared(dyad_operator(space, k))
-        assert [Fraction(c, den) for c in coeffs] == list((inner * inner).coeffs)
+        assert [Fraction(c, den) for c in coeffs] == np.convolve(inner, inner).tolist()
 
     def test_matches_float_evolution(self, space):
         entries = {(k, l): (3 * k + l) * (1 - 0.5j) for k in range(3) for l in range(3)}
-        W = StateOperator(space, entries)
+        W = StateOperator.lift(space, entries)
         coeffs, den = evolved_norm_squared(W)
         coeffs = [c / den for c in coeffs]
         for t in (0.0, 0.7, 3.0):
@@ -305,7 +353,7 @@ class TestDecayDeviation:
             decay_deviation(w_n(space, 0), [])
 
     def test_zero_operator_has_zero_deviation(self, space):
-        zero = StateOperator(space, {})
+        zero = StateOperator.lift(space, {})
         assert decay_deviation(zero, [0.0, 1.0]) == 0.0
 
     @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
