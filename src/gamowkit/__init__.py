@@ -40,7 +40,6 @@ from .smatrix import (
     lineshape,
     pole_expansion_coeffs,
     pole_jet,
-    pole_term,
     s_matrix_eval,
 )
 from .states import (
@@ -48,8 +47,6 @@ from .states import (
     decay_columns,
     decay_deviation,
     dyad_operator,
-    evolved_norm_squared,
-    pole_term_probability,
     w_n,
     w_total,
 )

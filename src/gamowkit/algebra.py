@@ -2,10 +2,10 @@
 
 The kernels run on Gaussian integers (re, im) over one int denominator,
 the format of every exact quantity of the package: _lift, _gmul, _turn,
-_exact_at, _horner, _exp_exact, and the one reading of exp(-Gamma t)
-times an exact value: _exp_decay returns the factor as mantissa and
-exponent, _scaled rounds an exact quotient (or its root) once, scaled by
-a power of two, and _ldexp applies the carried exponents.
+_convolve, _exact_at, _horner, _exp_exact, and the one reading of
+exp(-Gamma t) times an exact value: _exp_decay returns the factor as
+mantissa and exponent, _scaled rounds an exact quotient (or its root)
+once, scaled by a power of two, and _ldexp applies the carried exponents.
 
 No package path uses the classes GaussianRational, Polynomial and
 ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
@@ -50,6 +50,20 @@ def _turn(a, q: int) -> tuple:
     """a * i**q."""
     re, im = a
     return ((re, im), (-im, re), (-re, -im), (im, -re))[q % 4]
+
+
+def _convolve(a, b, order: int) -> list:
+    """The first order coefficients of the product of the series a and b of
+    Gaussian integers (re, im), lowest first; both have >= order terms."""
+    out = []
+    for k in range(order):
+        re = im = 0
+        for j in range(k + 1):
+            (ar, ai), (br, bi) = a[k - j], b[j]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+        out.append((re, im))
+    return out
 
 
 def _exact_at(coeffs, t: float) -> tuple:

@@ -13,10 +13,11 @@ and the time shift exp(-i w t)), so the derivatives are exact Taylor
 jets: Gaussian integers over a common denominator, with every input
 float entering at its exact value.  The pole term of the pairing with
 the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
-for one exact polynomial Q of degree < r (pole_jet), which pairs the
-observable leg with the expansion coefficients b_k of the state leg, as
-in pole_term = sum_k b_k psi^(k)(z).  analytic_derivatives (contour
-quadrature) remains as a general tool; no pole term uses it.
+for one exact polynomial Q of degree < r.  pole_jet, the one entry point
+to it, pairs the observable leg with the expansion coefficients b_k of
+the state leg (the pole term is sum_k b_k psi^(k)(z)); its PoleJet reads
+the amplitude and the survival probability at any t >= 0.
+analytic_derivatives (contour quadrature) remains as a general tool.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _ldexp, _lift, _scaled
-from .algebra import _turn, binom
-from .errors import NoConvergenceError, PoleEvaluationError
+from .algebra import _convolve, _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _ldexp
+from .algebra import _lift, _scaled, _turn, binom
+from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
 
 __all__ = [
     "ResonancePole",
@@ -41,7 +42,6 @@ __all__ = [
     "analytic_derivatives",
     "PoleJet",
     "pole_jet",
-    "pole_term",
     "lineshape",
 ]
 
@@ -233,20 +233,6 @@ def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> list:
 # function data, the phase coefficients and Gamma are all exact.
 
 
-def _jet_mul(a, b, order: int) -> tuple:
-    """Product of two jets, cut to its first order coefficients."""
-    (xa, da), (xb, db) = a, b
-    out = []
-    for k in range(order):
-        re = im = 0
-        for j in range(k + 1):
-            (ar, ai), (br, bi) = xa[j], xb[k - j]
-            re += ar * br - ai * bi
-            im += ar * bi + ai * br
-        out.append((re, im))
-    return out, da * db
-
-
 def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
     """Taylor coefficients at z of sum c / (w - i a)**m, from the closed form
     c (-1)**k binom(m+k-1, k) (z - i a)**(-m-k)."""
@@ -319,16 +305,10 @@ def _contract(jet, pole: ResonancePole) -> tuple:
     weights = [
         _turn((binom(r, n + 1) * num**n * width_den ** (r - 1 - n), 0), 3 * n) for n in range(r)
     ]
-    out = []
-    for m in range(r):
-        re = im = 0
-        for n in range(m, r):
-            (wr, wi), (xr, xi) = weights[n], coeffs[n - m]
-            re += wr * xr - wi * xi
-            im += wr * xi + wi * xr
-        factor = num * (top // math.factorial(m))
-        out.append((factor * re, factor * im))
-    return out, den * width_den**r * top
+    # coefficient r-1-m of the reversed weights times x: sum_{n>=m} w_n x_{n-m}
+    sums = _convolve(weights[::-1], coeffs, r)[::-1]
+    factors = [num * (top // math.factorial(m)) for m in range(r)]
+    return [(f * re, f * im) for f, (re, im) in zip(factors, sums)], den * width_den**r * top
 
 
 def _complex(re: int, im: int, den: int, what: str) -> complex:
@@ -344,8 +324,9 @@ def _complex(re: int, im: int, den: int, what: str) -> complex:
 class PoleJet:
     """Pole term of a pairing whose observable is translated by t >= 0.
 
-    The pole sum of pole_term with the observable leg exp(-i w t) psi(w)
-    (times the phase factor when the gauge is absorbed) is
+    The pole term of (psi, S phi) sums (-2 pi i / n!) binom(r, n+1)
+    (-i Gamma)**(n+1) (psi phi)^(n)(z) over n < r, psi times the phase
+    factor when the gauge is absorbed; with psi(w) exp(-i w t) it is
 
         2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
 
@@ -357,8 +338,8 @@ class PoleJet:
         b_k = (-2 pi Gamma) sum_{n=k}^{r-1} binom(r, n+1) binom(n, k)
               ((-i Gamma)**n / n!) phi^(n-k)(z),
 
-    so that pole_term == sum_k b_k psi^(k)(z) with the same gauge
-    placement; each part is rounded once from its exact value.
+    so that the pole term amplitude() == sum_k b_k psi^(k)(z) with the same
+    gauge placement; each part is rounded once from its exact value.
     """
 
     width: float
@@ -379,7 +360,9 @@ class PoleJet:
         return 2.0 * math.pi * self.phase * _complex(re, im, den, f"pole_term at t = {t!r}")
 
     def probability(self, t: float) -> float:
-        """exp(-Gamma t) |amplitude(t)|**2."""
+        """exp(-Gamma t) |amplitude(t)|**2, for t >= 0."""
+        if not t >= 0:
+            raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
         value = self.amplitude(t)
         m, e = _exp_decay(self.width, t)
         s, k = math.frexp(value.real * value.real + value.imag * value.imag)
@@ -406,8 +389,8 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     observable leg (times exp(2i (gamma(w) - gamma(z))) when the gauge is
     absorbed) and the shift
     exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pole sum
-    of pole_term becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
-    Q_m = -(-i)**m sum_{k>=m} (k! / m!) b_k L[k-m].
+    becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
+    Q_m = -(-i)**m / m! sum_{k>=m} k! b_k L[k-m].
     """
     pole = model.pole
     r = pole.r
@@ -417,19 +400,17 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     leg, leg_den = _rational_jet(pair.psi, z, r)
     phase = 1 + 0j
     if model.absorb_gauge:
-        (g_re, g_im), shift = _phase_jet(model.gamma, z, r)
-        leg, leg_den = _jet_mul((leg, leg_den), shift, r)
-        # 2i gamma(z) = -2 Im gamma(z) + 2i Re gamma(z)
-        phase = _exp_exact(-2 * g_im, 2 * g_re)
-    coeffs = []
-    for m in range(r):
-        re = im = 0
-        for k in range(m, r):
-            x, y = _gmul(b[k], leg[k - m])
-            scale = math.perm(k, k - m)  # k! / m!
-            re += scale * x
-            im += scale * y
-        coeffs.append(_turn((-re, -im), 3 * m))
+        (g_re, g_im), (shift, shift_den) = _phase_jet(model.gamma, z, r)
+        leg, leg_den = _convolve(leg, shift, r), leg_den * shift_den
+        try:
+            # 2i gamma(z) = -2 Im gamma(z) + 2i Re gamma(z)
+            phase = _exp_exact(-2 * g_im, 2 * g_re)
+        except OverflowError:
+            raise OverflowError("phase factor exp(2i gamma(z)) leaves the float range") from None
+    # coefficient r-1-m of the reversed k! b_k times L: sum_{k>=m} k! b_k L[k-m], a multiple of m!
+    fact = [math.factorial(k) for k in range(r)]
+    sums = _convolve([(f * x, f * y) for f, (x, y) in zip(fact, b)][::-1], leg, r)[::-1]
+    coeffs = [_turn((-x // f, -y // f), 3 * m) for m, (f, (x, y)) in enumerate(zip(fact, sums))]
     den = b_den * leg_den
     common = math.gcd(den, *(x for c in coeffs for x in c))
     reduced = tuple((re // common, im // common) for re, im in coeffs)
@@ -438,20 +419,6 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
         for k, (re, im) in enumerate(b)
     )
     return PoleJet(pole.Gamma, phase, reduced, den // common, expansion)
-
-
-def pole_term(pair: TestFunctionPair, model: SMatrixModel) -> complex:
-    """Pole-term contribution of the pairing (psi, S phi) at an order-r pole.
-
-    sum_{n=0}^{r-1} binom(r, n+1) (-i Gamma)**(n+1) (-2 pi i / n!)
-        * sum_{k=0}^{n} binom(n, k) psi^(k)(z) phi^(n-k)(z)
-
-    where psi carries the background phase factor when absorb_gauge is on.
-    The n-th term collects the n-th derivative of the product of both legs
-    at the pole, one derivative order per partial-fraction power.  The
-    derivatives are exact Taylor coefficients (see pole_jet).
-    """
-    return pole_jet(pair, model).amplitude()
 
 
 def lineshape(model: SMatrixModel, e_grid) -> list:

@@ -22,9 +22,9 @@ scale, and decay_columns applies it on request, as a mantissa and an
 exponent.
 
 Evolution runs one path: jordan.conjugation_polys expands the conjugation
-exactly, and evolved_norm_squared, decay_columns and decay_deviation read
-that one expansion.  Each value exp(-Gamma t) * x they print is algebra's
-one reading, with the exponent carried.
+exactly, and decay_columns (through the exact squared norm N(t)) and
+decay_deviation read that one expansion.  Each value exp(-Gamma t) * x
+they print is algebra's one reading, with the exponent carried.
 """
 
 from __future__ import annotations
@@ -40,17 +40,14 @@ from .algebra import _exact_at, _exp_decay, _horner, _ldexp, _lift, _quotient, _
 from .algebra import binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, conjugation_polys
-from .smatrix import SMatrixModel, pole_jet
 
 __all__ = [
     "StateOperator",
     "w_n",
     "w_total",
     "dyad_operator",
-    "evolved_norm_squared",
     "decay_columns",
     "decay_deviation",
-    "pole_term_probability",
 ]
 
 
@@ -138,7 +135,7 @@ def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
     return coeffs
 
 
-def evolved_norm_squared(W: StateOperator) -> tuple:
+def _evolved_norm_squared(W: StateOperator) -> tuple:
     """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2: the
     coefficient of t**d is the int coeffs[d] over the int denominator.
 
@@ -162,7 +159,7 @@ def _time_points(width: float, grid: tuple) -> list:
 
 def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = False) -> tuple:
     """(norm, exp_law, deviation) columns of W on the grid: exp(-Gamma t)
-    sqrt(N(t)) with N = evolved_norm_squared(W), exp(-Gamma t) sqrt(N(0)),
+    sqrt(N(t)) with N = _evolved_norm_squared(W), exp(-Gamma t) sqrt(N(0)),
     and |u - u0| / u0 on u = sqrt(N(t)), read as |t T(t)| / (u0 (u + u0))
     with N(t) = N(0) + t T(t); times_2pi_gamma scales the first two.
 
@@ -172,7 +169,7 @@ def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = F
     power of two, and N stays in range.  The exponents are applied last,
     naming the column (name_norm, ...) of a value beyond the float range.
     """
-    coeffs, den = evolved_norm_squared(W)
+    coeffs, den = _evolved_norm_squared(W)
     common = math.gcd(coeffs[0], den)
     u0, k = _scaled(coeffs[0] // common, den // common, root=True)
     scaled = _quotient(coeffs, den, 2 * k)
@@ -233,19 +230,3 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
         m, e = _exp_decay(W.space.pole.Gamma, t)
         readings.append((m * root, e + k))
     return max(_ldexp(*zip(*readings), "deviation", grid))
-
-
-def pole_term_probability(pair, model: SMatrixModel, t: float) -> float:
-    """|pole term of the pairing with the time-translated observable|**2.
-
-    Each observable-leg derivative psi^(k)(z) in the pole term is replaced
-    by the k-th derivative of exp(-i w t) psi(w) at z, which makes the
-    value exp(-Gamma t) |2 pi exp(2i gamma(z)) Q(t)|**2 with Q the exact
-    polynomial of pole_jet.  For r = 1, Q is constant and this is
-    exp(-Gamma t) times the t = 0 value; higher orders deviate by
-    polynomial factors.
-    """
-    if not t >= 0:
-        raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
-    return pole_jet(pair, model).probability(t)
-

@@ -31,14 +31,13 @@ from gamowkit.smatrix import (
     TestFunctionPair,
     analytic_derivatives,
     pole_expansion_coeffs,
-    pole_term,
+    pole_jet,
     s_matrix_eval,
 )
 from gamowkit.states import (
     StateOperator,
     decay_deviation,
     dyad_operator,
-    pole_term_probability,
     w_n,
     w_total,
 )
@@ -230,7 +229,7 @@ def test_criterion_5_derivative_extraction_and_pole_term():
                 BackgroundPhase("polynomial", (0.1, 0.02)),
                 absorb_gauge=absorb,
             )
-            value = pole_term(PAIR, model)
+            value = pole_jet(PAIR, model).amplitude()
             oracle = _contour_pole_term(PAIR, model)
             err = abs(value - oracle) / max(1.0, abs(oracle))
             worst_pole = max(worst_pole, err)
@@ -244,10 +243,11 @@ def test_criterion_6_survival_ratio_and_width_recovery():
     log-linear fit of the CLI decay curve recovers Gamma to 1e-6."""
     problems = []
     model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
-    p0 = pole_term_probability(PAIR, model, 0.0)
+    jet = pole_jet(PAIR, model)
+    p0 = jet.probability(0.0)
     worst_ratio = 0.0
     for t in np.linspace(0.0, 10.0, 11):
-        ratio = pole_term_probability(PAIR, model, float(t)) / p0
+        ratio = jet.probability(float(t)) / p0
         worst_ratio = max(worst_ratio, abs(ratio - math.exp(-float(t))) / math.exp(-float(t)))
     if worst_ratio > 1e-9:
         problems.append(f"survival ratio error {worst_ratio:.3e} > 1e-9")

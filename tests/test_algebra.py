@@ -15,6 +15,7 @@ from gamowkit.algebra import (
     ExpPolynomial,
     GaussianRational,
     Polynomial,
+    _convolve,
     _exp_decay,
     _ldexp,
     binom,
@@ -161,6 +162,25 @@ class TestExpPolynomial:
         f = ExpPolynomial(-1.0 + 2.0j, Polynomial([1.0, 3.0]))
         t = 0.8
         assert f(t) == pytest.approx(cmath.exp((-1.0 + 2.0j) * t) * (1.0 + 3.0 * t))
+
+
+gaussian_ints = st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 2**80))
+
+
+class TestConvolve:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), order=st.integers(min_value=0, max_value=8))
+    def test_matches_the_double_sum(self, data, order):
+        # both series have at least order terms; terms beyond order are ignored
+        a = data.draw(st.lists(gaussian_ints, min_size=order, max_size=order + 2))
+        b = data.draw(st.lists(gaussian_ints, min_size=order, max_size=order + 2))
+        want = [[0, 0] for _ in range(order)]
+        for i in range(order):
+            for j in range(order - i):
+                (ar, ai), (br, bi) = a[i], b[j]
+                want[i + j][0] += ar * br - ai * bi
+                want[i + j][1] += ar * bi + ai * br
+        assert _convolve(a, b, order) == [tuple(c) for c in want]
 
 
 class TestExpDecay:

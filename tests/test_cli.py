@@ -400,8 +400,16 @@ class TestExitCodes:
             # b_0 ~ phi(z) ~ 1e300 fits; the pole term b_0 psi(z) ~ 1e600 does not
             ("E_R = 2.0\nGamma = 1.0\nr = 1", ("1.0 1 1e300 0.0", "1.0 1 1e300 0.0"),
              "pole_term at t = 0.0 leaves the float range"),
+            # gamma(z) = 1e200 z**2 fits, but |exp(2i gamma(z))| = exp(4e200) does not
+            ("E_R = 2.0\nGamma = 1.0\nr = 3\ngamma = 0\ngamma = 0\ngamma = 1e200",
+             ("1.0 1 1.0 0.0", "1.5 1 1.0 0.0"),
+             "phase factor exp(2i gamma(z)) leaves the float range"),
+            # gamma(z) ~ 1e200 * 1e600 itself has no float value
+            ("E_R = 1e300\nGamma = 1.0\nr = 2\ngamma = 0\ngamma = 0\ngamma = 1e200",
+             ("1.0 1 1.0 0.0", "1.5 1 1.0 0.0"),
+             "phase factor exp(2i gamma(z)) leaves the float range"),
         ],
-        ids=["expansion_coeffs", "pole_term"],
+        ids=["expansion_coeffs", "pole_term", "phase_factor", "phase_argument"],
     )
     def test_pole_term_beyond_float_range_names_its_field(self, runner, tmp_path, pole, legs,
                                                           message):

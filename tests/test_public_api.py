@@ -141,3 +141,14 @@ def test_the_object_layer_stays_in_algebra():
             named += [f"{path.stem} names {name}" for name in sorted(names & OBJECT_LAYER)]
     assert named == []
     assert OBJECT_LAYER.isdisjoint(gamowkit.__all__)
+
+
+def test_states_imports_nothing_from_smatrix():
+    # states holds operators and their evolution; the pole term of a
+    # pairing lives in smatrix alone
+    tree = ast.parse((SRC / "states.py").read_text())
+    sources = [(node.module or "").rpartition(".")[2] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name.rpartition(".")[2] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names]
+    assert "smatrix" not in sources

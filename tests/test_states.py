@@ -19,13 +19,12 @@ from gamowkit.algebra import _exp_decay, _gmul
 from gamowkit.cli import R_CAP
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, conjugation_polys, evolution_matrix
-from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair
+from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair, pole_jet
 from gamowkit.states import (
     StateOperator,
+    _evolved_norm_squared,
     decay_deviation,
     dyad_operator,
-    evolved_norm_squared,
-    pole_term_probability,
     w_n,
     w_total,
 )
@@ -323,7 +322,7 @@ class TestEvolvedNormSquared:
         space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
         for W in [w_n(space, n) for n in range(r)] + [w_total(space)]:
             W = W if exact else rounded(W)
-            coeffs, den = evolved_norm_squared(W)
+            coeffs, den = _evolved_norm_squared(W)
             assert len(coeffs) == 1
             norm0 = sum(re**2 + im**2 for re, im in exact_values(W).values())
             assert Fraction(coeffs[0], den) == norm0
@@ -333,13 +332,13 @@ class TestEvolvedNormSquared:
         # T~ |k><k| T~^dagger = v v^dagger with v_p = binom(k, p) (-i t)**(k-p)
         space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
         inner = [math.comb(k, k - d // 2) ** 2 if d % 2 == 0 else 0 for d in range(2 * k + 1)]
-        coeffs, den = evolved_norm_squared(dyad_operator(space, k))
+        coeffs, den = _evolved_norm_squared(dyad_operator(space, k))
         assert [Fraction(c, den) for c in coeffs] == np.convolve(inner, inner).tolist()
 
     def test_matches_float_evolution(self, space):
         entries = {(k, l): (3 * k + l) * (1 - 0.5j) for k in range(3) for l in range(3)}
         W = StateOperator.lift(space, entries)
-        coeffs, den = evolved_norm_squared(W)
+        coeffs, den = _evolved_norm_squared(W)
         coeffs = [c / den for c in coeffs]
         for t in (0.0, 0.7, 3.0):
             value = math.sqrt(sum(c * t**d for d, c in enumerate(coeffs)))
@@ -423,9 +422,9 @@ class TestDecayDeviation:
         lambda space, pair: evolution_matrix(space, math.nan),
         lambda space, pair: decay_deviation(dyad_operator(space, 1), [math.nan]),
         lambda space, pair: decay_deviation(w_n(space, 1), [math.nan]),
-        lambda space, pair: pole_term_probability(pair, SMatrixModel(space.pole), math.nan),
+        lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).probability(math.nan),
     ],
-    ids=["evolution_matrix", "dyad_deviation", "family_deviation", "pole_term_probability"],
+    ids=["evolution_matrix", "dyad_deviation", "family_deviation", "pole_jet_probability"],
 )
 def test_nan_time_is_invalid_input(space, pair, call):
     # nan is no time t >= 0: invalid input, not an overflow or a failed conversion
@@ -437,19 +436,21 @@ class TestPoleTermProbability:
     def test_negative_time_rejected(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
         with pytest.raises(NegativeTimeError):
-            pole_term_probability(pair, model, -0.5)
+            pole_jet(pair, model).probability(-0.5)
 
     def test_simple_pole_follows_exponential_law(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
-        p0 = pole_term_probability(pair, model, 0.0)
+        jet = pole_jet(pair, model)
+        p0 = jet.probability(0.0)
         for t in np.linspace(0.0, 10.0, 11):
-            ratio = pole_term_probability(pair, model, float(t)) / p0
+            ratio = jet.probability(float(t)) / p0
             assert ratio == pytest.approx(math.exp(-1.0 * t), rel=1e-10)
 
     def test_double_pole_departs_from_exponential(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 2))
-        p0 = pole_term_probability(pair, model, 0.0)
+        jet = pole_jet(pair, model)
+        p0 = jet.probability(0.0)
         t = 5.0
-        ratio = pole_term_probability(pair, model, t) / p0
+        ratio = jet.probability(t) / p0
         assert abs(ratio / math.exp(-t) - 1.0) > 1e-6
 
