@@ -44,8 +44,8 @@ from .smatrix import (
 )
 from .states import (
     StateOperator,
-    decay_columns,
     decay_deviation,
+    decay_table,
     dyad_operator,
     w_n,
     w_total,

@@ -4,8 +4,9 @@ The kernels run on Gaussian integers (re, im) over one int denominator,
 the format of every exact quantity of the package: _lift, _gmul, _turn,
 _convolve, _exact_at, _horner, _exp_exact, and the one reading of
 exp(-Gamma t) times an exact value: _exp_decay returns the factor as
-mantissa and exponent, _scaled rounds an exact quotient (or its root)
-once, scaled by a power of two, and _ldexp applies the carried exponents.
+mantissa and exponent, _scaled rounds an exact quotient or its square
+root once, scaled by a power of two, and _ldexp applies the carried
+exponents.
 
 No package path uses the classes GaussianRational, Polynomial and
 ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
@@ -133,12 +134,19 @@ def _quotient(nums, den: int, k: int) -> list:
 
 def _scaled(num: int, den: int, root: bool = False) -> tuple:
     """(m, k) with m 2**k = num / den, or its square root, for ints num >= 0
-    and den > 0; k from the bit lengths keeps m near 1, so m rounds like
-    the unscaled value wherever that is a normal float."""
-    step = 2 if root else 1
-    k = (num.bit_length() - den.bit_length()) // step
-    (m,) = _quotient([num], den, step * k)
-    return (math.sqrt(m) if root else m), k
+    and den > 0, m rounded once; k from the bit lengths keeps m near 1, so
+    m rounds like the unscaled value wherever that is a normal float.  The
+    root is taken in integers to 64 bits, with a sticky last bit where
+    inexact, so it too is correctly rounded."""
+    if not root:
+        k = num.bit_length() - den.bit_length()
+        (m,) = _quotient([num], den, k)
+        return m, k
+    k = (num.bit_length() - den.bit_length()) // 2
+    shift = 128 - 2 * k
+    q, rest = divmod(num << max(shift, 0), den << max(-shift, 0))
+    s = math.isqrt(q)
+    return math.ldexp(s | (rest > 0 or s * s != q), -64), k
 
 
 def _ldexp(values, exponents, what: str, times) -> list:

@@ -37,7 +37,7 @@ from .smatrix import (
     lineshape,
     pole_jet,
 )
-from .states import decay_columns, dyad_operator, w_n, w_total
+from .states import decay_table
 from .uniqueness import certify
 
 # Largest inputs that set the amount of work: j = 32 certifies in about
@@ -332,18 +332,8 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     of the two; plain dyads |k><k| ride along for contrast.
     """
     cfg = load_config(config_path)
-    space = _space_from(cfg, normalization)
-    grid = cfg.grid("t", minimum_allowed=0.0)
-    r = space.dimension
-    header, columns = ["t"], [grid]
-    # every operator is exact; only the float table scales W's norms by 2 pi Gamma
-    for name, op in [(f"w{n}", w_n(space, n)) for n in range(r)] + [("wsum", w_total(space))]:
-        header += [f"{name}_norm", f"{name}_exp_law", f"{name}_deviation"]
-        columns += decay_columns(op, grid, name, times_2pi_gamma=name == "wsum" and not exact)
-    for k in range(r):
-        header += [f"dyad{k}_norm", f"dyad{k}_deviation"]
-        columns += decay_columns(dyad_operator(space, k), grid, f"dyad{k}")[::2]
-    _emit(out_path, _table_text(header, list(zip(*columns)), fmt_name))
+    table = decay_table(_space_from(cfg, normalization), cfg.grid("t", minimum_allowed=0.0), exact)
+    _emit(out_path, _table_text(list(table), list(zip(*table.values())), fmt_name))
 
 
 def lineshape_cmd(config_path, out_path, fmt_name):

@@ -34,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .algebra import _turn, binom
+from .algebra import _scaled, _turn, binom
 from .errors import NegativeTimeError
 from .smatrix import ResonancePole
 
@@ -65,16 +65,6 @@ class GamowSubspace:
     @property
     def dimension(self) -> int:
         return self.pole.r
-
-
-def _root(total: int) -> float:
-    """sqrt(total), correctly rounded: the root of the int total in integers
-    to at least 60 bits, with a sticky last bit where inexact, rounds to
-    float as the exact root."""
-    shift = max(0, 120 - total.bit_length()) // 2 + 1
-    scaled = total << (2 * shift)
-    root = math.isqrt(scaled)
-    return math.ldexp(root | (root * root != scaled), -shift)
 
 
 def hamiltonian_matrix(space: GamowSubspace) -> list:
@@ -123,9 +113,11 @@ def nilpotent_power(space: GamowSubspace, k: int) -> list:
 
 
 def nilpotent_norm(space: GamowSubspace, k: int) -> float:
-    """Frobenius norm of (H - z)**k, correctly rounded from its integer
-    entries, which the float rows of nilpotent_power round above 2**53."""
-    return _root(sum(weight * weight for weight in _column_weights(space, k)))
+    """Frobenius norm of (H - z)**k, the root of the sum of the squares of
+    its integer entries (which the float rows of nilpotent_power round
+    above 2**53), correctly rounded by algebra._scaled."""
+    total = sum(weight * weight for weight in _column_weights(space, k))
+    return math.ldexp(*_scaled(total, 1, root=True))
 
 
 def _ket_weights(normalization: str, top: int) -> tuple:

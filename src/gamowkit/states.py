@@ -18,18 +18,17 @@ floats, complex floats and numpy scalars all enter at their exact value,
 Gamma in particular as the exact rational value of its float.  The
 2 pi Gamma scale of W has no exact value because pi is irrational, so
 w_total leaves it off; every certified property is invariant under that
-scale, and decay_columns applies it on request, as a mantissa and an
-exponent.
+scale, and decay_table applies it unless asked not to, as a mantissa and
+an exponent.
 
 Evolution runs one path: jordan.conjugation_polys expands the conjugation
-exactly, and decay_columns (through the exact squared norm N(t)) and
+exactly, and decay_table (through the exact squared norm N(t)) and
 decay_deviation read that one expansion.  Each value exp(-Gamma t) * x
 they print is algebra's one reading, with the exponent carried.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -46,7 +45,7 @@ __all__ = [
     "w_n",
     "w_total",
     "dyad_operator",
-    "decay_columns",
+    "decay_table",
     "decay_deviation",
 ]
 
@@ -103,8 +102,8 @@ def w_n(space: GamowSubspace, n: int) -> StateOperator:
 def w_total(space: GamowSubspace) -> StateOperator:
     """W / (2 pi Gamma) = sum_n binom(r, n+1) (-i)**n W(n), the microphysical
     state operator without its scale, which has no exact value; every
-    certified statement about W is scale invariant, and decay_columns
-    applies the scale on request."""
+    certified statement about W is scale invariant, and decay_table
+    applies the scale unless exact."""
     r = space.dimension
     W = StateOperator.lift(space, {
         kl: binom(r, n + 1) * v for n in range(r) for kl, v in _member(space, n).items()
@@ -149,40 +148,25 @@ def _evolved_norm_squared(W: StateOperator) -> tuple:
     return _sum_of_squares(polys), denominator**2
 
 
-@functools.lru_cache(maxsize=1)
-def _time_points(width: float, grid: tuple) -> list:
-    """(s, j, m, e) per point t, cached for every column: t = s 2**j with
-    j a multiple of 8 and s < 2**8, j = 0 below t = 128; exp(-width t) = m 2**e."""
-    shifts = [max(math.frexp(t)[1], 0) // 8 * 8 for t in grid]
-    return [(math.ldexp(t, -j), j, *_exp_decay(width, t)) for t, j in zip(grid, shifts)]
-
-
-def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = False) -> tuple:
-    """(norm, exp_law, deviation) columns of W on the grid: exp(-Gamma t)
-    sqrt(N(t)) with N = _evolved_norm_squared(W), exp(-Gamma t) sqrt(N(0)),
-    and |u - u0| / u0 on u = sqrt(N(t)), read as |t T(t)| / (u0 (u + u0))
-    with N(t) = N(0) + t T(t); times_2pi_gamma scales the first two.
-
-    N, scaled by 4**-k with k from N(0), is rounded once and read by a float
-    Horner pass, at t = s 2**j >= 128 in s < 2**8 on the coefficients times
+def _norm_readings(W: StateOperator, points, scale: float, power: int) -> tuple:
+    """(norm, exp_law, deviation) of W at the points of decay_table, each as
+    (values, exponents), the deviation None for a constant N: exp(-Gamma t)
+    sqrt(N(t)) and exp(-Gamma t) sqrt(N(0)) times scale 2**power, with
+    N = _evolved_norm_squared(W), and |u - u0| / u0 on u = sqrt(N(t)), read
+    as |t T(t)| / (u0 (u + u0)) with N(t) = N(0) + t T(t).  N, scaled by
+    4**-k with k from N(0), is rounded once and read by a float Horner pass,
+    at t = s 2**j >= 128 in s < 2**8 on the coefficients times
     2**((d - deg N) j): every float operation is the unscaled one times a
-    power of two, and N stays in range.  The exponents are applied last,
-    naming the column (name_norm, ...) of a value beyond the float range.
-    """
+    power of two, and N stays in range."""
     coeffs, den = _evolved_norm_squared(W)
     common = math.gcd(coeffs[0], den)
     u0, k = _scaled(coeffs[0] // common, den // common, root=True)
     scaled = _quotient(coeffs, den, 2 * k)
     degree = len(coeffs) - 1
-    mantissa, power = math.frexp(W.space.pole.Gamma)
-    scale, exponent = (2.0 * math.pi * mantissa, k + power) if times_2pi_gamma else (1.0, k)
-    grid = tuple(t_grid)
-    points = _time_points(W.space.pole.Gamma, grid)
-    exp_law = [scale * u0 * m for _, _, m, _ in points]
-    exp_exponents = [exponent + e for _, _, _, e in points]
+    exponent = power + k
+    exp_law = [scale * u0 * m for _, _, m, _ in points], [exponent + e for _, _, _, e in points]
     if not degree:
-        norm = _ldexp(exp_law, exp_exponents, f"{name}_norm", grid)
-        return norm, norm, [0.0] * len(points)
+        return exp_law, exp_law, None
     norm, norm_exponents, deviation, shifts = [], [], [], []
     for j, group in itertools.groupby(points, key=operator.itemgetter(1)):
         half = degree * j // 2
@@ -195,9 +179,33 @@ def decay_columns(W: StateOperator, t_grid, name: str, times_2pi_gamma: bool = F
             norm_exponents.append(exponent + half + e)
             deviation.append(abs(s * T) / (u0 * (u + u0_shifted)))
             shifts.append(half)
-    norm = _ldexp(norm, norm_exponents, f"{name}_norm", grid)
-    exp_law = _ldexp(exp_law, exp_exponents, f"{name}_exp_law", grid)
-    return norm, exp_law, _ldexp(deviation, shifts, f"{name}_deviation", grid)
+    return (norm, norm_exponents), exp_law, (deviation, shifts)
+
+
+def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
+    """The columns decay-curve prints, in order, as name -> values on the
+    grid: t; name_norm, name_exp_law and name_deviation of each W(n) (wn)
+    and of 2 pi Gamma w_total (wsum; w_total if exact); dyadk_norm and
+    dyadk_deviation of each |k><k|.  Each t is split once for all columns,
+    as t = s 2**j with j a multiple of 8 and s < 2**8 (j = 0 below 128) and
+    exp(-Gamma t) = m 2**e; the exponents are applied last, naming the
+    column and t of a value beyond the float range."""
+    grid, Gamma = list(t_grid), space.pole.Gamma
+    shifts = [max(math.frexp(t)[1], 0) // 8 * 8 for t in grid]
+    points = [(math.ldexp(t, -j), j, *_exp_decay(Gamma, t)) for t, j in zip(grid, shifts)]
+    mantissa, exponent = math.frexp(Gamma)
+    wsum = (1.0, 0) if exact else (2.0 * math.pi * mantissa, exponent)
+    family, dyad, r = ("norm", "exp_law", "deviation"), ("norm", "deviation"), space.dimension
+    operators = [(f"w{n}", w_n(space, n), 1.0, 0, family) for n in range(r)]
+    operators += [("wsum", w_total(space), *wsum, family)]
+    operators += [(f"dyad{k}", dyad_operator(space, k), 1.0, 0, dyad) for k in range(r)]
+    table = {"t": grid}
+    for name, W, scale, power, columns in operators:
+        readings = dict(zip(family, _norm_readings(W, points, scale, power)))
+        for column in columns:
+            key, reading = f"{name}_{column}", readings[column]
+            table[key] = [0.0] * len(grid) if reading is None else _ldexp(*reading, key, grid)
+    return table
 
 
 def decay_deviation(W: StateOperator, t_grid) -> float:

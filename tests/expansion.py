@@ -2,29 +2,29 @@
 
 The oracle tests build the expansion from single monomials and sum it by
 power of t in plain dicts, independently of the integer kernel
-jordan.conjugation_polys that the package runs.
+jordan.conjugation_polys that the package runs.  A Gaussian rational is
+a pair (re, im) of ints or Fractions, and a polynomial in t maps each
+power to its pair.
 """
 
 import math
 from fractions import Fraction
 
-from gamowkit.algebra import GaussianRational, Polynomial
-
-# Powers of the imaginary unit as exact Gaussian rationals.
-I_CYCLE = (
-    GaussianRational(1),
-    GaussianRational(0, 1),
-    GaussianRational(-1),
-    GaussianRational(0, -1),
-)
+# Powers of the imaginary unit.
+I_CYCLE = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
-def monomial_product(a: int, b: int) -> Polynomial:
-    """Exact product (-i t)**a * (i t)**b as a Gaussian-rational polynomial."""
+def gmul(a, b) -> tuple:
+    """The product of the Gaussian rationals a and b."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def monomial_product(a: int, b: int) -> dict:
+    """Exact product (-i t)**a * (i t)**b as {power: (re, im)}."""
     if a < 0 or b < 0:
         raise ValueError("monomial exponents must be nonnegative")
     # (-i)**a i**b = i**(3a + b)
-    return Polynomial([GaussianRational(0)] * (a + b) + [I_CYCLE[(3 * a + b) % 4]])
+    return {a + b: I_CYCLE[(3 * a + b) % 4]}
 
 
 def weight(normalization: str, k: int, p: int) -> Fraction:
@@ -35,24 +35,26 @@ def weight(normalization: str, k: int, p: int) -> Fraction:
 
 
 def expand(normalization: str, entries: dict) -> dict:
-    """{(i, j): {d: coefficient of t**d}} of the conjugated operator.
+    """{(i, j): {d: coefficient (re, im) of t**d}} of the conjugated operator.
 
-    entries maps (k, l) to the coefficient of |k><l|; each dyad sends
-    w(k, i) w(l, j) (-i t)**(k-i) (i t)**(l-j) to |i><j|.  Powers whose
-    sum cancels are dropped, and so are dyads left with no power.
+    entries maps (k, l) to the coefficient (re, im) of |k><l|; each dyad
+    sends w(k, i) w(l, j) (-i t)**(k-i) (i t)**(l-j) to |i><j|.  Powers
+    whose sum cancels are dropped, and so are dyads left with no power.
     """
     sums = {}
     for (k, l), value in entries.items():
         for i in range(k + 1):
             for j in range(l + 1):
                 d = k - i + l - j
-                unit = monomial_product(k - i, l - j).coefficient(d)
+                unit = monomial_product(k - i, l - j)[d]
                 scale = weight(normalization, k, i) * weight(normalization, l, j)
+                re, im = gmul(gmul(value, (scale, 0)), unit)
                 poly = sums.setdefault((i, j), {})
-                poly[d] = poly.get(d, 0) + value * GaussianRational(scale) * unit
+                old_re, old_im = poly.get(d, (0, 0))
+                poly[d] = (old_re + re, old_im + im)
     out = {}
     for ij, poly in sums.items():
-        kept = {d: c for d, c in poly.items() if c}
+        kept = {d: c for d, c in poly.items() if any(c)}
         if kept:
             out[ij] = kept
     return out

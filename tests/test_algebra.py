@@ -16,12 +16,15 @@ from gamowkit.algebra import (
     GaussianRational,
     Polynomial,
     _convolve,
+    _exact_at,
     _exp_decay,
     _ldexp,
+    _quotient,
+    _scaled,
     binom,
 )
 
-from expansion import monomial_product
+from expansion import gmul, monomial_product
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
@@ -120,13 +123,11 @@ class TestMonomialProduct:
     """The single-term oracle the conjugation tests expand with."""
 
     def test_low_orders(self):
-        one, minus_one = GaussianRational(1), GaussianRational(-1)
-        i, minus_i = GaussianRational(0, 1), GaussianRational(0, -1)
-        assert monomial_product(0, 0) == Polynomial([one])
-        assert monomial_product(1, 0) == Polynomial([0, minus_i])
-        assert monomial_product(0, 1) == Polynomial([0, i])
-        assert monomial_product(1, 1) == Polynomial([0, 0, one])
-        assert monomial_product(2, 0) == Polynomial([0, 0, minus_one])
+        assert monomial_product(0, 0) == {0: (1, 0)}
+        assert monomial_product(1, 0) == {1: (0, -1)}
+        assert monomial_product(0, 1) == {1: (0, 1)}
+        assert monomial_product(1, 1) == {2: (1, 0)}
+        assert monomial_product(2, 0) == {2: (-1, 0)}
 
     def test_negative_exponent_raises(self):
         with pytest.raises(ValueError):
@@ -139,16 +140,14 @@ class TestMonomialProduct:
         st.integers(min_value=0, max_value=6),
     )
     def test_exponent_additivity(self, a, b, c, d):
-        assert monomial_product(a, b) * monomial_product(c, d) == monomial_product(
-            a + c, b + d
-        )
+        ((p, x),), ((q, y),) = monomial_product(a, b).items(), monomial_product(c, d).items()
+        assert {p + q: gmul(x, y)} == monomial_product(a + c, b + d)
 
     @given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=8))
     def test_single_term_of_unit_modulus(self, a, b):
-        p = monomial_product(a, b)
-        assert p.degree == a + b
-        assert sum(1 for c in p.coeffs if c) == 1
-        assert abs(complex(p.coeffs[-1])) == 1.0
+        ((degree, (re, im)),) = monomial_product(a, b).items()
+        assert degree == a + b
+        assert re * re + im * im == 1
 
 
 class TestExpPolynomial:
@@ -219,3 +218,75 @@ class TestExpDecay:
         for value, exponent in ((0.75, 1025), (math.inf, -5)):
             with pytest.raises(OverflowError, match=r"^w0_norm leaves the float range at t = 4\.0$"):
                 _ldexp([0.5, value], [0, exponent], "w0_norm", [3.0, 4.0])
+
+
+# the midpoint between the largest float and 2**1024: from here on a value rounds to inf
+OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970
+
+
+def sized(low: int):
+    """Ints from low to 2**3000, the bit length drawn first, so that every
+    size, and every ratio of two draws, comes up."""
+    return st.integers(0, 3000).flatmap(lambda bits: st.integers(low, max(low, 2**bits)))
+
+
+def rounds_to(value: float, exact: Fraction, root: bool = False) -> bool:
+    """Whether value is exact (or its square root) rounded to nearest, ties
+    to even: exact lies between the midpoints to both float neighbours (or
+    their squares), on a midpoint only where value is even."""
+    below, above = math.nextafter(value, -math.inf), math.nextafter(value, math.inf)
+    above = Fraction(above) if above < math.inf else Fraction(2) ** 1024
+    low, high = (Fraction(below) + Fraction(value)) / 2, (Fraction(value) + above) / 2
+    if root:
+        low, high = max(low, 0) ** 2, high**2
+    even = value / math.ulp(value) % 2 == 0
+    return low < exact < high or even and low <= exact <= high
+
+
+class TestScaledReading:
+    """_scaled and _quotient against the exact quotient, rounded by the
+    midpoints of its float neighbours."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(num=sized(0), den=sized(1))
+    @example(num=0, den=1)
+    @example(num=2**3000, den=1)
+    @example(num=1, den=2**3000)
+    # a square of a 54-bit odd mantissa: the root is a tie, which goes to even
+    @example(num=(2**53 + 1) ** 2, den=2**106)
+    @example(num=(2**53 + 3) ** 2, den=2**106)
+    def test_quotient_and_root_round_once(self, num, den):
+        m, k = _scaled(num, den)
+        root, half = _scaled(num, den, root=True)
+        exact = Fraction(num, den)
+        assert rounds_to(m, exact / Fraction(2) ** k)
+        assert rounds_to(root, exact / Fraction(4) ** half, root=True)
+        # k from the bit lengths keeps both near 1
+        if num:
+            assert 0.5 <= m < 2 and 0.5 <= root < 2
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(nums=st.lists(sized(0), min_size=1, max_size=3), den=sized(1),
+           offset=st.integers(-1200, 1200))
+    def test_quotient_rounds_every_value_once(self, nums, den, offset):
+        # k near the bit lengths' difference reaches the subnormals, 0 and
+        # values beyond the float range, which raise
+        k = nums[0].bit_length() - den.bit_length() + offset
+        exact = [Fraction(num, den) / Fraction(2) ** k for num in nums]
+        if max(exact) >= OVERFLOW:
+            with pytest.raises(OverflowError):
+                _quotient(nums, den, k)
+            return
+        for value, want in zip(_quotient(nums, den, k), exact):
+            assert rounds_to(value, want)
+
+
+class TestExactAt:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(coeffs=st.lists(gaussian_ints, min_size=1, max_size=9),
+           t=st.floats(allow_nan=False, allow_infinity=False))
+    def test_value_over_scale_is_the_exact_sum(self, coeffs, t):
+        re, im, scale = _exact_at(coeffs, t)
+        x = Fraction(t)
+        assert Fraction(re, scale) == sum(c[0] * x**d for d, c in enumerate(coeffs))
+        assert Fraction(im, scale) == sum(c[1] * x**d for d, c in enumerate(coeffs))

@@ -122,25 +122,55 @@ def test_cli_reads_no_kernel_of_algebra():
 OBJECT_LAYER = {"GaussianRational", "Polynomial", "ExpPolynomial", "_over"}
 
 
+def _names(path: Path) -> set:
+    """Every name, attribute and imported name spelled in the file at path."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names |= {node.name, node.asname}
+    return names
+
+
 def test_the_object_layer_stays_in_algebra():
     # the package computes on Gaussian integers over one denominator; the
-    # exact-number classes of algebra are read by the benchmark alone
-    named = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.stem == "algebra":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names = {node.id}
-            elif isinstance(node, ast.Attribute):
-                names = {node.attr}
-            elif isinstance(node, ast.alias):
-                names = {node.name, node.asname}
-            else:
-                continue
-            named += [f"{path.stem} names {name}" for name in sorted(names & OBJECT_LAYER)]
+    # exact-number classes of algebra are read by the benchmark and their
+    # own tests alone, and the test oracles compute on Fraction pairs
+    files = [*sorted(SRC.glob("*.py")), *sorted((REPO / "tests").glob("*.py"))]
+    named = [f"{path.parent.name}/{path.name} names {name}"
+             for path in files if path.name not in ("algebra.py", "test_algebra.py")
+             for name in sorted(_names(path) & OBJECT_LAYER)]
     assert named == []
     assert OBJECT_LAYER.isdisjoint(gamowkit.__all__)
+
+
+def test_no_module_caches():
+    # every quantity has one code path, with no cache in front of it
+    cached = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = {node.attr} if node.value.id == "functools" else set()
+            elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            cached += [f"{path.stem} uses functools.{name}"
+                       for name in sorted(names & {"cache", "lru_cache"})]
+    assert cached == []
+
+
+def test_cli_reads_only_the_decay_table_from_states():
+    # decay-curve formats the columns states.decay_table names and fills
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and (node.module or "").rpartition(".")[2] == "states" for alias in node.names]
+    modules = [alias.name.rpartition(".")[2] for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names]
+    assert imported == ["decay_table"] and "states" not in modules
 
 
 def test_states_imports_nothing_from_smatrix():

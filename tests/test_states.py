@@ -6,17 +6,19 @@ conjugation polynomials), plain dyads do not, and the pole-term pairing
 sees the same thing.
 """
 
+import json
 import math
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamowkit.algebra import _exp_decay, _gmul
-from gamowkit.cli import R_CAP
+from gamowkit.cli import R_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, conjugation_polys, evolution_matrix
 from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair, pole_jet
@@ -24,6 +26,7 @@ from gamowkit.states import (
     StateOperator,
     _evolved_norm_squared,
     decay_deviation,
+    decay_table,
     dyad_operator,
     w_n,
     w_total,
@@ -344,6 +347,47 @@ class TestEvolvedNormSquared:
             value = math.sqrt(sum(c * t**d for d, c in enumerate(coeffs)))
             expected = np.linalg.norm(float_evolution(W, t)) * math.exp(space.pole.Gamma * t)
             assert value == pytest.approx(expected, rel=1e-12)
+
+
+def decay_header(r: int) -> list:
+    """The columns of decay-curve at order r, in the order it prints them."""
+    family = [f"w{n}" for n in range(r)] + ["wsum"]
+    return (["t"] + [f"{name}_{c}" for name in family for c in ("norm", "exp_law", "deviation")]
+            + [f"dyad{k}_{c}" for k in range(r) for c in ("norm", "deviation")])
+
+
+class TestDecayTable:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    def test_the_table_is_what_decay_curve_prints(self, tmp_path, r, normalization, exact, fmt):
+        # t up to 300 reads both the unshifted points and those at t = s 2**8
+        config = (f"E_R = 2.0\nGamma = 0.9137\nr = {r}\nnormalization = {normalization}\n"
+                  "t_min = 0.0\nt_max = 300.0\nt_steps = 13\n")
+        path = tmp_path / "decay.conf"
+        path.write_text(config)
+        grid = RunConfig(parse_config_text(config)).grid("t", minimum_allowed=0.0)
+        table = decay_table(GamowSubspace(ResonancePole(2.0, 0.9137, r), normalization), grid, exact)
+        assert list(table) == decay_header(r)
+        assert table["t"] == grid
+        args = ["decay-curve", "--config", str(path), "--format", fmt] + ["--exact"] * exact
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0
+        rows = list(zip(*table.values()))
+        if fmt == "csv":
+            header, *lines = result.output.splitlines()
+            assert header == ",".join(table)
+            assert lines == [",".join(f"{v:.17g}" for v in row) for row in rows]
+        else:
+            assert json.loads(result.output) == {"columns": list(table), "rows": list(map(list, rows))}
+
+    def test_a_value_beyond_the_float_range_names_its_column(self):
+        # ||W||**2 ~ Gamma**30 leaves the float range at r = 16
+        space = GamowSubspace(ResonancePole(2.0, 1e20, 16))
+        with pytest.raises(OverflowError, match=r" leaves the float range at t = 0\.0$") as info:
+            decay_table(space, [0.0])
+        assert str(info.value).split(" ")[0] in decay_header(16)
 
 
 class TestDecayDeviation:

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 from gamowkit import uniqueness
-from gamowkit.algebra import GaussianRational, binom
+from gamowkit.algebra import binom
 from gamowkit.cli import J_CAP, main
 from gamowkit.uniqueness import (
     ConstraintRow,
@@ -27,7 +27,7 @@ from gamowkit.uniqueness import (
     _certify_blocks,
 )
 
-from expansion import I_CYCLE, expand, monomial_product
+from expansion import I_CYCLE, expand, gmul, monomial_product
 
 RNG_SEED = 20260823
 
@@ -42,9 +42,9 @@ def canonical_element(j, n):
     return [[binom(n, k) if h + k == n else 0 for k in range(j + 1)] for h in range(j + 1)]
 
 
-def gaussian_int_matrix(j, rng):
+def random_int_matrix(j, rng):
     size = j + 1
-    return [[GaussianRational(rng.randrange(-5, 6)) for _ in range(size)] for _ in range(size)]
+    return [[Fraction(rng.randrange(-5, 6)) for _ in range(size)] for _ in range(size)]
 
 
 def canonical_projection(A):
@@ -58,10 +58,10 @@ def canonical_projection(A):
     return rows
 
 
-def residual(row: ConstraintRow, A) -> GaussianRational:
+def residual(row: ConstraintRow, A) -> Fraction:
     """Value of one condition on A, read through the row's block slots."""
     ks = block_range(len(A) - 1, row.n)
-    acc = GaussianRational(0)
+    acc = Fraction(0)
     for k, weight in zip(ks, row.weights):
         acc = acc + weight * A[row.n - k][k]
     return acc
@@ -84,11 +84,11 @@ def expansion_row(l: int, m: int, n: int, j: int) -> dict:
     out = {}
     for h in range(m, j + 1):
         for k in range(l, j + 1):
-            term = monomial_product(k - l, h - m).coefficient(power)
+            term = monomial_product(k - l, h - m).get(power)
             if term:
-                weight = binom(k, l) * binom(h, m) * (term * inverse_unit)
-                assert weight.im == 0 and weight.re.denominator == 1
-                out[(h, k)] = int(weight.re)
+                re, im = gmul(term, inverse_unit)
+                assert im == 0 and type(re) is int
+                out[(h, k)] = binom(k, l) * binom(h, m) * re
     return out
 
 
@@ -167,7 +167,7 @@ class TestConstraintSystem:
         rng = random.Random(RNG_SEED)
         found = 0
         while found < 5:
-            A = gaussian_int_matrix(j, rng)
+            A = random_int_matrix(j, rng)
             proj = canonical_projection(A)
             remainder = [[a + -1 * p for a, p in zip(*rows)] for rows in zip(A, proj)]
             if not any(any(row) for row in remainder):
@@ -217,9 +217,9 @@ class TestCanonicalFamily:
 
 
 def as_gaussian(polys, denominator):
-    """Integer conjugation output as {(l, m): {d: GaussianRational}}."""
+    """Integer conjugation output as {(l, m): {d: (re, im)}} in Fractions."""
     return {
-        lm: {d: GaussianRational(Fraction(re, denominator), Fraction(im, denominator))
+        lm: {d: (Fraction(re, denominator), Fraction(im, denominator))
              for d, (re, im) in poly.items()}
         for lm, poly in polys.items()
     }
@@ -265,7 +265,7 @@ class TestConjugationOracle:
             ]
             got = as_gaussian(*oracle_evolution(A))
             assert got == expand("derivative", {
-                (k, h): GaussianRational(A[h][k]) for h in range(size) for k in range(size)
+                (k, h): (A[h][k], 0) for h in range(size) for k in range(size)
             })
 
 
