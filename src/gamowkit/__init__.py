@@ -19,6 +19,7 @@ from .errors import (
     NegativeTimeError,
     NoConvergenceError,
     PoleEvaluationError,
+    VanishingPoleTermError,
 )
 from .jordan import (
     GamowSubspace,

@@ -6,7 +6,11 @@ _convolve, _exact_at, _horner, _exp_exact, and the one reading of
 exp(-Gamma t) times an exact value: _exp_decay returns the factor as
 mantissa and exponent, _scaled rounds an exact quotient or its square
 root once, scaled by a power of two, and _ldexp applies the carried
-exponents.
+exponents.  _quotients_at reads |P(t)|**2 (or P(t)) over a denominator
+at every t of a grid, each rounded once as _scaled rounds it: first from
+the coefficients cut to 128 bits, whose value lies in a small interval,
+and from the exact value only where that interval holds a rounding
+boundary.
 
 No package path uses the classes GaussianRational, Polynomial and
 ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
@@ -147,6 +151,75 @@ def _scaled(num: int, den: int, root: bool = False) -> tuple:
     q, rest = divmod(num << max(shift, 0), den << max(-shift, 0))
     s = math.isqrt(q)
     return math.ldexp(s | (rest > 0 or s * s != q), -64), k
+
+
+# Bits that _quotients_at keeps of the shorter end coefficient in its first reading.
+_CUT = 128
+
+
+def _quotients_at(coeffs, den: int, times, norm: bool = True, root: bool = False) -> list:
+    """[(m, k)] with m 2**k = v(t) / den, or its square root, at each float
+    t >= 0 of times, m rounded once as _scaled rounds it: v(t) = |P(t)|**2,
+    or with norm False the real part of P(t), then >= 0, for P with the
+    Gaussian-integer coefficients coeffs (re, im), lowest first; den > 0.
+
+    Each reading is first taken from the coefficients cut by a floor shift
+    s, which leaves _CUT bits of the shorter of the first and the last
+    coefficient, the terms that bound the largest term of P(t) from below
+    for t <= 1 and t >= 1; below 2 _CUT bits there, s = 0.  With
+    t = num / step and n coefficients, each part of P(t) step**(n-1) then
+    lies in 2**s [V, V + B), V that part on the cut coefficients and
+    B = n max(num, step)**(n-1), and den, cut alike, in 2**s' [D, D + 1).
+    Rounding is monotone, so where both ends of the interval that
+    v(t) / den then lies in round to one float, v(t) / den rounds to it too
+    (Ziv's rounding test); elsewhere the reading is exact.  Where s = 0 the
+    first reading is exact already."""
+    n, power = len(coeffs), 2 if norm else 1
+    bits = min(max(abs(re), abs(im)).bit_length() for re, im in (coeffs[0], coeffs[-1]))
+    shift = bits - _CUT if bits >= 2 * _CUT else 0
+    den_shift = max(den.bit_length() - _CUT, 0) if shift else 0
+    cut = [(re >> shift, im >> shift) for re, im in coeffs]
+    den_low = den >> den_shift
+    den_high = den_low + (den_shift > 0)
+    out = []
+    for t in times:
+        num, step = float(t).as_integer_ratio()
+        width = n * max(num, step) ** (n - 1) if shift else 0
+        re, im, _ = _exact_at(cut, t)
+        if not norm:
+            low, high = max(re, 0), re + width
+        elif not width:
+            low = high = re * re + im * im
+        else:
+            low = high = 0
+            for part in (re, im):
+                ends = part * part, (part + width) ** 2
+                low += 0 if part < 0 < part + width else min(ends)
+                high += max(ends)
+        # step is a power of two: the cut quotient carries 2**e
+        e = power * (shift - (n - 1) * (step.bit_length() - 1)) - den_shift
+        if root:
+            low, high, e = low << (e & 1), high << (e & 1), e >> 1
+        reading = _rounded_between(low, high, den_low, den_high, root)
+        if reading is None:
+            re, im, scale = _exact_at(coeffs, t)
+            num = re * re + im * im if norm else re
+            out.append(_scaled(num, den * scale**power, root))
+        else:
+            out.append((reading[0], reading[1] + e))
+    return out
+
+
+def _rounded_between(low: int, high: int, den_low: int, den_high: int, root: bool):
+    """(m, k) as _scaled(num, den, root) gives it for every quotient
+    low / den_high <= num / den <= high / den_low, or None where the two
+    ends round to different floats."""
+    m, k = _scaled(low, den_high, root)
+    if (low, den_high) == (high, den_low):
+        return m, k
+    (a, x), (high_m, high_k) = math.frexp(m), _scaled(high, den_low, root)
+    b, y = math.frexp(high_m)
+    return (m, k) if (a, x + k) == (b, y + high_k) else None
 
 
 def _ldexp(values, exponents, what: str, times) -> list:

@@ -41,8 +41,10 @@ from .states import decay_table
 from .uniqueness import certify
 
 # Largest inputs that set the amount of work: j = 32 certifies in about
-# 1 s; at r = 32 on 5000 points decay-curve takes about 1 s and pole-term
-# about 3 s (5 s with three terms at m = 32), and the costs keep growing.
+# 0.7 s; at r = 32 on 5000 points decay-curve takes 2 to 2.7 s and
+# pole-term 0.4 to 1.2 s (1.2 s with a cubic phase and three terms at
+# m = 32, where Q runs to 23000 bits), on a 2-vCPU Xeon; the costs keep
+# growing.
 J_CAP = 32
 R_CAP = 32
 M_CAP = 32
@@ -349,19 +351,20 @@ def pole_term_cmd(config_path, out_path):
     """Pole term of the configured pairing plus its decay-ratio table.
 
     Everything is read off one jet built once (pole_jet): the expansion
-    coefficients, the pole term 2 pi exp(2i gamma(z)) Q(0), and each ratio
-    exp(-Gamma t) |Q(t) / Q(0)|**2, with the quotient exact at the float t.
+    coefficients, the pole term 2 pi exp(2i gamma(z)) Q(0), and the ratio
+    table exp(-Gamma t) |Q(t) / Q(0)|**2 in one call, each quotient read
+    off Q cut to 128 bits and rounded as the exact one, which is read
+    where the cut cannot decide the rounding.
     """
     cfg = load_config(config_path)
     model, pair, grid = cfg.model(), cfg.pair(), cfg.grid("t", minimum_allowed=0.0)
     jet = pole_jet(pair, model)
-    if jet.vanishes:
-        raise ConfigInvalidError("pole term vanishes at t = 0; ratio table undefined")
     p0 = jet.probability(0.0)
-    if p0 == 0.0:
+    # ratios refuses a pole term that vanishes
+    if p0 == 0.0 and not jet.vanishes:
         raise UnderflowError("probability at t = 0 is 0 in floating point; the pole term is not")
-    ratios = [(t, *jet.ratio(t)) for t in grid]
-    table = [{"t": t, "ratio": q, "exponential_reference": e} for t, q, e in ratios]
+    table = [{"t": t, "ratio": q, "exponential_reference": e}
+             for t, (q, e) in zip(grid, jet.ratios(grid))]
     payload = {
         "pole_term": _cplx(jet.amplitude()),
         "expansion_coeffs": [_cplx(b) for b in jet.expansion_coeffs],

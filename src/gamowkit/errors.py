@@ -13,6 +13,10 @@ class NegativeTimeError(ValueError):
     """Semigroup evolution is only defined for t >= 0; nan is no such time."""
 
 
+class VanishingPoleTermError(ValueError):
+    """The pole term vanishes at t = 0, so no ratio to it is defined."""
+
+
 class IndexOutOfRangeError(IndexError):
     """Basis index outside 0..r-1."""
 

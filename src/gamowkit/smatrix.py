@@ -16,7 +16,8 @@ the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
 for one exact polynomial Q of degree < r.  pole_jet, the one entry point
 to it, pairs the observable leg with the expansion coefficients b_k of
 the state leg (the pole term is sum_k b_k psi^(k)(z)); its PoleJet reads
-the amplitude and the survival probability at any t >= 0.
+the amplitude and the survival probability at any t >= 0, and the ratio
+table of a whole grid in one call.
 analytic_derivatives (contour quadrature) remains as a general tool.
 """
 
@@ -28,8 +29,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import _convolve, _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _ldexp
-from .algebra import _lift, _scaled, _turn, binom
+from .algebra import _lift, _quotients_at, _turn, binom
 from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
+from .errors import VanishingPoleTermError
 
 __all__ = [
     "ResonancePole",
@@ -340,6 +342,12 @@ class PoleJet:
 
     so that the pole term amplitude() == sum_k b_k psi^(k)(z) with the same
     gauge placement; each part is rounded once from its exact value.
+
+    ratios(times) reads the survival ratio of every t at once: Q and
+    |Q(0)|**2 are cut to 128 bits once per call, each quotient
+    |Q(t) / Q(0)|**2 is rounded from the interval the cut leaves it in,
+    and exactly only where that interval holds a rounding boundary, so
+    the ratios are those of the exact quotient.
     """
 
     width: float
@@ -368,16 +376,29 @@ class PoleJet:
         s, k = math.frexp(value.real * value.real + value.imag * value.imag)
         return _ldexp([m * s], [e + k], "probability", [t])[0]
 
-    def ratio(self, t: float) -> tuple:
-        """(ratio, reference) at t: reference = exp(-Gamma t) and ratio =
-        reference |Q(t) / Q(0)|**2, the exact quotient rounded once, scaled
-        by a power of two, times the mantissa of the reference, exponents
-        last: at r = 1 the two agree bit for bit."""
-        re, im, scale = _exact_at(self.coeffs, t)
+    def ratios(self, times) -> list:
+        """[(ratio, reference)] at each t >= 0 of times: reference =
+        exp(-Gamma t) and ratio = reference |Q(t) / Q(0)|**2, the exact
+        quotient rounded once, scaled by a power of two, times the mantissa
+        of the reference, exponents last: at r = 1 the two agree bit for
+        bit.  The quotients are one call of algebra's _quotients_at, which
+        cuts Q and |Q(0)|**2 once for all t to 128 bits and reads the exact
+        quotient only where the cut one cannot decide its rounding.
+        NegativeTimeError for a t that is negative or nan, and
+        VanishingPoleTermError where Q(0) = 0."""
+        times = list(times)
+        for t in times:
+            if not t >= 0:
+                raise NegativeTimeError(f"ratios are defined for t >= 0, got {t}")
+        if self.vanishes:
+            raise VanishingPoleTermError("pole term vanishes at t = 0; ratio table undefined")
         q_re, q_im = self.coeffs[0]
-        quotient, k = _scaled(re * re + im * im, (q_re * q_re + q_im * q_im) * scale * scale)
-        m, e = _exp_decay(self.width, t)
-        return _ldexp([m * quotient], [e + k], "ratio", [t])[0], math.ldexp(m, e)
+        quotients = _quotients_at(self.coeffs, q_re * q_re + q_im * q_im, times)
+        decays = [_exp_decay(self.width, t) for t in times]
+        values = [m * q for (m, _), (q, _) in zip(decays, quotients)]
+        exponents = [e + k for (_, e), (_, k) in zip(decays, quotients)]
+        ratios = _ldexp(values, exponents, "ratio", times)
+        return [(ratio, math.ldexp(m, e)) for ratio, (m, e) in zip(ratios, decays)]
 
 
 def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:

@@ -35,8 +35,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _exact_at, _exp_decay, _horner, _ldexp, _lift, _quotient, _scaled, _turn
-from .algebra import binom
+from .algebra import _exp_decay, _horner, _ldexp, _lift, _quotient, _quotients_at, _scaled
+from .algebra import _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, conjugation_polys
 
@@ -214,8 +214,9 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     max over t of || evolve(W, t) - exp(-Gamma t) W ||_F / ||W||_F.  The
     difference is exp(-Gamma t) times the terms of degree >= 1 of the
     conjugation polynomials, so the ratio is exp(-Gamma t) sqrt(D(t)) with
-    D(t) the exact squared norm of those terms over ||W||_F**2, read
-    exactly at each float t and rooted as PoleJet.ratio reads its quotient.
+    D(t) the exact squared norm of those terms over ||W||_F**2, whose
+    square root algebra's _quotients_at rounds once at each float t, as
+    it rounds the pole ratios.
     So a deviation that is a float is returned where D(t) or exp(-Gamma t)
     alone is not, one that is not raises OverflowError naming t, and a
     family member whose tail cancels gets exactly 0.0.
@@ -231,10 +232,7 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     tail = [(c, 0) for c in _sum_of_squares(polys, lowest=1)]
     if not norm0 or not tail:
         return 0.0
-    readings = []
-    for t in grid:
-        num, _, scale = _exact_at(tail, t)
-        root, k = _scaled(num, norm0 * scale, root=True)
-        m, e = _exp_decay(W.space.pole.Gamma, t)
-        readings.append((m * root, e + k))
-    return max(_ldexp(*zip(*readings), "deviation", grid))
+    roots = _quotients_at(tail, norm0, grid, norm=False, root=True)
+    decays = [_exp_decay(W.space.pole.Gamma, t) for t in grid]
+    values = [m * root for (m, _), (root, _) in zip(decays, roots)]
+    return max(_ldexp(values, [e + k for (_, e), (_, k) in zip(decays, roots)], "deviation", grid))

@@ -3,12 +3,14 @@
 import cmath
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamowkit import algebra
 from gamowkit.algebra import (
     _EXP_CUTOFF,
     _LN2,
@@ -20,6 +22,7 @@ from gamowkit.algebra import (
     _exp_decay,
     _ldexp,
     _quotient,
+    _quotients_at,
     _scaled,
     binom,
 )
@@ -290,3 +293,85 @@ class TestExactAt:
         x = Fraction(t)
         assert Fraction(re, scale) == sum(c[0] * x**d for d, c in enumerate(coeffs))
         assert Fraction(im, scale) == sum(c[1] * x**d for d, c in enumerate(coeffs))
+
+
+def wide_polys(max_len: int = 6):
+    """Gaussian-integer coefficient lists whose parts run to 2**bits, the
+    bit length drawn first from 1 to 6000, so that the cut to _CUT bits
+    drops from none to thousands of bits."""
+    return st.integers(1, 6000).flatmap(lambda bits: st.lists(
+        st.tuples(st.integers(-(2**bits), 2**bits), st.integers(-(2**bits), 2**bits)),
+        min_size=1, max_size=max_len))
+
+
+def square_norm(coeffs) -> list:
+    """The coefficients (c, 0) of |P(t)|**2 for real t: a polynomial whose
+    real part is >= 0 for every t, with cancelling terms."""
+    out = [0] * (2 * len(coeffs) - 1)
+    for i, (a, b) in enumerate(coeffs):
+        for j, (c, d) in enumerate(coeffs):
+            out[i + j] += a * c + b * d
+    return [(c, 0) for c in out]
+
+
+# (coeffs, norm): any coefficients read as |P(t)|**2, or those of a square
+# norm read as the real part of P(t)
+readable = (wide_polys().map(lambda c: (c, True))
+            | wide_polys(4).map(lambda c: (square_norm(c), False)))
+
+
+class TestQuotientsAt:
+    """_quotients_at against the exact Fraction value of each reading,
+    rounded by the midpoints of its float neighbours, with the readings
+    that fall back to the exact value counted."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(poly=readable, den=st.integers(0, 12000).flatmap(lambda bits: st.integers(1, 2**bits)),
+           times=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=3),
+           root=st.booleans(), falls_back=st.just(False))
+    # within 2**-130 of the midpoint between 1 and its successor
+    @example(poly=([(2**400 + 2**347 + 2**270, 0)], False), den=2**400, times=[1.0],
+             root=False, falls_back=True)
+    # a root within 2**-150 of that midpoint
+    @example(poly=([(2**412 + 2**360 + 2**306 + 2**260, 0)], False), den=2**412, times=[1.0],
+             root=True, falls_back=True)
+    # the cut remainders of both coefficients sum to more than 2**s, which
+    # lifts P(1) = 2**401 + 2**348 + 2 just past a midpoint
+    @example(poly=([(2**400 + 2**272 + 1, 0), (2**400 + 2**348 - 2**272 + 1, 0)], False), den=1,
+             times=[1.0], root=False, falls_back=True)
+    # the cut of den drops nearly 2**-127 of it, which takes the quotient of
+    # 2**400 + 2**347 + 2**273 just below a midpoint
+    @example(poly=([(2**400 + 2**347 + 2**273, 0)], False), den=2**800 + 2**673 - 1,
+             times=[1.0], root=False, falls_back=True)
+    # cancellation leaves P(1) = 5 2**171 between 2**173 and 2**174 on the
+    # cut, two ends of one mantissa and different exponents
+    @example(poly=([(2**300, 0), (-(2**300) + 2**173 + 2**171, 0)], False), den=1,
+             times=[1.0], root=False, falls_back=True)
+    # P(1) = 0 exactly, where the cut interval holds 0
+    @example(poly=([(3**3000, 0), (-(3**3000), 0)], True), den=7, times=[1.0],
+             root=False, falls_back=True)
+    @example(poly=([(3**3000, 5**2000), (-(3**3000), -(5**2000))], True), den=3**6000,
+             times=[1.0], root=True, falls_back=True)
+    def test_every_reading_rounds_once(self, poly, den, times, root, falls_back):
+        coeffs, norm = poly
+        fallbacks = []
+
+        def counted(*args):
+            reading = rounded_between(*args)
+            fallbacks.append(reading is None)
+            return reading
+
+        rounded_between = algebra._rounded_between
+        with mock.patch.object(algebra, "_rounded_between", counted):
+            readings = _quotients_at(coeffs, den, times, norm, root)
+        assert len(readings) == len(fallbacks) == len(times)
+        if falls_back:
+            assert all(fallbacks)
+        for t, (m, k) in zip(times, readings):
+            x = Fraction(t)
+            re = sum(c_re * x**d for d, (c_re, _) in enumerate(coeffs))
+            im = sum(c_im * x**d for d, (_, c_im) in enumerate(coeffs))
+            exact = (re * re + im * im if norm else re) / den
+            assert rounds_to(m, exact / Fraction(4 if root else 2) ** k, root)
+            # k from the bit lengths keeps m near 1
+            assert m == 0 or 0.5 <= m <= 2

@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamowkit import algebra
 from gamowkit.cli import J_CAP, M_CAP, R_CAP, STEPS_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import ConfigInvalidError
 
@@ -519,6 +521,7 @@ class TestExitCodes:
         )
         result = runner.invoke(main, ["pole-term", "--config", str(conf)])
         assert result.exit_code == 1
+        assert result.output == "error: pole term vanishes at t = 0; ratio table undefined\n"
 
 
 def _dyad_norm(k: int, Gamma: float, t: float):
@@ -811,6 +814,29 @@ class TestDeterminism:
         piped = runner.invoke(main, ["decay-curve", "--config", str(conf)])
         runner.invoke(main, ["decay-curve", "--config", str(conf), "--out", str(out)])
         assert piped.output == out.read_text()
+
+    def test_exact_fallback_alone_prints_the_same_bytes(self, runner, tmp_path, monkeypatch):
+        # the ratios are read off Q cut to 128 bits wherever that decides
+        # their rounding; sending every reading to the exact fallback
+        # instead changes no byte
+        confs = []
+        for name in ("pole_term_r1.conf", "pole_term_r2.conf"):
+            text = (CONFIGS / name).read_text()
+            for r in range(1, 9):
+                conf = tmp_path / f"r{r}_{name}"
+                conf.write_text(re.sub(r"^r = \d+$", f"r = {r}", text, flags=re.M))
+                confs.append(conf)
+        normal = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
+        undecided = []
+
+        def never_decided(*ends):
+            undecided.append(ends)
+
+        monkeypatch.setattr(algebra, "_rounded_between", never_decided)
+        forced = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
+        assert len(undecided) == 2 * 8 * 11
+        assert all(result.exit_code == 0 for result in normal)
+        assert [result.output for result in forced] == [result.output for result in normal]
 
     @pytest.mark.parametrize(
         "command,config,golden",

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gamowkit.cli import R_CAP, RunConfig, parse_config_text
-from gamowkit.errors import NoConvergenceError, PoleEvaluationError
+from gamowkit.errors import NoConvergenceError, PoleEvaluationError, VanishingPoleTermError
 from gamowkit.smatrix import (
     BackgroundPhase,
     PoleJet,
@@ -286,9 +286,9 @@ class TestPoleJetRatio:
             exact = decay * mpmath.mpf(quotient.numerator) / quotient.denominator
         if exact > sys.float_info.max:
             with pytest.raises(OverflowError, match="ratio"):
-                jet.ratio(t)
+                jet.ratios([t])
             return
-        got, reference = jet.ratio(t)
+        ((got, reference),) = jet.ratios([t])
         assert abs(reference - decay) <= max(math.ulp(float(decay)), 2.0**-1074)
         try:
             unscaled = reference * float(quotient)
@@ -303,6 +303,11 @@ class TestPoleJetRatio:
         else:
             # below the normal range: at most one subnormal step off, 0 included
             assert abs(got - exact) <= 2 * 5e-324
+
+    def test_vanishing_pole_term_has_no_ratios(self):
+        jet = PoleJet(1.0, 1 + 0j, ((0, 0), (1, 0)), 1, ())
+        with pytest.raises(VanishingPoleTermError, match="vanishes at t = 0"):
+            jet.ratios([0.0, 1.0])
 
 
 class TestPoleJetExact:

@@ -467,8 +467,10 @@ class TestDecayDeviation:
         lambda space, pair: decay_deviation(dyad_operator(space, 1), [math.nan]),
         lambda space, pair: decay_deviation(w_n(space, 1), [math.nan]),
         lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).probability(math.nan),
+        lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).ratios([0.0, math.nan]),
     ],
-    ids=["evolution_matrix", "dyad_deviation", "family_deviation", "pole_jet_probability"],
+    ids=["evolution_matrix", "dyad_deviation", "family_deviation", "pole_jet_probability",
+         "pole_jet_ratios"],
 )
 def test_nan_time_is_invalid_input(space, pair, call):
     # nan is no time t >= 0: invalid input, not an overflow or a failed conversion
@@ -481,6 +483,8 @@ class TestPoleTermProbability:
         model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
         with pytest.raises(NegativeTimeError):
             pole_jet(pair, model).probability(-0.5)
+        with pytest.raises(NegativeTimeError):
+            pole_jet(pair, model).ratios([0.0, -1.0])
 
     def test_simple_pole_follows_exponential_law(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
