@@ -41,7 +41,7 @@ from .states import decay_table
 from .uniqueness import certify
 
 # Largest inputs that set the amount of work: j = 32 certifies in about
-# 0.7 s; at r = 32 on 5000 points decay-curve takes 2 to 2.7 s and
+# 0.7 s; at r = 32 on 5000 points decay-curve takes 1.2 to 2.1 s and
 # pole-term 0.4 to 1.2 s (1.2 s with a cubic phase and three terms at
 # m = 32, where Q runs to 23000 bits), on a 2-vCPU Xeon; the costs keep
 # growing.
@@ -49,10 +49,6 @@ J_CAP = 32
 R_CAP = 32
 M_CAP = 32
 STEPS_CAP = 5000
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _cplx(z: complex) -> dict:
@@ -230,7 +226,8 @@ def _emit(out_path: str | None, text: str):
 
 
 def _csv_text(header, rows) -> str:
-    lines = [",".join(header)] + [",".join(_fmt(float(v)) for v in row) for row in rows]
+    template = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [template % row for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -15,6 +15,20 @@ every power of t in every dyad, over one common denominator.  Every
 evolved quantity of the package (evolved norms, decay columns, decay
 deviations, the uniqueness oracle) is read off it.
 
+The expansion is a translation.  Identify |k><l| with the monomial
+x**k y**l (with x**k / k! and y**l / l! in the factorial normalization).
+Without its phase, T(t)|k> is (x - i t)**k and <l|T(t)^dagger is
+(y + i t)**l, so the conjugated operator is A(x - i t, y + i t), whose
+Taylor expansion is
+
+    sum_d (i t)**d / d! * (d_y - d_x)**d A.
+
+d_y - d_x sends anti-diagonal k + l = m to m - 1, so the expansion runs
+one anti-diagonal at a time and stops at the first layer that vanishes.
+W(n) is a multiple of (x + y)**n, and (d_y - d_x)(x + y)**n =
+n (x + y)**(n-1) - n (x + y)**(n-1) = 0: the family, and every sum of it,
+stops after the layer d = 0, which is the operator itself.
+
 conjugation_polys takes and returns the one exact format of states: sparse
 Gaussian integers {(k, l): (re, im)} over one int denominator, the form
 in which a StateOperator holds its entries.  The Hamiltonian layouts,
@@ -153,44 +167,61 @@ def evolution_matrix(space: GamowSubspace, t: float) -> list:
     ]
 
 
+def _layer(values: list, d: int, derivative: bool) -> list:
+    """F_d from F_(d-1) on one anti-diagonal, values[k] the coefficient of
+    x**k y**(m-k) in F_(d-1): (d_y - d_x) F_(d-1) / d on diagonal m - 1,
+    an exact integer division."""
+    m = len(values) - 1
+    pairs = enumerate(zip(values, values[1:]))
+    if derivative:
+        return [((m - k) * a - (k + 1) * b) // d for k, (a, b) in pairs]
+    return [(a - b) // d for _, (a, b) in pairs]
+
+
 def conjugation_polys(normalization: str, entries: dict, denominator: int):
-    """Exact polynomial parts of T~(t) A T~(t)^dagger, dyad by dyad.
+    """Exact polynomial parts of T~(t) A T~(t)^dagger, by dyad and power of t.
 
     T~(t) is T(t) without its phase exp(-i z t); the phases of the two
     sides combine to exp(-Gamma t), which the caller carries.  A is given
     as a StateOperator holds it: entries maps (k, l) to the Gaussian
     integer (re, im) of |k><l|, and the coefficient is (re + i im) /
-    denominator.  Each such dyad sends
+    denominator.
 
-        w(k, i) w(l, j) (-i t)**(k-i) (i t)**(l-j)
-
-    to |i><j| for i <= k and j <= l, with w as in evolution_matrix.
+    The conjugation is the translation A(x - i t, y + i t) of the
+    module docstring: with F_0 = A and F_d = (d_y - d_x) F_(d-1) / d, the
+    coefficient of t**d is i**d F_d.  On anti-diagonal m the step reads
+    F_d[k] = ((m-k) F[k] - (k+1) F[k+1]) / d (derivative) or
+    (F[k] - F[k+1]) / d (factorial), with F[k] the entry (k, m-k) of
+    F_(d-1), and lands on (k, m-1-k).  F_0 is A times the square of the
+    lift top! of the factorial ket weights 1/(k-p)! (1 in the derivative
+    normalization), top the largest index of A, so every F_d is an
+    integer and every division exact.  A diagonal stops at its first
+    layer that vanishes, so a family member, a multiple of (x + y)**n,
+    costs one layer.
 
     Returns (polys, denominator) in the same form: polys[i, j] maps each
     power d of t to a Gaussian integer (re, im), and the coefficient of
     t**d in the |i><j| entry is (re + i im) / denominator, the input
-    denominator times the square of the ket weights' lift.  All sums run
-    in integers, so cancellation is exact; powers that cancel are
+    denominator times the square of the lift.  Powers that cancel are
     dropped, and so are dyads whose polynomial cancels entirely.  The
     degree-0 part is A itself.
     """
     top = max((max(kl) for kl in entries), default=0)
-    weights, lift = _ket_weights(normalization, top)
-    sums = {}
-    for (k, l), value in entries.items():
-        # value * i**q for q = 0..3
-        turns = [_turn(value, q) for q in range(4)]
-        for i in range(k + 1):
-            for j in range(l + 1):
-                c = weights[k][i] * weights[l][j]
-                # (-i)**(k-i) i**(l-j) = i**(3(k-i) + (l-j))
-                re, im = turns[(3 * (k - i) + l - j) % 4]
-                slot = sums.setdefault((i, j), {}).setdefault(k - i + l - j, [0, 0])
-                slot[0] += c * re
-                slot[1] += c * im
+    derivative = normalization == "derivative"
+    lift = 1 if derivative else math.factorial(top)
+    square = lift * lift
+    diagonals = {}
+    for (k, l), (re, im) in entries.items():
+        res, ims = diagonals.setdefault(k + l, ([0] * (k + l + 1), [0] * (k + l + 1)))
+        res[k], ims[k] = re * square, im * square
     polys = {}
-    for ij, poly in sums.items():
-        kept = {d: (re, im) for d, (re, im) in poly.items() if re or im}
-        if kept:
-            polys[ij] = kept
-    return polys, denominator * lift * lift
+    for m, (res, ims) in diagonals.items():
+        for d in range(m + 1):
+            if d:
+                res, ims = _layer(res, d, derivative), _layer(ims, d, derivative)
+            if not (any(res) or any(ims)):
+                break
+            for k, value in enumerate(zip(res, ims)):
+                if value[0] or value[1]:
+                    polys.setdefault((k, m - d - k), {})[d] = _turn(value, d)
+    return polys, denominator * square

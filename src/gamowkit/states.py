@@ -8,14 +8,23 @@ and their weighted sum W = 2 pi Gamma * sum_n binom(r, n+1) (-i)**n W(n),
 which is the operator the pole term of a scattering pairing suggests.
 Conjugating with the semigroup, T(t) A T(t)^dagger, multiplies every W(n)
 by exp(-Gamma t) with no polynomial remainder, while a plain dyad
-|k><k| (k >= 1) picks up polynomial contamination up to t**(2k).
+|k><k| (k >= 1) picks up polynomial contamination up to t**(2k).  In the
+translation picture of jordan, where |k><l| is the monomial x**k y**l
+(over k! l! in the factorial normalization) and the conjugation is
+A(x - i t, y + i t), W(n) is a multiple of (x + y)**n and
+
+    (d_y - d_x)(x + y)**n = n (x + y)**(n-1) - n (x + y)**(n-1) = 0,
+
+so the translation leaves it, and W, unchanged.
 
 Every operator has one carrier, the exact format of the kernels: a
 StateOperator holds Gaussian integers {(k, l): (re, im)} over one int
 denominator, a few dyads on its anti-diagonals; an absent dyad is 0.
 StateOperator.lift is the one constructor from values: ints, Fractions,
-floats, complex floats and numpy scalars all enter at their exact value,
-Gamma in particular as the exact rational value of its float.  The
+floats, complex floats and numpy scalars all enter at their exact value.
+w_n and w_total build their integers directly from the integer ratio
+p / q of Gamma's float, the factorials and the binomials, reduced by one
+gcd to the entries and least common denominator lift would give.  The
 2 pi Gamma scale of W has no exact value because pi is irrational, so
 w_total leaves it off; every certified property is invariant under that
 scale, and decay_table applies it unless asked not to, as a mantissa and
@@ -80,15 +89,29 @@ class StateOperator:
         return cls(space, dict(zip(values, ints)), denominator)
 
 
-def _member(space: GamowSubspace, n: int) -> dict:
-    """The values {(k, n-k): Gamma**n / n! * binom(n, k)} of W(n), or
-    Gamma**n in the factorial normalization, each built once from the
-    integers of Gamma's float, n! and binom(n, k)."""
+def _family(space: GamowSubspace, weights: list) -> StateOperator:
+    """sum_n weights[n] W(n) for Gaussian-integer weights (re, im).  W(n)
+    holds Gamma**n / n! * binom(n, k) on (k, n-k), or Gamma**n in the
+    factorial normalization.  With Gamma = p / q and top the last n, each
+    value is an int from p, q, the factorials and the binomials over the
+    one denominator q**top top! (q**top in the factorial normalization),
+    and one gcd reduces them all to the entries and least common
+    denominator StateOperator.lift gives for the same values."""
     derivative = space.normalization == "derivative"
-    num, den = (part**n for part in space.pole.Gamma.as_integer_ratio())
-    den *= math.factorial(n) if derivative else 1
-    weights = [binom(n, k) if derivative else 1 for k in range(n + 1)]
-    return {(k, n - k): Fraction(num * w, den) for k, w in enumerate(weights)}
+    p, q = space.pole.Gamma.as_integer_ratio()
+    top = len(weights) - 1
+    lift = math.factorial(top) if derivative else 1
+    entries = {}
+    for n, (re, im) in enumerate(weights):
+        if re or im:
+            scale = p**n * q ** (top - n) * (lift // math.factorial(n) if derivative else 1)
+            for k in range(n + 1):
+                c = scale * binom(n, k) if derivative else scale
+                entries[k, n - k] = (re * c, im * c)
+    denominator = q**top * lift
+    common = math.gcd(denominator, *(c for pair in entries.values() for c in pair))
+    entries = {kl: (re // common, im // common) for kl, (re, im) in entries.items()}
+    return StateOperator(space, entries, denominator // common)
 
 
 def w_n(space: GamowSubspace, n: int) -> StateOperator:
@@ -96,7 +119,7 @@ def w_n(space: GamowSubspace, n: int) -> StateOperator:
     r = space.dimension
     if not 0 <= n <= r - 1:
         raise IndexOutOfRangeError(f"operator index n must be in 0..{r - 1}, got {n}")
-    return StateOperator.lift(space, _member(space, n))
+    return _family(space, [(0, 0)] * n + [(1, 0)])
 
 
 def w_total(space: GamowSubspace) -> StateOperator:
@@ -105,12 +128,8 @@ def w_total(space: GamowSubspace) -> StateOperator:
     certified statement about W is scale invariant, and decay_table
     applies the scale unless exact."""
     r = space.dimension
-    W = StateOperator.lift(space, {
-        kl: binom(r, n + 1) * v for n in range(r) for kl, v in _member(space, n).items()
-    })
-    # entry (k, l) lies on the single anti-diagonal n = k + l; (-i)**n = i**(3n)
-    entries = {(k, l): _turn(v, 3 * (k + l)) for (k, l), v in W.entries.items()}
-    return StateOperator(space, entries, W.denominator)
+    # (-i)**n = i**(3n)
+    return _family(space, [_turn((binom(r, n + 1), 0), 3 * n) for n in range(r)])
 
 
 def dyad_operator(space: GamowSubspace, k: int) -> StateOperator:

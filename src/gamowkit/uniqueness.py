@@ -134,11 +134,15 @@ def oracle_evolution(A):
     (a float raises TypeError): A[h][k] is the coefficient of the dyad
     |k><h|.  Lifted to integers over one denominator, A goes through the
     shared exact expansion jordan.conjugation_polys (derivative
-    normalization), which sends it to binom(k, l) binom(h, m)
-    (-i t)**(k-l) (i t)**(h-m) on every dyad |l><m| and sums by power of
-    t in integers.  The overall exp(-Gamma t) factor is left out (time in
-    units of 1/Gamma), so a pure exponential decay shows up as no power
-    of t above 0 surviving.  Returns conjugation_polys' (polys,
+    normalization).  Read as the polynomial sum A[h][k] x**k y**h, the
+    conjugation is the translation A(x - i t, y + i t): its Taylor layers
+    (i t)**d / d! (d_y - d_x)**d A, built one anti-diagonal at a time in
+    integers, are the sum by power of t of binom(k, l) binom(h, m)
+    (-i t)**(k-l) (i t)**(h-m) on every dyad |l><m|.  The overall
+    exp(-Gamma t) factor is left out (time in units of 1/Gamma), so a pure
+    exponential decay shows up as no power of t above 0 surviving; a
+    binomial row binom(n, k) is (x + y)**n, and (d_y - d_x)(x + y)**n = 0
+    leaves it at power 0 alone.  Returns conjugation_polys' (polys,
     denominator): polys[l, m] maps each surviving power of t to a
     Gaussian integer (re, im) over denominator.
     """

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamowkit.cli import R_CAP
 from gamowkit.errors import NegativeTimeError
@@ -328,6 +330,30 @@ class TestConjugationPolys:
                     assert re or im
                     got[ij][d] = (Fraction(re, denominator), Fraction(im, denominator))
             assert got == expand(normalization, entries)
+
+    @settings(max_examples=120, derandomize=True, database=None, deadline=None)
+    @given(data=st.data(), normalization=st.sampled_from(["derivative", "factorial"]),
+           r=st.integers(min_value=1, max_value=12), dense=st.booleans(),
+           denominator=st.integers(min_value=1, max_value=2**64))
+    def test_matches_the_oracle_on_drawn_operators(self, data, normalization, r, dense,
+                                                   denominator):
+        # every layer of the translation divides exactly by its power d;
+        # Gaussian entries up to 2**200, over a denominator not reduced
+        # against them, on a sparse or a full square up to r = 12
+        part = st.integers(min_value=-2**200, max_value=2**200)
+        if dense:
+            values = data.draw(st.lists(st.tuples(part, part), min_size=r * r, max_size=r * r))
+            entries = {(k, l): values[k * r + l] for k in range(r) for l in range(r)}
+        else:
+            index = st.integers(min_value=0, max_value=r - 1)
+            entries = data.draw(st.dictionaries(st.tuples(index, index), st.tuples(part, part),
+                                                max_size=r))
+        polys, den = conjugation_polys(normalization, entries, denominator)
+        got = {ij: {d: (Fraction(re, den), Fraction(im, den)) for d, (re, im) in poly.items()}
+               for ij, poly in polys.items()}
+        exact = {kl: (Fraction(re, denominator), Fraction(im, denominator))
+                 for kl, (re, im) in entries.items()}
+        assert got == expand(normalization, exact)
 
     def test_degree_zero_part_is_the_operator(self):
         entries = {(2, 1): (Fraction(1, 3), -2), (0, 3): (5, 0)}

@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamowkit.algebra import _exp_decay, _gmul
+from gamowkit.algebra import _exp_decay, _gmul, _turn
 from gamowkit.cli import R_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, conjugation_polys, evolution_matrix
@@ -210,6 +210,36 @@ class TestOperatorConstruction:
                 dyad = dyad_operator(space, k)
                 assert (dyad.entries, dyad.denominator) == ({(k, k): (1, 0)}, 1)
 
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(normalization=st.sampled_from(["derivative", "factorial"]),
+           gamma=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+           r=st.integers(min_value=1, max_value=R_CAP))
+    def test_direct_build_is_the_lift_of_the_closed_forms(self, normalization, gamma, r):
+        # w_n and w_total build their integers from Gamma's integer ratio;
+        # oracle: StateOperator.lift of the Fraction values, the weighted
+        # sum of w_total lifted real and then turned by (-i)**n, as its
+        # entries lie on one anti-diagonal each
+        space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
+        members = []
+        for n in range(r):
+            power = Fraction(gamma) ** n
+            if normalization == "derivative":
+                power /= math.factorial(n)
+            weights = [math.comb(n, k) if normalization == "derivative" else 1
+                       for k in range(n + 1)]
+            members.append({(k, n - k): power * w for k, w in enumerate(weights)})
+        for n, member in enumerate(members):
+            W, want = w_n(space, n), StateOperator.lift(space, member)
+            assert (W.entries, W.denominator) == (want.entries, want.denominator)
+            assert W.denominator == math.lcm(*(v.denominator for v in member.values()))
+        total = {kl: math.comb(r, n + 1) * v for n, member in enumerate(members)
+                 for kl, v in member.items()}
+        lifted = StateOperator.lift(space, total)
+        W = w_total(space)
+        assert W.entries == {kl: _turn(v, 3 * sum(kl)) for kl, v in lifted.entries.items()}
+        assert W.denominator == lifted.denominator
+        assert W.denominator == math.lcm(*(v.denominator for v in total.values()))
+
     def test_star_import_provides_constructors(self):
         namespace = {}
         exec("from gamowkit import *", namespace)
@@ -281,6 +311,22 @@ class TestEvolution:
         for n in range(3):
             W = w_n(space, n)
             assert conjugated(W) == ({kl: {0: v} for kl, v in W.entries.items()}, W.denominator)
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_family_has_no_tail_at_every_order(self, normalization):
+        # (d_y - d_x)(x + y)**n = 0: each W(n) and w_total comes back as its
+        # own entries at power 0, over its denominator times the square of
+        # the lift of the ket weights, at every order up to the cap
+        for gamma in (0.9137, 1e-300, 1e300):
+            for r in range(1, R_CAP + 1):
+                space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
+                for W in [w_n(space, n) for n in range(r)] + [w_total(space)]:
+                    top = max(max(kl) for kl in W.entries)
+                    lift = math.factorial(top) if normalization == "factorial" else 1
+                    square = lift * lift
+                    want = {kl: {0: (re * square, im * square)}
+                            for kl, (re, im) in W.entries.items()}
+                    assert conjugated(W) == (want, W.denominator * square)
 
     def test_symbolic_evolution_is_linear(self, space):
         # 2 |1><2| + i |0><0| against 2 P_A(t) + i P_B(t), summed by power of t
