@@ -23,6 +23,7 @@ from .errors import (
 )
 from .jordan import (
     GamowSubspace,
+    ResonancePole,
     conjugation_polys,
     evolution_matrix,
     hamiltonian_action_matrix,
@@ -33,7 +34,6 @@ from .jordan import (
 from .smatrix import (
     BackgroundPhase,
     PoleJet,
-    ResonancePole,
     SMatrixModel,
     TestFunction,
     TestFunctionPair,

@@ -1,5 +1,8 @@
 """Jordan-block subspace attached to an order-r resonance pole.
 
+ResonancePole is the pole itself, z = E_R - i Gamma / 2 of order r on
+the second sheet; the block it spans, the state operators of states on
+that block and the S-matrix model of smatrix all take it from here.
 The r kets |0>, ..., |r-1> span the subspace; the Hamiltonian acts as
 H|k> = z|k> + k|k-1> (derivative normalization) so (H - z) is nilpotent
 of index r.  Rescaling |k> by 1/k! gives the factorial normalization with
@@ -50,9 +53,9 @@ from dataclasses import dataclass
 
 from .algebra import _scaled, _turn, binom
 from .errors import NegativeTimeError
-from .smatrix import ResonancePole
 
 __all__ = [
+    "ResonancePole",
     "GamowSubspace",
     "hamiltonian_matrix",
     "hamiltonian_action_matrix",
@@ -63,6 +66,28 @@ __all__ = [
 ]
 
 NORMALIZATIONS = ("derivative", "factorial")
+
+
+@dataclass(frozen=True)
+class ResonancePole:
+    """Resonance position E_R, width Gamma and pole order r."""
+
+    E_R: float
+    Gamma: float
+    r: int
+
+    def __post_init__(self):
+        if not 0 < self.E_R < math.inf:
+            raise ValueError(f"E_R must be positive and finite, got {self.E_R}")
+        if not 0 < self.Gamma < math.inf:
+            raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
+        if self.r < 1:
+            raise ValueError(f"pole order r must be >= 1, got {self.r}")
+
+    @property
+    def z_R(self) -> complex:
+        """Pole position E_R - i Gamma / 2."""
+        return complex(self.E_R, -0.5 * self.Gamma)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,24 @@
 """Second-sheet S-matrix model with one resonance pole of order r.
 
-The model is S(w) = ((w - z*)/(w - z))**r * exp(2i gamma(w)) with
-z = E_R - i Gamma/2 the pole position on the lower half of the second
-sheet and gamma a real background phase.  Expanding the pole factor in
-partial fractions and pushing a pairing integral through the pole gives
-the pole term of a resonance amplitude: a finite sum of derivatives of
-the two legs of the pairing at z.
+The model is S(w) = ((w - z*)/(w - z))**r * exp(2i gamma(w)), with
+z = E_R - i Gamma/2 the position of jordan's ResonancePole on the lower
+half of the second sheet and gamma a real background phase.  Pushing a
+pairing integral through the partial fractions of the pole factor gives
+the pole term of a resonance amplitude: -2 pi Gamma <psi|W|phi>, with W
+the state operator of states without its 2 pi Gamma scale (w_total),
+whose entry (k, l) in the factorial normalization is
+h_(k+l) = binom(r, k+l+1) (-i Gamma)**(k+l), and the Taylor coefficients
+of the legs at z as their coordinates.
 
 Every leg has a closed-form Taylor series at z (the rational test
 functions, the phase exp(2i gamma) after a Taylor shift of gamma to z,
-and the time shift exp(-i w t)), so the derivatives are exact Taylor
-jets: Gaussian integers over a common denominator, with every input
-float entering at its exact value.  The pole term of the pairing with
-the observable translated by t is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
-for one exact polynomial Q of degree < r.  pole_jet, the one entry point
-to it, pairs the observable leg with the expansion coefficients b_k of
-the state leg (the pole term is sum_k b_k psi^(k)(z)); its PoleJet reads
-the amplitude and the survival probability at any t >= 0, and the ratio
-table of a whole grid in one call.
+and the time shift exp(-i w t)), so the jets are exact Gaussian integers
+over a common denominator, every input float at its exact value.  The
+pole term of the pairing with the observable translated by t is
+2 pi exp(2i gamma(z)) exp(-i z t) Q(t), Q an exact polynomial of degree
+< r.  pole_jet, the one entry point to it, pairs the observable jet with
+W phi; its PoleJet reads the amplitude and the survival probability at
+any t >= 0, and the ratio table of a whole grid in one call.
 analytic_derivatives (contour quadrature) remains as a general tool.
 """
 
@@ -32,9 +33,10 @@ from .algebra import _convolve, _exact_at, _exp_decay, _exp_exact, _gmul, _horne
 from .algebra import _lift, _quotients_at, _turn, binom
 from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
 from .errors import VanishingPoleTermError
+from .jordan import GamowSubspace, ResonancePole
+from .states import w_total
 
 __all__ = [
-    "ResonancePole",
     "BackgroundPhase",
     "SMatrixModel",
     "TestFunction",
@@ -54,28 +56,6 @@ POLE_EXCLUSION = 1e-14
 CONTOUR_START_NODES = 64
 CONTOUR_MAX_NODES = 4096
 CONTOUR_REL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ResonancePole:
-    """Resonance position E_R, width Gamma and pole order r."""
-
-    E_R: float
-    Gamma: float
-    r: int
-
-    def __post_init__(self):
-        if not 0 < self.E_R < math.inf:
-            raise ValueError(f"E_R must be positive and finite, got {self.E_R}")
-        if not 0 < self.Gamma < math.inf:
-            raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
-        if self.r < 1:
-            raise ValueError(f"pole order r must be >= 1, got {self.r}")
-
-    @property
-    def z_R(self) -> complex:
-        """Pole position E_R - i Gamma / 2."""
-        return complex(self.E_R, -0.5 * self.Gamma)
 
 
 @dataclass(frozen=True)
@@ -174,11 +154,15 @@ def pole_expansion_coeffs(model: SMatrixModel) -> list:
     """Partial-fraction coefficients c_l of the pole factor.
 
     ((w - z*)/(w - z))**r = 1 + sum_{l=1}^{r} c_l / (w - z)**l with
-    c_l = binom(r, l) * (-i Gamma)**l, since z* - z = i Gamma.
+    c_l = binom(r, l) (-i Gamma)**l, since z* - z = i Gamma: -i Gamma
+    times W's entry (l-1, 0) in the factorial normalization, each part
+    rounded once.  OverflowError names a c_l beyond the float range.
     """
-    gamma_width = model.pole.Gamma
-    r = model.pole.r
-    return [binom(r, l) * (-1j * gamma_width) ** l for l in range(1, r + 1)]
+    W = w_total(GamowSubspace(model.pole, "factorial"))
+    p, q = model.pole.Gamma.as_integer_ratio()
+    den, column = q * W.denominator, [W.entries[n, 0] for n in range(model.pole.r)]
+    # -i Gamma (re + i im) = Gamma (im - i re)
+    return [_complex(p * im, -p * re, den, f"c_{l}") for l, (re, im) in enumerate(column, 1)]
 
 
 def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> list:
@@ -296,23 +280,6 @@ def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
     return value, (e, top)
 
 
-def _contract(jet, pole: ResonancePole) -> tuple:
-    """Gamma / m! * sum_{n=m}^{r-1} binom(r, n+1) (-i Gamma)**n x[n-m] for
-    m = 0..r-1, with x the jet: the weight that the partial fractions of
-    the pole factor put on the m-th derivative of the other leg."""
-    coeffs, den = jet
-    r = pole.r
-    num, width_den = pole.Gamma.as_integer_ratio()
-    top = math.factorial(r - 1)
-    weights = [
-        _turn((binom(r, n + 1) * num**n * width_den ** (r - 1 - n), 0), 3 * n) for n in range(r)
-    ]
-    # coefficient r-1-m of the reversed weights times x: sum_{n>=m} w_n x_{n-m}
-    sums = _convolve(weights[::-1], coeffs, r)[::-1]
-    factors = [num * (top // math.factorial(m)) for m in range(r)]
-    return [(f * re, f * im) for f, (re, im) in zip(factors, sums)], den * width_den**r * top
-
-
 def _complex(re: int, im: int, den: int, what: str) -> complex:
     """complex(re / den, im / den), naming what when a part leaves the
     float range (the int division raises OverflowError with no name)."""
@@ -326,22 +293,20 @@ def _complex(re: int, im: int, den: int, what: str) -> complex:
 class PoleJet:
     """Pole term of a pairing whose observable is translated by t >= 0.
 
-    The pole term of (psi, S phi) sums (-2 pi i / n!) binom(r, n+1)
-    (-i Gamma)**(n+1) (psi phi)^(n)(z) over n < r, psi times the phase
-    factor when the gauge is absorbed; with psi(w) exp(-i w t) it is
+    The pole term of (psi, S phi) is -2 pi Gamma sum_k (W phi)_k psi_k,
+    with psi_k and phi_l the Taylor coefficients of the legs at z, psi
+    times the phase factor when the gauge is absorbed, and W = w_total
+    of states in the factorial normalization; with psi(w) exp(-i w t) it is
 
         2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
 
     with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
     coefficient of t**m, as a Gaussian integer (re, im), and phase is
     exp(2i gamma(z)) in floats (1 without the gauge).  expansion_coeffs
-    are the b_k that Q pairs with the observable leg,
-
-        b_k = (-2 pi Gamma) sum_{n=k}^{r-1} binom(r, n+1) binom(n, k)
-              ((-i Gamma)**n / n!) phi^(n-k)(z),
-
-    so that the pole term amplitude() == sum_k b_k psi^(k)(z) with the same
-    gauge placement; each part is rounded once from its exact value.
+    are the b_k = -2 pi Gamma (W phi)_k / k! that Q pairs with the
+    derivatives of the observable leg, so that the pole term
+    amplitude() == sum_k b_k psi^(k)(z) with the same gauge placement;
+    each part is rounded once from its exact value.
 
     ratios(times) reads the survival ratio of every t at once: Q and
     |Q(0)|**2 are cut to 128 bits once per call, each quotient
@@ -362,15 +327,16 @@ class PoleJet:
         return self.coeffs[0] == (0, 0)
 
     def amplitude(self, t: float = 0.0) -> complex:
-        """2 pi exp(2i gamma(z)) Q(t); at t = 0 this is the pole term."""
+        """2 pi exp(2i gamma(z)) Q(t), for t >= 0; at t = 0 this is the
+        pole term."""
+        if not t >= 0:
+            raise NegativeTimeError(f"the pole term is defined for t >= 0, got {t}")
         re, im, scale = _exact_at(self.coeffs, t)
         den = self.denominator * scale
         return 2.0 * math.pi * self.phase * _complex(re, im, den, f"pole_term at t = {t!r}")
 
     def probability(self, t: float) -> float:
         """exp(-Gamma t) |amplitude(t)|**2, for t >= 0."""
-        if not t >= 0:
-            raise NegativeTimeError(f"probabilities are defined for t >= 0, got {t}")
         value = self.amplitude(t)
         m, e = _exp_decay(self.width, t)
         s, k = math.frexp(value.real * value.real + value.imag * value.imag)
@@ -402,22 +368,30 @@ class PoleJet:
 
 
 def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
-    """The exact polynomial of the pole term, built once from the Taylor
-    jets of both legs at the pole.
+    """The exact polynomial of the pole term: the jet of the observable
+    leg paired with v = W phi, read off the integers of states.w_total.
 
-    The state leg enters once, as b = _contract(jet of phi), and -2 pi b
-    rounded once per part are the expansion_coeffs.  With L the jet of the
-    observable leg (times exp(2i (gamma(w) - gamma(z))) when the gauge is
-    absorbed) and the shift
-    exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pole sum
-    becomes 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
-    Q_m = -(-i)**m / m! sum_{k>=m} k! b_k L[k-m].
+    With L the jet of the observable leg (times exp(2i (gamma(w) - gamma(z)))
+    when the gauge is absorbed) and the shift
+    exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pairing
+    is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
+    Q_m = -Gamma (-i)**m / m! sum_{k>=m} v_k L[k-m], and the
+    expansion_coeffs are -2 pi Gamma v_k / k!, rounded once per part.
     """
     pole = model.pole
     r = pole.r
     # z = E_R - i Gamma / 2 as exact rationals (re, im)
     z = Fraction(pole.E_R), Fraction(pole.Gamma) / -2
-    b, b_den = _contract(_rational_jet(pair.phi, z, r), pole)
+    W = w_total(GamowSubspace(pole, "factorial"))
+    phi, phi_den = _rational_jet(pair.phi, z, r)
+    v_re, v_im = [0] * r, [0] * r
+    for (k, l), (wr, wi) in W.entries.items():
+        xr, xi = phi[l]
+        v_re[k] += wr * xr - wi * xi
+        v_im[k] += wr * xi + wi * xr
+    # Gamma v over v_den, with Gamma = p / q
+    p, q = pole.Gamma.as_integer_ratio()
+    v, v_den = [(p * x, p * y) for x, y in zip(v_re, v_im)], q * W.denominator * phi_den
     leg, leg_den = _rational_jet(pair.psi, z, r)
     phase = 1 + 0j
     if model.absorb_gauge:
@@ -428,16 +402,17 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
             phase = _exp_exact(-2 * g_im, 2 * g_re)
         except OverflowError:
             raise OverflowError("phase factor exp(2i gamma(z)) leaves the float range") from None
-    # coefficient r-1-m of the reversed k! b_k times L: sum_{k>=m} k! b_k L[k-m], a multiple of m!
     fact = [math.factorial(k) for k in range(r)]
-    sums = _convolve([(f * x, f * y) for f, (x, y) in zip(fact, b)][::-1], leg, r)[::-1]
-    coeffs = [_turn((-x // f, -y // f), 3 * m) for m, (f, (x, y)) in enumerate(zip(fact, sums))]
-    den = b_den * leg_den
+    # coefficient r-1-m of the reversed v times L: sum_{k>=m} v_k L[k-m], lifted by (r-1)! / m!
+    sums = _convolve(v[::-1], leg, r)[::-1]
+    lifts = [fact[-1] // f for f in fact]
+    coeffs = [_turn((-c * x, -c * y), 3 * m) for m, (x, y), c in zip(range(r), sums, lifts)]
+    den = fact[-1] * v_den * leg_den
     common = math.gcd(den, *(x for c in coeffs for x in c))
     reduced = tuple((re // common, im // common) for re, im in coeffs)
     expansion = tuple(
-        -2.0 * math.pi * _complex(re, im, b_den, f"expansion_coeffs[{k}]")
-        for k, (re, im) in enumerate(b)
+        -2.0 * math.pi * _complex(re, im, f * v_den, f"expansion_coeffs[{k}]")
+        for k, (f, (re, im)) in enumerate(zip(fact, v))
     )
     return PoleJet(pole.Gamma, phase, reduced, den // common, expansion)
 

@@ -4,8 +4,12 @@ The distinguished operators are the binomial anti-diagonal family
 
     W(n) = (Gamma**n / n!) * sum_{k=0}^{n} binom(n, k) |k><n-k|
 
-and their weighted sum W = 2 pi Gamma * sum_n binom(r, n+1) (-i)**n W(n),
-which is the operator the pole term of a scattering pairing suggests.
+and their weighted sum W = 2 pi Gamma * sum_n binom(r, n+1) (-i)**n W(n).
+W is the operator of the pole term: the pole term of a scattering
+pairing is -<psi|W|phi>, with the coordinates of each leg its
+derivatives at the pole (its Taylor coefficients in the factorial
+normalization), and translating the observable by t applies the
+semigroup to its leg.  smatrix.pole_jet reads the pole term off w_total.
 Conjugating with the semigroup, T(t) A T(t)^dagger, multiplies every W(n)
 by exp(-Gamma t) with no polynomial remainder, while a plain dyad
 |k><k| (k >= 1) picks up polynomial contamination up to t**(2k).  In the
@@ -126,7 +130,8 @@ def w_total(space: GamowSubspace) -> StateOperator:
     """W / (2 pi Gamma) = sum_n binom(r, n+1) (-i)**n W(n), the microphysical
     state operator without its scale, which has no exact value; every
     certified statement about W is scale invariant, and decay_table
-    applies the scale unless exact."""
+    applies the scale unless exact.  The one builder of W's weights:
+    smatrix reads the pole term and the partial fractions off it."""
     r = space.dimension
     # (-i)**n = i**(3n)
     return _family(space, [_turn((binom(r, n + 1), 0), 3 * n) for n in range(r)])
@@ -208,8 +213,12 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     dyadk_deviation of each |k><k|.  Each t is split once for all columns,
     as t = s 2**j with j a multiple of 8 and s < 2**8 (j = 0 below 128) and
     exp(-Gamma t) = m 2**e; the exponents are applied last, naming the
-    column and t of a value beyond the float range."""
+    column and t of a value beyond the float range.  NegativeTimeError
+    for a t that is negative or nan."""
     grid, Gamma = list(t_grid), space.pole.Gamma
+    for t in grid:
+        if not t >= 0:
+            raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
     shifts = [max(math.frexp(t)[1], 0) // 8 * 8 for t in grid]
     points = [(math.ldexp(t, -j), j, *_exp_decay(Gamma, t)) for t, j in zip(grid, shifts)]
     mantissa, exponent = math.frexp(Gamma)

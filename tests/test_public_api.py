@@ -182,3 +182,32 @@ def test_states_imports_nothing_from_smatrix():
     sources += [alias.name.rpartition(".")[2] for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names]
     assert "smatrix" not in sources
+
+
+LAYERS = ("errors", "algebra", "jordan", "states", "smatrix", "uniqueness", "cli")
+
+
+def _package_imports(tree) -> list:
+    """The gamowkit modules that tree imports, by their last name."""
+    sources = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            sources += [alias.name for alias in node.names if alias.name.startswith("gamowkit.")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "gamowkit"):
+            package = node.module in (None, "gamowkit")
+            sources += [alias.name for alias in node.names] if package else [node.module]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gamowkit."):
+            sources.append(node.module)
+    return [source.rpartition(".")[2] for source in sources]
+
+
+def test_each_module_imports_only_earlier_layers():
+    # jordan holds the pole, its block and the conjugation; states builds W
+    # on the block; smatrix pairs the legs of a scattering pairing with W;
+    # uniqueness and cli read the layers below.  A new module has to take
+    # its place in the order.
+    assert sorted(LAYERS) == sorted(MODULES - {"gamowkit"})
+    backward = [f"{module} imports {source}" for rank, module in enumerate(LAYERS)
+                for source in _package_imports(ast.parse((SRC / f"{module}.py").read_text()))
+                if source in LAYERS[rank:]]
+    assert backward == []

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from gamowkit.cli import R_CAP, RunConfig, parse_config_text
 from gamowkit.errors import NoConvergenceError, PoleEvaluationError, VanishingPoleTermError
+from gamowkit.jordan import GamowSubspace
 from gamowkit.smatrix import (
     BackgroundPhase,
     PoleJet,
@@ -31,6 +32,7 @@ from gamowkit.smatrix import (
     pole_jet,
     s_matrix_eval,
 )
+from gamowkit.states import w_total
 
 RNG_SEED = 20260823
 
@@ -174,6 +176,28 @@ class TestSMatrixValues:
         c = pole_expansion_coeffs(SMatrixModel(ResonancePole(2.0, 0.5, 2)))
         assert c[0] == pytest.approx(-1.0j)
         assert c[1] == pytest.approx(-0.25)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    width=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    r=st.integers(1, R_CAP),
+)
+def test_expansion_coefficients_are_correctly_rounded(width, r):
+    # c_l = binom(r, l) (-i Gamma)**l with Gamma at its exact binary value,
+    # each part rounded once; the first c_l beyond the float range is named
+    model = SMatrixModel(ResonancePole(2.0, width, r))
+    want = []
+    for l in range(1, r + 1):
+        value = math.comb(r, l) * Fraction(width) ** l
+        re, im = ((value, 0), (0, -value), (-value, 0), (0, value))[l % 4]
+        try:
+            want.append(complex(float(re), float(im)))
+        except OverflowError:
+            with pytest.raises(OverflowError, match=f"^c_{l} leaves the float range$"):
+                pole_expansion_coeffs(model)
+            return
+    assert pole_expansion_coeffs(model) == want
 
 
 class TestAnalyticDerivatives:
@@ -376,6 +400,99 @@ class TestPoleJetExact:
         for m, (re, im) in enumerate(jet.coeffs):
             got = sympy.Rational(re, jet.denominator) + I * sympy.Rational(im, jet.denominator)
             assert sympy.expand(Q.coeff(t, m) - got) == 0
+
+
+dyadic = st.integers(1, 48).map(lambda n: n / 16)
+quarter = st.integers(-8, 8).map(lambda n: n / 4)
+rational_leg = st.lists(
+    st.tuples(dyadic, st.integers(1, 3), st.builds(complex, quarter, quarter)), min_size=1,
+    max_size=2,
+)
+
+
+class TestPoleTermIsThePairingWithW:
+    """The pole term is the pairing with the state operator W.
+
+    For every power of t, in exact rationals,
+
+        Q(t) = -Gamma sum_(k,l) w[k,l] sum_(p<=k) binom(k,p) (-i t)**(k-p) psi^(p)(z) phi^(l)(z)
+
+    with Q the polynomial of pole_jet and w the entries of w_total (W over
+    2 pi Gamma) in the derivative normalization.  The inner sum is column
+    k of the semigroup T~(t) of jordan acting on the observable leg, so
+    this is the chain from the S-matrix pole through the Gamow jets and W
+    to the semigroup.  In the factorial normalization the derivatives
+    become Taylor coefficients and binom(k, p) becomes 1 / (k-p)!.  With
+    the gauge absorbed, psi is times exp(2i (gamma(w) - gamma(z))).  The
+    derivatives are sympy's, of the closed-form legs, with every float at
+    its exact binary value: nothing is shared with the jets of smatrix.
+    """
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        r=st.integers(1, 6),
+        E_R=st.floats(0.25, 4.0),
+        width=st.floats(0.05, 3.0),
+        psi=rational_leg,
+        phi=rational_leg,
+        gamma=st.lists(st.integers(-4, 4).map(lambda n: n / 32), min_size=1, max_size=4),
+        gauge=st.booleans(),
+    )
+    def test_pole_term_is_minus_gamma_psi_t_w_phi(self, r, E_R, width, psi, phi, gamma, gauge):
+        sympy = pytest.importorskip("sympy")
+        I = sympy.I
+
+        def exact(x):
+            x = complex(x)
+            return sympy.Rational(*x.real.as_integer_ratio()) + I * sympy.Rational(
+                *x.imag.as_integer_ratio()
+            )
+
+        kind = "constant" if len(gamma) == 1 else "polynomial"
+        pole = ResonancePole(E_R, width, r)
+        model = SMatrixModel(pole, BackgroundPhase(kind, gamma), absorb_gauge=gauge)
+        jet = pole_jet(TestFunctionPair.from_params(psi, phi), model)
+
+        w, t = sympy.symbols("w t")
+        z, Gamma = exact(pole.z_R), exact(width)
+
+        def leg(terms):
+            return sum(exact(c) / (w - I * exact(a)) ** m for a, m, c in terms)
+
+        def derivatives(f):
+            out = []
+            for _ in range(r):
+                out.append(sympy.expand(f.subs(w, z)))
+                f = sympy.diff(f, w)
+            return out
+
+        observable = leg(psi)
+        if gauge:
+            phase = sum(exact(p) * w**i for i, p in enumerate(gamma))
+            observable *= sympy.exp(2 * I * (phase - phase.subs(w, z)))
+        psi_d, phi_d = derivatives(observable), derivatives(leg(phi))
+        got = [sympy.Rational(re, jet.denominator) + I * sympy.Rational(im, jet.denominator)
+               for re, im in jet.coeffs]
+        assert len(got) == r
+
+        for normalization in ("derivative", "factorial"):
+            W = w_total(GamowSubspace(pole, normalization))
+            if normalization == "derivative":
+                x, y, weight = psi_d, phi_d, math.comb
+            else:
+                x = [d / math.factorial(k) for k, d in enumerate(psi_d)]
+                y = [d / math.factorial(k) for k, d in enumerate(phi_d)]
+
+                def weight(k, p):
+                    return sympy.Rational(1, math.factorial(k - p))
+
+            Q = sympy.expand(-Gamma * sum(
+                (sympy.Rational(re, W.denominator) + I * sympy.Rational(im, W.denominator))
+                * sum(weight(k, p) * (-I * t) ** (k - p) * x[p] for p in range(k + 1)) * y[l]
+                for (k, l), (re, im) in W.entries.items()
+            ))
+            for m in range(r):
+                assert sympy.expand(Q.coeff(t, m) - got[m]) == 0, (normalization, m)
 
 
 class TestExpansionCoeffs:

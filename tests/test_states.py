@@ -512,16 +512,28 @@ class TestDecayDeviation:
         lambda space, pair: evolution_matrix(space, math.nan),
         lambda space, pair: decay_deviation(dyad_operator(space, 1), [math.nan]),
         lambda space, pair: decay_deviation(w_n(space, 1), [math.nan]),
+        lambda space, pair: decay_table(space, [0.0, math.nan]),
+        lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).amplitude(math.nan),
         lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).probability(math.nan),
         lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).ratios([0.0, math.nan]),
     ],
-    ids=["evolution_matrix", "dyad_deviation", "family_deviation", "pole_jet_probability",
-         "pole_jet_ratios"],
+    ids=["evolution_matrix", "dyad_deviation", "family_deviation", "decay_table",
+         "pole_jet_amplitude", "pole_jet_probability", "pole_jet_ratios"],
 )
 def test_nan_time_is_invalid_input(space, pair, call):
     # nan is no time t >= 0: invalid input, not an overflow or a failed conversion
     with pytest.raises(NegativeTimeError):
         call(space, pair)
+
+
+@pytest.mark.parametrize("t", [-1.0, -800.0])
+def test_negative_time_is_invalid_input(space, pair, t):
+    # the semigroup is defined for t >= 0 only: exp(-Gamma t) would grow
+    # without bound, and beyond -700 it leaves the float range
+    with pytest.raises(NegativeTimeError):
+        decay_table(space, [0.0, t])
+    with pytest.raises(NegativeTimeError):
+        pole_jet(pair, SMatrixModel(space.pole)).amplitude(t)
 
 
 class TestPoleTermProbability:
