@@ -5,7 +5,12 @@ key may repeat to build a list (background phase coefficients, test
 function terms).  Output is deterministic: floats are printed with 17
 significant digits, CSV uses '.' as the decimal mark and ',' as the
 separator, JSON is sorted and indented, so identical configs produce
-byte-identical files.
+byte-identical files.  Every JSON output is written by _json_text, whose
+bytes are those of json.dumps(payload, indent=2, sort_keys=True,
+allow_nan=False) plus a newline; with indent, json.dumps runs its
+pure-Python encoder, so the writer formats each run of floats, strings
+or float rows with one C-level join or %r template instead.  CSV tables
+come as columns, each distinct column object formatted once.
 
 Exit codes: 0 success or --help, 1 usage, validation or I/O error, 2
 overflow or underflow, 3 certification failure.
@@ -15,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigInvalidError, UnderflowError
 from .jordan import (
@@ -41,8 +46,8 @@ from .states import decay_table
 from .uniqueness import certify
 
 # Largest inputs that set the amount of work: j = 32 certifies in about
-# 0.7 s; at r = 32 on 5000 points decay-curve takes 1.2 to 2.1 s and
-# pole-term 0.4 to 1.2 s (1.2 s with a cubic phase and three terms at
+# 0.7 s; at r = 32 on 5000 points decay-curve takes 1.0 to 1.7 s and
+# pole-term 0.3 to 0.7 s (0.7 s with a cubic phase and three terms at
 # m = 32, where Q runs to 23000 bits), on a 2-vCPU Xeon; the costs keep
 # growing.
 J_CAP = 32
@@ -225,24 +230,103 @@ def _emit(out_path: str | None, text: str):
         raise ConfigInvalidError(f"cannot write {out_path}: {exc}")
 
 
-def _csv_text(header, rows) -> str:
-    template = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [template % row for row in rows]
+def _csv_text(header, columns) -> str:
+    """The header and one line per row of the equal-length columns, each
+    value as %.17g; a column object that appears twice is formatted once."""
+    template = ",".join(["%.17g"] * len(columns[0]))
+    cells = {}
+    for column in columns:
+        if id(column) not in cells:
+            cells[id(column)] = (template % tuple(column)).split(",")
+    lines = [",".join(header), *map(",".join, zip(*(cells[id(c)] for c in columns)))]
     return "\n".join(lines) + "\n"
 
 
 def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
+    byte for byte, but with every run of leaves formatted in C."""
     try:
-        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return _json(payload, "\n") + "\n"
     except ValueError:
         # inf and nan have no JSON spelling; they come from a float overflow
         raise OverflowError("a value of the output is not a finite float")
 
 
-def _table_text(header, rows, fmt_name: str) -> str:
+def _json(value, newline: str) -> str:
+    """value as json.dumps prints it (indent=2, sort_keys=True,
+    allow_nan=False) at the depth whose line break and indent is newline;
+    ValueError for an inf or a nan."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = (_json_key(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + _json_items(value, inner) + newline + "]"
+    return _json_leaf(value)
+
+
+def _json_items(items, newline: str) -> str:
+    """The items of a list, each on a line that starts with newline.  Three
+    kinds of list skip the per-item recursion: all floats (exactly that
+    type: int and bool print otherwise), one join of float.__repr__; all
+    strings, one join of the encoder's own string writer; and dicts with
+    the same keys and only float values, one %r template per row, all
+    rows filled by one % call."""
+    sep = "," + newline
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        if not all(map(math.isfinite, items)):
+            raise ValueError("not a finite float")
+        return sep.join(map(float.__repr__, items))
+    if kinds == {str}:
+        return sep.join(map(encode_basestring_ascii, items))
+    first = items[0]
+    if kinds == {dict} and first and all(d.keys() == first.keys() for d in items):
+        keys = sorted(first)
+        values = [d[k] for d in items for k in keys]
+        if set(map(type, values)) == {float}:
+            if not all(map(math.isfinite, values)):
+                raise ValueError("not a finite float")
+            inner = newline + "  "
+            fields = (_json_key(k).replace("%", "%%") + ": %r" for k in keys)
+            row = "{" + inner + ("," + inner).join(fields) + newline + "}"
+            return sep.join([row] * len(items)) % tuple(values)
+    return sep.join(_json(item, newline) for item in items)
+
+
+def _json_key(key) -> str:
+    # json.dumps spells a non-str key as the leaf it is, then quotes it
+    return encode_basestring_ascii(key if isinstance(key, str) else _json_leaf(key))
+
+
+def _json_leaf(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("not a finite float")
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _table_text(header, columns, fmt_name: str) -> str:
     if fmt_name == "csv":
-        return _csv_text(header, rows)
-    return _json_text({"columns": list(header), "rows": [[float(v) for v in row] for row in rows]})
+        return _csv_text(header, columns)
+    rows = [list(map(float, row)) for row in zip(*columns)]
+    return _json_text({"columns": list(header), "rows": rows})
 
 
 # every option of every command; a command names the ones it takes
@@ -332,7 +416,7 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
     """
     cfg = load_config(config_path)
     table = decay_table(_space_from(cfg, normalization), cfg.grid("t", minimum_allowed=0.0), exact)
-    _emit(out_path, _table_text(list(table), list(zip(*table.values())), fmt_name))
+    _emit(out_path, _table_text(list(table), list(table.values()), fmt_name))
 
 
 def lineshape_cmd(config_path, out_path, fmt_name):
@@ -341,7 +425,7 @@ def lineshape_cmd(config_path, out_path, fmt_name):
     model = cfg.model()
     grid = cfg.grid("e")
     header = ["E"] + [f"intensity_n{n}" for n in range(model.pole.r)]
-    _emit(out_path, _table_text(header, list(zip(grid, *lineshape(model, grid))), fmt_name))
+    _emit(out_path, _table_text(header, [grid, *lineshape(model, grid)], fmt_name))
 
 
 def pole_term_cmd(config_path, out_path):

@@ -216,7 +216,10 @@ def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> list:
 # A jet is the list of Taylor coefficients of a function at the pole z,
 # held exactly as Gaussian integers (re, im) over one common denominator.
 # Every input float enters at its exact binary value, so z, the test
-# function data, the phase coefficients and Gamma are all exact.
+# function data, the phase coefficients and Gamma are all exact.  Each
+# jet is returned in lowest terms (_lowest), so that _convolve multiplies
+# no factor common to a whole jet: hundreds of bits at r = 8, and a flat
+# phase shifts by exactly 1.
 
 
 def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
@@ -242,7 +245,7 @@ def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
         d = c_den * norm ** (m + order - 1)
         jet = [(jr * d + cr * den, ji * d + ci * den) for (jr, ji), (cr, ci) in zip(jet, coeffs)]
         den *= d
-    return jet, den
+    return _lowest(jet, den)
 
 
 def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
@@ -277,7 +280,15 @@ def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
             im += 2 * j * gi
         e.append((re // (k * g_den), im // (k * g_den)))
     value = (Fraction(shifted[0][0], g_den), Fraction(shifted[0][1], g_den))
-    return value, (e, top)
+    return value, _lowest(e, top)
+
+
+def _lowest(jet, den: int) -> tuple:
+    """(jet, den) divided by the gcd of den and every part of jet."""
+    common = math.gcd(den, *(x for c in jet for x in c))
+    if common == 1:
+        return jet, den
+    return [(re // common, im // common) for re, im in jet], den // common
 
 
 def _complex(re: int, im: int, den: int, what: str) -> complex:
@@ -407,14 +418,12 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     sums = _convolve(v[::-1], leg, r)[::-1]
     lifts = [fact[-1] // f for f in fact]
     coeffs = [_turn((-c * x, -c * y), 3 * m) for m, (x, y), c in zip(range(r), sums, lifts)]
-    den = fact[-1] * v_den * leg_den
-    common = math.gcd(den, *(x for c in coeffs for x in c))
-    reduced = tuple((re // common, im // common) for re, im in coeffs)
+    reduced, den = _lowest(coeffs, fact[-1] * v_den * leg_den)
     expansion = tuple(
         -2.0 * math.pi * _complex(re, im, f * v_den, f"expansion_coeffs[{k}]")
         for k, (f, (re, im)) in enumerate(zip(fact, v))
     )
-    return PoleJet(pole.Gamma, phase, reduced, den // common, expansion)
+    return PoleJet(pole.Gamma, phase, tuple(reduced), den, expansion)
 
 
 def lineshape(model: SMatrixModel, e_grid) -> list:

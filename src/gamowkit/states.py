@@ -113,8 +113,11 @@ def _family(space: GamowSubspace, weights: list) -> StateOperator:
                 c = scale * binom(n, k) if derivative else scale
                 entries[k, n - k] = (re * c, im * c)
     denominator = q**top * lift
-    common = math.gcd(denominator, *(c for pair in entries.values() for c in pair))
-    entries = {kl: (re // common, im // common) for kl, (re, im) in entries.items()}
+    # seeded from the last anti-diagonal, the gcd tends to reach 1 (which
+    # math.gcd keeps without further work) within a few terms
+    common = math.gcd(denominator, *(c for pair in reversed(entries.values()) for c in pair))
+    if common > 1:
+        entries = {kl: (re // common, im // common) for kl, (re, im) in entries.items()}
     return StateOperator(space, entries, denominator // common)
 
 
@@ -213,8 +216,11 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     dyadk_deviation of each |k><k|.  Each t is split once for all columns,
     as t = s 2**j with j a multiple of 8 and s < 2**8 (j = 0 below 128) and
     exp(-Gamma t) = m 2**e; the exponents are applied last, naming the
-    column and t of a value beyond the float range.  NegativeTimeError
-    for a t that is negative or nan."""
+    column and t of a value beyond the float range.  Columns that hold
+    one reading are one list object: the norm and exp_law of an operator
+    with a constant N (_norm_readings returns one reading for both), and
+    every deviation of such an operator, one shared list of zeros.
+    NegativeTimeError for a t that is negative or nan."""
     grid, Gamma = list(t_grid), space.pole.Gamma
     for t in grid:
         if not t >= 0:
@@ -227,12 +233,18 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     operators = [(f"w{n}", w_n(space, n), 1.0, 0, family) for n in range(r)]
     operators += [("wsum", w_total(space), *wsum, family)]
     operators += [(f"dyad{k}", dyad_operator(space, k), 1.0, 0, dyad) for k in range(r)]
-    table = {"t": grid}
+    table, zeros = {"t": grid}, [0.0] * len(grid)
     for name, W, scale, power, columns in operators:
         readings = dict(zip(family, _norm_readings(W, points, scale, power)))
+        applied = {}
         for column in columns:
             key, reading = f"{name}_{column}", readings[column]
-            table[key] = [0.0] * len(grid) if reading is None else _ldexp(*reading, key, grid)
+            if reading is None:
+                table[key] = zeros
+                continue
+            if id(reading) not in applied:
+                applied[id(reading)] = _ldexp(*reading, key, grid)
+            table[key] = applied[id(reading)]
     return table
 
 

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from gamowkit import algebra
 from gamowkit.cli import J_CAP, M_CAP, R_CAP, STEPS_CAP, RunConfig, main, parse_config_text
+from gamowkit.cli import _csv_text, _json_text
 from gamowkit.errors import ConfigInvalidError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -879,6 +880,135 @@ class TestDeterminism:
             assert done.returncode == 0
             outputs.add(done.stdout)
         assert len(outputs) == 1
+
+
+def _reference_json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310,
+                               1.7976931348623157e308, -1.7976931348623157e308])
+json_floats = st.floats(allow_nan=False, allow_infinity=False) | edge_floats
+# quotes, backslashes, control characters, non-ASCII and '%', which the row
+# template must not read as a format
+json_texts = st.text(max_size=6) | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é€😀", "%r", "%%"])
+json_leaves = st.one_of(json_floats, st.integers(), st.integers(-(2**70), 2**70), st.booleans(),
+                        st.none(), json_texts)
+
+
+@st.composite
+def float_rows(draw, values=json_floats):
+    """A list of dicts with the same keys, every value from values; then
+    maybe one row with a key more or less, or one value an int or a bool."""
+    keys = draw(st.lists(json_texts, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({k: values for k in keys}), min_size=1, max_size=5))
+    spoil = draw(st.sampled_from(["none", "extra key", "missing key", "int", "bool"]))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    key = draw(st.sampled_from(keys))
+    if spoil == "extra key":
+        row[draw(json_texts)] = draw(values)
+    elif spoil == "missing key":
+        del row[key]
+    elif spoil in ("int", "bool"):
+        row[key] = draw(st.integers() if spoil == "int" else st.booleans())
+    return rows
+
+
+def json_payloads(depth: int):
+    """Nested dicts and lists, empty ones included, at most depth levels deep."""
+    runs = [st.lists(json_floats), st.lists(json_texts), st.lists(json_floats | st.integers()),
+            float_rows()]
+    if depth == 0:
+        return st.one_of(json_leaves, *runs)
+    inner = json_payloads(depth - 1)
+    return st.one_of(json_leaves, *runs, st.lists(inner, max_size=3),
+                     st.dictionaries(json_texts, inner, max_size=3))
+
+
+non_finite = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def poisoned_payloads(draw, depth: int = 4):
+    """A payload with one inf or nan at a depth of at most depth: a leaf,
+    an item of a float list, or a value of a float row."""
+    bad = draw(non_finite)
+    here = draw(st.sampled_from(["leaf", "float list", "float row"]))
+    if here == "float list":
+        value = draw(st.lists(json_floats, max_size=4))
+        value.insert(draw(st.integers(0, len(value))), bad)
+    elif here == "float row":
+        value = draw(st.lists(st.fixed_dictionaries({"re": json_floats, "im": json_floats}),
+                              min_size=1, max_size=4))
+        draw(st.sampled_from(value))[draw(st.sampled_from(["re", "im"]))] = bad
+    else:
+        value = bad
+    for _ in range(draw(st.integers(0, depth - 1))):
+        if draw(st.booleans()):
+            siblings = draw(st.lists(json_payloads(1), max_size=3))
+            siblings.insert(draw(st.integers(0, len(siblings))), value)
+            value = siblings
+        else:
+            value = {**draw(st.dictionaries(json_texts, json_payloads(1), max_size=3)),
+                     draw(json_texts): value}
+    return value
+
+
+class TestJsonWriter:
+    """The one JSON writer prints json.dumps(indent=2, sort_keys=True,
+    allow_nan=False) byte for byte."""
+
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(payload=json_payloads(4))
+    @example(payload={"a%s": [{"x": -0.0, "y": 5e-324}, {"x": 1.7976931348623157e308, "y": 1.0}]})
+    @example(payload=[[], {}, [{}], {"k": []}])
+    @example(payload=[{"re": 1.0, "im": 2.0}, {"re": 1.0, "im": True}])
+    @example(payload=[{"re": 1.0, "im": 2.0}, {"re": 1.0, "imag": 2.0}])
+    @example(payload=[1, 2.0, -0.0, True, None])
+    def test_the_bytes_of_json_dumps(self, payload):
+        assert _json_text(payload) == _reference_json(payload)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(payload=poisoned_payloads())
+    @example(payload={"a": {"b": {"c": [[math.nan]]}}})
+    @example(payload=[{"t": 0.0, "ratio": math.inf}])
+    def test_inf_or_nan_at_any_depth_is_the_named_overflow(self, payload):
+        with pytest.raises(ValueError):
+            _reference_json(payload)
+        with pytest.raises(OverflowError, match="^a value of the output is not a finite float$"):
+            _json_text(payload)
+
+    @pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.json")))
+    def test_goldens_are_their_own_json_text(self, golden):
+        text = (GOLDEN / golden).read_text()
+        assert _json_text(json.loads(text)) == text
+
+
+def _reference_csv(header, columns) -> str:
+    # one %.17g template per row: the reference the column-wise writer must match
+    template = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [template % row for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        rows=st.integers(1, 6),
+        pool=st.lists(st.lists(json_floats, min_size=6, max_size=6), min_size=1, max_size=4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    )
+    @example(rows=2, pool=[[0.0, -0.0] * 3, [-0.0, 0.0] * 3], picks=[0, 1, 0, 1])
+    def test_shared_columns_print_as_rows_did(self, rows, pool, picks):
+        # a column object may appear several times (decay_table shares
+        # them); 0.0 and -0.0 are equal but print apart, so sharing goes
+        # by identity
+        columns = [column[:rows] for column in pool]
+        chosen = [columns[i % len(columns)] for i in picks]
+        header = [f"c{i}" for i in range(len(chosen))]
+        copies = [list(column) for column in chosen]
+        assert _csv_text(header, chosen) == _reference_csv(header, chosen)
+        assert _csv_text(header, copies) == _reference_csv(header, chosen)
 
 
 def _decay_oracle_problems(config_text: str, table_text: str) -> list:

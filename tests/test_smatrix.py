@@ -26,6 +26,8 @@ from gamowkit.smatrix import (
     SMatrixModel,
     TestFunction,
     TestFunctionPair,
+    _phase_jet,
+    _rational_jet,
     analytic_derivatives,
     lineshape,
     pole_expansion_coeffs,
@@ -396,10 +398,38 @@ class TestPoleJetExact:
         Q = sympy.expand(
             -I * sum(math.comb(r, n + 1) * (-I * width) ** (n + 1) * F[n] for n in range(r))
         )
-        assert len(jet.coeffs) == r
-        for m, (re, im) in enumerate(jet.coeffs):
-            got = sympy.Rational(re, jet.denominator) + I * sympy.Rational(im, jet.denominator)
-            assert sympy.expand(Q.coeff(t, m) - got) == 0
+        # (coeffs, denominator) in lowest terms is unique: the least common
+        # denominator of the parts, and each part lifted to it
+        parts = [(sympy.re(c), sympy.im(c)) for c in (Q.coeff(t, m) for m in range(r))]
+        den = sympy.ilcm(1, *(x.q for pair in parts for x in pair))
+        assert jet.denominator == den
+        assert jet.coeffs == tuple((int(re * den), int(im * den)) for re, im in parts)
+
+
+class TestJetsInLowestTerms:
+    """Each jet reaches the series product in lowest terms: no integer
+    factor common to its denominator and all its parts."""
+
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(
+        r=st.integers(1, 8),
+        E_R=st.floats(0.25, 4.0),
+        width=st.floats(0.05, 3.0),
+        leg=st.lists(st.tuples(st.floats(0.05, 4.0), st.integers(1, 3),
+                               st.complex_numbers(max_magnitude=4.0)), min_size=1, max_size=3),
+        gamma=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+    )
+    @example(r=8, E_R=2.0, width=0.5, leg=[(1.0, 1, 1.0)], gamma=[0.3])
+    def test_gcd_of_each_jet_is_one(self, r, E_R, width, leg, gamma):
+        z = Fraction(E_R), Fraction(width) / -2
+        jet, den = _rational_jet(TestFunction(tuple(leg)), z, r)
+        assert len(jet) == r and math.gcd(den, *(x for c in jet for x in c)) == 1
+        kind = "constant" if len(gamma) == 1 else "polynomial"
+        _, (shift, top) = _phase_jet(BackgroundPhase(kind, gamma), z, r)
+        assert len(shift) == r and math.gcd(top, *(x for c in shift for x in c)) == 1
+        if len(gamma) == 1:
+            # a flat phase shifts by exactly 1
+            assert (shift, top) == ([(1, 0)] + [(0, 0)] * (r - 1), 1)
 
 
 dyadic = st.integers(1, 48).map(lambda n: n / 16)
