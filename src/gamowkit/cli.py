@@ -8,8 +8,8 @@ separator, JSON is sorted and indented, so identical configs produce
 byte-identical files.  Every JSON output is written by _json_text, whose
 bytes are those of json.dumps(payload, indent=2, sort_keys=True,
 allow_nan=False) plus a newline; with indent, json.dumps runs its
-pure-Python encoder, so the writer formats each run of floats, strings
-or float rows with one C-level join or %r template instead.  CSV tables
+pure-Python encoder, so the writer formats each list of strings or of
+float rows with one C-level join or %r template instead.  CSV tables
 come as columns, each distinct column object formatted once.
 
 Exit codes: 0 success or --help, 1 usage, validation or I/O error, 2
@@ -47,7 +47,7 @@ from .uniqueness import certify
 
 # Largest inputs that set the amount of work: j = 32 certifies in about
 # 0.7 s; at r = 32 on 5000 points decay-curve takes 1.0 to 1.7 s and
-# pole-term 0.3 to 0.7 s (0.7 s with a cubic phase and three terms at
+# pole-term 0.3 to 1.0 s (1.0 s with a cubic phase and three terms at
 # m = 32, where Q runs to 23000 bits), on a 2-vCPU Xeon; the costs keep
 # growing.
 J_CAP = 32
@@ -244,7 +244,7 @@ def _csv_text(header, columns) -> str:
 
 def _json_text(payload) -> str:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
-    byte for byte, but with every run of leaves formatted in C."""
+    byte for byte, but with lists of strings or float rows formatted in C."""
     try:
         return _json(payload, "\n") + "\n"
     except ValueError:
@@ -260,7 +260,8 @@ def _json(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        items = (_json_key(k) + ": " + _json(v, inner) for k, v in sorted(value.items()))
+        items = (encode_basestring_ascii(k) + ": " + _json(v, inner)
+                 for k, v in sorted(value.items()))
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
@@ -271,18 +272,13 @@ def _json(value, newline: str) -> str:
 
 
 def _json_items(items, newline: str) -> str:
-    """The items of a list, each on a line that starts with newline.  Three
-    kinds of list skip the per-item recursion: all floats (exactly that
-    type: int and bool print otherwise), one join of float.__repr__; all
-    strings, one join of the encoder's own string writer; and dicts with
-    the same keys and only float values, one %r template per row, all
-    rows filled by one % call."""
+    """The items of a list, each on a line that starts with newline.  Two
+    kinds of list skip the per-item recursion: all strings, one join of
+    the encoder's own string writer; and dicts with the same keys and only
+    float values (exactly that type: int and bool print otherwise), one %r
+    template per row, all rows filled by one % call."""
     sep = "," + newline
     kinds = set(map(type, items))
-    if kinds == {float}:
-        if not all(map(math.isfinite, items)):
-            raise ValueError("not a finite float")
-        return sep.join(map(float.__repr__, items))
     if kinds == {str}:
         return sep.join(map(encode_basestring_ascii, items))
     first = items[0]
@@ -293,15 +289,10 @@ def _json_items(items, newline: str) -> str:
             if not all(map(math.isfinite, values)):
                 raise ValueError("not a finite float")
             inner = newline + "  "
-            fields = (_json_key(k).replace("%", "%%") + ": %r" for k in keys)
+            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %r" for k in keys)
             row = "{" + inner + ("," + inner).join(fields) + newline + "}"
             return sep.join([row] * len(items)) % tuple(values)
     return sep.join(_json(item, newline) for item in items)
-
-
-def _json_key(key) -> str:
-    # json.dumps spells a non-str key as the leaf it is, then quotes it
-    return encode_basestring_ascii(key if isinstance(key, str) else _json_leaf(key))
 
 
 def _json_leaf(value) -> str:

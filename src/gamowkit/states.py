@@ -216,10 +216,11 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     dyadk_deviation of each |k><k|.  Each t is split once for all columns,
     as t = s 2**j with j a multiple of 8 and s < 2**8 (j = 0 below 128) and
     exp(-Gamma t) = m 2**e; the exponents are applied last, naming the
-    column and t of a value beyond the float range.  Columns that hold
-    one reading are one list object: the norm and exp_law of an operator
-    with a constant N (_norm_readings returns one reading for both), and
-    every deviation of such an operator, one shared list of zeros.
+    column and t of a value beyond the float range.  t is the grid as a
+    list and every other column a tuple, so that columns holding one
+    reading can be one object: the norm and exp_law of an operator with a
+    constant N (_norm_readings returns one reading for both), and every
+    deviation of such an operator, one shared tuple of zeros.
     NegativeTimeError for a t that is negative or nan."""
     grid, Gamma = list(t_grid), space.pole.Gamma
     for t in grid:
@@ -233,7 +234,7 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     operators = [(f"w{n}", w_n(space, n), 1.0, 0, family) for n in range(r)]
     operators += [("wsum", w_total(space), *wsum, family)]
     operators += [(f"dyad{k}", dyad_operator(space, k), 1.0, 0, dyad) for k in range(r)]
-    table, zeros = {"t": grid}, [0.0] * len(grid)
+    table, zeros = {"t": grid}, (0.0,) * len(grid)
     for name, W, scale, power, columns in operators:
         readings = dict(zip(family, _norm_readings(W, points, scale, power)))
         applied = {}
@@ -243,7 +244,7 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
                 table[key] = zeros
                 continue
             if id(reading) not in applied:
-                applied[id(reading)] = _ldexp(*reading, key, grid)
+                applied[id(reading)] = tuple(_ldexp(*reading, key, grid))
             table[key] = applied[id(reading)]
     return table
 

@@ -27,7 +27,6 @@ from gamowkit.smatrix import (
     TestFunction,
     TestFunctionPair,
     _phase_jet,
-    _rational_jet,
     analytic_derivatives,
     lineshape,
     pole_expansion_coeffs,
@@ -406,24 +405,20 @@ class TestPoleJetExact:
         assert jet.coeffs == tuple((int(re * den), int(im * den)) for re, im in parts)
 
 
-class TestJetsInLowestTerms:
-    """Each jet reaches the series product in lowest terms: no integer
-    factor common to its denominator and all its parts."""
+class TestPhaseJetInLowestTerms:
+    """The phase shift jet reaches the series product in lowest terms: no
+    integer factor common to its denominator and all its parts."""
 
     @settings(max_examples=150, derandomize=True, database=None, deadline=None)
     @given(
         r=st.integers(1, 8),
         E_R=st.floats(0.25, 4.0),
         width=st.floats(0.05, 3.0),
-        leg=st.lists(st.tuples(st.floats(0.05, 4.0), st.integers(1, 3),
-                               st.complex_numbers(max_magnitude=4.0)), min_size=1, max_size=3),
         gamma=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
     )
-    @example(r=8, E_R=2.0, width=0.5, leg=[(1.0, 1, 1.0)], gamma=[0.3])
-    def test_gcd_of_each_jet_is_one(self, r, E_R, width, leg, gamma):
+    @example(r=8, E_R=2.0, width=0.5, gamma=[0.3])
+    def test_gcd_of_the_shift_is_one(self, r, E_R, width, gamma):
         z = Fraction(E_R), Fraction(width) / -2
-        jet, den = _rational_jet(TestFunction(tuple(leg)), z, r)
-        assert len(jet) == r and math.gcd(den, *(x for c in jet for x in c)) == 1
         kind = "constant" if len(gamma) == 1 else "polynomial"
         _, (shift, top) = _phase_jet(BackgroundPhase(kind, gamma), z, r)
         assert len(shift) == r and math.gcd(top, *(x for c in shift for x in c)) == 1

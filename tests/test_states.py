@@ -429,17 +429,19 @@ class TestDecayTable:
             assert json.loads(result.output) == {"columns": list(table), "rows": list(map(list, rows))}
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_columns_of_one_reading_are_one_list(self, exact):
+    def test_columns_of_one_reading_are_one_tuple(self, exact):
         # each member's N is constant, so its norm is its exp_law and its
-        # deviation 0; decay-curve formats each column object once
+        # deviation 0; decay-curve formats each column object once, and a
+        # caller cannot change one column through another
         r = 4
         table = decay_table(GamowSubspace(ResonancePole(2.0, 0.9137, r)), [0.0, 1.0, 300.0], exact)
+        assert all(type(column) is tuple for key, column in table.items() if key != "t")
         members = [f"w{n}" for n in range(r)] + ["wsum", "dyad0"]
         for name in members[:-1]:
             assert table[f"{name}_norm"] is table[f"{name}_exp_law"]
         zeros = {id(table[f"{name}_deviation"]) for name in members}
-        assert len(zeros) == 1 and table["w0_deviation"] == [0.0] * 3
-        # t, one list per member, the zeros, dyad0_norm and two per other dyad
+        assert len(zeros) == 1 and table["w0_deviation"] == (0.0,) * 3
+        # t, one tuple per member, the zeros, dyad0_norm and two per other dyad
         assert len({id(column) for column in table.values()}) == 1 + (r + 1) + 1 + 1 + 2 * (r - 1)
 
     def test_a_value_beyond_the_float_range_names_its_column(self):
