@@ -108,23 +108,40 @@ _LN2 = 0xB17217F7D1CF79ABC9E3B39803F2F6AF
 _EXP_CUTOFF = 2**17 * math.log(2)
 
 
+# Veltkamp's splitter: c a - (c a - a) keeps the high 26 bits of a float a.
+_SPLITTER = 2.0**27 + 1
+
+
 def _exp_decay(width: float, t: float) -> tuple:
     """(m, e), m in [1/2, 1), with exp(-x) = m 2**e for the exact product x
     of the floats width and t; (0.0, 0) beyond _EXP_CUTOFF.  Up to 700, x
     is split as hi + lo, hi the rounded float product and lo its exact
     remainder, so exp(-x) = f - f lo with f = exp(-hi) to far below an ulp;
-    above, the exact x - k ln 2 is split alike and 2**-k carried."""
-    hi = width * t
-    if not hi <= _EXP_CUTOFF:
-        return 0.0, 0
-    (a, b), (c, d) = width.as_integer_ratio(), float(t).as_integer_ratio()
-    num, den, k = a * c, b * d, 0
-    if hi > 700:
-        k = ((num << 129) + den * _LN2) // (2 * den * _LN2)  # round(x / ln 2)
-        num, den = (num << 128) - k * _LN2 * den, den << 128
-        hi = num / den
-    p, q = hi.as_integer_ratio()
-    lo = (num * q - p * den) / (den * q)
+    above, the exact x - k ln 2 is split alike and 2**-k carried.
+
+    lo is a float.  Where hi > 2**-960 and both factors are below 2**990,
+    Dekker's product of the Veltkamp halves of width and t gives it in
+    floats: no split overflows, and every partial product is a multiple
+    of 2**-1065, so none rounds.  Elsewhere (t = 0, hi > 700, products
+    near or below the subnormals, huge factors) it is the exact rational
+    remainder, rounded once, which is the same float where both apply."""
+    hi, k = width * t, 0
+    if 2.0**-960 < hi <= 700 and width < 2.0**990 and t < 2.0**990:
+        c, d = _SPLITTER * width, _SPLITTER * t
+        a1, b1 = c - (c - width), d - (d - t)
+        a2, b2 = width - a1, t - b1
+        lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2
+    else:
+        if not hi <= _EXP_CUTOFF:
+            return 0.0, 0
+        (a, b), (c, d) = width.as_integer_ratio(), float(t).as_integer_ratio()
+        num, den = a * c, b * d
+        if hi > 700:
+            k = ((num << 129) + den * _LN2) // (2 * den * _LN2)  # round(x / ln 2)
+            num, den = (num << 128) - k * _LN2 * den, den << 128
+            hi = num / den
+        p, q = hi.as_integer_ratio()
+        lo = (num * q - p * den) / (den * q)
     f = math.exp(-hi)
     m, e = math.frexp(f - f * lo)
     return m, e - k

@@ -16,7 +16,9 @@ samples T(t) in complex floats.  conjugation_polys is the one exact
 expansion of the conjugation T(t) A T(t)^dagger: integer coefficients of
 every power of t in every dyad, over one common denominator.  Every
 evolved quantity of the package (evolved norms, decay columns, decay
-deviations, the uniqueness oracle) is read off it.
+deviations, the uniqueness oracle) is read off it, but for the evolved
+norm of a single dyad, which has rank one and states reads off the norms
+of its two evolved kets.
 
 The expansion is a translation.  Identify |k><l| with the monomial
 x**k y**l (with x**k / k! and y**l / l! in the factorial normalization).

@@ -34,10 +34,13 @@ w_total leaves it off; every certified property is invariant under that
 scale, and decay_table applies it unless asked not to, as a mantissa and
 an exponent.
 
-Evolution runs one path: jordan.conjugation_polys expands the conjugation
-exactly, and decay_table (through the exact squared norm N(t)) and
-decay_deviation read that one expansion.  Each value exp(-Gamma t) * x
-they print is algebra's one reading, with the exponent carried.
+Evolution is expanded exactly by jordan.conjugation_polys, which
+decay_deviation reads and decay_table reads through the exact squared
+norm N(t).  A single dyad c|k><l| needs no expansion: it evolves to
+c |T~k><T~l|, of rank one, so N(t) = |c|**2 |T~k|**2 |T~l|**2 is the
+product of two short polynomials in t**2, the same rational coefficients
+the expansion would give.  Each value exp(-Gamma t) * x they print is
+algebra's one reading, with the exponent carried.
 """
 
 from __future__ import annotations
@@ -161,6 +164,15 @@ def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
     return coeffs
 
 
+def _ket_norm_squared(derivative: bool, i: int) -> list:
+    """Integer coefficients of P_i(u) = sum_d w(i, i-d)**2 u**d, with
+    |T~(t)|i>|**2 = P_i(t**2): binom(i, d)**2 in the derivative
+    normalization, and (i! / d!)**2 over i!**2 in the factorial one."""
+    if derivative:
+        return [binom(i, d) ** 2 for d in range(i + 1)]
+    return [math.perm(i, i - d) ** 2 for d in range(i + 1)]
+
+
 def _evolved_norm_squared(W: StateOperator) -> tuple:
     """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2: the
     coefficient of t**d is the int coeffs[d] over the int denominator.
@@ -170,7 +182,25 @@ def _evolved_norm_squared(W: StateOperator) -> tuple:
     exp(-Gamma t) sqrt(N(t)).  No coefficient is rounded: for a family
     member the t-dependent terms cancel to exactly zero and N is the
     constant ||A||_F**2.
+
+    A single dyad c|k><l| evolves to c |T~k><T~l|, which has rank one, so
+    N(t) = |c|**2 P_k(t**2) P_l(t**2) (_ket_norm_squared), read without
+    the conjugation: the same rational coefficients, over den**2 times
+    the factorial lifts.  Every other operator is expanded by
+    jordan.conjugation_polys.
     """
+    if len(W.entries) == 1:
+        [((k, l), (re, im))] = W.entries.items()
+        derivative = W.space.normalization == "derivative"
+        ket, bra = _ket_norm_squared(derivative, k), _ket_norm_squared(derivative, l)
+        coeffs = [0] * (2 * (k + l) + 1)
+        for d, a in enumerate(ket):
+            for e, b in enumerate(bra):
+                coeffs[2 * (d + e)] += a * b
+        size = re * re + im * im
+        lift = 1 if derivative else math.factorial(k) * math.factorial(l)
+        # a zero dyad has no coefficients, as _sum_of_squares writes N = 0
+        return [size * c for c in coeffs] if size else [], (W.denominator * lift) ** 2
     polys, denominator = conjugation_polys(W.space.normalization, W.entries, W.denominator)
     return _sum_of_squares(polys), denominator**2
 

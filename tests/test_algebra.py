@@ -216,6 +216,43 @@ class TestExpDecay:
             # one ulp of the mantissa, 2**-53, at the carried exponent
             assert abs(mpmath.ldexp(m, e) - exact) <= mpmath.ldexp(1, e - 53)
 
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(
+        width=st.floats(min_value=0.05, max_value=3.0)
+        | st.floats(min_value=1e-300, max_value=1e300)
+        | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        t=st.floats(min_value=0.0, max_value=200.0)
+        | st.floats(min_value=1e-300, max_value=1e300)
+        | st.floats(min_value=0.0, allow_infinity=False),
+    )
+    # both sides of each guard of the float remainder: t = 0, the 700
+    # boundary, a product at 2**-960 and a factor at 2**990
+    @example(width=0.9137, t=0.0)
+    @example(width=1.0, t=700.0)
+    @example(width=0.9137, t=700.0 / 0.9137)
+    @example(width=0.9137, t=math.nextafter(700.0 / 0.9137, 0.0))
+    @example(width=2.0**-480, t=2.0**-480)
+    @example(width=math.nextafter(2.0**-480, 1.0), t=2.0**-480)
+    @example(width=1.3, t=math.nextafter(2.0**-960 / 1.3, 0.0))
+    @example(width=2.0**990, t=2.0**-985)
+    @example(width=math.nextafter(2.0**990, 0.0), t=2.0**-985)
+    @example(width=2.0**-985, t=math.nextafter(2.0**990, 0.0))
+    # a factor whose Veltkamp split would overflow
+    @example(width=1.7e308, t=1e-306)
+    # a subnormal width under a product well inside the range
+    @example(width=5e-324, t=2.0**980)
+    @example(width=1.7e-310, t=3.3e300)
+    def test_float_remainder_is_the_exact_one(self, width, t):
+        # below 700 the reading is f - f lo with f = exp(-hi) and lo the
+        # remainder of the product, rounded once from its exact value;
+        # Dekker's product must give that same float
+        hi = width * t
+        if not hi <= 700:
+            return
+        lo = float(Fraction(width) * Fraction(t) - Fraction(hi))
+        f = math.exp(-hi)
+        assert _exp_decay(width, t) == math.frexp(f - f * lo)
+
     def test_carried_exponent_names_the_value_beyond_the_float_range(self):
         assert _ldexp([0.75, 0.5], [-1074, 1024], "w0_norm", [3.0, 4.0]) == [5e-324, 2.0**1023]
         for value, exponent in ((0.75, 1025), (math.inf, -5)):

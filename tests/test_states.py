@@ -6,6 +6,7 @@ conjugation polynomials), plain dyads do not, and the pole-term pairing
 sees the same thing.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -14,9 +15,10 @@ import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamowkit import states
 from gamowkit.algebra import _exp_decay, _gmul, _turn
 from gamowkit.cli import R_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
@@ -25,6 +27,7 @@ from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair, pole
 from gamowkit.states import (
     StateOperator,
     _evolved_norm_squared,
+    _sum_of_squares,
     decay_deviation,
     decay_table,
     dyad_operator,
@@ -52,6 +55,12 @@ def dense(W):
 def conjugated(W):
     """conjugation_polys of W."""
     return conjugation_polys(W.space.normalization, W.entries, W.denominator)
+
+
+def general_norm_squared(W):
+    """N(t) of W from the full conjugation, for every operator alike."""
+    polys, den = conjugated(W)
+    return _sum_of_squares(polys), den**2
 
 
 def evolved(W, t):
@@ -376,13 +385,43 @@ class TestEvolvedNormSquared:
             norm0 = sum(re**2 + im**2 for re, im in exact_values(W).values())
             assert Fraction(coeffs[0], den) == norm0
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_dyad_norm_is_square_of_weight_sum(self, k):
-        # T~ |k><k| T~^dagger = v v^dagger with v_p = binom(k, p) (-i t)**(k-p)
-        space = GamowSubspace(ResonancePole(2.0, 1.0, 4), "derivative")
-        inner = [math.comb(k, k - d // 2) ** 2 if d % 2 == 0 else 0 for d in range(2 * k + 1)]
+    @pytest.mark.parametrize(
+        "k,normalization",
+        [pytest.param(k, "derivative", id=str(k)) for k in (0, 1, 3)]
+        + [pytest.param(k, "factorial", id=f"{k}-factorial") for k in (0, 1, 3)],
+    )
+    def test_dyad_norm_is_square_of_weight_sum(self, k, normalization):
+        # T~ |k><k| T~^dagger = v v^dagger with v_p = w(k, p) (-i t)**(k-p),
+        # w(k, p) = binom(k, p), or 1 / (k-p)! in the factorial normalization
+        space = GamowSubspace(ResonancePole(2.0, 1.0, 4), normalization)
+        if normalization == "derivative":
+            weights = [Fraction(math.comb(k, d)) for d in range(k + 1)]
+        else:
+            weights = [Fraction(1, math.factorial(d)) for d in range(k + 1)]
+        inner = [weights[d // 2] ** 2 if d % 2 == 0 else 0 for d in range(2 * k + 1)]
         coeffs, den = _evolved_norm_squared(dyad_operator(space, k))
         assert [Fraction(c, den) for c in coeffs] == np.convolve(inner, inner).tolist()
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        r=st.integers(min_value=1, max_value=12),
+        re=st.integers(min_value=-(2**70), max_value=2**70),
+        im=st.integers(min_value=-(2**70), max_value=2**70),
+        den=st.integers(min_value=1, max_value=2**40),
+    )
+    # every dyad (k, l) with k, l < 12, of a real and of a complex value
+    @example(r=12, re=1, im=0, den=1)
+    @example(r=12, re=-3, im=5, den=7)
+    def test_rank_one_norm_is_the_general_one(self, normalization, r, re, im, den):
+        # a single dyad reads N off the norms of its two evolved kets; the
+        # same rational coefficients come out of the full conjugation
+        space = GamowSubspace(ResonancePole(2.0, 1.0, r), normalization)
+        for k, l in itertools.product(range(r), repeat=2):
+            W = StateOperator(space, {(k, l): (re, im)}, den)
+            coeffs, denominator = _evolved_norm_squared(W)
+            want, want_den = general_norm_squared(W)
+            assert [Fraction(c, denominator) for c in coeffs] == [Fraction(c, want_den) for c in want]
 
     def test_matches_float_evolution(self, space):
         entries = {(k, l): (3 * k + l) * (1 - 0.5j) for k in range(3) for l in range(3)}
@@ -443,6 +482,49 @@ class TestDecayTable:
         assert len(zeros) == 1 and table["w0_deviation"] == (0.0,) * 3
         # t, one tuple per member, the zeros, dyad0_norm and two per other dyad
         assert len({id(column) for column in table.values()}) == 1 + (r + 1) + 1 + 1 + 2 * (r - 1)
+
+    @pytest.mark.parametrize(
+        "normalization,edge",
+        # the largest float t at which no column leaves the float range;
+        # at the next float dyad31_deviation (about t**62) does
+        [("derivative", 93723.8780346082), ("factorial", 1163813.019327225)],
+    )
+    def test_dyad_columns_at_the_cap_are_those_of_the_general_norm(
+        self, monkeypatch, normalization, edge
+    ):
+        # the rank-one N is the same rational as the conjugation's, so every
+        # float read off it is the same, up to the overflow edge and on the
+        # t = s 2**j points from 128 on
+        space = GamowSubspace(ResonancePole(2.0, 0.5, R_CAP), normalization)
+        grid = [0.0, 0.25, 3.0, 127.5, 128.0, 300.0, 4096.0, 65537.5, edge]
+        beyond = [0.0, 128.0, math.nextafter(edge, math.inf)]
+        fast = decay_table(space, grid)
+        with pytest.raises(OverflowError) as fast_error:
+            decay_table(space, beyond)
+        monkeypatch.setattr(states, "_evolved_norm_squared", general_norm_squared)
+        assert decay_table(space, grid) == fast
+        with pytest.raises(OverflowError) as general_error:
+            decay_table(space, beyond)
+        assert str(fast_error.value) == str(general_error.value)
+        assert str(fast_error.value).startswith("dyad31_deviation leaves the float range at t = ")
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 16])
+    def test_no_dyad_is_conjugated(self, monkeypatch, r):
+        # every dyad, W(0) = |0><0| among them, reads its norm off its
+        # rank-one factorization: the conjugation runs for W(1)..W(r-1) and
+        # wsum alone, each of more than one dyad
+        calls = []
+
+        def counting(normalization, entries, denominator):
+            calls.append(entries)
+            return conjugation_polys(normalization, entries, denominator)
+
+        monkeypatch.setattr(states, "conjugation_polys", counting)
+        space = GamowSubspace(ResonancePole(2.0, 0.9137, r))
+        decay_table(space, [0.0, 1.0, 300.0])
+        expected = [w_n(space, n) for n in range(1, r)] + [w_total(space)] * (r > 1)
+        assert calls == [W.entries for W in expected]
+        assert all(len(entries) > 1 for entries in calls)
 
     def test_a_value_beyond_the_float_range_names_its_column(self):
         # ||W||**2 ~ Gamma**30 leaves the float range at r = 16
