@@ -11,6 +11,10 @@ assumption.
 
 Every condition involves only the unknowns A[n-k][k] of one anti-diagonal
 h + k = n, so the system splits into 2j + 1 independent integer blocks.
+Row (l, m, n) weighs A[n-k][k] by (-1)**(k-l) binom(k, l) binom(n-k, m),
+the slot-by-slot product of a slice of signed binomials over k and a
+reversed slice over h = n - k; a slice narrower or wider than the block is
+refused, since the product would silently drop the slots it misaligns.
 Each block is certified by the first-order argument of the paper.  Its
 rows of power 1 (l + m = n - 1) are the two-term recurrence
 
@@ -34,8 +38,10 @@ it returns with the element itself.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .algebra import _lift
 from .jordan import conjugation_polys
@@ -55,8 +61,7 @@ def block_range(j: int, n: int) -> range:
     return range(max(0, n - j), min(j, n) + 1)
 
 
-@dataclass(frozen=True)
-class ConstraintRow:
+class ConstraintRow(namedtuple("ConstraintRow", "l m n weights")):
     """One vanishing condition, labelled by its triple (l, m, n).
 
     weights[i] is the integer weight of the unknown A[n-k][k] with k the
@@ -65,10 +70,7 @@ class ConstraintRow:
     system and have no slot.
     """
 
-    l: int
-    m: int
-    n: int
-    weights: tuple
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -103,26 +105,24 @@ def build_constraints(j: int) -> ConstraintSystem:
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
-    comb = [[math.comb(a, b) for b in range(a + 1)] for a in range(2 * j + 1)]
+    # signed[l][k] = (-1)**(k-l) binom(k, l) and plain[m][h] = binom(h, m),
+    # 0 off the triangle; the sign's power k + l is never negative, so never a float
+    signed = [[math.comb(k, l) * (-1) ** (k + l) for k in range(j + 1)] for l in range(2 * j)]
+    plain = [[math.comb(h, m) for h in range(j + 1)] for m in range(2 * j)]
     blocks = []
     for n in range(2 * j + 1):
         ks = block_range(j, n)
-        rows = []
-        for s in range(n):
-            power = n - s
-            for l in range(s + 1):
-                m = s - l
-                weights = [0] * len(ks)
-                # the dyad |k><h| reaches |l><m| through (-i t)**a (i t)**(power - a)
-                for a in range(power + 1):
-                    k, h = l + a, m + power - a
-                    if k > j or h > j:
-                        continue
-                    if h + k != n:
-                        raise ArithmeticError(f"row ({l}, {m}, {n}) leaves its anti-diagonal")
-                    weights[k - ks.start] = comb[k][l] * comb[h][m] * (-1) ** a
-                rows.append(ConstraintRow(l, m, n, tuple(weights)))
-        blocks.append(tuple(rows))
+        # slot k pairs the ket order k with the bra order h = n - k: plain runs backwards
+        left = [row[ks.start : ks.stop] for row in signed[:n]]
+        stop = n - ks.stop if n >= ks.stop else None
+        right = [row[n - ks.start : stop : -1] for row in plain[:n]]
+        if any(len(cut) != len(ks) for cut in (*left, *right)):
+            raise ArithmeticError(f"a slice of anti-diagonal {n} is not {len(ks)} slots wide")
+        blocks.append(tuple([
+            ConstraintRow(l, s - l, n, tuple([*map(mul, left[l], right[s - l])]))
+            for s in range(n)
+            for l in range(s + 1)
+        ]))
     return ConstraintSystem(j, tuple(blocks))
 
 
@@ -180,7 +180,7 @@ def _chain_vector(block, width: int, n: int):
             vector.append(1)
             continue
         # w_slot x_slot = -total; scale the vector to keep it integral
-        total = sum(w * x for w, x in zip(weights, vector))
+        total = sum(map(mul, weights, vector))
         common = math.gcd(total, weights[slot])
         vector = [x * (weights[slot] // common) for x in vector]
         vector.append(-total // common)
@@ -188,7 +188,7 @@ def _chain_vector(block, width: int, n: int):
 
 
 def _annihilates(rows, vector) -> bool:
-    return all(not sum(w * x for w, x in zip(weights, vector)) for weights in rows)
+    return all(not sum(map(mul, weights, vector)) for weights in rows)
 
 
 def _certify_blocks(system: ConstraintSystem) -> dict:
@@ -219,7 +219,7 @@ def _certify_blocks(system: ConstraintSystem) -> dict:
     if dimension != j + 1:
         failures.insert(0, f"nullspace dimension {dimension} != {j + 1}")
     return {
-        "rank": len(system.unknowns) - dimension,
+        "rank": (j + 1) ** 2 - dimension,
         "nullities": nullities,
         "member_ok": member_ok,
         "span_ok": all(nullity == 1 for nullity in nullities[: j + 1]),
@@ -267,8 +267,8 @@ def certify(j: int) -> dict:
     return {
         "j": j,
         "embedding_order": 2 * j,
-        "unknown_count": len(system.unknowns),
-        "constraint_rows": len(system.rows),
+        "unknown_count": size**2,
+        "constraint_rows": sum(map(len, system.blocks)),
         "rank": blocks["rank"],
         "nullspace_dimension": sum(blocks["nullities"]),
         "expected_dimension": size,

@@ -6,6 +6,7 @@ elimination is the independent rank oracle, and nothing here touches
 floating point.  A square of coefficients A[h][k] is a list of rows.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 
 from gamowkit import uniqueness
 from gamowkit.algebra import binom
-from gamowkit.cli import J_CAP, main
+from gamowkit.cli import J_CAP, _json_text, main
 from gamowkit.uniqueness import (
     ConstraintRow,
     ConstraintSystem,
@@ -30,6 +31,25 @@ from gamowkit.uniqueness import (
 from expansion import I_CYCLE, expand, gmul, monomial_product
 
 RNG_SEED = 20260823
+
+# sha256 of the JSON certificate for j = 0..12 and 32, recorded from the
+# row-by-row builder that the binomial-slice builder replaced
+CERTIFICATE_SHA256 = {
+    0: "7799fb8df4487065612d4fcf693ed767e6ea0cb5c892864bb5f50148ef97088b",
+    1: "3401e9f3707e4bcd47c12b772a21bc6bd869a7698e7c3ba44159c491970f258e",
+    2: "21f85d77ca13f07164c9770da980c07b268ce2cf653ff3e1ad2bbfab1012543f",
+    3: "93c29a8f613f0ccc931d45c970d0c2a094d7d528d2526543beb263e53abb4612",
+    4: "f836a4a5d514a55f1c186466b53b86740d9f2aec5d59c63beb3971baf3ccd02b",
+    5: "885407ca7af5c555e054eb7ccb6b4f77ceb2b048dffa7bda814cf2b58d242884",
+    6: "cf95f775676c8f2e9fd206672d23004550fa74de0672c5140ff69ab06e1b574d",
+    7: "61baa43ee56385a9fc00c67ed9223c0aa70d8bf9d44b97e1f3592603501a4233",
+    8: "48c7c0c85e885126f15ff517e8e40223e18e1d01f3cb479eee9d51978bb9b563",
+    9: "abb308a6988d13502d434abef9cbea6d80c35248a2b63c0a8fb9ae83623b0c7d",
+    10: "a442fea7684a7990af5864ed5323dc7ef69c576343500b8fc7d66ff019f06bc2",
+    11: "ece12a9d87a26fe616e951223a672f4365f3e0fd10d22ff00073dfd943aab09f",
+    12: "43278631fd08e780a052b444f0858da43ab469e41681c801b6238390aacf6fc4",
+    32: "2db92d112ce6e98d7fb8f298cf3297d6ed8749ee8d32d995c532fe29e91b33b6",
+}
 
 
 def zero_matrix(j):
@@ -138,9 +158,27 @@ class TestConstraintSystem:
     def test_dense_matrix_matches_sparse_rows(self):
         # every block row, scattered over the j-square, equals the row the
         # dyad-by-dyad conjugation gives for the same power of t
-        for j in (2, 3):
+        for j in range(2, 7):
             for row in build_constraints(j).rows:
                 assert dense_row(row, j) == expansion_row(row.l, row.m, row.n, j)
+
+    @pytest.mark.parametrize("j", range(13))
+    def test_weights_are_block_wide_ints(self, j):
+        # a float weight such as 1.0 would pass every equality above
+        for row in build_constraints(j).rows:
+            assert len(row.weights) == len(block_range(j, row.n))
+            assert all(type(w) is int for w in row.weights)
+
+    @pytest.mark.parametrize("wrong", [
+        lambda j, n: range(0, min(j, n) + 1),  # past the square's lower edge
+        lambda j, n: range(max(0, n - j), min(j, n) + 2),  # one slot too many
+    ])
+    def test_misaligned_block_range_is_refused(self, monkeypatch, wrong):
+        # slices of the wrong width would be cut to the shorter one by the
+        # slot-by-slot product; the builder refuses them instead
+        monkeypatch.setattr(uniqueness, "block_range", wrong)
+        with pytest.raises(ArithmeticError, match="anti-diagonal"):
+            build_constraints(4)
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6])
     def test_every_row_lies_on_one_anti_diagonal(self, j):
@@ -401,6 +439,11 @@ class TestCertify:
         assert all(report["high_anti_diagonals_zero"])
         assert report["span_check_ok"] is True
         assert report["failures"] == []
+
+    @pytest.mark.parametrize("j", sorted(CERTIFICATE_SHA256))
+    def test_certificate_bytes_are_pinned(self, j):
+        digest = hashlib.sha256(_json_text(certify(j)).encode()).hexdigest()
+        assert digest == CERTIFICATE_SHA256[j]
 
     def test_report_serializes_to_json(self):
         text = json.dumps(certify(2), sort_keys=True)
