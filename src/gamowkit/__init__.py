@@ -51,7 +51,7 @@ from .states import (
     w_n,
     w_total,
 )
-from .uniqueness import ConstraintSystem, build_constraints, certify, oracle_evolution
+from .uniqueness import build_constraints, certify
 
 __version__ = "0.1.0"
 

@@ -45,8 +45,8 @@ from .smatrix import (
 from .states import decay_table
 from .uniqueness import certify
 
-# Largest inputs that set the amount of work: j = 32 certifies in 0.2 to
-# 0.3 s; at r = 32 on 5000 points decay-curve takes 1.0 to 1.7 s and
+# Largest inputs that set the amount of work: j = 32 certifies in 0.1 to
+# 0.2 s; at r = 32 on 5000 points decay-curve takes 1.0 to 1.7 s and
 # pole-term 0.3 to 1.0 s (1.0 s with a cubic phase and three terms at
 # m = 32, where Q runs to 23000 bits), on a 2-vCPU Xeon; the costs keep
 # growing.

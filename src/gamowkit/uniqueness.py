@@ -29,31 +29,21 @@ the chain's vector.  So the solution set is (j+1)-dimensional with
 canonical basis element n carrying binom(n, k) on anti-diagonal n, and
 no rank or zero decision leaves the integers.  An oracle that never reads
 the constraint rows confirms each basis element evolves as a pure
-exponential: it conjugates the element, as Gaussian integers over one
-denominator, with jordan.conjugation_polys, the exact expansion every
-evolved quantity of the package uses, and certify compares the integers
-it returns with the element itself.
+exponential: certify hands the element's n + 1 dyads binom(n, k)
+|k><n-k|, integers over denominator 1, to jordan.conjugation_polys, the
+exact expansion every evolved quantity of the package uses, and checks
+that it returns those same dyads at power 0 over denominator 1.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from .algebra import _lift
 from .jordan import conjugation_polys
 
-__all__ = [
-    "ConstraintRow",
-    "ConstraintSystem",
-    "block_range",
-    "build_constraints",
-    "oracle_evolution",
-    "certify",
-]
+__all__ = ["ConstraintRow", "block_range", "build_constraints", "certify"]
 
 
 def block_range(j: int, n: int) -> range:
@@ -73,24 +63,7 @@ class ConstraintRow(namedtuple("ConstraintRow", "l m n weights")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """All vanishing conditions for the embedded order-2j system, grouped
-    by anti-diagonal: blocks[n] holds the rows on h + k = n."""
-
-    j: int
-    blocks: tuple
-
-    @property
-    def unknowns(self) -> tuple:
-        return tuple((h, k) for h in range(self.j + 1) for k in range(self.j + 1))
-
-    @property
-    def rows(self) -> tuple:
-        return tuple(row for block in self.blocks for row in block)
-
-
-def build_constraints(j: int) -> ConstraintSystem:
+def build_constraints(j: int) -> tuple:
     """Vanishing conditions for every positive power of t, doubled order.
 
     For each l in 0..2j-1, m in 0..2j-1-l, n in m+l+1..2j the condition
@@ -102,6 +75,7 @@ def build_constraints(j: int) -> ConstraintSystem:
     operator.  Rows whose support lies entirely outside the square are kept
     as zero rows (the trivially satisfied part of the doubled system), so
     the row count matches the plain triple enumeration, binom(2j+2, 3).
+    Returns the 2j + 1 blocks: blocks[n] holds the rows on h + k = n.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
@@ -123,37 +97,7 @@ def build_constraints(j: int) -> ConstraintSystem:
             for s in range(n)
             for l in range(s + 1)
         ]))
-    return ConstraintSystem(j, tuple(blocks))
-
-
-def oracle_evolution(A):
-    """Symbolic conjugation of A with the semigroup, independent of the
-    constraint rows.
-
-    A is the square of coefficients as nested rows of ints and Fractions
-    (a float raises TypeError): A[h][k] is the coefficient of the dyad
-    |k><h|.  Lifted to integers over one denominator, A goes through the
-    shared exact expansion jordan.conjugation_polys (derivative
-    normalization).  Read as the polynomial sum A[h][k] x**k y**h, the
-    conjugation is the translation A(x - i t, y + i t): its Taylor layers
-    (i t)**d / d! (d_y - d_x)**d A, built one anti-diagonal at a time in
-    integers, are the sum by power of t of binom(k, l) binom(h, m)
-    (-i t)**(k-l) (i t)**(h-m) on every dyad |l><m|.  The overall
-    exp(-Gamma t) factor is left out (time in units of 1/Gamma), so a pure
-    exponential decay shows up as no power of t above 0 surviving; a
-    binomial row binom(n, k) is (x + y)**n, and (d_y - d_x)(x + y)**n = 0
-    leaves it at power 0 alone.  Returns conjugation_polys' (polys,
-    denominator): polys[l, m] maps each surviving power of t to a
-    Gaussian integer (re, im) over denominator.
-    """
-    size = len(A)
-    if any(len(row) != size for row in A):
-        raise ValueError(f"A must be a square of {size} rows of {size} entries")
-    if not all(isinstance(x, (int, Fraction)) for row in A for x in row):
-        raise TypeError("entries of A must be int or Fraction")
-    entries = {(k, h): (x, 0) for h, row in enumerate(A) for k, x in enumerate(row) if x}
-    values, denominator = _lift(list(entries.values()))
-    return conjugation_polys("derivative", dict(zip(entries, values)), denominator)
+    return tuple(blocks)
 
 
 def _chain_vector(block, width: int, n: int):
@@ -191,17 +135,17 @@ def _annihilates(rows, vector) -> bool:
     return all(not sum(map(mul, weights, vector)) for weights in rows)
 
 
-def _certify_blocks(system: ConstraintSystem) -> dict:
-    """Certify every anti-diagonal block by its first-order chain.
+def _certify_blocks(blocks: tuple) -> dict:
+    """Certify each block of build_constraints(j) by its first-order chain.
 
     Block n <= j must have nullity 1 with its binomial row satisfying every
     row; block n > j must have nullity 0.  All checks run in plain ints.
     """
-    j = system.j
+    j = len(blocks) // 2
     nullities = []
     member_ok = []
     failures = []
-    for n, block in enumerate(system.blocks):
+    for n, block in enumerate(blocks):
         ks = block_range(j, n)
         distinct = list(dict.fromkeys(row.weights for row in block))
         free, vector = _chain_vector(block, len(ks), n)
@@ -252,27 +196,28 @@ def certify(j: int) -> dict:
     system = build_constraints(j)
     blocks = _certify_blocks(system)
     size = j + 1
-    basis = [
-        [[math.comb(n, k) if h + k == n else 0 for k in range(size)] for h in range(size)]
-        for n in range(size)
-    ]
+    binomials = [[math.comb(n, k) for k in range(n + 1)] for n in range(size)]
 
-    # the element's integer dyads |k><h| alone, at power 0, over denominator 1
+    # element n puts binom(n, k) on its n+1 dyads |k><n-k|; a pure exponential
+    # leaves them alone, at power 0, over denominator 1
+    elements = [{(k, n - k): (x, 0) for k, x in enumerate(row)} for n, row in enumerate(binomials)]
     oracle_ok = [
-        oracle_evolution(elem)
-        == ({(k, h): {0: (x, 0)} for h, row in enumerate(elem) for k, x in enumerate(row) if x}, 1)
-        for elem in basis
+        conjugation_polys("derivative", dyads, 1) == ({kl: {0: x} for kl, x in dyads.items()}, 1)
+        for dyads in elements
     ]
 
     return {
         "j": j,
         "embedding_order": 2 * j,
         "unknown_count": size**2,
-        "constraint_rows": sum(map(len, system.blocks)),
+        "constraint_rows": sum(map(len, system)),
         "rank": blocks["rank"],
         "nullspace_dimension": sum(blocks["nullities"]),
         "expected_dimension": size,
-        "basis": [[[str(x) for x in row] for row in elem] for elem in basis],
+        "basis": [
+            [[str(row[k]) if h + k == n else "0" for k in range(size)] for h in range(size)]
+            for n, row in enumerate(binomials)
+        ],
         "basis_constraint_ok": blocks["member_ok"],
         "basis_time_constant": oracle_ok,
         "high_anti_diagonals_zero": [blocks["high_zero"]] * size,

@@ -147,6 +147,20 @@ def test_the_object_layer_stays_in_algebra():
     assert OBJECT_LAYER.isdisjoint(gamowkit.__all__)
 
 
+REMOVED = {"ConstraintSystem", "oracle_evolution"}
+
+
+def test_removed_uniqueness_names_stay_out():
+    # certify hands each basis element's own dyads to conjugation_polys and
+    # build_constraints returns bare blocks: a dense oracle adapter or a
+    # wrapper over the blocks would be code that nothing but tests reads
+    files = [*sorted(SRC.glob("*.py")), *sorted((REPO / "tests").glob("*.py"))]
+    named = [f"{path.parent.name}/{path.name} names {name}"
+             for path in files for name in sorted(_names(path) & REMOVED)]
+    assert named == []
+    assert REMOVED.isdisjoint(gamowkit.__all__)
+
+
 def test_no_module_caches():
     # every quantity has one code path, with no cache in front of it
     cached = []

@@ -16,15 +16,14 @@ import pytest
 from click.testing import CliRunner
 
 from gamowkit import uniqueness
-from gamowkit.algebra import binom
+from gamowkit.algebra import _lift, binom
 from gamowkit.cli import J_CAP, _json_text, main
+from gamowkit.jordan import conjugation_polys
 from gamowkit.uniqueness import (
     ConstraintRow,
-    ConstraintSystem,
     block_range,
     build_constraints,
     certify,
-    oracle_evolution,
     _certify_blocks,
 )
 
@@ -112,60 +111,42 @@ def expansion_row(l: int, m: int, n: int, j: int) -> dict:
     return out
 
 
-def corrupted(system: ConstraintSystem, n: int, replace) -> ConstraintSystem:
-    """Copy of system whose block n rows are mapped through replace."""
-    blocks = list(system.blocks)
+def corrupted(blocks: tuple, n: int, replace) -> tuple:
+    """Copy of the blocks whose block n rows are mapped through replace."""
+    blocks = list(blocks)
     blocks[n] = tuple(replace(i, row) for i, row in enumerate(blocks[n]))
-    return ConstraintSystem(system.j, tuple(blocks))
+    return tuple(blocks)
 
 
-class TestCoefficientMatrix:
-    """The square A[h][k] as nested rows, the input of oracle_evolution."""
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            oracle_evolution([[1], [0]])
-        with pytest.raises(ValueError):
-            oracle_evolution([[1, 0], [0]])
-
-    def test_zero_and_entry_access(self):
-        # a zero square leaves no dyad, and the empty square no entry at all
-        assert oracle_evolution(zero_matrix(2)) == ({}, 1)
-        assert oracle_evolution([]) == ({}, 1)
-
-    def test_int_entries_coerce(self):
-        assert oracle_evolution([[3]]) == ({(0, 0): {0: (3, 0)}}, 1)
-        assert oracle_evolution([[Fraction(1, 2)]]) == ({(0, 0): {0: (1, 0)}}, 2)
-        with pytest.raises(TypeError):
-            oracle_evolution([[0.5]])
+def all_rows(blocks: tuple) -> list:
+    """Every row of every block, block by block."""
+    return [row for block in blocks for row in block]
 
 
 class TestConstraintSystem:
     def test_smallest_system_by_hand(self):
         # j = 1: A[1][0] = A[0][1] on anti-diagonal 1, and A[1][1] = 0
         # stated three ways on anti-diagonal 2
-        system = build_constraints(1)
-        assert [len(block) for block in system.blocks] == [0, 1, 3]
-        assert system.blocks[1][0].weights == (1, -1)
-        assert sorted(abs(row.weights[0]) for row in system.blocks[2]) == [1, 1, 1]
+        blocks = build_constraints(1)
+        assert [len(block) for block in blocks] == [0, 1, 3]
+        assert blocks[1][0].weights == (1, -1)
+        assert sorted(abs(row.weights[0]) for row in blocks[2]) == [1, 1, 1]
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5])
     def test_row_count_matches_triple_enumeration(self, j):
-        system = build_constraints(j)
-        assert len(system.rows) == binom(2 * j + 2, 3)
-        assert len(system.unknowns) == (j + 1) ** 2
+        assert len(all_rows(build_constraints(j))) == binom(2 * j + 2, 3)
 
     def test_dense_matrix_matches_sparse_rows(self):
         # every block row, scattered over the j-square, equals the row the
         # dyad-by-dyad conjugation gives for the same power of t
         for j in range(2, 7):
-            for row in build_constraints(j).rows:
+            for row in all_rows(build_constraints(j)):
                 assert dense_row(row, j) == expansion_row(row.l, row.m, row.n, j)
 
     @pytest.mark.parametrize("j", range(13))
     def test_weights_are_block_wide_ints(self, j):
         # a float weight such as 1.0 would pass every equality above
-        for row in build_constraints(j).rows:
+        for row in all_rows(build_constraints(j)):
             assert len(row.weights) == len(block_range(j, row.n))
             assert all(type(w) is int for w in row.weights)
 
@@ -182,9 +163,9 @@ class TestConstraintSystem:
 
     @pytest.mark.parametrize("j", [0, 1, 2, 3, 4, 5, 6])
     def test_every_row_lies_on_one_anti_diagonal(self, j):
-        system = build_constraints(j)
-        assert len(system.blocks) == 2 * j + 1
-        for n, block in enumerate(system.blocks):
+        blocks = build_constraints(j)
+        assert len(blocks) == 2 * j + 1
+        for n, block in enumerate(blocks):
             assert {(row.l, row.m) for row in block} == {
                 (l, m) for l in range(n) for m in range(n - l)
             }
@@ -194,14 +175,14 @@ class TestConstraintSystem:
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_canonical_elements_satisfy_every_row(self, j):
-        system = build_constraints(j)
+        constraint_rows = all_rows(build_constraints(j))
         for n in range(j + 1):
             elem = canonical_element(j, n)
-            assert all(not residual(row, elem) for row in system.rows)
+            assert all(not residual(row, elem) for row in constraint_rows)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_non_members_violate_some_row(self, j):
-        system = build_constraints(j)
+        constraint_rows = all_rows(build_constraints(j))
         rng = random.Random(RNG_SEED)
         found = 0
         while found < 5:
@@ -210,7 +191,7 @@ class TestConstraintSystem:
             remainder = [[a + -1 * p for a, p in zip(*rows)] for rows in zip(A, proj)]
             if not any(any(row) for row in remainder):
                 continue
-            assert any(residual(row, remainder) for row in system.rows)
+            assert any(residual(row, remainder) for row in constraint_rows)
             found += 1
 
 
@@ -243,7 +224,7 @@ class TestCanonicalFamily:
         # A[n][0] = 1 they give the binomial row
         ks = block_range(j, n)
         step = {}
-        for row in build_constraints(j).blocks[n]:
+        for row in build_constraints(j)[n]:
             if row.l + row.m == n - 1:
                 weights = {k: w for k, w in zip(ks, row.weights) if w}
                 assert weights == {row.l: n - row.l, row.l + 1: -(row.l + 1)}
@@ -264,17 +245,18 @@ def as_gaussian(polys, denominator):
 
 
 class TestConjugationOracle:
+    """conjugation_polys on sparse dyads, the form certify hands it."""
+
     def test_identity_grows_a_square_term(self):
         # |1><1| leaks t**2 onto |0><0| under conjugation
-        polys, denominator = oracle_evolution([[1, 0], [0, 1]])
+        polys, denominator = conjugation_polys("derivative", {(0, 0): (1, 0), (1, 1): (1, 0)}, 1)
         assert denominator == 1
         assert polys[0, 0] == {0: (1, 0), 2: (1, 0)}
         assert polys[1, 1] == {0: (1, 0)}
 
     def test_single_dyad_degree(self):
-        entries = zero_matrix(2)
-        entries[2][1] = 1  # the dyad |1><2|
-        polys, _ = oracle_evolution(entries)
+        # the dyad |1><2| alone
+        polys, _ = conjugation_polys("derivative", {(1, 2): (1, 0)}, 1)
         assert max(polys[0, 0]) == 3
         # every dyad |l><m| it reaches carries the full power (1-l) + (2-m)
         assert {lm: max(poly) for lm, poly in polys.items()} == {
@@ -283,9 +265,12 @@ class TestConjugationOracle:
 
     @pytest.mark.parametrize("j,n", [(1, 1), (2, 2), (3, 1), (4, 3)])
     def test_canonical_element_is_time_constant(self, j, n):
-        elem = canonical_element(j, n)
-        polys, denominator = oracle_evolution(elem)
+        # the n+1 dyads of element n come back alone, as the nonzero
+        # entries of the element in the j-square
+        entries = {(k, n - k): (binom(n, k), 0) for k in range(n + 1)}
+        polys, denominator = conjugation_polys("derivative", entries, 1)
         assert denominator == 1
+        elem = canonical_element(j, n)
         assert polys == {
             (k, h): {0: (x, 0)} for h, row in enumerate(elem) for k, x in enumerate(row) if x
         }
@@ -297,14 +282,14 @@ class TestConjugationOracle:
         rng = random.Random(RNG_SEED + j)
         size = j + 1
         for _ in range(3):
-            A = [
-                [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(size)]
-                for _ in range(size)
-            ]
-            got = as_gaussian(*oracle_evolution(A))
-            assert got == expand("derivative", {
-                (k, h): (A[h][k], 0) for h in range(size) for k in range(size)
-            })
+            entries = {
+                (k, h): (Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)), Fraction(0))
+                for h in range(size)
+                for k in range(size)
+            }
+            values, denominator = _lift(list(entries.values()))
+            polys = conjugation_polys("derivative", dict(zip(entries, values)), denominator)
+            assert as_gaussian(*polys) == expand("derivative", entries)
 
 
 class TestIdentities:
@@ -323,7 +308,7 @@ class TestIdentities:
         # the anti-diagonal blocks cover every unknown of the j-square once
         for j in range(5):
             cells = [(n - k, k) for n in range(2 * j + 1) for k in block_range(j, n)]
-            assert sorted(cells) == sorted(build_constraints(j).unknowns)
+            assert sorted(cells) == [(h, k) for h in range(j + 1) for k in range(j + 1)]
 
 
 class TestBlockCertificate:
@@ -338,7 +323,7 @@ class TestBlockCertificate:
     def test_block_ranks_agree_with_sympy(self, j):
         sympy = pytest.importorskip("sympy")
         blocks = _certify_blocks(build_constraints(j))
-        for n, block in enumerate(build_constraints(j).blocks):
+        for n, block in enumerate(build_constraints(j)):
             width = len(block_range(j, n))
             rank = sympy.Matrix([list(row.weights) for row in block]).rank() if block else 0
             assert blocks["nullities"][n] == width - rank
@@ -348,7 +333,7 @@ class TestBlockCertificate:
         system = build_constraints(j)
 
         def bump(i, row):
-            if i != len(system.blocks[n]) - 1:
+            if i != len(system[n]) - 1:
                 return row
             weights = list(row.weights)
             weights[0] += 1
@@ -363,11 +348,10 @@ class TestBlockCertificate:
     def test_pinned_low_block_fails(self, monkeypatch):
         # one extra condition A[n][0] = 0 leaves block n no solution
         j, n = 4, 2
-        system = build_constraints(j)
-        blocks = list(system.blocks)
+        blocks = list(build_constraints(j))
         pin = (1,) + (0,) * (len(block_range(j, n)) - 1)
         blocks[n] += (ConstraintRow(0, 0, n, pin),)
-        pinned = ConstraintSystem(j, tuple(blocks))
+        pinned = tuple(blocks)
         monkeypatch.setattr(uniqueness, "build_constraints", lambda _: pinned)
         report = certify(j)
         assert report["certified"] is False
@@ -444,6 +428,26 @@ class TestCertify:
     def test_certificate_bytes_are_pinned(self, j):
         digest = hashlib.sha256(_json_text(certify(j)).encode()).hexdigest()
         assert digest == CERTIFICATE_SHA256[j]
+
+    def test_surviving_power_fails_only_its_element(self, monkeypatch):
+        # an oracle that keeps a power of t on element n clears its flag
+        # and the verdict, and moves nothing the constraint rows decide
+        j, n = 4, 2
+        clean = certify(j)
+        real = uniqueness.conjugation_polys
+
+        def leaky(normalization, entries, denominator):
+            polys, denominator = real(normalization, entries, denominator)
+            if (0, n) in entries:
+                polys[0, n] = {**polys[0, n], 1: (1, 0)}
+            return polys, denominator
+
+        monkeypatch.setattr(uniqueness, "conjugation_polys", leaky)
+        report = certify(j)
+        assert report["basis_time_constant"] == [m != n for m in range(j + 1)]
+        assert report["certified"] is False
+        moved = {key for key in clean if report[key] != clean[key]}
+        assert moved == {"basis_time_constant", "certified"}
 
     def test_report_serializes_to_json(self):
         text = json.dumps(certify(2), sort_keys=True)
