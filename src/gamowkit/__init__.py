@@ -36,7 +36,6 @@ from .smatrix import (
     PoleJet,
     SMatrixModel,
     TestFunction,
-    TestFunctionPair,
     analytic_derivatives,
     lineshape,
     pole_expansion_coeffs,

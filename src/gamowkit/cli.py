@@ -38,7 +38,7 @@ from .smatrix import (
     BackgroundPhase,
     ResonancePole,
     SMatrixModel,
-    TestFunctionPair,
+    TestFunction,
     lineshape,
     pole_jet,
 )
@@ -148,7 +148,7 @@ class RunConfig:
         flag = self.get_choice("absorb_gauge", ("true", "false"), "true")
         return SMatrixModel(self.pole(), self.phase(), absorb_gauge=flag == "true")
 
-    def test_function_terms(self, key: str):
+    def test_function(self, key: str) -> TestFunction:
         out = []
         for chunk in self.raw.get(key, []):
             parts = chunk.split()
@@ -166,12 +166,7 @@ class RunConfig:
             out.append((a, m, complex(c_re, c_im)))
         if not out:
             raise ConfigInvalidError(f"missing required key {key!r}")
-        return out
-
-    def pair(self) -> TestFunctionPair:
-        return TestFunctionPair.from_params(
-            self.test_function_terms("psi"), self.test_function_terms("phi")
-        )
+        return TestFunction(tuple(out))
 
     def grid(self, prefix: str, minimum_allowed: float | None = None):
         lo = self.get_float(f"{prefix}_min")
@@ -413,10 +408,10 @@ def decay_curve_cmd(config_path, out_path, fmt_name, normalization, exact):
 def lineshape_cmd(config_path, out_path, fmt_name):
     """Energy-domain intensity of each pole order, peak scaled to 1."""
     cfg = load_config(config_path)
-    model = cfg.model()
+    pole = cfg.pole()
     grid = cfg.grid("e")
-    header = ["E"] + [f"intensity_n{n}" for n in range(model.pole.r)]
-    _emit(out_path, _table_text(header, [grid, *lineshape(model, grid)], fmt_name))
+    header = ["E"] + [f"intensity_n{n}" for n in range(pole.r)]
+    _emit(out_path, _table_text(header, [grid, *lineshape(pole, grid)], fmt_name))
 
 
 def pole_term_cmd(config_path, out_path):
@@ -429,8 +424,9 @@ def pole_term_cmd(config_path, out_path):
     where the cut cannot decide the rounding.
     """
     cfg = load_config(config_path)
-    model, pair, grid = cfg.model(), cfg.pair(), cfg.grid("t", minimum_allowed=0.0)
-    jet = pole_jet(pair, model)
+    model, psi, phi = cfg.model(), cfg.test_function("psi"), cfg.test_function("phi")
+    grid = cfg.grid("t", minimum_allowed=0.0)
+    jet = pole_jet(psi, phi, model)
     p0 = jet.probability(0.0)
     # ratios refuses a pole term that vanishes
     if p0 == 0.0 and not jet.vanishes:
@@ -461,7 +457,7 @@ def uniqueness_cmd(config_path, out_path):
 
 def jordan_info_cmd(config_path, out_path, normalization):
     """Jordan-block structure report: Hamiltonian layouts, nilpotent
-    ranks, and the evolution matrix sampled at t = 1/Gamma."""
+    norms, and the evolution matrix sampled at t = 1/Gamma."""
     cfg = load_config(config_path)
     space = _space_from(cfg, normalization)
     r = space.dimension

@@ -187,9 +187,13 @@ def evolution_matrix(space: GamowSubspace, t: float) -> list:
     if not cmath.isfinite(exponent):
         raise OverflowError(f"the phase exponent -i z t leaves the float range at t = {t!r}")
     phase = cmath.exp(exponent)
+    try:
+        powers = [(-1j * t) ** d for d in range(r)]
+    except OverflowError:
+        raise OverflowError(f"the evolution matrix leaves the float range at t = {t!r}") from None
     weights, lift = _ket_weights(space.normalization, r - 1)
     return [
-        [phase * (weights[k][p] / lift * (-1j * t) ** (k - p) if p <= k else 0j) for k in range(r)]
+        [phase * (weights[k][p] / lift * powers[k - p] if p <= k else 0j) for k in range(r)]
         for p in range(r)
     ]
 

@@ -18,8 +18,9 @@ pole term of the pairing with the observable translated by t is
 2 pi exp(2i gamma(z)) exp(-i z t) Q(t), Q an exact polynomial of degree
 < r.  pole_jet, the one entry point to it, pairs the observable jet with
 W phi; its PoleJet reads the amplitude and the survival probability at
-any t >= 0, and the ratio table of a whole grid in one call.
-analytic_derivatives (contour quadrature) remains as a general tool.
+any t >= 0, and the ratio table of a whole grid in one call.  Only the
+benchmark's smatrix.derivative_* metrics and acceptance criterion 5 read
+analytic_derivatives (contour quadrature), until ROADMAP item 2.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "BackgroundPhase",
     "SMatrixModel",
     "TestFunction",
-    "TestFunctionPair",
     "s_matrix_eval",
     "pole_expansion_coeffs",
     "analytic_derivatives",
@@ -125,20 +125,6 @@ class TestFunction:
         return sum((c / (omega - 1j * a) ** m for a, m, c in self.terms), 0j)
 
 
-@dataclass(frozen=True)
-class TestFunctionPair:
-    """Observable leg psi and state leg phi of a resonance pairing."""
-
-    __test__ = False
-
-    psi: TestFunction
-    phi: TestFunction
-
-    @classmethod
-    def from_params(cls, psi_params, phi_params) -> "TestFunctionPair":
-        return cls(TestFunction(tuple(psi_params)), TestFunction(tuple(phi_params)))
-
-
 def s_matrix_eval(model: SMatrixModel, omega: complex) -> complex:
     """Closed form ((w - z*)/(w - z))**r * exp(2i gamma(w))."""
     z = model.pole.z_R
@@ -150,7 +136,7 @@ def s_matrix_eval(model: SMatrixModel, omega: complex) -> complex:
     return ratio ** model.pole.r * model.phase_factor(omega)
 
 
-def pole_expansion_coeffs(model: SMatrixModel) -> list:
+def pole_expansion_coeffs(pole: ResonancePole) -> list:
     """Partial-fraction coefficients c_l of the pole factor.
 
     ((w - z*)/(w - z))**r = 1 + sum_{l=1}^{r} c_l / (w - z)**l with
@@ -158,9 +144,9 @@ def pole_expansion_coeffs(model: SMatrixModel) -> list:
     times W's entry (l-1, 0) in the factorial normalization, each part
     rounded once.  OverflowError names a c_l beyond the float range.
     """
-    W = w_total(GamowSubspace(model.pole, "factorial"))
-    p, q = model.pole.Gamma.as_integer_ratio()
-    den, column = q * W.denominator, [W.entries[n, 0] for n in range(model.pole.r)]
+    W = w_total(GamowSubspace(pole, "factorial"))
+    p, q = pole.Gamma.as_integer_ratio()
+    den, column = q * W.denominator, [W.entries[n, 0] for n in range(pole.r)]
     # -i Gamma (re + i im) = Gamma (im - i re)
     return [_complex(p * im, -p * re, den, f"c_{l}") for l, (re, im) in enumerate(column, 1)]
 
@@ -378,7 +364,7 @@ class PoleJet:
         return [(ratio, math.ldexp(m, e)) for ratio, (m, e) in zip(ratios, decays)]
 
 
-def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
+def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJet:
     """The exact polynomial of the pole term: the jet of the observable
     leg paired with v = W phi, read off the integers of states.w_total.
 
@@ -394,16 +380,16 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     # z = E_R - i Gamma / 2 as exact rationals (re, im)
     z = Fraction(pole.E_R), Fraction(pole.Gamma) / -2
     W = w_total(GamowSubspace(pole, "factorial"))
-    phi, phi_den = _rational_jet(pair.phi, z, r)
+    phi_jet, phi_den = _rational_jet(phi, z, r)
     v_re, v_im = [0] * r, [0] * r
     for (k, l), (wr, wi) in W.entries.items():
-        xr, xi = phi[l]
+        xr, xi = phi_jet[l]
         v_re[k] += wr * xr - wi * xi
         v_im[k] += wr * xi + wi * xr
     # Gamma v over v_den, with Gamma = p / q
     p, q = pole.Gamma.as_integer_ratio()
     v, v_den = [(p * x, p * y) for x, y in zip(v_re, v_im)], q * W.denominator * phi_den
-    leg, leg_den = _rational_jet(pair.psi, z, r)
+    leg, leg_den = _rational_jet(psi, z, r)
     phase = 1 + 0j
     if model.absorb_gauge:
         (g_re, g_im), (shift, shift_den) = _phase_jet(model.gamma, z, r)
@@ -426,7 +412,7 @@ def pole_jet(pair: TestFunctionPair, model: SMatrixModel) -> PoleJet:
     return PoleJet(pole.Gamma, phase, tuple(reduced), den, expansion)
 
 
-def lineshape(model: SMatrixModel, e_grid) -> list:
+def lineshape(pole: ResonancePole, e_grid) -> list:
     """|1 / (E - z)**(n+1)|**2 on the grid, scaled to peak at 1: one
     column for each order n = 0..r-1.
 
@@ -436,7 +422,6 @@ def lineshape(model: SMatrixModel, e_grid) -> list:
     D_min / D <= 1 is rounded once, for all orders: no value overflows, and
     the point nearest the pole reads 1.
     """
-    pole = model.pole
     points = [float(e).as_integer_ratio() for e in e_grid]
     center, center_den = pole.E_R.as_integer_ratio()
     width, width_den = pole.Gamma.as_integer_ratio()

@@ -28,7 +28,6 @@ from gamowkit.smatrix import (
     ResonancePole,
     SMatrixModel,
     TestFunction,
-    TestFunctionPair,
     analytic_derivatives,
     pole_expansion_coeffs,
     pole_jet,
@@ -49,7 +48,7 @@ GOLDEN = REPO / "tests" / "golden"
 
 RNG_SEED = 20260823
 
-PAIR = TestFunctionPair.from_params([(1.0, 1, 1.0), (2.0, 2, 0.5j)], [(1.5, 1, 1.0)])
+PAIR = TestFunction(((1.0, 1, 1.0), (2.0, 2, 0.5j))), TestFunction(((1.5, 1, 1.0),))
 
 
 def _verdict(number: int, problems: list, detail: str):
@@ -69,7 +68,7 @@ def _rational_derivatives(terms, z, n_max):
     return out
 
 
-def _contour_pole_term(pair, model, nodes=4096):
+def _contour_pole_term(psi, phi, model, nodes=4096):
     pole = model.pole
     z = pole.z_R
     rho = pole.Gamma / 3.0
@@ -80,7 +79,7 @@ def _contour_pole_term(pair, model, nodes=4096):
         s = s_matrix_eval(model, w)
         if not model.absorb_gauge:
             s /= model.phase_factor(w)
-        total += pair.psi.value(w) * s * pair.phi.value(w) * 1j * rho * cmath.exp(1j * theta)
+        total += psi.value(w) * s * phi.value(w) * 1j * rho * cmath.exp(1j * theta)
     return -total * (2.0 * math.pi / nodes)
 
 
@@ -229,8 +228,8 @@ def test_criterion_5_derivative_extraction_and_pole_term():
                 BackgroundPhase("polynomial", (0.1, 0.02)),
                 absorb_gauge=absorb,
             )
-            value = pole_jet(PAIR, model).amplitude()
-            oracle = _contour_pole_term(PAIR, model)
+            value = pole_jet(*PAIR, model).amplitude()
+            oracle = _contour_pole_term(*PAIR, model)
             err = abs(value - oracle) / max(1.0, abs(oracle))
             worst_pole = max(worst_pole, err)
     if worst_pole > 1e-9:
@@ -243,7 +242,7 @@ def test_criterion_6_survival_ratio_and_width_recovery():
     log-linear fit of the CLI decay curve recovers Gamma to 1e-6."""
     problems = []
     model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
-    jet = pole_jet(PAIR, model)
+    jet = pole_jet(*PAIR, model)
     p0 = jet.probability(0.0)
     worst_ratio = 0.0
     for t in np.linspace(0.0, 10.0, 11):
@@ -289,7 +288,7 @@ def test_criterion_7_s_matrix_identities():
         problems.append(f"unitarity defect {worst_unitarity:.3e} > 1e-12")
     pole = ResonancePole(2.0, 1.0, 4)
     bare = SMatrixModel(pole)
-    coeffs = pole_expansion_coeffs(bare)
+    coeffs = pole_expansion_coeffs(pole)
     z = pole.z_R
     worst_expansion = 0.0
     checked = 0

@@ -462,6 +462,19 @@ class TestExitCodes:
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("error: numerical overflow: ")
 
+    def test_jordan_info_evolution_beyond_float_range_names_t(self, tmp_path):
+        # exp(-i z t) is finite at the sample time t = 1/Gamma, but the
+        # power (-i t)**2 of the evolution matrix is not
+        conf = tmp_path / "j.conf"
+        conf.write_text("E_R = 2.0\nGamma = 1e-300\nr = 3\n")
+        done = _run_strict("jordan-info", "--config", str(conf))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: numerical overflow: the evolution matrix leaves the float range"
+            " at t = 9.999999999999999e+299\n"
+        )
+
     def test_lineshape_far_from_a_huge_pole_is_not_zero(self, tmp_path):
         # |E - z|**2 overflows at E = 5e154 and 1e155, the peak at E = 0 does not
         conf = tmp_path / "l.conf"
@@ -735,6 +748,34 @@ class TestOtherCommands:
                 for n, got in enumerate(row[1:]):
                     want = (nearest / d) ** (n + 1)
                     assert abs(mpmath.mpf(float(got)) - want) <= (n + 2) * 2.0**-53 * want
+
+    def test_lineshape_reads_only_its_own_keys(self, runner, tmp_path):
+        # gamma and absorb_gauge are pole-term keys: lineshape passes over
+        # malformed ones and prints its golden bytes
+        conf = tmp_path / "l.conf"
+        conf.write_text(
+            (CONFIGS / "lineshape_r3.conf").read_text() + "gamma = junk\nabsorb_gauge = maybe\n"
+        )
+        result = runner.invoke(main, ["lineshape", "--config", str(conf)])
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert result.stdout == (GOLDEN / "lineshape_r3.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("gamma = junk", "error: key 'gamma': expected finite numbers\n"),
+            ("absorb_gauge = maybe",
+             "error: key 'absorb_gauge': expected one of ('true', 'false'), got 'maybe'\n"),
+        ],
+        ids=["gamma", "absorb_gauge"],
+    )
+    def test_pole_term_rejects_a_malformed_phase_key(self, runner, tmp_path, line, message):
+        conf = tmp_path / "p.conf"
+        conf.write_text(POLE_CONF + line + "\n")
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert result.exit_code == 1
+        assert result.stderr == message
 
     def test_pole_term_payload_keys(self, runner):
         result = runner.invoke(

@@ -172,6 +172,14 @@ class TestEvolutionMatrix:
         with pytest.raises(OverflowError, match="float range"):
             evolution_matrix(space, 2.0)
 
+    def test_power_of_t_beyond_float_range_names_t(self):
+        # exp(-i z t) is finite at t = 1e300, but (-i t)**2 is not
+        space = GamowSubspace(ResonancePole(2.0, 1e-300, 3))
+        with pytest.raises(
+            OverflowError, match=r"^the evolution matrix leaves the float range at t = 1e\+300$"
+        ):
+            evolution_matrix(space, 1e300)
+
     def test_entries_match_hand_formula(self, space):
         t = 0.7
         z = space.pole.z_R

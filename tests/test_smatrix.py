@@ -25,7 +25,6 @@ from gamowkit.smatrix import (
     ResonancePole,
     SMatrixModel,
     TestFunction,
-    TestFunctionPair,
     _phase_jet,
     analytic_derivatives,
     lineshape,
@@ -53,7 +52,7 @@ def rational_derivatives(terms, z: complex, n_max: int) -> np.ndarray:
     return out
 
 
-def contour_pole_term(pair, model, radius=None, nodes=4096) -> complex:
+def contour_pole_term(psi, phi, model, radius=None, nodes=4096) -> complex:
     """Independent pole term: minus the circle integral of psi * S * phi.
 
     Uses a different radius and a fixed node count so it shares nothing
@@ -70,15 +69,13 @@ def contour_pole_term(pair, model, radius=None, nodes=4096) -> complex:
         s = s_matrix_eval(model, w)
         if not model.absorb_gauge:
             s /= model.phase_factor(w)
-        total += pair.psi.value(w) * s * pair.phi.value(w) * 1j * rho * cmath.exp(1j * theta)
+        total += psi.value(w) * s * phi.value(w) * 1j * rho * cmath.exp(1j * theta)
     return -total * (2.0 * math.pi / nodes)
 
 
 @pytest.fixture
 def pair():
-    return TestFunctionPair.from_params(
-        [(1.0, 1, 1.0), (2.0, 2, 0.5j)], [(1.5, 1, 1.0)]
-    )
+    return TestFunction(((1.0, 1, 1.0), (2.0, 2, 0.5j))), TestFunction(((1.5, 1, 1.0),))
 
 
 class TestModelValidation:
@@ -156,7 +153,7 @@ class TestSMatrixValues:
         # ((w - z*)/(w - z))**r == 1 + sum_l c_l / (w - z)**l
         pole = ResonancePole(2.0, 1.0, 4)
         model = SMatrixModel(pole)
-        coeffs = pole_expansion_coeffs(model)
+        coeffs = pole_expansion_coeffs(pole)
         z = pole.z_R
         rng = np.random.default_rng(RNG_SEED)
         checked = 0
@@ -171,10 +168,8 @@ class TestSMatrixValues:
 
     def test_expansion_coefficients_small_orders(self):
         # r = 1: c_1 = -i Gamma;  r = 2: c_1 = -2i Gamma, c_2 = -Gamma**2
-        assert pole_expansion_coeffs(SMatrixModel(ResonancePole(2.0, 0.5, 1))) == [
-            pytest.approx(-0.5j)
-        ]
-        c = pole_expansion_coeffs(SMatrixModel(ResonancePole(2.0, 0.5, 2)))
+        assert pole_expansion_coeffs(ResonancePole(2.0, 0.5, 1)) == [pytest.approx(-0.5j)]
+        c = pole_expansion_coeffs(ResonancePole(2.0, 0.5, 2))
         assert c[0] == pytest.approx(-1.0j)
         assert c[1] == pytest.approx(-0.25)
 
@@ -187,7 +182,7 @@ class TestSMatrixValues:
 def test_expansion_coefficients_are_correctly_rounded(width, r):
     # c_l = binom(r, l) (-i Gamma)**l with Gamma at its exact binary value,
     # each part rounded once; the first c_l beyond the float range is named
-    model = SMatrixModel(ResonancePole(2.0, width, r))
+    pole = ResonancePole(2.0, width, r)
     want = []
     for l in range(1, r + 1):
         value = math.comb(r, l) * Fraction(width) ** l
@@ -196,9 +191,9 @@ def test_expansion_coefficients_are_correctly_rounded(width, r):
             want.append(complex(float(re), float(im)))
         except OverflowError:
             with pytest.raises(OverflowError, match=f"^c_{l} leaves the float range$"):
-                pole_expansion_coeffs(model)
+                pole_expansion_coeffs(pole)
             return
-    assert pole_expansion_coeffs(model) == want
+    assert pole_expansion_coeffs(pole) == want
 
 
 class TestAnalyticDerivatives:
@@ -243,16 +238,17 @@ class TestPoleTerm:
         pole = ResonancePole(2.0, 1.0, 1)
         model = SMatrixModel(pole)
         z = pole.z_R
-        want = -2.0 * math.pi * pole.Gamma * pair.psi.value(z) * pair.phi.value(z)
-        assert pole_jet(pair, model).amplitude() == pytest.approx(want, rel=1e-12)
+        psi, phi = pair
+        want = -2.0 * math.pi * pole.Gamma * psi.value(z) * phi.value(z)
+        assert pole_jet(psi, phi, model).amplitude() == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_against_contour_oracle(self, pair, r):
         model = SMatrixModel(
             ResonancePole(2.0, 1.0, r), BackgroundPhase("polynomial", (0.1, 0.02))
         )
-        got = pole_jet(pair, model).amplitude()
-        want = contour_pole_term(pair, model)
+        got = pole_jet(*pair, model).amplitude()
+        want = contour_pole_term(*pair, model)
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("r", [1, 3])
@@ -262,22 +258,22 @@ class TestPoleTerm:
             BackgroundPhase("polynomial", (0.1, 0.02)),
             absorb_gauge=False,
         )
-        got = pole_jet(pair, model).amplitude()
-        want = contour_pole_term(pair, model)
+        got = pole_jet(*pair, model).amplitude()
+        want = contour_pole_term(*pair, model)
         assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
     def test_constant_gauge_shifts_by_a_phase(self, pair):
         pole = ResonancePole(2.0, 1.0, 2)
         phase = BackgroundPhase("constant", (0.4,))
-        with_gauge = pole_jet(pair, SMatrixModel(pole, phase, absorb_gauge=True)).amplitude()
-        without = pole_jet(pair, SMatrixModel(pole, phase, absorb_gauge=False)).amplitude()
+        with_gauge = pole_jet(*pair, SMatrixModel(pole, phase, absorb_gauge=True)).amplitude()
+        without = pole_jet(*pair, SMatrixModel(pole, phase, absorb_gauge=False)).amplitude()
         assert with_gauge == pytest.approx(cmath.exp(0.8j) * without, rel=1e-10)
 
     def test_gauge_off_drops_phase_entirely(self, pair):
         pole = ResonancePole(2.0, 1.0, 2)
         phase = BackgroundPhase("polynomial", (0.1, 0.3))
-        bare = pole_jet(pair, SMatrixModel(pole)).amplitude()
-        without = pole_jet(pair, SMatrixModel(pole, phase, absorb_gauge=False)).amplitude()
+        bare = pole_jet(*pair, SMatrixModel(pole)).amplitude()
+        without = pole_jet(*pair, SMatrixModel(pole, phase, absorb_gauge=False)).amplitude()
         assert without == pytest.approx(bare, rel=1e-12)
 
 
@@ -368,7 +364,7 @@ class TestPoleJetExact:
         pole = ResonancePole(2.0, 0.9137, r)
         kind = "constant" if len(gamma) == 1 else "polynomial"
         model = SMatrixModel(pole, BackgroundPhase(kind, gamma), absorb_gauge=gauge)
-        jet = pole_jet(TestFunctionPair.from_params(self.PSI, self.PHI), model)
+        jet = pole_jet(TestFunction(self.PSI), TestFunction(self.PHI), model)
 
         u, t = sympy.symbols("u t")
         z = exact(complex(pole.z_R))
@@ -476,7 +472,7 @@ class TestPoleTermIsThePairingWithW:
         kind = "constant" if len(gamma) == 1 else "polynomial"
         pole = ResonancePole(E_R, width, r)
         model = SMatrixModel(pole, BackgroundPhase(kind, gamma), absorb_gauge=gauge)
-        jet = pole_jet(TestFunctionPair.from_params(psi, phi), model)
+        jet = pole_jet(TestFunction(tuple(psi)), TestFunction(tuple(phi)), model)
 
         w, t = sympy.symbols("w t")
         z, Gamma = exact(pole.z_R), exact(width)
@@ -524,8 +520,9 @@ class TestExpansionCoeffs:
     def test_simple_pole_coefficient(self, pair):
         pole = ResonancePole(2.0, 1.0, 1)
         model = SMatrixModel(pole)
-        b = pole_jet(pair, model).expansion_coeffs
-        want = -2.0 * math.pi * pole.Gamma * pair.phi.value(pole.z_R)
+        psi, phi = pair
+        b = pole_jet(psi, phi, model).expansion_coeffs
+        want = -2.0 * math.pi * pole.Gamma * phi.value(pole.z_R)
         assert b[0] == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("r", [2, 3, 4])
@@ -533,10 +530,10 @@ class TestExpansionCoeffs:
         # the pole term == sum_k b_k psi^(k)(z) with the bare observable leg
         pole = ResonancePole(2.0, 1.0, r)
         model = SMatrixModel(pole)
-        b = pole_jet(pair, model).expansion_coeffs
-        psi_d = rational_derivatives(pair.psi.terms, pole.z_R, r - 1)
+        b = pole_jet(*pair, model).expansion_coeffs
+        psi_d = rational_derivatives(pair[0].terms, pole.z_R, r - 1)
         contracted = sum(b[k] * psi_d[k] for k in range(r))
-        want = pole_jet(pair, model).amplitude()
+        want = pole_jet(*pair, model).amplitude()
         assert abs(contracted - want) < 1e-11 * max(1.0, abs(want))
 
 
@@ -550,10 +547,10 @@ finite_float = st.floats(min_value=-1e3, max_value=1e3) | st.floats(
 
 class TestLineshape:
     def test_peak_normalized_to_one(self):
-        model = SMatrixModel(ResonancePole(2.0, 1.0, 2))
+        pole = ResonancePole(2.0, 1.0, 2)
         grid = np.linspace(0.0, 4.0, 801)
         for n in range(2):
-            vals = np.asarray(lineshape(model, grid)[n])
+            vals = np.asarray(lineshape(pole, grid)[n])
             assert vals.max() == pytest.approx(1.0)
             assert vals[np.argmax(vals)] == vals[400]
 
@@ -580,7 +577,7 @@ class TestLineshape:
         config = f"e_min = {lo!r}\ne_max = {hi!r}\ne_steps = {steps}\n"
         grid = RunConfig(parse_config_text(config)).grid("e")
         n = r - 1 if data is None else data.draw(st.integers(min_value=0, max_value=r - 1))
-        got = lineshape(SMatrixModel(ResonancePole(E_R, Gamma, r)), grid)[n]
+        got = lineshape(ResonancePole(E_R, Gamma, r), grid)[n]
         with mpmath.workprec(150):
             squared = [(mpmath.mpf(e) - E_R) ** 2 + (mpmath.mpf(Gamma) / 2) ** 2 for e in grid]
             nearest = min(squared)
@@ -592,9 +589,9 @@ class TestLineshape:
     def test_full_width_at_half_maximum(self, n):
         # half-max abscissas solve (E - E_R)^2 + Gamma^2/4 = 2^(1/(n+1)) Gamma^2/4
         gamma_width = 0.8
-        model = SMatrixModel(ResonancePole(2.0, gamma_width, 3))
+        pole = ResonancePole(2.0, gamma_width, 3)
         grid = np.linspace(0.0, 4.0, 160001)
-        vals = np.asarray(lineshape(model, grid)[n])
+        vals = np.asarray(lineshape(pole, grid)[n])
         above = vals >= 0.5
         left = np.argmax(above)
         right = len(vals) - np.argmax(above[::-1]) - 1

@@ -23,7 +23,7 @@ from gamowkit.algebra import _exp_decay, _gmul, _turn
 from gamowkit.cli import R_CAP, RunConfig, main, parse_config_text
 from gamowkit.errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from gamowkit.jordan import GamowSubspace, conjugation_polys, evolution_matrix
-from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunctionPair, pole_jet
+from gamowkit.smatrix import ResonancePole, SMatrixModel, TestFunction, pole_jet
 from gamowkit.states import (
     StateOperator,
     _evolved_norm_squared,
@@ -126,9 +126,7 @@ def space():
 
 @pytest.fixture
 def pair():
-    return TestFunctionPair.from_params(
-        [(1.0, 1, 1.0), (2.0, 2, 0.5j)], [(1.5, 1, 1.0)]
-    )
+    return TestFunction(((1.0, 1, 1.0), (2.0, 2, 0.5j))), TestFunction(((1.5, 1, 1.0),))
 
 
 class TestOperatorConstruction:
@@ -611,9 +609,9 @@ class TestDecayDeviation:
         lambda space, pair: decay_deviation(dyad_operator(space, 1), [math.nan]),
         lambda space, pair: decay_deviation(w_n(space, 1), [math.nan]),
         lambda space, pair: decay_table(space, [0.0, math.nan]),
-        lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).amplitude(math.nan),
-        lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).probability(math.nan),
-        lambda space, pair: pole_jet(pair, SMatrixModel(space.pole)).ratios([0.0, math.nan]),
+        lambda space, pair: pole_jet(*pair, SMatrixModel(space.pole)).amplitude(math.nan),
+        lambda space, pair: pole_jet(*pair, SMatrixModel(space.pole)).probability(math.nan),
+        lambda space, pair: pole_jet(*pair, SMatrixModel(space.pole)).ratios([0.0, math.nan]),
     ],
     ids=["evolution_matrix", "dyad_deviation", "family_deviation", "decay_table",
          "pole_jet_amplitude", "pole_jet_probability", "pole_jet_ratios"],
@@ -631,20 +629,20 @@ def test_negative_time_is_invalid_input(space, pair, t):
     with pytest.raises(NegativeTimeError):
         decay_table(space, [0.0, t])
     with pytest.raises(NegativeTimeError):
-        pole_jet(pair, SMatrixModel(space.pole)).amplitude(t)
+        pole_jet(*pair, SMatrixModel(space.pole)).amplitude(t)
 
 
 class TestPoleTermProbability:
     def test_negative_time_rejected(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
         with pytest.raises(NegativeTimeError):
-            pole_jet(pair, model).probability(-0.5)
+            pole_jet(*pair, model).probability(-0.5)
         with pytest.raises(NegativeTimeError):
-            pole_jet(pair, model).ratios([0.0, -1.0])
+            pole_jet(*pair, model).ratios([0.0, -1.0])
 
     def test_simple_pole_follows_exponential_law(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 1))
-        jet = pole_jet(pair, model)
+        jet = pole_jet(*pair, model)
         p0 = jet.probability(0.0)
         for t in np.linspace(0.0, 10.0, 11):
             ratio = jet.probability(float(t)) / p0
@@ -652,7 +650,7 @@ class TestPoleTermProbability:
 
     def test_double_pole_departs_from_exponential(self, pair):
         model = SMatrixModel(ResonancePole(2.0, 1.0, 2))
-        jet = pole_jet(pair, model)
+        jet = pole_jet(*pair, model)
         p0 = jet.probability(0.0)
         t = 5.0
         ratio = jet.probability(t) / p0
