@@ -6,6 +6,7 @@ themselves checked against mpmath closed forms.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -833,6 +834,110 @@ class TestOtherCommands:
                 low = (Fraction(below) + Fraction(value)) / 2
                 high = (Fraction(value) + Fraction(above)) / 2
                 assert low * low <= square <= high * high, (r, k)
+
+
+# pole-term configs whose output bytes are pinned: every order up to 8 with
+# each class of background phase, the shipped configs, and poles from the
+# whole range up to the cap of r, each of which runs in under 1 s
+PIN_PHASES = {
+    "flat": ["0.3"],
+    "linear": ["0.3", "0.5"],
+    "quadratic": ["0.3", "0.5", "-0.25"],
+    "cubic": ["0.3", "0.5", "-0.25", "0.125"],
+}
+PIN_WIDE = {
+    "r32-narrow": (32, "1e10", "1e-10", [], "10.0"),
+    "r32-tiny-width": (32, "2.0", "1e-30", [], "10.0"),
+    "r32-wide": (32, "1e-3", "1e3", [], "1e300"),
+    "r32-quadratic": (32, "1e3", "1e-3", ["0.25", "-0.5"], "1e4"),
+    "r16-underflow": (16, "1e100", "1e-100", [], "10.0"),
+    "r12-subnormal-width": (12, "1e-300", "5e-324", [], "10.0"),
+    "r20-overflow": (20, "1e200", "1e150", [], "10.0"),
+    "r8-overflow": (8, "1e-300", "1e300", [], "10.0"),
+    "r8-far": (8, "1e300", "1.0", [], "10.0"),
+}
+
+
+def _pin_configs() -> dict:
+    """name -> config text of every pinned pole-term run."""
+    confs = {name: (CONFIGS / name).read_text()
+             for name in ("pole_term_r1.conf", "pole_term_r2.conf")}
+    legs = "psi = 0.8 2 1.0 0.25\npsi = 1.7 1 -0.5 0.75\nphi = 1.2 3 0.9 -0.3\n"
+    for r in range(1, 9):
+        for phase, gamma in PIN_PHASES.items():
+            confs[f"r{r}-{phase}"] = (
+                f"E_R = 2.5\nGamma = 0.75\nr = {r}\n" + "".join(f"gamma = {g}\n" for g in gamma)
+                + legs + "t_min = 0.0\nt_max = 13.0\nt_steps = 41\n")
+    for name, (r, E_R, width, gamma, t_max) in PIN_WIDE.items():
+        confs[name] = (f"E_R = {E_R}\nGamma = {width}\nr = {r}\n"
+                       + "".join(f"gamma = {g}\n" for g in gamma)
+                       + "psi = 1.0 1 1.0 0.0\nphi = 1.5 1 1.0 0.0\n"
+                       + f"t_min = 0.0\nt_max = {t_max}\nt_steps = 11\n")
+    return confs
+
+
+def _pole_term_digest(runner, path) -> str:
+    """sha256 of the exit code, stderr and stdout of pole-term on path."""
+    result = runner.invoke(main, ["pole-term", "--config", str(path)])
+    text = f"{result.exit_code}\n{result.stderr}\n{result.stdout}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded from the exact build of Q and the rational Horner reading of
+# its ratios
+POLE_TERM_SHA256 = {
+    "pole_term_r1.conf": "bf2ff2b55d898d53c0a5f3f965d43a6996bc90db21e40c9083941a4e7f8bb054",
+    "pole_term_r2.conf": "9975c186eefdade8fa0e8efe6c0d0f3e8e639cf7d487e33242ba5361a993a6ed",
+    "r1-flat": "c45c0683569aa6afa1de09436da145fb5fea147ce0887a0da7de0569faf07ead",
+    "r1-linear": "9149e9da392385f15300dba1af611ba6e5e68294d88cdeba726fe4707dfd68c8",
+    "r1-quadratic": "5d282c42479641cf6e22652104d8ec7f93910dfc85a2f8df9e3bdd1182e31d2b",
+    "r1-cubic": "c9993355488b3c2a258cd318aa2163154f5aed48a7bf5a0013514a7b1d4660bf",
+    "r2-flat": "9831c67ce5f270d1b14c202a47ba50deb2c9582d41bf680885a13d4c837427e9",
+    "r2-linear": "c235f084dce2a813f1315277dde1347ff69062a2d2d768359b4ad41ba8175071",
+    "r2-quadratic": "5d48c70f25678ddf7605596a6244c0268f0e012077c74c70322594c44db3d6c1",
+    "r2-cubic": "0c3777ae0c66c9e66f9da3b74573febe84a1c1bda67ab0dd903f2ff0fb4cb1ae",
+    "r3-flat": "7d5d43ff19c0d3a432fb765a3e1114c80a84a2365fe75651091ee1a6c2d5ab81",
+    "r3-linear": "94b61995069197420e8d8137c81fe24da50f889c3669aa54ca84130e1b1cdaf6",
+    "r3-quadratic": "00e6887a118635c3d7bb11e77a98b1d4f65981a0ed07db7888fdce7db232c1ef",
+    "r3-cubic": "ed967fcb10293f5a8a195febd82bae737a6651ab529234ccf83edecd9973da51",
+    "r4-flat": "41a6f98553907f475bba8f2b9bd6c42ef01be8018b5bfc9f561729761ab42735",
+    "r4-linear": "47854ce47234b0c2b43f7c79d4e3c47f3517b5207d0240208c38d80ee241c057",
+    "r4-quadratic": "cd556914a164c58bfce8ba32644216861f492580f481b5074d5dc462e1522ef6",
+    "r4-cubic": "f043d752e4eeb4ff45790eb9cb7f757514285bd490e61a04f8ba7368d2e7aeb3",
+    "r5-flat": "abf217a6520a0a843658723eb5ab1dfd1c7331e6104883360aaec0e3bbbe3a71",
+    "r5-linear": "4c8503d86b7e95c61f78a69ab951d6fc95a47acd7633e0fab87d23b2f801ba5d",
+    "r5-quadratic": "ca81de3c4537f8c1e933a657c12620f7e4f9a0f5dee75756aeaeeaf580e29367",
+    "r5-cubic": "09ead423678325777b5e42011362ab2e74a8cc641e5ffdcce32dd12de70e5856",
+    "r6-flat": "9e976c93a3ffa0b8ec88179cfaec73cba2e127ed24c6de1d885ac26294b1885e",
+    "r6-linear": "9c347027fb0a4489bc7ffe243d86c040512a10cf2880b2562856b45b3e53111a",
+    "r6-quadratic": "fd3c6e13ad250de41f0fa3970f6c54964d37a2015abfca0f64e1ef17a96ace02",
+    "r6-cubic": "9e18195516dd9d39de0dac06241e65b99312868c23bba481529763e3f34ba180",
+    "r7-flat": "9b120aa0a79903f7d83317f47dcaaa843e948f5658759fa3aefacd0bc47def8d",
+    "r7-linear": "958e69b71c6620e42e7c59e234eb8710096ce773c1da0ee048afcbfa5372fb27",
+    "r7-quadratic": "71095aae114e17b2646131ac43310d8371ffec5c6f049399028ffe3412b3433f",
+    "r7-cubic": "d383df81233ec45175ec2d3ee8f16d9da4e5f65ca5c6f1bf816de46cf5d33d51",
+    "r8-flat": "a29de515d3767066264b819c19d509e20b37c854d9f42a7425e0709be84e1961",
+    "r8-linear": "5252764296a85abb5ec0bab90b81e8f5b78b67fb2c7fd457ba2cb852e38dd0f9",
+    "r8-quadratic": "9b203b68c6f0b1150f45ffa3b1c5c75bff70d0e2a126106234825a11934496d1",
+    "r8-cubic": "d5be9758fe6392ffe48ef37588ab3ac8a2ee34f5d4f7d71613413e36f280af4a",
+    "r32-narrow": "4efd85cc271fb9f41fe0353c577de56c8732dbbf196c6be05767de79c65ed5e2",
+    "r32-tiny-width": "408a5dbc06a931ab7c7daf345bd58044d61729a6c2a803c031a3a97ce0ba7849",
+    "r32-wide": "0742f9ffdbb6fe61db9c1a83ff4c1d4e8bd89dd3a07dea124ed91b7c1d3e18d2",
+    "r32-quadratic": "3e1e923d4a58837db018dc9c2f940f46cfcf074bf2c25b88ed3839d2de083500",
+    "r16-underflow": "99c6d7d793dd8d5a11eca5f76492307a9ffe8a88d9f305bfa9e530a05fd56f8d",
+    "r12-subnormal-width": "99c6d7d793dd8d5a11eca5f76492307a9ffe8a88d9f305bfa9e530a05fd56f8d",
+    "r20-overflow": "468a685dc1e55abdd290b743c97e5ba0dff8bef78df13f641ed9115b52f0cec9",
+    "r8-overflow": "810f74afb4eccd19c144babc52fc557b3d8bd1159a1d4af22a47e8b1582ed2dd",
+    "r8-far": "99c6d7d793dd8d5a11eca5f76492307a9ffe8a88d9f305bfa9e530a05fd56f8d",
+}
+
+
+class TestPoleTermBytes:
+    @pytest.mark.parametrize("name", sorted(POLE_TERM_SHA256))
+    def test_pole_term_bytes_are_pinned(self, runner, tmp_path, name):
+        path = tmp_path / "pin.conf"
+        path.write_text(_pin_configs()[name])
+        assert _pole_term_digest(runner, path) == POLE_TERM_SHA256[name]
 
 
 class TestDeterminism:
