@@ -7,10 +7,17 @@ exp(-Gamma t) times an exact value: _exp_decay returns the factor as
 mantissa and exponent, _scaled rounds an exact quotient or its square
 root once, scaled by a power of two, and _ldexp applies the carried
 exponents.  _quotients_at reads |P(t)|**2 (or P(t)) over a denominator
-at every t of a grid, each rounded once as _scaled rounds it: first from
-the coefficients cut to 128 bits, whose value lies in a small interval,
-and from the exact value only where that interval holds a rounding
-boundary.
+at every t of a grid, each rounded once as _scaled rounds it: first by
+_fixed_readings, a fixed-point Horner pass on the coefficients cut to 128
+bits, which leaves the value in a small interval whose ends two int
+divisions round (Ziv's test), and from the exact value only where the
+interval holds a rounding boundary.
+
+Ball series (coeffs, e, rad) are Gaussian integers over a power of two,
+each part within rad of the exact one (van der Hoeven's ball arithmetic):
+_trim, _ball_quotient, _ball_product and _ball_aligned build them at p
+bits, _rounded_part rounds a part where both ends of its ball agree, and
+_fixed_readings reads a ball polynomial as it reads a cut one.
 
 No package path uses the classes GaussianRational, Polynomial and
 ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
@@ -155,19 +162,21 @@ def _quotient(nums, den: int, k: int) -> list:
 
 def _scaled(num: int, den: int, root: bool = False) -> tuple:
     """(m, k) with m 2**k = num / den, or its square root, for ints num >= 0
-    and den > 0, m rounded once; k from the bit lengths keeps m near 1, so
-    m rounds like the unscaled value wherever that is a normal float.  The
+    and den > 0, m rounded once; k from the bit lengths keeps m in [1/2, 2),
+    so m rounds like the unscaled value wherever that is a normal float (a
+    value just below 2 that rounds up to it reads as 1 and k + 1).  The
     root is taken in integers to 64 bits, with a sticky last bit where
     inexact, so it too is correctly rounded."""
     if not root:
         k = num.bit_length() - den.bit_length()
         (m,) = _quotient([num], den, k)
-        return m, k
-    k = (num.bit_length() - den.bit_length()) // 2
-    shift = 128 - 2 * k
-    q, rest = divmod(num << max(shift, 0), den << max(-shift, 0))
-    s = math.isqrt(q)
-    return math.ldexp(s | (rest > 0 or s * s != q), -64), k
+    else:
+        k = (num.bit_length() - den.bit_length()) // 2
+        shift = 128 - 2 * k
+        q, rest = divmod(num << max(shift, 0), den << max(-shift, 0))
+        s = math.isqrt(q)
+        m = math.ldexp(s | (rest > 0 or s * s != q), -64)
+    return (m, k) if m < 2 else (1.0, k + 1)
 
 
 # Bits that _quotients_at keeps of the shorter end coefficient in its first reading.
@@ -180,63 +189,111 @@ def _quotients_at(coeffs, den: int, times, norm: bool = True, root: bool = False
     or with norm False the real part of P(t), then >= 0, for P with the
     Gaussian-integer coefficients coeffs (re, im), lowest first; den > 0.
 
-    Each reading is first taken from the coefficients cut by a floor shift
-    s, which leaves _CUT bits of the shorter of the first and the last
-    coefficient, the terms that bound the largest term of P(t) from below
-    for t <= 1 and t >= 1; below 2 _CUT bits there, s = 0.  With
-    t = num / step and n coefficients, each part of P(t) step**(n-1) then
-    lies in 2**s [V, V + B), V that part on the cut coefficients and
-    B = n max(num, step)**(n-1), and den, cut alike, in 2**s' [D, D + 1).
-    Rounding is monotone, so where both ends of the interval that
-    v(t) / den then lies in round to one float, v(t) / den rounds to it too
-    (Ziv's rounding test); elsewhere the reading is exact.  Where s = 0 the
-    first reading is exact already."""
-    n, power = len(coeffs), 2 if norm else 1
+    The coefficients are cut once, to c >> s with s leaving _CUT bits of
+    the shorter of the first and the last coefficient, the terms that bound
+    the largest term of P(t) from below for t <= 1 and t >= 1 (s < 0 lifts
+    short ones), and den to its top _CUT bits.  Each reading is
+    _fixed_readings' pass on the cut, and the exact value
+    (_exact_reading) only where that cannot decide the rounding."""
     bits = min(max(abs(re), abs(im)).bit_length() for re, im in (coeffs[0], coeffs[-1]))
-    shift = bits - _CUT if bits >= 2 * _CUT else 0
-    den_shift = max(den.bit_length() - _CUT, 0) if shift else 0
-    cut = [(re >> shift, im >> shift) for re, im in coeffs]
+    shift, den_shift = bits - _CUT, max(den.bit_length() - _CUT, 0)
+    if shift >= 0:
+        cut = [(re >> shift, im >> shift) for re, im in coeffs]
+    else:
+        cut = [(re << -shift, im << -shift) for re, im in coeffs]
     den_low = den >> den_shift
-    den_high = den_low + (den_shift > 0)
+    exponent = (2 if norm else 1) * shift - den_shift
+    readings = _fixed_readings(cut, int(shift > 0), den_low, den_low + (den_shift > 0),
+                               exponent, 0, times, norm, root)
+    return [_exact_reading(coeffs, den, t, norm, root) if reading is None else reading
+            for t, reading in zip(times, readings)]
+
+
+def _fixed_readings(lows, width: int, den_low: int, den_high: int, exponent: int, scale: int,
+                    times, norm: bool, root: bool) -> list:
+    """[(m, k) or None] at each t of times: the reading of _quotients_at
+    where Ziv's test decides it, and None elsewhere, for P(t 2**scale) with
+    coefficients c_d whose parts satisfy lows[d] <= c_d 2**-s <=
+    lows[d] + width, and lows[d] an int pair, and den with den_low <=
+    den 2**-s' <= den_high; exponent is 2 s - s' (norm) or s - s'.
+
+    One fixed-point Horner pass per t: with t 2**scale = num / 2**e,
+    acc = (acc num >> e) + lows[d] leaves each part of P 2**-s in
+    [acc, acc + B], B = (width + f) n ceil(max(1, t 2**scale))**(n-1) for n
+    coefficients, f = 1 where e > 0 floors: each step multiplies the error
+    by t 2**scale and adds at most width and a floor below 1.  The ends of
+    the interval that v / den then lies in are two int true divisions
+    (_rounded_between); where they round to one float, so does v / den, as
+    rounding is monotone."""
+    n, last, rest = len(lows), lows[-1], lows[-2::-1]
+    # a root halves the exponent, its odd bit moved into the value
+    odd, k = (exponent & 1, exponent >> 1) if root else (0, exponent)
     out = []
     for t in times:
         num, step = float(t).as_integer_ratio()
-        width = n * max(num, step) ** (n - 1) if shift else 0
-        re, im, _ = _exact_at(cut, t)
+        e = step.bit_length() - 1 - scale
+        re, im = last
+        if e > 0:
+            for cr, ci in rest:
+                re, im = (re * num >> e) + cr, (im * num >> e) + ci
+            top = -(-num >> e)
+        else:
+            num <<= -e
+            for cr, ci in rest:
+                re, im = re * num + cr, im * num + ci
+            top = num
+        width_t = (width + (e > 0)) * n * max(top, 1) ** (n - 1)
         if not norm:
-            low, high = max(re, 0), re + width
-        elif not width:
+            low, high = max(re, 0), re + width_t
+        elif not width_t:
             low = high = re * re + im * im
         else:
-            low = high = 0
-            for part in (re, im):
-                ends = part * part, (part + width) ** 2
-                low += 0 if part < 0 < part + width else min(ends)
-                high += max(ends)
-        # step is a power of two: the cut quotient carries 2**e
-        e = power * (shift - (n - 1) * (step.bit_length() - 1)) - den_shift
-        if root:
-            low, high, e = low << (e & 1), high << (e & 1), e >> 1
-        reading = _rounded_between(low, high, den_low, den_high, root)
-        if reading is None:
-            re, im, scale = _exact_at(coeffs, t)
-            num = re * re + im * im if norm else re
-            out.append(_scaled(num, den * scale**power, root))
-        else:
-            out.append((reading[0], reading[1] + e))
+            low, high = _norm_bounds(re, im, width_t)
+        reading = _rounded_between(low << odd, high << odd, den_low, den_high, root)
+        out.append(None if reading is None else (reading[0], reading[1] + k))
     return out
+
+
+def _norm_bounds(re: int, im: int, width: int) -> tuple:
+    """(low, high), the least and the largest x**2 + y**2 over x in
+    [re, re + width] and y in [im, im + width]."""
+    low = high = 0
+    for part in (re, im):
+        end = part + width
+        if part >= 0:
+            low, high = low + part * part, high + end * end
+        elif end <= 0:
+            low, high = low + end * end, high + part * part
+        else:
+            high += max(part * part, end * end)
+    return low, high
+
+
+def _exact_reading(coeffs, den: int, t: float, norm: bool, root: bool) -> tuple:
+    """The reading of _quotients_at at t from the exact value of P(t)."""
+    re, im, scale = _exact_at(coeffs, t)
+    return _scaled(re * re + im * im if norm else re, den * scale ** (2 if norm else 1), root)
 
 
 def _rounded_between(low: int, high: int, den_low: int, den_high: int, root: bool):
     """(m, k) as _scaled(num, den, root) gives it for every quotient
     low / den_high <= num / den <= high / den_low, or None where the two
-    ends round to different floats."""
-    m, k = _scaled(low, den_high, root)
+    ends round to different floats (Ziv's test)."""
+    if root:
+        (m, k), (high_m, high_k) = _scaled(low, den_high, True), _scaled(high, den_low, True)
+        if (low, den_high) == (high, den_low) or math.ldexp(m, k - high_k) == high_m:
+            return m, k
+        return None
+    k = low.bit_length() - den_high.bit_length()
+    up, down = max(-k, 0), max(k, 0)
+    m = (low << up) / (den_high << down)
     if (low, den_high) == (high, den_low):
         return m, k
-    (a, x), (high_m, high_k) = math.frexp(m), _scaled(high, den_low, root)
-    b, y = math.frexp(high_m)
-    return (m, k) if (a, x + k) == (b, y + high_k) else None
+    try:
+        return (m, k) if m == (high << up) / (den_low << down) else None
+    except OverflowError:
+        # an interval so wide that its high end, so scaled, leaves the floats
+        return None
 
 
 def _ldexp(values, exponents, what: str, times) -> list:
@@ -252,6 +309,73 @@ def _ldexp(values, exponents, what: str, times) -> list:
     for v, x, t in zip(values, exponents, times):
         if v == math.inf or v and math.frexp(v)[1] + x > 1024:
             raise OverflowError(f"{what} leaves the float range at t = {t!r}")
+
+
+
+# ------------------------------------------------------------ balls
+#
+# A ball series (coeffs, e, rad) holds Gaussian integers (re, im) over one
+# power of two, each within a radius: each part of the exact coefficient d
+# lies in 2**e [c - rad, c + rad] for the same part c of coeffs[d].  A
+# scalar is a series of one term.
+
+
+def _trim(coeffs, e: int, rad: int, p: int) -> tuple:
+    """The ball series (coeffs, e, rad) with its largest part cut to p bits
+    by a floor shift, which moves every centre by less than 1 unit."""
+    drop = max(max(abs(re), abs(im)) for re, im in coeffs).bit_length() - p
+    if drop <= 0:
+        return coeffs, e, rad
+    return [(re >> drop, im >> drop) for re, im in coeffs], e + drop, (rad >> drop) + 2
+
+
+def _ball_quotient(num, den: int, e: int, p: int) -> tuple:
+    """The scalar num 2**e / den to p bits, num a Gaussian integer, den > 0."""
+    shift = p + den.bit_length() - max(abs(num[0]), abs(num[1])).bit_length()
+    if shift >= 0:
+        return [((num[0] << shift) // den, (num[1] << shift) // den)], e - shift, 1
+    return [((num[0] >> -shift) // den, (num[1] >> -shift) // den)], e - shift, 2
+
+
+def _ball_product(a, b, order: int, p: int) -> tuple:
+    """The first order terms of the product of the ball series a and b, each
+    of at least order terms, to p bits.  Each part of a term of the exact
+    product is off the centre by at most order (|a| rb + |b| ra + 2 ra rb),
+    |x| the largest |re| + |im| of x's centres."""
+    (ca, ea, ra), (cb, eb, rb) = a, b
+    size_a = max(abs(re) + abs(im) for re, im in ca)
+    size_b = max(abs(re) + abs(im) for re, im in cb)
+    rad = order * (size_a * rb + size_b * ra + 2 * ra * rb)
+    return _trim(_convolve(ca, cb, order), ea + eb, rad, p)
+
+
+def _ball_aligned(series) -> list:
+    """The ball series of the list, all at the largest exponent among them,
+    each shift a floor with its radius raised to cover it."""
+    top = max(e for _, e, _ in series)
+    out = []
+    for coeffs, e, rad in series:
+        drop = top - e
+        if drop:
+            coeffs, rad = [(re >> drop, im >> drop) for re, im in coeffs], (rad >> drop) + 2
+        out.append((coeffs, top, rad))
+    return out
+
+
+def _rounded_part(c: int, rad: int, e: int, den: int):
+    """float(x) for every x in 2**e [c - rad, c + rad] / den, den > 0, when
+    both ends round to one float, sign of zero included; math.inf or -inf
+    when both overflow; None elsewhere (Ziv's test)."""
+    ends = []
+    for end in (c - rad, c + rad):
+        try:
+            ends.append((end << e) / den if e >= 0 else end / (den << -e))
+        except OverflowError:
+            ends.append(math.inf if end > 0 else -math.inf)
+    low, high = ends
+    if low == high and math.copysign(1.0, low) == math.copysign(1.0, high):
+        return low
+    return None
 
 
 class GaussianRational:

@@ -47,9 +47,9 @@ from .uniqueness import certify
 
 # Largest inputs that set the amount of work: j = 32 certifies in 0.1 to
 # 0.2 s; at r = 32 on 5000 points decay-curve takes 1.0 to 1.7 s and
-# pole-term 0.3 to 1.0 s (1.0 s with a cubic phase and three terms at
-# m = 32, where Q runs to 23000 bits), on a 2-vCPU Xeon; the costs keep
-# growing.
+# pole-term about 0.3 s (also with a cubic phase and three terms at
+# m = 32, where the exact Q would run to 23000 bits: its balls of 320
+# bits decide every value), on a 2-vCPU Xeon; the costs keep growing.
 J_CAP = 32
 R_CAP = 32
 M_CAP = 32
@@ -417,11 +417,11 @@ def lineshape_cmd(config_path, out_path, fmt_name):
 def pole_term_cmd(config_path, out_path):
     """Pole term of the configured pairing plus its decay-ratio table.
 
-    Everything is read off one jet built once (pole_jet): the expansion
+    Everything is read off one jet (pole_jet): the expansion
     coefficients, the pole term 2 pi exp(2i gamma(z)) Q(0), and the ratio
-    table exp(-Gamma t) |Q(t) / Q(0)|**2 in one call, each quotient read
-    off Q cut to 128 bits and rounded as the exact one, which is read
-    where the cut cannot decide the rounding.
+    table exp(-Gamma t) |Q(t) / Q(0)|**2 in one call.  Each value is read
+    off p-bit balls of the jet and rounded as the exact one, which is
+    built only where no ball decides the rounding.
     """
     cfg = load_config(config_path)
     model, psi, phi = cfg.model(), cfg.test_function("psi"), cfg.test_function("phi")

@@ -18,7 +18,10 @@ pole term of the pairing with the observable translated by t is
 2 pi exp(2i gamma(z)) exp(-i z t) Q(t), Q an exact polynomial of degree
 < r.  pole_jet, the one entry point to it, pairs the observable jet with
 W phi; its PoleJet reads the amplitude and the survival probability at
-any t >= 0, and the ratio table of a whole grid in one call.  Only the
+any t >= 0, and the ratio table of a whole grid in one call.  The jets
+are built first as p-bit balls, whose every printed reading is decided
+by Ziv's test, and exactly only where no ball of up to 5120 bits
+decides one, or when the exact Q is asked for.  Only the
 benchmark's smatrix.derivative_* metrics and acceptance criterion 5 read
 analytic_derivatives (contour quadrature), until ROADMAP item 2.
 """
@@ -30,8 +33,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import _convolve, _exact_at, _exp_decay, _exp_exact, _gmul, _horner, _ldexp
-from .algebra import _lift, _quotients_at, _turn, binom
+from .algebra import _ball_aligned, _ball_product, _ball_quotient, _convolve, _exact_at
+from .algebra import _exp_decay, _exp_exact, _fixed_readings, _gmul, _horner, _ldexp, _lift
+from .algebra import _norm_bounds, _quotients_at, _rounded_part, _trim, _turn, binom
 from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
 from .errors import VanishingPoleTermError
 from .jordan import GamowSubspace, ResonancePole
@@ -234,17 +238,15 @@ def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
     return jet, den
 
 
-def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
-    """gamma(z) as exact rationals (re, im), and the jet of
-    exp(2i (gamma(w) - gamma(z))) at z: a Taylor shift of gamma to z,
-    followed by the recurrence e' = g' e of the power-series exponential."""
+def _taylor_shift(gamma: BackgroundPhase, z) -> tuple:
+    """(shifted, g_den): shifted[k] / g_den is the k-th Taylor coefficient
+    of gamma at z, as Gaussian integers over one int."""
     params, p_den = _lift([(Fraction(p), Fraction(0)) for p in gamma.params])
     ((zx, zy),), z_den = _lift([z])
     deg = len(params) - 1
     z_pow = [(1, 0)]
     for _ in range(deg):
         z_pow.append(_gmul(z_pow[-1], (zx, zy)))
-    # shifted[k] / g_den is the k-th Taylor coefficient of gamma at z
     shifted = []
     for k in range(deg + 1):
         re = im = 0
@@ -253,7 +255,15 @@ def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
             re += c * z_pow[i - k][0]
             im += c * z_pow[i - k][1]
         shifted.append((re, im))
-    g_den = p_den * z_den**deg
+    return shifted, p_den * z_den**deg
+
+
+def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
+    """gamma(z) as exact rationals (re, im), and the jet of
+    exp(2i (gamma(w) - gamma(z))) at z: a Taylor shift of gamma to z,
+    followed by the recurrence e' = g' e of the power-series exponential."""
+    shifted, g_den = _taylor_shift(gamma, z)
+    deg = len(shifted) - 1
     # e_k = (1/k) sum_j j g_j e_{k-j} with g_j = 2i shifted[j] / g_den; every
     # e_k is an integer over top, so each division below is exact
     top = g_den ** (order - 1) * math.factorial(order - 1)
@@ -286,95 +296,9 @@ def _complex(re: int, im: int, den: int, what: str) -> complex:
         raise OverflowError(f"{what} leaves the float range") from None
 
 
-@dataclass(frozen=True)
-class PoleJet:
-    """Pole term of a pairing whose observable is translated by t >= 0.
-
-    The pole term of (psi, S phi) is -2 pi Gamma sum_k (W phi)_k psi_k,
-    with psi_k and phi_l the Taylor coefficients of the legs at z, psi
-    times the phase factor when the gauge is absorbed, and W = w_total
-    of states in the factorial normalization; with psi(w) exp(-i w t) it is
-
-        2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
-
-    with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
-    coefficient of t**m, as a Gaussian integer (re, im), and phase is
-    exp(2i gamma(z)) in floats (1 without the gauge).  expansion_coeffs
-    are the b_k = -2 pi Gamma (W phi)_k / k! that Q pairs with the
-    derivatives of the observable leg, so that the pole term
-    amplitude() == sum_k b_k psi^(k)(z) with the same gauge placement;
-    each part is rounded once from its exact value.
-
-    ratios(times) reads the survival ratio of every t at once: Q and
-    |Q(0)|**2 are cut to 128 bits once per call, each quotient
-    |Q(t) / Q(0)|**2 is rounded from the interval the cut leaves it in,
-    and exactly only where that interval holds a rounding boundary, so
-    the ratios are those of the exact quotient.
-    """
-
-    width: float
-    phase: complex
-    coeffs: tuple
-    denominator: int
-    expansion_coeffs: tuple
-
-    @property
-    def vanishes(self) -> bool:
-        """Whether Q(0), and with it the pole term, is exactly zero."""
-        return self.coeffs[0] == (0, 0)
-
-    def amplitude(self, t: float = 0.0) -> complex:
-        """2 pi exp(2i gamma(z)) Q(t), for t >= 0; at t = 0 this is the
-        pole term."""
-        if not t >= 0:
-            raise NegativeTimeError(f"the pole term is defined for t >= 0, got {t}")
-        re, im, scale = _exact_at(self.coeffs, t)
-        den = self.denominator * scale
-        return 2.0 * math.pi * self.phase * _complex(re, im, den, f"pole_term at t = {t!r}")
-
-    def probability(self, t: float) -> float:
-        """exp(-Gamma t) |amplitude(t)|**2, for t >= 0."""
-        value = self.amplitude(t)
-        m, e = _exp_decay(self.width, t)
-        s, k = math.frexp(value.real * value.real + value.imag * value.imag)
-        return _ldexp([m * s], [e + k], "probability", [t])[0]
-
-    def ratios(self, times) -> list:
-        """[(ratio, reference)] at each t >= 0 of times: reference =
-        exp(-Gamma t) and ratio = reference |Q(t) / Q(0)|**2, the exact
-        quotient rounded once, scaled by a power of two, times the mantissa
-        of the reference, exponents last: at r = 1 the two agree bit for
-        bit.  The quotients are one call of algebra's _quotients_at, which
-        cuts Q and |Q(0)|**2 once for all t to 128 bits and reads the exact
-        quotient only where the cut one cannot decide its rounding.
-        NegativeTimeError for a t that is negative or nan, and
-        VanishingPoleTermError where Q(0) = 0."""
-        times = list(times)
-        for t in times:
-            if not t >= 0:
-                raise NegativeTimeError(f"ratios are defined for t >= 0, got {t}")
-        if self.vanishes:
-            raise VanishingPoleTermError("pole term vanishes at t = 0; ratio table undefined")
-        q_re, q_im = self.coeffs[0]
-        quotients = _quotients_at(self.coeffs, q_re * q_re + q_im * q_im, times)
-        decays = [_exp_decay(self.width, t) for t in times]
-        values = [m * q for (m, _), (q, _) in zip(decays, quotients)]
-        exponents = [e + k for (_, e), (_, k) in zip(decays, quotients)]
-        ratios = _ldexp(values, exponents, "ratio", times)
-        return [(ratio, math.ldexp(m, e)) for ratio, (m, e) in zip(ratios, decays)]
-
-
-def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJet:
-    """The exact polynomial of the pole term: the jet of the observable
-    leg paired with v = W phi, read off the integers of states.w_total.
-
-    With L the jet of the observable leg (times exp(2i (gamma(w) - gamma(z)))
-    when the gauge is absorbed) and the shift
-    exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pairing
-    is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
-    Q_m = -Gamma (-i)**m / m! sum_{k>=m} v_k L[k-m], and the
-    expansion_coeffs are -2 pi Gamma v_k / k!, rounded once per part.
-    """
+def _exact_jets(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> tuple:
+    """(coeffs, denominator, v, v_den): Q in lowest terms, and v = Gamma W phi
+    over v_den, both exact, read off the integers of states.w_total."""
     pole = model.pole
     r = pole.r
     # z = E_R - i Gamma / 2 as exact rationals (re, im)
@@ -390,26 +314,319 @@ def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJ
     p, q = pole.Gamma.as_integer_ratio()
     v, v_den = [(p * x, p * y) for x, y in zip(v_re, v_im)], q * W.denominator * phi_den
     leg, leg_den = _rational_jet(psi, z, r)
-    phase = 1 + 0j
     if model.absorb_gauge:
-        (g_re, g_im), (shift, shift_den) = _phase_jet(model.gamma, z, r)
+        _, (shift, shift_den) = _phase_jet(model.gamma, z, r)
         leg, leg_den = _convolve(leg, shift, r), leg_den * shift_den
-        try:
-            # 2i gamma(z) = -2 Im gamma(z) + 2i Re gamma(z)
-            phase = _exp_exact(-2 * g_im, 2 * g_re)
-        except OverflowError:
-            raise OverflowError("phase factor exp(2i gamma(z)) leaves the float range") from None
     fact = [math.factorial(k) for k in range(r)]
     # coefficient r-1-m of the reversed v times L: sum_{k>=m} v_k L[k-m], lifted by (r-1)! / m!
     sums = _convolve(v[::-1], leg, r)[::-1]
     lifts = [fact[-1] // f for f in fact]
     coeffs = [_turn((-c * x, -c * y), 3 * m) for m, (x, y), c in zip(range(r), sums, lifts)]
     reduced, den = _lowest(coeffs, fact[-1] * v_den * leg_den)
-    expansion = tuple(
-        -2.0 * math.pi * _complex(re, im, f * v_den, f"expansion_coeffs[{k}]")
-        for k, (f, (re, im)) in enumerate(zip(fact, v))
-    )
-    return PoleJet(pole.Gamma, phase, tuple(reduced), den, expansion)
+    return tuple(reduced), den, v, v_den
+
+
+# ------------------------------------------------------------ ball jets
+#
+# The same jets as balls of algebra (Gaussian integers over a power of two,
+# each within a radius), at p bits, in the variable u = (w - z) 2**-s with
+# 2**s <= Gamma < 2**(s+1): there every leg coefficient shrinks or grows by
+# at most 2 per order, since |z - i a| > Gamma / 2, and W's weights are
+# binom(r, n+1) (-i Gamma 2**-s)**n.  Q(t) is then Q'(t 2**s), with
+# Q'_m = Q_m 2**-(s m) read by the same kernel as the exact Q.
+
+# Bits of the ball builds of pole_jet, tried in turn before the exact build.
+_PRECISIONS = (160, 320, 640, 1280, 2560, 5120)
+
+
+def _ball_leg(fn: TestFunction, z, order: int, s: int, p: int) -> tuple:
+    """The jet of fn at z in u as a ball series at p bits: term k of
+    c / (w - i a)**m is J_k = c delta**m binom(m+k-1, k) zeta**k with
+    delta = 1 / (z - i a) and zeta = -2**s delta, |zeta| < 2.  J_0 is a
+    p-bit scalar, and J_k = J_(k-1) zeta (m+k-1) / k is read at its
+    exponent with zeta cut to 2**-p, each step floored, radius carried."""
+    terms = []
+    for a, m, c in fn.terms:
+        ((x, y),), sd = _lift([(z[0], z[1] - Fraction(a))])
+        delta = _ball_quotient((sd * x, -sd * y), x * x + y * y, 0, p)
+        (c_int,), c_den = _lift([(Fraction(c.real), Fraction(c.imag))])
+        # c_den is a power of two
+        term = ([c_int], 1 - c_den.bit_length(), 0)
+        for _ in range(m):
+            term = _ball_product(term, delta, 1, p)
+        ((zr, zi),), shift, z_rad = delta[0], delta[1] + s + p, delta[2]
+        if shift >= 0:
+            zr, zi, z_rad = -zr << shift, -zi << shift, z_rad << shift
+        else:
+            zr, zi, z_rad = -zr >> -shift, -zi >> -shift, (z_rad >> -shift) + 2
+        z_size = abs(zr) + abs(zi)
+        jet, e, rad = term
+        for k in range(1, order):
+            cr, ci = jet[-1]
+            rad = (((abs(cr) + abs(ci)) * z_rad + z_size * rad + 2 * rad * z_rad) >> p) + 2
+            cr, ci = (cr * zr - ci * zi) >> p, (cr * zi + ci * zr) >> p
+            f = m + k - 1
+            jet.append((cr * f // k, ci * f // k))
+            rad = rad * f // k + 2
+        terms.append((jet, e, rad))
+    if not terms:
+        return [(0, 0)] * order, 0, 0
+    aligned = _ball_aligned(terms)
+    coeffs = [tuple(map(sum, zip(*parts))) for parts in zip(*(c for c, _, _ in aligned))]
+    return _trim(coeffs, aligned[0][1], sum(rad for _, _, rad in aligned), p)
+
+
+def _ball_shift(shifted, g_den: int, order: int, s: int, p: int) -> tuple:
+    """exp(2i (gamma(z + 2**s u) - gamma(z))) in u as a ball series:
+    _phase_jet's recurrence on g_j 2**(s j) cut to 2**-p, each e_k floored,
+    the radius of every e_k carried from those it is made of.  The series
+    starts at 2**-p and is cut whenever a term passes 2 p bits, so that a
+    steep phase does not grow its integers with the order."""
+    g = [None]
+    for j in range(1, len(shifted)):
+        shift = s * j + p
+        g.append(tuple((x << shift if shift >= 0 else x >> -shift) // g_den for x in shifted[j]))
+    # every g_j within 2 of its exact value
+    e, rads, exponent = [(1 << p, 0)], [0], -p
+    for k in range(1, order):
+        re = im = rad = 0
+        for j in range(1, min(k, len(g) - 1) + 1):
+            (gr, gi), (er, ei) = g[j], e[k - j]
+            # 2 j i g_j e_(k-j)
+            re -= 2 * j * (gr * ei + gi * er)
+            im += 2 * j * (gr * er - gi * ei)
+            size_g, size_e = abs(gr) + abs(gi), abs(er) + abs(ei)
+            rad += 2 * j * (size_g * rads[k - j] + 2 * size_e + 4 * rads[k - j])
+        d = k << p
+        e.append((re // d, im // d))
+        rads.append(rad // d + 2)
+        drop = max(map(abs, e[-1])).bit_length() - 2 * p
+        if drop > 0:
+            e, rads = [(x >> drop, y >> drop) for x, y in e], [(x >> drop) + 2 for x in rads]
+            exponent += drop
+    return e, exponent, max(rads)
+
+
+def _ball_jets(psi: TestFunction, phi: TestFunction, model: SMatrixModel, taylor, p: int):
+    """(v, q, s) at p bits: v the ball series of v_k 2**-(s k), with
+    v = Gamma W phi of _exact_jets, and q that of Q'_m (r-1)!, Q'_m the
+    coefficients of Q'(t 2**s) = Q(t); taylor is _taylor_shift's gamma at
+    z when the gauge is absorbed, else None."""
+    pole = model.pole
+    r = pole.r
+    z = Fraction(pole.E_R), Fraction(pole.Gamma) / -2
+    s = math.frexp(pole.Gamma)[1] - 1
+    phi_c, phi_e, phi_rad = _ball_leg(phi, z, r, s, p)
+    # W's weight binom(r, n+1) (-i)**n (Gamma 2**-s)**n on the anti-diagonal
+    # k + l = n, times Gamma = gp / gq, as w[n] over 2**bottom
+    gp, gq = pole.Gamma.as_integer_ratio()
+    tp, tq = math.ldexp(pole.Gamma, -s).as_integer_ratio()
+    w = [gp * binom(r, n + 1) * tp**n * tq ** (r - 1 - n) for n in range(r)]
+    bottom = gq.bit_length() - 1 + (r - 1) * (tq.bit_length() - 1)
+    v = []
+    for k in range(r):
+        re = im = 0
+        for l in range(r - k):
+            x, y = _turn(phi_c[l], 3 * (k + l))
+            re += w[k + l] * x
+            im += w[k + l] * y
+        v.append((re, im))
+    v = _trim(v, phi_e - bottom, r * max(w) * phi_rad, p)
+    leg = _ball_leg(psi, z, r, s, p)
+    if taylor is not None and len(taylor[0]) > 1:
+        leg = _ball_product(leg, _ball_shift(*taylor, r, s, p), r, p)
+    sums, e, rad = _ball_product((v[0][::-1], v[1], v[2]), leg, r, p)
+    lifts = [math.factorial(r - 1) // math.factorial(m) for m in range(r)]
+    q = [_turn((-c * x, -c * y), 3 * m) for m, (x, y), c in zip(range(r), sums[::-1], lifts)]
+    return v, (q, e, rad * lifts[0]), s
+
+
+def _ball_part_pair(c, rad: int, e: int, den: int, what: str):
+    """complex(x / den, y / den) as _complex rounds it, for the exact (x, y)
+    of the ball parts 2**e [c - rad, c + rad], or None where Ziv's test
+    cannot decide a part; OverflowError naming what where a part surely
+    leaves the float range, as _complex raises it for either part."""
+    parts = [_rounded_part(x, rad, e, den) for x in c]
+    if any(x is not None and math.isinf(x) for x in parts):
+        raise OverflowError(f"{what} leaves the float range")
+    return None if None in parts else complex(*parts)
+
+
+class PoleJet:
+    """Pole term of a pairing whose observable is translated by t >= 0.
+
+    The pole term of (psi, S phi) is -2 pi Gamma sum_k (W phi)_k psi_k,
+    with psi_k and phi_l the Taylor coefficients of the legs at z, psi
+    times the phase factor when the gauge is absorbed, and W = w_total
+    of states in the factorial normalization; with psi(w) exp(-i w t) it is
+
+        2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
+
+    with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
+    coefficient of t**m in lowest terms, as a Gaussian integer (re, im),
+    and phase is exp(2i gamma(z)) in floats (1 without the gauge).
+    expansion_coeffs are the b_k = -2 pi Gamma (W phi)_k / k! that Q pairs
+    with the derivatives of the observable leg, so that the pole term
+    amplitude() == sum_k b_k psi^(k)(z) with the same gauge placement;
+    each part is rounded once from its exact value.
+
+    A jet of pole_jet reads the pole term, its probability at t = 0,
+    vanishes and the ratios off balls of Q (p-bit Gaussian integers with a
+    certified radius), each value under Ziv's test: the float that both
+    ends of its ball round to, a ball of Q(0) that excludes 0.  Where a
+    ball cannot decide, the next build of _PRECISIONS does, and past the
+    last the exact Q, which coeffs and denominator build on first read.
+    A jet made from coeffs and denominator reads them alone.
+    """
+
+    def __init__(self, width: float, phase: complex, coeffs, denominator, expansion_coeffs,
+                 pairing=None):
+        self.width, self.phase = width, phase
+        self.expansion_coeffs = tuple(expansion_coeffs)
+        self._exact = None if coeffs is None else (tuple(coeffs), denominator)
+        # (psi, phi, model, taylor) of pole_jet, and its ball builds by bits
+        self._pairing, self._balls = pairing, {}
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._exact_build()[0]
+
+    @property
+    def denominator(self) -> int:
+        return self._exact_build()[1]
+
+    def _exact_build(self) -> tuple:
+        """(coeffs, denominator, ...): the exact Q given, or _exact_jets of
+        the pairing, built on first use."""
+        if self._exact is None:
+            self._exact = _exact_jets(*self._pairing[:3])
+        return self._exact
+
+    def _ball_builds(self):
+        """The ball builds (v, q, s) of the pairing at each of _PRECISIONS
+        in turn, each made on first use; none for a jet made from Q."""
+        for p in _PRECISIONS if self._pairing else ():
+            if p not in self._balls:
+                self._balls[p] = _ball_jets(*self._pairing, p)
+            yield self._balls[p]
+
+    def _read(self, ball_read, exact_read):
+        """The first ball_read(v, q, s) that is not None, else exact_read
+        of _exact_build()."""
+        for ball in self._ball_builds():
+            value = ball_read(*ball)
+            if value is not None:
+                return value
+        return exact_read(*self._exact_build())
+
+    @property
+    def vanishes(self) -> bool:
+        """Whether Q(0), and with it the pole term, is exactly zero."""
+        def ball_read(v, q, s):
+            (re, im), rad = q[0][0], q[2]
+            return False if abs(re) > rad or abs(im) > rad else None
+
+        return self._read(ball_read, lambda coeffs, *_: coeffs[0] == (0, 0))
+
+    def amplitude(self, t: float = 0.0) -> complex:
+        """2 pi exp(2i gamma(z)) Q(t), for t >= 0; at t = 0 this is the
+        pole term."""
+        if not t >= 0:
+            raise NegativeTimeError(f"the pole term is defined for t >= 0, got {t}")
+        what = f"pole_term at t = {t!r}"
+
+        def exact_read(coeffs, den, *_):
+            re, im, scale = _exact_at(coeffs, t)
+            return _complex(re, im, den * scale, what)
+
+        if t:
+            value = exact_read(*self._exact_build())
+        else:
+            value = self._read(lambda v, q, s: _ball_part_pair(
+                q[0][0], q[2], q[1], math.factorial(len(q[0]) - 1), what), exact_read)
+        return 2.0 * math.pi * self.phase * value
+
+    def probability(self, t: float) -> float:
+        """exp(-Gamma t) |amplitude(t)|**2, for t >= 0."""
+        value = self.amplitude(t)
+        m, e = _exp_decay(self.width, t)
+        s, k = math.frexp(value.real * value.real + value.imag * value.imag)
+        return _ldexp([m * s], [e + k], "probability", [t])[0]
+
+    def ratios(self, times) -> list:
+        """[(ratio, reference)] at each t >= 0 of times: reference =
+        exp(-Gamma t) and ratio = reference |Q(t) / Q(0)|**2, the exact
+        quotient rounded once, scaled by a power of two, times the mantissa
+        of the reference, exponents last: at r = 1 the two agree bit for
+        bit.  The quotients are read by algebra's _fixed_readings, one
+        fixed-point Horner pass per t on the balls of Q' and |Q(0)|**2,
+        each build reading the t no earlier one decided; _quotients_at of
+        the exact Q reads the rest.  NegativeTimeError for a t that is
+        negative or nan, and VanishingPoleTermError where Q(0) = 0."""
+        times = list(times)
+        for t in times:
+            if not t >= 0:
+                raise NegativeTimeError(f"ratios are defined for t >= 0, got {t}")
+        if self.vanishes:
+            raise VanishingPoleTermError("pole term vanishes at t = 0; ratio table undefined")
+        quotients = [None] * len(times)
+        todo = list(range(len(times)))
+        for _, (coeffs, _, rad), s in self._ball_builds():
+            lows = [(re - rad, im - rad) for re, im in coeffs]
+            den_low, den_high = _norm_bounds(*lows[0], 2 * rad)
+            if den_low:
+                readings = _fixed_readings(lows, 2 * rad, den_low, den_high, 0, s,
+                                           [times[i] for i in todo], True, False)
+                for i, reading in zip(todo, readings):
+                    quotients[i] = reading
+                todo = [i for i in todo if quotients[i] is None]
+            if not todo:
+                break
+        if todo:
+            (q_re, q_im), rest = self.coeffs[0], [times[i] for i in todo]
+            readings = _quotients_at(self.coeffs, q_re * q_re + q_im * q_im, rest)
+            for i, reading in zip(todo, readings):
+                quotients[i] = reading
+        decays = [_exp_decay(self.width, t) for t in times]
+        values = [m * q for (m, _), (q, _) in zip(decays, quotients)]
+        exponents = [e + k for (_, e), (_, k) in zip(decays, quotients)]
+        ratios = _ldexp(values, exponents, "ratio", times)
+        return [(ratio, math.ldexp(m, e)) for ratio, (m, e) in zip(ratios, decays)]
+
+
+def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJet:
+    """The pole term of the pairing: the jet of the observable leg paired
+    with v = W phi, exactly Q of _exact_jets, read off balls of it.
+
+    With L the jet of the observable leg (times exp(2i (gamma(w) - gamma(z)))
+    when the gauge is absorbed) and the shift
+    exp(-i w t) = exp(-i z t) sum_j (-i t)**j / j! (w - z)**j, the pairing
+    is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
+    Q_m = -(-i)**m / m! sum_{k>=m} v_k L[k-m], v = Gamma W phi, and the
+    expansion_coeffs are -2 pi v_k / k!, each part rounded once, read off
+    the ball of v_k where Ziv's test decides it, as PoleJet reads Q.
+    """
+    pole = model.pole
+    taylor, phase = None, 1 + 0j
+    if model.absorb_gauge:
+        z = Fraction(pole.E_R), Fraction(pole.Gamma) / -2
+        taylor = _taylor_shift(model.gamma, z)
+        (g_re, g_im), g_den = taylor[0][0], taylor[1]
+        try:
+            # 2i gamma(z) = -2 Im gamma(z) + 2i Re gamma(z)
+            phase = _exp_exact(Fraction(-2 * g_im, g_den), Fraction(2 * g_re, g_den))
+        except OverflowError:
+            raise OverflowError("phase factor exp(2i gamma(z)) leaves the float range") from None
+    jet = PoleJet(pole.Gamma, phase, None, None, (), (psi, phi, model, taylor))
+    expansion = []
+    for k in range(pole.r):
+        what, f = f"expansion_coeffs[{k}]", math.factorial(k)
+        value = jet._read(
+            lambda v, q, s: _ball_part_pair(v[0][k], v[2], v[1] + s * k, f, what),
+            lambda coeffs, den, v, v_den: _complex(*v[k], f * v_den, what))
+        expansion.append(-2.0 * math.pi * value)
+    jet.expansion_coeffs = tuple(expansion)
+    return jet
 
 
 def lineshape(pole: ResonancePole, e_grid) -> list:

@@ -51,7 +51,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _exp_decay, _horner, _ldexp, _lift, _quotient, _quotients_at, _scaled
+from .algebra import _exp_decay, _ldexp, _lift, _quotient, _quotients_at, _scaled
 from .algebra import _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, conjugation_polys
@@ -214,7 +214,10 @@ def _norm_readings(W: StateOperator, points, scale: float, power: int) -> tuple:
     4**-k with k from N(0), is rounded once and read by a float Horner pass,
     at t = s 2**j >= 128 in s < 2**8 on the coefficients times
     2**((d - deg N) j): every float operation is the unscaled one times a
-    power of two, and N stays in range."""
+    power of two, and N stays in range.  The N of decay_table is constant
+    but for a dyad, whose N is a polynomial in t**2, so the pass takes its
+    even coefficients, two steps (acc s) s + c at a time: the steps over the
+    zero odd ones, acc s + 0, round to the same floats."""
     coeffs, den = _evolved_norm_squared(W)
     common = math.gcd(coeffs[0], den)
     u0, k = _scaled(coeffs[0] // common, den // common, root=True)
@@ -228,9 +231,13 @@ def _norm_readings(W: StateOperator, points, scale: float, power: int) -> tuple:
     for j, group in itertools.groupby(points, key=operator.itemgetter(1)):
         half = degree * j // 2
         c0, *tail = [math.ldexp(c, (d - degree) * j) for d, c in enumerate(scaled)] if j else scaled
+        evens = tail[-1::-2]
         u0_shifted = math.ldexp(u0, -half)
         for s, _, m, e in group:
-            T = _horner(tail, s)
+            acc = 0.0
+            for c in evens:
+                acc = acc * s * s + c
+            T = acc * s
             u = math.sqrt(T * s + c0)
             norm.append(scale * u * m)
             norm_exponents.append(exponent + half + e)

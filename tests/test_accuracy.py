@@ -148,11 +148,10 @@ def _pole_parts(config: str, payload: dict) -> list:
     raise AssertionError(f"the oracle does not settle on\n{config}")
 
 
-# r up to the cap with E_R and Gamma of moderate size, and r up to 8 with
-# both from the whole range: at r = 32 a pole at the ends of the range
-# takes 5 to 13 s, in the exact integers of the jets
+# r up to the cap with E_R and Gamma of moderate size, and with both from
+# the whole range
 poles = st.tuples(st.integers(min_value=1, max_value=R_CAP), moderate, moderate) | st.tuples(
-    st.integers(min_value=1, max_value=8), positive, positive
+    st.integers(min_value=1, max_value=R_CAP), positive, positive
 )
 
 

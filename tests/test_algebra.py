@@ -389,6 +389,16 @@ class TestQuotientsAt:
              root=False, falls_back=True)
     @example(poly=([(3**3000, 5**2000), (-(3**3000), -(5**2000))], True), den=3**6000,
              times=[1.0], root=True, falls_back=True)
+    # the floors of the Horner pass, with the cut exact (s = 0): at t = 1.5
+    # the exact P(t) = c0 + 1.5 c1 lies 1/2 below the midpoint M =
+    # 2**128 + 2**127 + 2**126 + 2**75, the pass reads [M - 1, M + 3]
+    @example(poly=([(2**128 + 2**75 - 2, 0), (2**127 + 1, 0)], False), den=1, times=[1.5],
+             root=False, falls_back=True)
+    # two floors drop 1/2 and 3/4, so that the pass starts 5/4 below the
+    # exact P(1.5), which lies 1/4 above a midpoint M: the floors alone put
+    # M in the interval, and read at its low end P would round down
+    @example(poly=([(2**127 + 2**76 - 2, 0), (2**127, 0), (2**127 + 1, 0)], False), den=1,
+             times=[1.5], root=False, falls_back=True)
     def test_every_reading_rounds_once(self, poly, den, times, root, falls_back):
         coeffs, norm = poly
         fallbacks = []

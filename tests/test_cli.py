@@ -25,7 +25,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowkit import algebra
+from gamowkit import algebra, smatrix
 from gamowkit.cli import J_CAP, M_CAP, R_CAP, STEPS_CAP, RunConfig, main, parse_config_text
 from gamowkit.cli import _csv_text, _json_text
 from gamowkit.errors import ConfigInvalidError
@@ -963,9 +963,10 @@ class TestDeterminism:
         assert piped.output == out.read_text()
 
     def test_exact_fallback_alone_prints_the_same_bytes(self, runner, tmp_path, monkeypatch):
-        # the ratios are read off Q cut to 128 bits wherever that decides
-        # their rounding; sending every reading to the exact fallback
-        # instead changes no byte
+        # the jet is built in p-bit balls, and the ratios are read off them,
+        # or off Q cut to 128 bits, wherever that decides their rounding;
+        # sending every ratio through each ball build to the exact value,
+        # and then also building the exact Q alone, changes no byte
         confs = []
         for name in ("pole_term_r1.conf", "pole_term_r2.conf"):
             text = (CONFIGS / name).read_text()
@@ -974,6 +975,7 @@ class TestDeterminism:
                 conf.write_text(re.sub(r"^r = \d+$", f"r = {r}", text, flags=re.M))
                 confs.append(conf)
         normal = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
+        assert all(result.exit_code == 0 for result in normal)
         undecided = []
 
         def never_decided(*ends):
@@ -981,8 +983,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(algebra, "_rounded_between", never_decided)
         forced = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
+        assert len(undecided) == (len(smatrix._PRECISIONS) + 1) * 2 * 8 * 11
+        assert [result.output for result in forced] == [result.output for result in normal]
+        undecided.clear()
+        monkeypatch.setattr(smatrix, "_PRECISIONS", ())
+        forced = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
         assert len(undecided) == 2 * 8 * 11
-        assert all(result.exit_code == 0 for result in normal)
         assert [result.output for result in forced] == [result.output for result in normal]
 
     @pytest.mark.parametrize(

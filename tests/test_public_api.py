@@ -108,6 +108,26 @@ def test_no_module_imports_outside_the_standard_library():
     assert imports == []
 
 
+
+# every standard-library module that some gamowkit module imports at its
+# top level: each spawn of the CLI imports them all, so a new one (decimal,
+# say, for ball arithmetic) adds to the start-up time of every command
+MODULE_LEVEL_IMPORTS = {
+    "__future__", "argparse", "cmath", "collections", "dataclasses", "fractions", "itertools",
+    "json.encoder", "math", "operator", "sys", "types",
+}
+
+
+def test_module_level_imports_are_pinned():
+    imports = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                imports |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imports.add(node.module)
+    assert imports == MODULE_LEVEL_IMPORTS
+
 def test_cli_reads_no_kernel_of_algebra():
     # the command line only formats: every reading of an exact value at a
     # time, exp(-Gamma t) included, lives in states and smatrix

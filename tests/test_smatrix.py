@@ -9,6 +9,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gamowkit import smatrix
 from gamowkit.cli import R_CAP, RunConfig, parse_config_text
 from gamowkit.errors import NoConvergenceError, PoleEvaluationError, VanishingPoleTermError
 from gamowkit.jordan import GamowSubspace
@@ -515,6 +517,109 @@ class TestPoleTermIsThePairingWithW:
             for m in range(r):
                 assert sympy.expand(Q.coeff(t, m) - got[m]) == 0, (normalization, m)
 
+
+
+def _inside(exact: Fraction, centre: int, rad: int, e: int) -> bool:
+    """Whether exact lies in 2**e [centre - rad, centre + rad]."""
+    return abs(exact / Fraction(2) ** e - centre) <= rad
+
+
+wide_leg = st.lists(
+    st.tuples(st.floats(1e-3, 1e3), st.integers(1, 3),
+              st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))),
+    min_size=1, max_size=2,
+)
+
+
+class TestBallJets:
+    """Every exact coefficient of Q and of v = Gamma W phi lies in its ball.
+
+    The ball build holds v_k 2**-(s k) and Q_m 2**-(s m) (r-1)!, with
+    2**s <= Gamma < 2**(s+1), as Gaussian integers over 2**e, each part
+    within rad of its exact value; the exact values are those of the exact
+    build, which TestPoleJetExact and TestPoleTermIsThePairingWithW certify.
+    The order runs to the cap with E_R and Gamma of moderate size, and to 8
+    with both from the whole range, where the exact build of the oracle
+    stays fast: at r = 32 with E_R = 1e300 and Gamma = 1e-300 it takes
+    about 35 s.
+    """
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        pole=st.tuples(st.integers(1, R_CAP), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+        | st.tuples(st.integers(1, 8), st.floats(0.0, exclude_min=True, allow_infinity=False),
+                    st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        psi=wide_leg,
+        phi=wide_leg,
+        gamma=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+        gauge=st.booleans(),
+        p=st.sampled_from(smatrix._PRECISIONS),
+    )
+    # both ends of the range at once, with E_R / Gamma moderate
+    @example(pole=(32, 1e300, 3e299), psi=[(1e300, 2, 1 + 1j)], phi=[(2e299, 3, 0.5)],
+             gamma=[0.1, 2e-300], gauge=True, p=160)
+    @example(pole=(32, 1e-300, 4e-300), psi=[(1e-300, 1, 1j)], phi=[(3e-300, 2, 1.0)],
+             gamma=[0.3, 1e299], gauge=True, p=160)
+    def test_exact_coefficients_lie_in_their_balls(self, pole, psi, phi, gamma, gauge, p):
+        r, E_R, width = pole
+        kind = "constant" if len(gamma) == 1 else "polynomial"
+        model = SMatrixModel(ResonancePole(E_R, width, r), BackgroundPhase(kind, gamma),
+                             absorb_gauge=gauge)
+        legs = TestFunction(tuple(psi)), TestFunction(tuple(phi))
+        coeffs, den, v, v_den = smatrix._exact_jets(*legs, model)
+        z = Fraction(E_R), Fraction(width) / -2
+        taylor = smatrix._taylor_shift(model.gamma, z) if gauge else None
+        (vc, ve, v_rad), (qc, qe, q_rad), s = smatrix._ball_jets(*legs, model, taylor, p)
+        lift = math.factorial(r - 1)
+        for k in range(r):
+            scale = Fraction(2) ** (-s * k)
+            for exact, centre in zip(v[k], vc[k]):
+                assert _inside(Fraction(exact, v_den) * scale, centre, v_rad, ve), ("v", k)
+            for exact, centre in zip(coeffs[k], qc[k]):
+                assert _inside(Fraction(exact, den) * scale * lift, centre, q_rad, qe), ("Q", k)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        pole=st.tuples(st.integers(1, R_CAP), st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+        | st.tuples(st.integers(1, 8), st.floats(0.0, exclude_min=True, allow_infinity=False),
+                    st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        psi=wide_leg,
+        phi=wide_leg,
+        gamma=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=4),
+        gauge=st.booleans(),
+        times=st.lists(st.floats(0.0, 1e3) | st.floats(0.0, allow_infinity=False), min_size=1,
+                       max_size=4),
+    )
+    # zero legs at a huge width: balls of 0 whose ends both leave the float
+    # range, one each way, decide nothing
+    @example(pole=(3, 1.0, 6.52844545570324e274), psi=[(1.0, 1, 0j)], phi=[(1.0, 1, 0j)],
+             gamma=[0.0], gauge=False, times=[0.0])
+    # an empty leg is the zero function: a pole term of exact zeros
+    @example(pole=(3, 2.0, 1.0), psi=[], phi=[(1.0, 1, 1.0)], gamma=[0.1, 0.2], gauge=True,
+             times=[0.0, 1.0])
+    @example(pole=(3, 2.0, 1.0), psi=[(1.0, 1, 1.0)], phi=[], gamma=[0.1], gauge=False,
+             times=[0.0, 1.0])
+    def test_balls_read_what_the_exact_build_reads(self, pole, psi, phi, gamma, gauge, times):
+        # every value a jet prints, and its first error, read off the balls
+        # and off the exact Q alone: the same floats, signs of zero included
+        r, E_R, width = pole
+        kind = "constant" if len(gamma) == 1 else "polynomial"
+        model = SMatrixModel(ResonancePole(E_R, width, r), BackgroundPhase(kind, gamma),
+                             absorb_gauge=gauge)
+
+        def readings():
+            out = []
+            try:
+                jet = pole_jet(TestFunction(tuple(psi)), TestFunction(tuple(phi)), model)
+                out += [repr(jet.expansion_coeffs), jet.vanishes, repr(jet.amplitude())]
+                out += [repr(jet.probability(0.0)), repr(jet.ratios(times))]
+            except (OverflowError, VanishingPoleTermError) as exc:
+                out.append(repr(exc))
+            return out
+
+        balls = readings()
+        with mock.patch.object(smatrix, "_PRECISIONS", ()):
+            assert readings() == balls
 
 class TestExpansionCoeffs:
     def test_simple_pole_coefficient(self, pair):
