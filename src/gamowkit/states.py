@@ -136,8 +136,9 @@ def w_total(space: GamowSubspace) -> StateOperator:
     """W / (2 pi Gamma) = sum_n binom(r, n+1) (-i)**n W(n), the microphysical
     state operator without its scale, which has no exact value; every
     certified statement about W is scale invariant, and decay_table
-    applies the scale unless exact.  The one builder of W's weights:
-    smatrix reads the pole term and the partial fractions off it."""
+    applies the scale unless exact.  The one exact builder of W's weights:
+    smatrix reads the exact pole term and the partial fractions off it
+    (its p-bit balls take the weights' closed form)."""
     r = space.dimension
     # (-i)**n = i**(3n)
     return _family(space, [_turn((binom(r, n + 1), 0), 3 * n) for n in range(r)])
