@@ -19,6 +19,9 @@ _trim, _ball_quotient, _ball_product and _ball_aligned build them at p
 bits, _rounded_part rounds a part where both ends of its ball agree, and
 _fixed_readings reads a ball polynomial as it reads a cut one.
 
+_Frozen is the base of the package's immutable value classes (the pole,
+its subspace, the S-matrix model and its parts, the state operator).
+
 No package path uses the classes GaussianRational, Polynomial and
 ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
 algebra.poly_*_us metrics, and ROADMAP item 1 deletes them when it
@@ -37,6 +40,20 @@ __all__ = [
     "ExpPolynomial",
     "binom",
 ]
+
+
+class _Frozen:
+    """Base of the immutable value classes of the package: each __init__
+    stores its fields, named in __slots__, with self._set(name, value), and
+    a later assignment or deletion of a field raises AttributeError."""
+
+    __slots__ = ()
+    _set = object.__setattr__
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 def binom(n: int, k: int) -> int:

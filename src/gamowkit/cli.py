@@ -22,7 +22,6 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 from .errors import ConfigInvalidError, UnderflowError
@@ -89,11 +88,15 @@ def parse_config_text(text: str) -> dict:
     return data
 
 
-@dataclass
 class RunConfig:
-    """Parsed and validated configuration for one CLI run."""
+    """Parsed and validated configuration for one CLI run.  raw may be
+    reassigned; there is no field-wise __eq__ (instances compare by
+    identity), __hash__ or __repr__."""
 
-    raw: dict
+    __slots__ = ("raw",)
+
+    def __init__(self, raw: dict):
+        self.raw = raw
 
     def _single(self, key: str, default=None):
         values = self.raw.get(key)

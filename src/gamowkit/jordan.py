@@ -51,9 +51,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .algebra import _scaled, _turn, binom
+from .algebra import _Frozen, _scaled, _turn, binom
 from .errors import NegativeTimeError
 
 __all__ = [
@@ -70,21 +69,23 @@ __all__ = [
 NORMALIZATIONS = ("derivative", "factorial")
 
 
-@dataclass(frozen=True)
-class ResonancePole:
-    """Resonance position E_R, width Gamma and pole order r."""
+class ResonancePole(_Frozen):
+    """Resonance position E_R, width Gamma and pole order r.  Its fields
+    cannot be reassigned; there is no field-wise __eq__ (instances compare
+    by identity), __hash__ or __repr__."""
 
-    E_R: float
-    Gamma: float
-    r: int
+    __slots__ = ("E_R", "Gamma", "r")
 
-    def __post_init__(self):
-        if not 0 < self.E_R < math.inf:
-            raise ValueError(f"E_R must be positive and finite, got {self.E_R}")
-        if not 0 < self.Gamma < math.inf:
-            raise ValueError(f"Gamma must be positive and finite, got {self.Gamma}")
-        if self.r < 1:
-            raise ValueError(f"pole order r must be >= 1, got {self.r}")
+    def __init__(self, E_R: float, Gamma: float, r: int):
+        if not 0 < E_R < math.inf:
+            raise ValueError(f"E_R must be positive and finite, got {E_R}")
+        if not 0 < Gamma < math.inf:
+            raise ValueError(f"Gamma must be positive and finite, got {Gamma}")
+        if r < 1:
+            raise ValueError(f"pole order r must be >= 1, got {r}")
+        self._set("E_R", E_R)
+        self._set("Gamma", Gamma)
+        self._set("r", r)
 
     @property
     def z_R(self) -> complex:
@@ -92,16 +93,19 @@ class ResonancePole:
         return complex(self.E_R, -0.5 * self.Gamma)
 
 
-@dataclass(frozen=True)
-class GamowSubspace:
-    """Span of the r generalized vectors at one pole, in a fixed normalization."""
+class GamowSubspace(_Frozen):
+    """Span of the r generalized vectors at one pole, in a fixed
+    normalization.  Its fields cannot be reassigned; there is no
+    field-wise __eq__ (instances compare by identity), __hash__ or
+    __repr__."""
 
-    pole: ResonancePole
-    normalization: str = "derivative"
+    __slots__ = ("pole", "normalization")
 
-    def __post_init__(self):
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
+    def __init__(self, pole: ResonancePole, normalization: str = "derivative"):
+        if normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {normalization!r}")
+        self._set("pole", pole)
+        self._set("normalization", normalization)
 
     @property
     def dimension(self) -> int:

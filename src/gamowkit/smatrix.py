@@ -30,10 +30,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import _ball_aligned, _ball_product, _ball_quotient, _convolve, _exact_at
+from .algebra import _Frozen, _ball_aligned, _ball_product, _ball_quotient, _convolve, _exact_at
 from .algebra import _exp_decay, _exp_exact, _fixed_readings, _gmul, _horner, _ldexp, _lift
 from .algebra import _norm_bounds, _quotients_at, _rounded_part, _trim, _turn, binom
 from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
@@ -62,57 +61,67 @@ CONTOUR_MAX_NODES = 4096
 CONTOUR_REL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BackgroundPhase:
-    """Real polynomial background phase gamma(w) = sum params[i] * w**i."""
+class BackgroundPhase(_Frozen):
+    """Real polynomial background phase gamma(w) = sum params[i] * w**i,
+    params stored as a tuple of floats.  Its fields cannot be reassigned;
+    there is no field-wise __eq__ (instances compare by identity), __hash__
+    or __repr__."""
 
-    kind: str = "constant"
-    params: tuple = (0.0,)
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        if self.kind not in ("constant", "polynomial"):
-            raise ValueError(f"unknown phase kind {self.kind!r}")
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if self.kind == "constant" and len(self.params) != 1:
+    def __init__(self, kind: str = "constant", params: tuple = (0.0,)):
+        if kind not in ("constant", "polynomial"):
+            raise ValueError(f"unknown phase kind {kind!r}")
+        params = tuple(float(p) for p in params)
+        if kind == "constant" and len(params) != 1:
             raise ValueError("constant phase takes exactly one parameter")
-        if not self.params:
+        if not params:
             raise ValueError("phase needs at least one parameter")
+        self._set("kind", kind)
+        self._set("params", params)
 
     def value(self, omega: complex) -> complex:
         return _horner(self.params, omega)
 
 
-@dataclass(frozen=True)
-class SMatrixModel:
-    """Pole data plus background phase; absorb_gauge selects whether the
-    phase factor exp(2i gamma) is folded into the ket-side leg of pairings
-    (on) or dropped from them altogether (off)."""
+class SMatrixModel(_Frozen):
+    """Pole data plus background phase (a fresh BackgroundPhase() unless
+    given); absorb_gauge selects whether the phase factor exp(2i gamma) is
+    folded into the ket-side leg of pairings (on) or dropped from them
+    altogether (off).  Its fields cannot be reassigned; there is no
+    field-wise __eq__ (instances compare by identity), __hash__ or
+    __repr__."""
 
-    pole: ResonancePole
-    gamma: BackgroundPhase = field(default_factory=BackgroundPhase)
-    absorb_gauge: bool = True
+    __slots__ = ("pole", "gamma", "absorb_gauge")
+
+    def __init__(self, pole: ResonancePole, gamma: BackgroundPhase | None = None,
+                 absorb_gauge: bool = True):
+        self._set("pole", pole)
+        self._set("gamma", BackgroundPhase() if gamma is None else gamma)
+        self._set("absorb_gauge", absorb_gauge)
 
     def phase_factor(self, omega: complex) -> complex:
         return cmath.exp(2j * self.gamma.value(omega))
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(_Frozen):
     """Rational function sum_j c_j / (w - i a_j)**m_j with a_j > 0.
 
     All poles sit in the upper half-plane, so the function is analytic on
     the closed lower half-plane where the resonance pole and the contour
-    around it live.  An empty term list is the zero function.
+    around it live.  An empty term list is the zero function.  terms
+    holds the checked (float a, int m, complex c) triples; it cannot be
+    reassigned, and there is no field-wise __eq__ (instances compare by
+    identity), __hash__ or __repr__.
     """
 
     # not a test case despite the name
     __test__ = False
+    __slots__ = ("terms",)
 
-    terms: tuple = ()
-
-    def __post_init__(self):
+    def __init__(self, terms: tuple = ()):
         clean = []
-        for a, m, c in self.terms:
+        for a, m, c in terms:
             a = float(a)
             m = int(m)
             c = complex(c)
@@ -123,7 +132,7 @@ class TestFunction:
             if m < 1:
                 raise ValueError(f"test-function pole order m must be >= 1, got {m}")
             clean.append((a, m, c))
-        object.__setattr__(self, "terms", tuple(clean))
+        self._set("terms", tuple(clean))
 
     def value(self, omega: complex) -> complex:
         return sum((c / (omega - 1j * a) ** m for a, m, c in self.terms), 0j)

@@ -48,10 +48,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import _exp_decay, _ldexp, _lift, _quotient, _quotients_at, _scaled
+from .algebra import _Frozen, _exp_decay, _ldexp, _lift, _quotient, _quotients_at, _scaled
 from .algebra import _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
 from .jordan import GamowSubspace, conjugation_polys
@@ -66,24 +65,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StateOperator:
+class StateOperator(_Frozen):
     """Operator on the pole subspace whose dyads evolve under the semigroup.
 
     entries maps (k, l) to the Gaussian integer (re, im) of |k><l|, whose
     coefficient is (re + i im) / denominator; absent dyads are 0.  lift
-    builds one from exact values.
+    builds one from exact values.  Its fields cannot be reassigned; there
+    is no field-wise __eq__ (instances compare by identity), __hash__ or
+    __repr__.
     """
 
-    space: GamowSubspace
-    entries: dict
-    denominator: int
+    __slots__ = ("space", "entries", "denominator")
 
-    def __post_init__(self):
-        r = self.space.dimension
-        for k, l in self.entries:
+    def __init__(self, space: GamowSubspace, entries: dict, denominator: int):
+        r = space.dimension
+        for k, l in entries:
             if not 0 <= k < r or not 0 <= l < r:
                 raise IndexOutOfRangeError(f"dyad indices must be in 0..{r - 1}, got ({k}, {l})")
+        self._set("space", space)
+        self._set("entries", entries)
+        self._set("denominator", denominator)
 
     @classmethod
     def lift(cls, space: GamowSubspace, values: dict) -> StateOperator:

@@ -111,9 +111,14 @@ def _chain_vector(block, width: int, n: int):
     """
     fixing = {}
     for row in block:
-        if row.l + row.m == n - 1 and any(row.weights):
-            last = max(i for i, w in enumerate(row.weights) if w)
-            fixing.setdefault(last, row.weights)
+        if row.l + row.m == n - 1:
+            # the last nonzero weight, scanned from the end; a zero row fixes nothing
+            weights = row.weights
+            last = len(weights) - 1
+            while last >= 0 and not weights[last]:
+                last -= 1
+            if last >= 0:
+                fixing.setdefault(last, weights)
     free = width - len(fixing)
     if free != 1:
         return free, None

@@ -17,6 +17,9 @@ from gamowkit.algebra import (
     ExpPolynomial,
     GaussianRational,
     Polynomial,
+    _ball_aligned,
+    _ball_product,
+    _ball_quotient,
     _convolve,
     _exact_at,
     _exp_decay,
@@ -24,6 +27,7 @@ from gamowkit.algebra import (
     _quotient,
     _quotients_at,
     _scaled,
+    _trim,
     binom,
 )
 
@@ -422,3 +426,99 @@ class TestQuotientsAt:
             assert rounds_to(m, exact / Fraction(4 if root else 2) ** k, root)
             # k from the bit lengths keeps m near 1
             assert m == 0 or 0.5 <= m <= 2
+
+
+# ball centres and radii of every size up to 100 bits, the bit length drawn
+# first; the exact value sits on either edge of its ball as often as inside
+centres = st.integers(0, 100).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+radii = st.integers(0, 100).flatmap(lambda bits: st.integers(0, 2**bits))
+sides = st.sampled_from([-1, 1]) | st.integers(-(2**16), 2**16).map(lambda n: Fraction(n, 2**16))
+
+
+def ball_at(coeffs, e, rad, signs=(1, 1)):
+    """The ball series (coeffs, e, rad) and the exact series at signs * rad
+    from its centres, one sign for the re and one for the im part of every
+    term."""
+    exact = [tuple((c + sign * rad) * Fraction(2) ** e for c, sign in zip(pair, signs))
+             for pair in coeffs]
+    return (coeffs, e, rad), exact
+
+
+@st.composite
+def balls(draw, size):
+    """A ball series of size terms and an exact series inside it."""
+    coeffs = [(draw(centres), draw(centres)) for _ in range(size)]
+    e, rad = draw(st.integers(-80, 80)), draw(radii)
+    exact = [tuple((c + draw(sides) * rad) * Fraction(2) ** e for c in pair) for pair in coeffs]
+    return (coeffs, e, rad), exact
+
+
+def contains(ball, exact) -> bool:
+    """Whether each part of every exact term lies in 2**e [c - rad, c + rad]
+    for the same part c of the ball's term."""
+    coeffs, e, rad = ball
+    unit = Fraction(2) ** e
+    return len(coeffs) == len(exact) and all(
+        abs(x / unit - c) <= rad for pair, centre in zip(exact, coeffs)
+        for x, c in zip(pair, centre))
+
+
+def exact_product(a, b, order: int) -> list:
+    return [(sum(a[k - j][0] * b[j][0] - a[k - j][1] * b[j][1] for j in range(k + 1)),
+             sum(a[k - j][0] * b[j][1] + a[k - j][1] * b[j][0] for j in range(k + 1)))
+            for k in range(order)]
+
+
+class TestBallPrimitives:
+    """Each ball primitive alone against exact Fractions: its output ball
+    holds the exact value of every input in its input balls, at low
+    precisions where each term of a radius matters.  The examples put the
+    exact value on a ball's edge and make every floor drop almost a unit."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(case=st.integers(1, 4).flatmap(balls), p=st.integers(8, 32))
+    # the two floor shifts by 8 bits each drop 255/256, the value at +rad
+    @example(case=ball_at([(2**16 - 1, -1)], 0, 2**8 - 1), p=8)
+    @example(case=ball_at([(5, -(2**40) - 1), (-(2**20) + 3, 2**41 - 1)], -7, 2**20 - 1), p=32)
+    def test_trim_holds_the_exact_value(self, case, p):
+        ball, exact = case
+        out = _trim(*ball, p)
+        assert contains(out, exact)
+        if out[1] > ball[1]:
+            assert max(max(abs(re), abs(im)) for re, im in out[0]).bit_length() <= p + 1
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(num=st.tuples(centres, centres), den=radii.map(lambda d: d + 1),
+           e=st.integers(-80, 80), p=st.integers(8, 32))
+    # shift -4: the shift drops 15/16 and the division by 3 another 2/3
+    @example(num=(8207, -8209), den=3, e=0, p=8)
+    # shift 0: the division alone drops 2/3
+    @example(num=(512, -514), den=3, e=5, p=8)
+    def test_quotient_holds_the_exact_value(self, num, den, e, p):
+        exact = [tuple(Fraction(x) * Fraction(2) ** e / den for x in num)]
+        assert contains(_ball_quotient(num, den, e, p), exact)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=st.integers(1, 4).flatmap(lambda order: st.tuples(
+               st.just(order), st.integers(order, order + 2).flatmap(balls),
+               st.integers(order, order + 2).flatmap(balls))),
+           p=st.integers(8, 32))
+    # equal real centres, (8 + 3i)(8 - 3i) in every product: each of the
+    # three terms of the last coefficient is off by |a| rb + |b| ra + 2 ra rb,
+    # so its error is the whole radius, and no trim adds slack
+    @example(case=(3, ball_at([(5, 0)] * 3, 0, 3), ball_at([(5, 0)] * 3, 0, 3, (1, -1))), p=32)
+    @example(case=(2, ball_at([(5, 0)] * 2, -9, 3), ball_at([(7, 0)] * 2, 4, 2, (1, -1))), p=8)
+    def test_product_holds_the_exact_value(self, case, p):
+        order, (a, exact_a), (b, exact_b) = case
+        assert contains(_ball_product(a, b, order, p), exact_product(exact_a, exact_b, order))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(case=st.lists(st.integers(1, 3).flatmap(balls), min_size=1, max_size=4))
+    # aligned 4 bits up, the floors drop 15/16 and the value sits at +rad
+    @example(case=[ball_at([(2**8 - 1, -1)], 0, 2**4 - 1), ball_at([(1, 1)], 4, 0)])
+    def test_aligned_holds_every_exact_value(self, case):
+        out = _ball_aligned([ball for ball, _ in case])
+        top = max(e for (_, e, _), _ in case)
+        assert [e for _, e, _ in out] == [top] * len(case)
+        for ball, (_, exact) in zip(out, case):
+            assert contains(ball, exact)

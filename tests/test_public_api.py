@@ -10,6 +10,8 @@ object that happens to share the spelling, does not count.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -113,7 +115,7 @@ def test_no_module_imports_outside_the_standard_library():
 # top level: each spawn of the CLI imports them all, so a new one (decimal,
 # say, for ball arithmetic) adds to the start-up time of every command
 MODULE_LEVEL_IMPORTS = {
-    "__future__", "argparse", "cmath", "collections", "dataclasses", "fractions", "itertools",
+    "__future__", "argparse", "cmath", "collections", "fractions", "itertools",
     "json.encoder", "math", "operator", "sys", "types",
 }
 
@@ -127,6 +129,21 @@ def test_module_level_imports_are_pinned():
             elif isinstance(node, ast.ImportFrom) and not node.level:
                 imports.add(node.module)
     assert imports == MODULE_LEVEL_IMPORTS
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize and execs every
+    # generated method: about 11 ms of each spawn that no command needs.
+    # The modules are those import gamowkit.cli adds to a bare interpreter.
+    probe = ("import sys; bare = set(sys.modules); import gamowkit.cli; "
+             "print(*sorted(set(sys.modules) - bare))")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert "gamowkit.cli" in out
+    assert {"dataclasses", "inspect"} & set(out) == set()
+
 
 def test_cli_reads_no_kernel_of_algebra():
     # the command line only formats: every reading of an exact value at a
