@@ -8,16 +8,17 @@ mantissa and exponent, _scaled rounds an exact quotient or its square
 root once, scaled by a power of two, and _ldexp applies the carried
 exponents.  _quotients_at reads |P(t)|**2 (or P(t)) over a denominator
 at every t of a grid, each rounded once as _scaled rounds it: first by
-_fixed_readings, a fixed-point Horner pass on the coefficients cut to 128
-bits, which leaves the value in a small interval whose ends two int
-divisions round (Ziv's test), and from the exact value only where the
-interval holds a rounding boundary.
+_fixed_readings, on the coefficients cut to 128 bits, whose fixed-point
+Horner pass (_horner_bounds) leaves the value in a small interval whose
+ends two int divisions round (Ziv's test), and from the exact value only
+where the interval holds a rounding boundary.
 
 Ball series (coeffs, e, rad) are Gaussian integers over a power of two,
 each part within rad of the exact one (van der Hoeven's ball arithmetic):
 _trim, _ball_quotient, _ball_product and _ball_aligned build them at p
 bits, _rounded_part rounds a part where both ends of its ball agree, and
-_fixed_readings reads a ball polynomial as it reads a cut one.
+_horner_bounds and _fixed_readings read a ball polynomial as they read a
+cut one.
 
 _Frozen is the base of the package's immutable value classes (the pole,
 its subspace, the S-matrix model and its parts, the state operator).
@@ -226,29 +227,24 @@ def _quotients_at(coeffs, den: int, times, norm: bool = True, root: bool = False
             for t, reading in zip(times, readings)]
 
 
-def _fixed_readings(lows, width: int, den_low: int, den_high: int, exponent: int, scale: int,
-                    times, norm: bool, root: bool) -> list:
-    """[(m, k) or None] at each t of times: the reading of _quotients_at
-    where Ziv's test decides it, and None elsewhere, for P(t 2**scale) with
-    coefficients c_d whose parts satisfy lows[d] <= c_d 2**-s <=
-    lows[d] + width, and lows[d] an int pair, and den with den_low <=
-    den 2**-s' <= den_high; exponent is 2 s - s' (norm) or s - s'.
+def _horner_bounds(lows, width: int, scale: int, times) -> list:
+    """[(re, im, B)] at each float t >= 0 of times: each part of
+    P(t 2**scale) 2**-s lies in [re, re + B] and [im, im + B], for P whose
+    coefficients c_d have parts lows[d] <= c_d 2**-s <= lows[d] + width.
 
-    One fixed-point Horner pass per t: with t 2**scale = num / 2**e,
-    acc = (acc num >> e) + lows[d] leaves each part of P 2**-s in
-    [acc, acc + B], B = (width + f) n ceil(max(1, t 2**scale))**(n-1) for n
-    coefficients, f = 1 where e > 0 floors: each step multiplies the error
-    by t 2**scale and adds at most width and a floor below 1.  The ends of
-    the interval that v / den then lies in are two int true divisions
-    (_rounded_between); where they round to one float, so does v / den, as
-    rounding is monotone."""
+    One fixed-point Horner pass per t: with t 2**scale = num / 2**e, acc =
+    (acc num >> e) + lows[d], and B = (width + f) n ceil(t 2**scale)**(n-1)
+    for n coefficients, f = 1 where e > 0 floors: each step multiplies the
+    error by t 2**scale and adds at most width and a floor below 1.  At
+    t = 0 the pass is lows[0] itself, and B = width."""
     n, last, rest = len(lows), lows[-1], lows[-2::-1]
-    # a root halves the exponent, its odd bit moved into the value
-    odd, k = (exponent & 1, exponent >> 1) if root else (0, exponent)
     out = []
     for t in times:
         num, step = float(t).as_integer_ratio()
         e = step.bit_length() - 1 - scale
+        if not num:
+            out.append((*lows[0], width))
+            continue
         re, im = last
         if e > 0:
             for cr, ci in rest:
@@ -259,13 +255,24 @@ def _fixed_readings(lows, width: int, den_low: int, den_high: int, exponent: int
             for cr, ci in rest:
                 re, im = re * num + cr, im * num + ci
             top = num
-        width_t = (width + (e > 0)) * n * max(top, 1) ** (n - 1)
-        if not norm:
-            low, high = max(re, 0), re + width_t
-        elif not width_t:
-            low = high = re * re + im * im
-        else:
-            low, high = _norm_bounds(re, im, width_t)
+        out.append((re, im, (width + (e > 0)) * n * top ** (n - 1)))
+    return out
+
+
+def _fixed_readings(lows, width: int, den_low: int, den_high: int, exponent: int, scale: int,
+                    times, norm: bool, root: bool) -> list:
+    """[(m, k) or None] at each t of times: the reading of _quotients_at
+    where Ziv's test decides it, and None elsewhere, for P(t 2**scale) as
+    _horner_bounds reads it and den with den_low <= den 2**-s' <= den_high;
+    exponent is 2 s - s' (norm) or s - s'.  The ends of the interval that
+    v / den then lies in are two int true divisions (_rounded_between);
+    where they round to one float, so does v / den, as rounding is
+    monotone."""
+    # a root halves the exponent, its odd bit moved into the value
+    odd, k = (exponent & 1, exponent >> 1) if root else (0, exponent)
+    out = []
+    for re, im, bound in _horner_bounds(lows, width, scale, times):
+        low, high = _norm_bounds(re, im, bound) if norm else (max(re, 0), re + bound)
         reading = _rounded_between(low << odd, high << odd, den_low, den_high, root)
         out.append(None if reading is None else (reading[0], reading[1] + k))
     return out
@@ -351,7 +358,8 @@ def _ball_quotient(num, den: int, e: int, p: int) -> tuple:
     shift = p + den.bit_length() - max(abs(num[0]), abs(num[1])).bit_length()
     if shift >= 0:
         return [((num[0] << shift) // den, (num[1] << shift) // den)], e - shift, 1
-    return [((num[0] >> -shift) // den, (num[1] >> -shift) // den)], e - shift, 2
+    # floor(floor(x) / den) = floor(x / den), so radius 1 holds here too
+    return [((num[0] >> -shift) // den, (num[1] >> -shift) // den)], e - shift, 1
 
 
 def _ball_product(a, b, order: int, p: int) -> tuple:

@@ -18,12 +18,12 @@ pole term of the pairing with the observable translated by t is
 2 pi exp(2i gamma(z)) exp(-i z t) Q(t), Q an exact polynomial of degree
 < r.  pole_jet, the one entry point to it, pairs the observable jet with
 W phi; its PoleJet reads the amplitude and the survival probability at
-any t >= 0, and the ratio table of a whole grid in one call.  The jets
-are built first as p-bit balls, whose every printed reading is decided
-by Ziv's test, and exactly only where no ball of up to 5120 bits
-decides one, or when the exact Q is asked for.  Only the
-benchmark's smatrix.derivative_* metrics and acceptance criterion 5 read
-analytic_derivatives (contour quadrature), until ROADMAP item 2.
+any t >= 0, and the ratio table of a whole grid in one call.  Every
+value is read off p-bit balls of the jets where Ziv's test decides it,
+and off the exact jets only where no ball of up to 5120 bits decides
+it.  Only the benchmark's smatrix.derivative_* metrics and acceptance
+criterion 5 read analytic_derivatives (contour quadrature), until ROADMAP
+item 3.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import math
 from fractions import Fraction
 
 from .algebra import _Frozen, _ball_aligned, _ball_product, _ball_quotient, _convolve, _exact_at
-from .algebra import _exp_decay, _exp_exact, _fixed_readings, _gmul, _horner, _ldexp, _lift
-from .algebra import _norm_bounds, _quotients_at, _rounded_part, _trim, _turn, binom
+from .algebra import _exact_reading, _exp_decay, _exp_exact, _fixed_readings, _gmul, _horner
+from .algebra import _horner_bounds, _ldexp, _lift, _norm_bounds, _rounded_part, _trim, _turn, binom
 from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
 from .errors import VanishingPoleTermError
 from .jordan import GamowSubspace, ResonancePole
@@ -369,7 +369,7 @@ def _ball_leg(fn: TestFunction, z, order: int, s: int, p: int) -> tuple:
         else:
             zr, zi, z_rad = -zr >> -shift, -zi >> -shift, (z_rad >> -shift) + 2
         z_size = abs(zr) + abs(zi)
-        jet, e, rad = term
+        (jet, e, rad), widest = term, term[2]
         for k in range(1, order):
             cr, ci = jet[-1]
             rad = (((abs(cr) + abs(ci)) * z_rad + z_size * rad + 2 * rad * z_rad) >> p) + 2
@@ -377,7 +377,9 @@ def _ball_leg(fn: TestFunction, z, order: int, s: int, p: int) -> tuple:
             f = m + k - 1
             jet.append((cr * f // k, ci * f // k))
             rad = rad * f // k + 2
-        terms.append((jet, e, rad))
+            # one radius for the series: J_k's may fall with k where |zeta| is small
+            widest = max(widest, rad)
+        terms.append((jet, e, widest))
     if not terms:
         return [(0, 0)] * order, 0, 0
     aligned = _ball_aligned(terms)
@@ -456,7 +458,7 @@ def _ball_part_pair(c, rad: int, e: int, den: int, what: str):
     cannot decide a part; OverflowError naming what where a part surely
     leaves the float range, as _complex raises it for either part."""
     parts = [_rounded_part(x, rad, e, den) for x in c]
-    if any(x is not None and math.isinf(x) for x in parts):
+    if math.inf in parts or -math.inf in parts:
         raise OverflowError(f"{what} leaves the float range")
     return None if None in parts else complex(*parts)
 
@@ -471,21 +473,21 @@ class PoleJet:
 
         2 pi exp(2i gamma(z)) exp(-i z t) Q(t)
 
-    with Q a polynomial of degree < r: coeffs[m] / denominator is the exact
-    coefficient of t**m in lowest terms, as a Gaussian integer (re, im),
-    and phase is exp(2i gamma(z)) in floats (1 without the gauge).
-    expansion_coeffs are the b_k = -2 pi Gamma (W phi)_k / k! that Q pairs
-    with the derivatives of the observable leg, so that the pole term
-    amplitude() == sum_k b_k psi^(k)(z) with the same gauge placement;
-    each part is rounded once from its exact value.
+    with Q a polynomial of degree < r, and phase is exp(2i gamma(z)) in
+    floats (1 without the gauge).  expansion_coeffs are the b_k = -2 pi
+    Gamma (W phi)_k / k! that Q pairs with the derivatives of the
+    observable leg, so that the pole term amplitude() == sum_k b_k
+    psi^(k)(z) with the same gauge placement; each part is rounded once
+    from its exact value.
 
-    A jet of pole_jet reads the pole term, its probability at t = 0,
-    vanishes and the ratios off balls of Q (p-bit Gaussian integers with a
-    certified radius), each value under Ziv's test: the float that both
-    ends of its ball round to, a ball of Q(0) that excludes 0.  Where a
-    ball cannot decide, the next build of _PRECISIONS does, and past the
-    last the exact Q, which coeffs and denominator build on first read.
-    A jet made from coeffs and denominator reads them alone.
+    A jet of pole_jet reads every value off one ladder (_read): balls of
+    Q and v (p-bit Gaussian integers with a certified radius) at each of
+    _PRECISIONS, then the exact build.  The first rung that decides a
+    value under Ziv's test gives it: the float that both ends of its ball
+    round to, a ball of Q(0) that excludes 0.  Q(t) is read at every t by
+    algebra's fixed-point Horner pass.  A jet made from the exact coeffs
+    (Gaussian integers (re, im), lowest power first) and denominator of Q
+    reads them alone.
     """
 
     def __init__(self, width: float, phase: complex, coeffs, denominator, expansion_coeffs,
@@ -496,46 +498,37 @@ class PoleJet:
         # (psi, phi, model, taylor) of pole_jet, and its ball builds by bits
         self._pairing, self._balls = pairing, {}
 
-    @property
-    def coeffs(self) -> tuple:
-        return self._exact_build()[0]
-
-    @property
-    def denominator(self) -> int:
-        return self._exact_build()[1]
-
-    def _exact_build(self) -> tuple:
-        """(coeffs, denominator, ...): the exact Q given, or _exact_jets of
-        the pairing, built on first use."""
-        if self._exact is None:
-            self._exact = _exact_jets(*self._pairing[:3])
-        return self._exact
-
-    def _ball_builds(self):
-        """The ball builds (v, q, s) of the pairing at each of _PRECISIONS
-        in turn, each made on first use; none for a jet made from Q."""
+    def _read(self, items, ball_read, exact_read) -> list:
+        """[value] for each of items, off the ladder: ball_read(build,
+        pending) reads each pending item or None on the ball builds (v, q, s,
+        lows) in turn, lows the low ends of q's parts, and exact_read(exact,
+        item) the rest off the exact (coeffs, denominator, ...); each build
+        is made on first use."""
+        values, todo = [None] * len(items), range(len(items))
         for p in _PRECISIONS if self._pairing else ():
             if p not in self._balls:
-                self._balls[p] = _ball_jets(*self._pairing, p)
-            yield self._balls[p]
-
-    def _read(self, ball_read, exact_read):
-        """The first ball_read(v, q, s) that is not None, else exact_read
-        of _exact_build()."""
-        for ball in self._ball_builds():
-            value = ball_read(*ball)
-            if value is not None:
-                return value
-        return exact_read(*self._exact_build())
+                v, (c, e, rad), s = _ball_jets(*self._pairing, p)
+                self._balls[p] = v, (c, e, rad), s, [(x - rad, y - rad) for x, y in c]
+            readings = ball_read(self._balls[p], [items[i] for i in todo])
+            for i, value in zip(todo, readings):
+                values[i] = value
+            if None not in readings:
+                return values
+            todo = [i for i in todo if values[i] is None]
+        if self._exact is None:
+            self._exact = _exact_jets(*self._pairing[:3])
+        for i in todo:
+            values[i] = exact_read(self._exact, items[i])
+        return values
 
     @property
     def vanishes(self) -> bool:
         """Whether Q(0), and with it the pole term, is exactly zero."""
-        def ball_read(v, q, s):
-            (re, im), rad = q[0][0], q[2]
-            return False if abs(re) > rad or abs(im) > rad else None
+        def ball_read(build, pending):
+            (re, im), rad = build[1][0][0], build[1][2]
+            return [False if abs(re) > rad or abs(im) > rad else None]
 
-        return self._read(ball_read, lambda coeffs, *_: coeffs[0] == (0, 0))
+        return self._read([0], ball_read, lambda exact, _: exact[0][0] == (0, 0))[0]
 
     def amplitude(self, t: float = 0.0) -> complex:
         """2 pi exp(2i gamma(z)) Q(t), for t >= 0; at t = 0 this is the
@@ -544,16 +537,18 @@ class PoleJet:
             raise NegativeTimeError(f"the pole term is defined for t >= 0, got {t}")
         what = f"pole_term at t = {t!r}"
 
-        def exact_read(coeffs, den, *_):
-            re, im, scale = _exact_at(coeffs, t)
-            return _complex(re, im, den * scale, what)
+        def ball_read(build, pending):
+            # Q(t) (r-1)! in 2**e [acc, acc + B] = 2**(e-1) [2 acc + B -+ B]
+            _, (coeffs, e, rad), s, lows = build
+            den = math.factorial(len(coeffs) - 1)
+            return [_ball_part_pair((2 * re + b, 2 * im + b), b, e - 1, den, what)
+                    for re, im, b in _horner_bounds(lows, 2 * rad, s, pending)]
 
-        if t:
-            value = exact_read(*self._exact_build())
-        else:
-            value = self._read(lambda v, q, s: _ball_part_pair(
-                q[0][0], q[2], q[1], math.factorial(len(q[0]) - 1), what), exact_read)
-        return 2.0 * math.pi * self.phase * value
+        def exact_read(exact, t):
+            re, im, scale = _exact_at(exact[0], t)
+            return _complex(re, im, exact[1] * scale, what)
+
+        return 2.0 * math.pi * self.phase * self._read([t], ball_read, exact_read)[0]
 
     def probability(self, t: float) -> float:
         """exp(-Gamma t) |amplitude(t)|**2, for t >= 0."""
@@ -567,35 +562,27 @@ class PoleJet:
         exp(-Gamma t) and ratio = reference |Q(t) / Q(0)|**2, the exact
         quotient rounded once, scaled by a power of two, times the mantissa
         of the reference, exponents last: at r = 1 the two agree bit for
-        bit.  The quotients are read by algebra's _fixed_readings, one
-        fixed-point Horner pass per t on the balls of Q' and |Q(0)|**2,
-        each build reading the t no earlier one decided; _quotients_at of
-        the exact Q reads the rest.  NegativeTimeError for a t that is
-        negative or nan, and VanishingPoleTermError where Q(0) = 0."""
+        bit.  Each ball build reads the quotients by algebra's
+        _fixed_readings, one fixed-point Horner pass per t on the balls of
+        Q' and |Q(0)|**2, and the exact Q (_exact_reading) reads the t no
+        ball decides.  NegativeTimeError for a t that is negative or nan,
+        and VanishingPoleTermError where Q(0) = 0."""
         times = list(times)
         for t in times:
             if not t >= 0:
                 raise NegativeTimeError(f"ratios are defined for t >= 0, got {t}")
         if self.vanishes:
             raise VanishingPoleTermError("pole term vanishes at t = 0; ratio table undefined")
-        quotients = [None] * len(times)
-        todo = list(range(len(times)))
-        for _, (coeffs, _, rad), s in self._ball_builds():
-            lows = [(re - rad, im - rad) for re, im in coeffs]
+
+        def ball_read(build, pending):
+            _, (_, _, rad), s, lows = build
             den_low, den_high = _norm_bounds(*lows[0], 2 * rad)
-            if den_low:
-                readings = _fixed_readings(lows, 2 * rad, den_low, den_high, 0, s,
-                                           [times[i] for i in todo], True, False)
-                for i, reading in zip(todo, readings):
-                    quotients[i] = reading
-                todo = [i for i in todo if quotients[i] is None]
-            if not todo:
-                break
-        if todo:
-            (q_re, q_im), rest = self.coeffs[0], [times[i] for i in todo]
-            readings = _quotients_at(self.coeffs, q_re * q_re + q_im * q_im, rest)
-            for i, reading in zip(todo, readings):
-                quotients[i] = reading
+            if not den_low:
+                return [None] * len(pending)
+            return _fixed_readings(lows, 2 * rad, den_low, den_high, 0, s, pending, True, False)
+
+        quotients = self._read(times, ball_read, lambda exact, t: _exact_reading(
+            exact[0], sum(x * x for x in exact[0][0]), t, True, False))
         decays = [_exp_decay(self.width, t) for t in times]
         values = [m * q for (m, _), (q, _) in zip(decays, quotients)]
         exponents = [e + k for (_, e), (_, k) in zip(decays, quotients)]
@@ -613,7 +600,7 @@ def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJ
     is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
     Q_m = -(-i)**m / m! sum_{k>=m} v_k L[k-m], v = Gamma W phi, and the
     expansion_coeffs are -2 pi v_k / k!, each part rounded once, read off
-    the ball of v_k where Ziv's test decides it, as PoleJet reads Q.
+    the ladder of PoleJet as Q is: the balls of v, then the exact v.
     """
     pole = model.pole
     taylor, phase = None, 1 + 0j
@@ -627,14 +614,18 @@ def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJ
         except OverflowError:
             raise OverflowError("phase factor exp(2i gamma(z)) leaves the float range") from None
     jet = PoleJet(pole.Gamma, phase, None, None, (), (psi, phi, model, taylor))
-    expansion = []
-    for k in range(pole.r):
-        what, f = f"expansion_coeffs[{k}]", math.factorial(k)
-        value = jet._read(
-            lambda v, q, s: _ball_part_pair(v[0][k], v[2], v[1] + s * k, f, what),
-            lambda coeffs, den, v, v_den: _complex(*v[k], f * v_den, what))
-        expansion.append(-2.0 * math.pi * value)
-    jet.expansion_coeffs = tuple(expansion)
+
+    def ball_read(build, ks):
+        (c, e, rad), _, s, _ = build
+        return [_ball_part_pair(c[k], rad, e + s * k, math.factorial(k), f"expansion_coeffs[{k}]")
+                for k in ks]
+
+    # one coefficient at a time, so that the first to leave the float range
+    # is named; the exact build is (coeffs, denominator, v, v_den)
+    expansion = [jet._read([k], ball_read, lambda exact, k: _complex(
+        *exact[2][k], math.factorial(k) * exact[3], f"expansion_coeffs[{k}]"))[0]
+        for k in range(pole.r)]
+    jet.expansion_coeffs = tuple(-2.0 * math.pi * b for b in expansion)
     return jet
 
 

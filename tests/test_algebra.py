@@ -23,9 +23,12 @@ from gamowkit.algebra import (
     _convolve,
     _exact_at,
     _exp_decay,
+    _horner_bounds,
     _ldexp,
+    _norm_bounds,
     _quotient,
     _quotients_at,
+    _rounded_part,
     _scaled,
     _trim,
     binom,
@@ -494,6 +497,10 @@ class TestBallPrimitives:
     @example(num=(8207, -8209), den=3, e=0, p=8)
     # shift 0: the division alone drops 2/3
     @example(num=(512, -514), den=3, e=5, p=8)
+    # shift -12: both parts sit 1 - 2**-12 / den above their floors, just
+    # under the radius of 1 that floor(floor(x) / den) = floor(x / den) gives
+    @example(num=(200 * 2**12 * (2**20 - 1) - 1, -150 * 2**12 * (2**20 - 1) - 1),
+             den=2**20 - 1, e=-3, p=8)
     def test_quotient_holds_the_exact_value(self, num, den, e, p):
         exact = [tuple(Fraction(x) * Fraction(2) ** e / den for x in num)]
         assert contains(_ball_quotient(num, den, e, p), exact)
@@ -522,3 +529,117 @@ class TestBallPrimitives:
         assert [e for _, e, _ in out] == [top] * len(case)
         for ball, (_, exact) in zip(out, case):
             assert contains(ball, exact)
+
+
+# a Horner pass at t = 2047/1024: with every acc = 1 (mod 1024), each floor
+# of acc 2047 / 1024 drops 1023/1024, and the value lies 14.97 units above
+# the pass, beyond the bound n = 5 that floor(t) would give
+FLOORED = [(1039, 1039), (1031, 1031), (1027, 1027), (1025, 1025), (1025, 1025)]
+
+# where an exact part sits in [low, low + width], as a share of width
+shares = st.sampled_from([0, 1]) | st.integers(0, 2**16).map(lambda n: Fraction(n, 2**16))
+
+
+class TestHornerBounds:
+    """_horner_bounds alone against exact Fractions: each part of
+    P(t 2**scale) lies in its interval [acc, acc + B] for every exact P
+    whose coefficients lie in [lows, lows + width], with the exact
+    coefficients on either edge as often as inside; at t = 0 the interval
+    is the ball of the constant term itself."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(lows=st.lists(st.tuples(centres, centres), min_size=1, max_size=6),
+           width=radii, shares=st.lists(st.tuples(shares, shares), min_size=6, max_size=6),
+           scale=st.integers(-64, 64),
+           times=st.lists(st.just(0.0) | st.integers(1, 2**20).map(float)
+                          | st.floats(0.0, 1.0) | st.floats(0.0, 1e300), min_size=1, max_size=4))
+    # t = 0, where the interval is the constant term's, of width 4 and not n 4
+    @example(lows=[(5, -3), (7, 1), (-2, 9)], width=4, shares=[(1, 1)] * 6, scale=-3,
+             times=[0.0])
+    # t 2**scale = 3/4: one floor, and a bound from ceil(3/4) = 1
+    @example(lows=[(0, 0), (1, 1)], width=0, shares=[(1, 1)] * 6, scale=0, times=[0.75])
+    @example(lows=FLOORED, width=0, shares=[(1, 1)] * 6, scale=0, times=[2047 / 1024])
+    # integer t 2**scale: 2047 / 1024 again, and 3 / 1024
+    @example(lows=FLOORED, width=3, shares=[(1, 1)] * 6, scale=-10, times=[2047.0, 3.0])
+    # t near 1e300, and t 2**scale far above and below 1
+    @example(lows=[(2**90 - 1, -(2**90) + 1)] * 4, width=2**80, shares=[(1, 0)] * 6,
+             scale=7, times=[1e300, 9.999999999999999e299])
+    @example(lows=[(1, -1)] * 3, width=1, shares=[(1, 0)] * 6, scale=-1100, times=[1e300])
+    def test_each_part_lies_in_its_interval(self, lows, width, shares, scale, times):
+        out = _horner_bounds(lows, width, scale, times)
+        assert len(out) == len(times)
+        exact = [tuple(low + share * width for low, share in zip(pair, pair_shares))
+                 for pair, pair_shares in zip(lows, shares)]
+        for t, (re, im, bound) in zip(times, out):
+            x = Fraction(t) * Fraction(2) ** scale
+            value = [sum(c[part] * x**d for d, c in enumerate(exact)) for part in (0, 1)]
+            assert re <= value[0] <= re + bound
+            assert im <= value[1] <= im + bound
+            if t == 0:
+                assert (re, im, bound) == (*lows[0], width)
+
+
+class TestNormBounds:
+    """_norm_bounds alone: the least and the largest x**2 + y**2 over the
+    box [re, re + width] x [im, im + width], the least where each side
+    comes nearest 0 (0 clipped to the side), the largest at a corner."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(re=centres, im=centres, width=radii)
+    # one side spans 0, the other ends on it, and a box of width 0
+    @example(re=-3, im=5, width=7)
+    @example(re=-9, im=-4, width=4)
+    @example(re=-9, im=4, width=0)
+    def test_bounds_are_the_extremes_of_the_box(self, re, im, width):
+        sides = [(re, re + width), (im, im + width)]
+        least = sum(min(max(0, a), b) ** 2 for a, b in sides)
+        largest = max(x * x + y * y for x in sides[0] for y in sides[1])
+        assert _norm_bounds(re, im, width) == (least, largest)
+
+
+def _float_of(x: Fraction) -> float:
+    """x rounded to the nearest float, inf beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+class TestRoundedPart:
+    """_rounded_part alone against exact Fractions: where it returns a
+    float, both ends of the ball 2**e [c - rad, c + rad] / den round to it,
+    with the sign of zero of each end; inf where both ends pass the largest
+    float; None only where the ends round to different floats or zeros."""
+
+    @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+    @given(c=centres, rad=radii, e=st.integers(-1250, 1100),
+           den=st.integers(0, 100).flatmap(lambda bits: st.integers(1, 2**bits)))
+    # a ball about 0 below the subnormals: the ends are -0.0 and 0.0
+    @example(c=0, rad=1, e=-1200, den=1)
+    # a negative ball below the subnormals reads -0.0, one ending on 0 reads 0.0
+    @example(c=-2, rad=1, e=-1200, den=3)
+    @example(c=1, rad=1, e=-1200, den=1)
+    # the ends are the largest float and 2**1024, and then both past it
+    @example(c=2**54 - 1, rad=1, e=970, den=1)
+    @example(c=-(2**54) - 1, rad=1, e=970, den=1)
+    # e = -1, the first exponent read by a shift of den
+    @example(c=3, rad=1, e=-1, den=1)
+    # 2**1024, the smallest value of an end of 1 to overflow
+    @example(c=1, rad=0, e=1024, den=1)
+    # the ends are 1 and its successor, over a den that the shift lifts
+    @example(c=2**53 + 1, rad=1, e=-60, den=2**7)
+    def test_a_read_part_is_every_value_of_its_ball(self, c, rad, e, den):
+        got = _rounded_part(c, rad, e, den)
+        ends = [Fraction(end) * Fraction(2) ** e / den for end in (c - rad, c + rad)]
+        floats = [_float_of(x) for x in ends]
+        same = floats[0] == floats[1] and math.copysign(1, floats[0]) == math.copysign(1, floats[1])
+        if got is None:
+            assert not same
+            return
+        assert same
+        for x in ends:
+            assert math.copysign(1, got) == (-1 if x < 0 else 1)
+            if math.isinf(got):
+                assert abs(x) >= OVERFLOW
+            else:
+                assert rounds_to(got, x)

@@ -963,8 +963,8 @@ class TestDeterminism:
         assert piped.output == out.read_text()
 
     def test_exact_fallback_alone_prints_the_same_bytes(self, runner, tmp_path, monkeypatch):
-        # the jet is built in p-bit balls, and the ratios are read off them,
-        # or off Q cut to 128 bits, wherever that decides their rounding;
+        # the jet is built in p-bit balls, and the ratios are read off them
+        # wherever that decides their rounding, else off the exact Q;
         # sending every ratio through each ball build to the exact value,
         # and then also building the exact Q alone, changes no byte
         confs = []
@@ -983,12 +983,12 @@ class TestDeterminism:
 
         monkeypatch.setattr(algebra, "_rounded_between", never_decided)
         forced = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
-        assert len(undecided) == (len(smatrix._PRECISIONS) + 1) * 2 * 8 * 11
+        assert len(undecided) == len(smatrix._PRECISIONS) * 2 * 8 * 11
         assert [result.output for result in forced] == [result.output for result in normal]
         undecided.clear()
         monkeypatch.setattr(smatrix, "_PRECISIONS", ())
         forced = [runner.invoke(main, ["pole-term", "--config", str(conf)]) for conf in confs]
-        assert len(undecided) == 2 * 8 * 11
+        assert len(undecided) == 0
         assert [result.output for result in forced] == [result.output for result in normal]
 
     @pytest.mark.parametrize(

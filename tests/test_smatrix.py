@@ -14,7 +14,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gamowkit import smatrix
@@ -35,6 +35,8 @@ from gamowkit.smatrix import (
     s_matrix_eval,
 )
 from gamowkit.states import w_total
+
+from expansion import gmul
 
 RNG_SEED = 20260823
 
@@ -334,7 +336,8 @@ class TestPoleJetRatio:
 
 
 class TestPoleJetExact:
-    """pole_jet against a sympy series of the translated pairing.
+    """The exact Q that pole_jet reads (_exact_jets) against a sympy series
+    of the translated pairing.
 
     With u = w - z, the pole sum of the pairing with the observable
     exp(-i w t) psi(w) (times exp(2i gamma(w)) when the gauge is absorbed)
@@ -366,7 +369,8 @@ class TestPoleJetExact:
         pole = ResonancePole(2.0, 0.9137, r)
         kind = "constant" if len(gamma) == 1 else "polynomial"
         model = SMatrixModel(pole, BackgroundPhase(kind, gamma), absorb_gauge=gauge)
-        jet = pole_jet(TestFunction(self.PSI), TestFunction(self.PHI), model)
+        got, got_den = smatrix._exact_jets(TestFunction(self.PSI), TestFunction(self.PHI),
+                                           model)[:2]
 
         u, t = sympy.symbols("u t")
         z = exact(complex(pole.z_R))
@@ -399,8 +403,8 @@ class TestPoleJetExact:
         # denominator of the parts, and each part lifted to it
         parts = [(sympy.re(c), sympy.im(c)) for c in (Q.coeff(t, m) for m in range(r))]
         den = sympy.ilcm(1, *(x.q for pair in parts for x in pair))
-        assert jet.denominator == den
-        assert jet.coeffs == tuple((int(re * den), int(im * den)) for re, im in parts)
+        assert got_den == den
+        assert got == tuple((int(re * den), int(im * den)) for re, im in parts)
 
 
 class TestPhaseJetInLowestTerms:
@@ -440,11 +444,11 @@ class TestPoleTermIsThePairingWithW:
 
         Q(t) = -Gamma sum_(k,l) w[k,l] sum_(p<=k) binom(k,p) (-i t)**(k-p) psi^(p)(z) phi^(l)(z)
 
-    with Q the polynomial of pole_jet and w the entries of w_total (W over
-    2 pi Gamma) in the derivative normalization.  The inner sum is column
-    k of the semigroup T~(t) of jordan acting on the observable leg, so
-    this is the chain from the S-matrix pole through the Gamow jets and W
-    to the semigroup.  In the factorial normalization the derivatives
+    with Q the exact polynomial that pole_jet reads (_exact_jets) and w
+    the entries of w_total (W over 2 pi Gamma) in the derivative
+    normalization.  The inner sum is column k of the semigroup T~(t) of
+    jordan acting on the observable leg, so this is the chain from the
+    S-matrix pole through the Gamow jets and W to the semigroup.  In the factorial normalization the derivatives
     become Taylor coefficients and binom(k, p) becomes 1 / (k-p)!.  With
     the gauge absorbed, psi is times exp(2i (gamma(w) - gamma(z))).  The
     derivatives are sympy's, of the closed-form legs, with every float at
@@ -474,7 +478,8 @@ class TestPoleTermIsThePairingWithW:
         kind = "constant" if len(gamma) == 1 else "polynomial"
         pole = ResonancePole(E_R, width, r)
         model = SMatrixModel(pole, BackgroundPhase(kind, gamma), absorb_gauge=gauge)
-        jet = pole_jet(TestFunction(tuple(psi)), TestFunction(tuple(phi)), model)
+        coeffs, denominator = smatrix._exact_jets(TestFunction(tuple(psi)),
+                                                  TestFunction(tuple(phi)), model)[:2]
 
         w, t = sympy.symbols("w t")
         z, Gamma = exact(pole.z_R), exact(width)
@@ -494,8 +499,8 @@ class TestPoleTermIsThePairingWithW:
             phase = sum(exact(p) * w**i for i, p in enumerate(gamma))
             observable *= sympy.exp(2 * I * (phase - phase.subs(w, z)))
         psi_d, phi_d = derivatives(observable), derivatives(leg(phi))
-        got = [sympy.Rational(re, jet.denominator) + I * sympy.Rational(im, jet.denominator)
-               for re, im in jet.coeffs]
+        got = [sympy.Rational(re, denominator) + I * sympy.Rational(im, denominator)
+               for re, im in coeffs]
         assert len(got) == r
 
         for normalization in ("derivative", "factorial"):
@@ -600,26 +605,148 @@ class TestBallJets:
     @example(pole=(3, 2.0, 1.0), psi=[(1.0, 1, 1.0)], phi=[], gamma=[0.1], gauge=False,
              times=[0.0, 1.0])
     def test_balls_read_what_the_exact_build_reads(self, pole, psi, phi, gamma, gauge, times):
-        # every value a jet prints, and its first error, read off the balls
-        # and off the exact Q alone: the same floats, signs of zero included
+        # every value a jet prints, the amplitude and the probability at
+        # each t, and each one's error, read off the balls and off the exact
+        # Q alone: the same floats, signs of zero included
         r, E_R, width = pole
         kind = "constant" if len(gamma) == 1 else "polynomial"
         model = SMatrixModel(ResonancePole(E_R, width, r), BackgroundPhase(kind, gamma),
                              absorb_gauge=gauge)
 
+        def read(value):
+            try:
+                return repr(value())
+            except (OverflowError, VanishingPoleTermError) as exc:
+                return repr(exc)
+
         def readings():
-            out = []
             try:
                 jet = pole_jet(TestFunction(tuple(psi)), TestFunction(tuple(phi)), model)
-                out += [repr(jet.expansion_coeffs), jet.vanishes, repr(jet.amplitude())]
-                out += [repr(jet.probability(0.0)), repr(jet.ratios(times))]
-            except (OverflowError, VanishingPoleTermError) as exc:
-                out.append(repr(exc))
+            except OverflowError as exc:
+                return [repr(exc)]
+            out = [repr(jet.expansion_coeffs), jet.vanishes, read(jet.amplitude)]
+            out += [read(lambda: jet.probability(0.0)), read(lambda: jet.ratios(times))]
+            for t in times:
+                out += [read(lambda: jet.amplitude(t)), read(lambda: jet.probability(t))]
             return out
 
         balls = readings()
         with mock.patch.object(smatrix, "_PRECISIONS", ()):
             assert readings() == balls
+
+def exact_leg(terms, z, order: int, s: int) -> list:
+    """The Taylor coefficients at z of sum c / (w - i a)**m in u =
+    (w - z) 2**-s, exactly: c delta**m binom(m+k-1, k) zeta**k with
+    delta = 1 / (z - i a) and zeta = -2**s delta."""
+    out = [(Fraction(0), Fraction(0))] * order
+    for a, m, c in terms:
+        x, y = z[0], z[1] - Fraction(a)
+        delta = (x / (x * x + y * y), -y / (x * x + y * y))
+        zeta = (-delta[0] * Fraction(2) ** s, -delta[1] * Fraction(2) ** s)
+        term = (Fraction(c.real), Fraction(c.imag))
+        for _ in range(m):
+            term = gmul(term, delta)
+        for k in range(order):
+            weight = math.comb(m + k - 1, k)
+            out[k] = (out[k][0] + weight * term[0], out[k][1] + weight * term[1])
+            term = gmul(term, zeta)
+    return out
+
+
+def exact_shift(shifted, g_den: int, order: int, s: int) -> list:
+    """The series of exp(2i (gamma(z + 2**s u) - gamma(z))) in u, exactly,
+    with gamma(z + v) - gamma(z) = sum_(j>=1) shifted[j] v**j / g_den: the
+    recurrence e_k = (1/k) sum_j 2i j g_j 2**(s j) e_(k-j) of the power-series
+    exponential."""
+    g = [gmul((0, 2), (Fraction(re, g_den), Fraction(im, g_den))) for re, im in shifted]
+    e = [(Fraction(1), Fraction(0))]
+    for k in range(1, order):
+        re = im = Fraction(0)
+        for j in range(1, min(k, len(shifted) - 1) + 1):
+            x, y = gmul(g[j], e[k - j])
+            re += j * x * Fraction(2) ** (s * j)
+            im += j * y * Fraction(2) ** (s * j)
+        e.append((re / k, im / k))
+    return e
+
+
+def inside_ball(exact, ball) -> bool:
+    """Whether each part of every exact term lies in 2**e [c - rad, c + rad]
+    for the same part c of the ball series (coeffs, e, rad)."""
+    coeffs, e, rad = ball
+    return len(coeffs) == len(exact) and all(
+        _inside(x, c, rad, e) for pair, centre in zip(exact, coeffs) for x, c in zip(pair, centre))
+
+
+class TestBallLegAndShift:
+    """_ball_leg and _ball_shift alone against exact Fractions, at p = 8 to
+    32, where each term of a radius matters: the ball series of a leg's jet
+    and of the phase shift's hold the exact series.  The legs sit at the
+    poles of the CLI's range, or at any point off a leg's poles; the
+    examples put the floors of every step on one side of the exact value."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        pole=st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+        | st.tuples(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                    st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        terms=st.lists(st.tuples(st.floats(1e-3, 1e3), st.integers(1, 4),
+                                 st.builds(complex, st.floats(-4.0, 4.0),
+                                           st.floats(-4.0, 4.0))), max_size=3),
+        order=st.integers(1, 12),
+        p=st.integers(8, 32),
+    )
+    # E_R far above Gamma: |zeta| is small, so the radius of J_k falls
+    # with k, and the one radius of the series must be J_1's, not J_7's
+    @example(pole=(38.0, 1.0), terms=[(0.5, 4, -1j)], order=8, p=8)
+    # the zero function: a series of exact zeros
+    @example(pole=(2.0, 1.0), terms=[], order=3, p=8)
+    def test_leg_holds_the_exact_jet(self, pole, terms, order, p):
+        E_R, width = pole
+        z, s = (Fraction(E_R), Fraction(width) / -2), math.frexp(width)[1] - 1
+        fn = TestFunction(tuple(terms))
+        assert inside_ball(exact_leg(fn.terms, z, order, s),
+                           smatrix._ball_leg(fn, z, order, s, p))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        z=st.tuples(st.integers(-(2**12), 2**12), st.integers(-(2**12), 2**12)).filter(
+            lambda z: z != (0, 0)),
+        den=st.integers(0, 12),
+        terms=st.lists(st.tuples(st.integers(1, 2**8).map(lambda n: n / 64), st.integers(1, 4),
+                                 st.builds(complex, st.integers(-64, 64), st.integers(-64, 64))),
+                       min_size=1, max_size=2),
+        order=st.integers(1, 12),
+        s=st.integers(-6, 6),
+        p=st.integers(8, 32),
+    )
+    # z - i a = -259/8: every J_k is real and positive, so every floor
+    # drops its centre below the exact value, and the errors add up
+    @example(z=(-259, 4), den=3, terms=[(0.5, 4, 1 + 0j)], order=5, s=-3, p=10)
+    def test_leg_holds_the_exact_jet_anywhere(self, z, den, terms, order, s, p):
+        # z anywhere off the poles i a of the leg, on a grid of 2**-den
+        z = Fraction(z[0], 2**den), Fraction(z[1], 2**den)
+        fn = TestFunction(tuple(terms))
+        assume(all(z != (0, Fraction(a)) for a, _, _ in fn.terms))
+        assert inside_ball(exact_leg(fn.terms, z, order, s), smatrix._ball_leg(fn, z, order, s, p))
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(
+        shifted=st.lists(st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)),
+                         min_size=1, max_size=5),
+        g_den=st.integers(0, 40).map(lambda n: 2**n) | st.integers(1, 2**40),
+        order=st.integers(1, 12),
+        s=st.integers(-20, 20),
+        p=st.integers(8, 32),
+    )
+    # a steep phase whose e_k pass 2 p bits: the series is cut, and each
+    # cut must widen the radii it shifts
+    @example(shifted=[(0, 0), (-52, 0), (4826, 108), (58115, 30550), (-112, 44)], g_den=1,
+             order=11, s=1, p=8)
+    def test_shift_holds_the_exact_series(self, shifted, g_den, order, s, p):
+        assert inside_ball(exact_shift(shifted, g_den, order, s),
+                           smatrix._ball_shift(shifted, g_den, order, s, p))
+
 
 class TestExpansionCoeffs:
     def test_simple_pole_coefficient(self, pair):
