@@ -430,14 +430,19 @@ def pole_term_cmd(config_path, out_path):
     model, psi, phi = cfg.model(), cfg.test_function("psi"), cfg.test_function("phi")
     grid = cfg.grid("t", minimum_allowed=0.0)
     jet = pole_jet(psi, phi, model)
-    p0 = jet.probability(0.0)
+    pole_term = jet.amplitude()
+    # jet.probability(0.0), read off the same amplitude: exp(-Gamma 0) = 1,
+    # so it is |pole_term|**2 rounded once
+    p0 = pole_term.real * pole_term.real + pole_term.imag * pole_term.imag
+    if p0 == math.inf:
+        raise OverflowError("probability leaves the float range at t = 0.0")
     # ratios refuses a pole term that vanishes
     if p0 == 0.0 and not jet.vanishes:
         raise UnderflowError("probability at t = 0 is 0 in floating point; the pole term is not")
     table = [{"t": t, "ratio": q, "exponential_reference": e}
              for t, (q, e) in zip(grid, jet.ratios(grid))]
     payload = {
-        "pole_term": _cplx(jet.amplitude()),
+        "pole_term": _cplx(pole_term),
         "expansion_coeffs": [_cplx(b) for b in jet.expansion_coeffs],
         "probability_at_zero": p0,
         "ratio_table": table,

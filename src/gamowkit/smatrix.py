@@ -458,7 +458,7 @@ def _ball_part_pair(c, rad: int, e: int, den: int, what: str):
     cannot decide a part; OverflowError naming what where a part surely
     leaves the float range, as _complex raises it for either part."""
     parts = [_rounded_part(x, rad, e, den) for x in c]
-    if math.inf in parts or -math.inf in parts:
+    if any(x is not None and math.isinf(x) for x in parts):
         raise OverflowError(f"{what} leaves the float range")
     return None if None in parts else complex(*parts)
 

@@ -396,6 +396,23 @@ class TestExitCodes:
         assert "numerical overflow" in result.output
 
     @pytest.mark.parametrize(
+        "change",
+        [("r = 1", "r = 1"), ("r = 1", "r = 3\ngamma = 0\ngamma = 0.5"),
+         ("E_R = 2.0", "E_R = 1e80")],
+        ids=["simple", "order_three", "subnormal"],
+    )
+    def test_probability_at_zero_is_the_jets(self, runner, tmp_path, change):
+        # pole-term squares the amplitude it prints rather than reading it a
+        # second time; that is jet.probability(0.0), here down to a subnormal
+        text = POLE_CONF.replace(*change)
+        cfg = RunConfig(parse_config_text(text))
+        jet = smatrix.pole_jet(cfg.test_function("psi"), cfg.test_function("phi"), cfg.model())
+        conf = tmp_path / "p.conf"
+        conf.write_text(text)
+        result = runner.invoke(main, ["pole-term", "--config", str(conf)])
+        assert json.loads(result.stdout)["probability_at_zero"] == jet.probability(0.0)
+
+    @pytest.mark.parametrize(
         "pole,legs,message",
         [
             # b_2 ~ Gamma**3 leaves the float range before any output
@@ -412,8 +429,12 @@ class TestExitCodes:
             ("E_R = 1e300\nGamma = 1.0\nr = 2\ngamma = 0\ngamma = 0\ngamma = 1e200",
              ("1.0 1 1.0 0.0", "1.5 1 1.0 0.0"),
              "phase factor exp(2i gamma(z)) leaves the float range"),
+            # the pole term ~ 1e158 fits; its square, probability_at_zero, does not
+            ("E_R = 2.0\nGamma = 1.0\nr = 1\ngamma = 0\ngamma = 0\ngamma = 0\ngamma = 31",
+             ("1.0 1 1.0 0.0", "1.5 1 1.0 0.0"),
+             "probability leaves the float range at t = 0.0"),
         ],
-        ids=["expansion_coeffs", "pole_term", "phase_factor", "phase_argument"],
+        ids=["expansion_coeffs", "pole_term", "phase_factor", "phase_argument", "probability"],
     )
     def test_pole_term_beyond_float_range_names_its_field(self, runner, tmp_path, pole, legs,
                                                           message):

@@ -723,6 +723,9 @@ class TestBallLegAndShift:
     # z - i a = -259/8: every J_k is real and positive, so every floor
     # drops its centre below the exact value, and the errors add up
     @example(z=(-259, 4), den=3, terms=[(0.5, 4, 1 + 0j)], order=5, s=-3, p=10)
+    # |zeta| ~ 0.1: each J_k past J_0 is little more than its floors, so
+    # the series radius rests on the + 2 of each step
+    @example(z=(-107, -2556), den=5, terms=[(0.625, 1, -1j)], order=4, s=3, p=12)
     def test_leg_holds_the_exact_jet_anywhere(self, z, den, terms, order, s, p):
         # z anywhere off the poles i a of the leg, on a grid of 2**-den
         z = Fraction(z[0], 2**den), Fraction(z[1], 2**den)

@@ -1,6 +1,6 @@
 """Opt-in mutation runner for the ball kernels of gamowkit.
 
-    python tools/mutate.py [KERNEL ...] [--list] [--timeout SECONDS]
+    python tools/mutate.py [KERNEL ...]
 
 For each named kernel (all of KERNELS by default) it parses the kernel's
 module with ast and makes one mutant per site and operator:
@@ -16,10 +16,13 @@ module with ast and makes one mutant per site and operator:
 Each mutant is written into a temporary copy of src/, tests/ and
 pyproject.toml, never into the checkout, and the test module that owns
 the kernel runs there (pytest -x, in a subprocess), its class that tests
-the kernel alone first.  A mutant is killed when a test fails or the
-run times out, and survives when the whole module passes.  The script
-prints the verdict of every mutant and the count of survivors per
-kernel.
+the kernel alone first.  Before any mutant, each such class and its
+module run once on the unmodified copy: the script stops if they fail,
+and gives each test run of a mutant SLACK times as long as the same run
+took there.  A mutant is killed when a test fails, survives when the whole
+module passes, and times out when a run overstays its limit.  The
+script prints the verdict of every mutant and the count of each verdict
+per kernel.
 
 Hypothesis mixes the int literals of the loaded modules into its draws,
 so a mutated constant also moves every derandomized draw.  The edge
@@ -40,6 +43,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +61,10 @@ KERNELS = {
     "_ball_leg": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
     "_ball_shift": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
 }
+
+# a test run of a mutant may take this many times as long as on the
+# unmodified tree before it counts as a timeout
+SLACK = 3
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
          ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr,
@@ -148,34 +156,35 @@ def mutants(source: str, name: str):
                 yield node.lineno, label, ast.unparse(mutated)
 
 
-def run_tests(tree: Path, test_module: str, first: str, timeout: float) -> str:
-    """'killed', 'survived' or 'timeout': the class first of the test
-    module in tree, then the whole module, each with pytest -x."""
+def run_tests(tree: Path, test_module: str, first: str, limits=(None, None)):
+    """(verdict, seconds of each run): the class first of the test module
+    in tree, then the whole module, each with pytest -x and its own limit
+    in seconds; verdict is 'killed', 'survived' or 'timeout'."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     path = tree / "tests" / test_module
-    for target in (f"{path}::{first}", str(path)):
+    seconds = []
+    for target, limit in zip((f"{path}::{first}", str(path)), limits):
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target]
+        start = time.perf_counter()
         try:
             result = subprocess.run(command, cwd=tree, env=env, capture_output=True,
-                                    timeout=timeout)
+                                    timeout=limit)
         except subprocess.TimeoutExpired:
-            return "timeout"
+            return "timeout", seconds
+        seconds.append(time.perf_counter() - start)
         if result.returncode:
-            return "killed"
-    return "survived"
+            return "killed", seconds
+    return "survived", seconds
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("kernels", nargs="*", default=list(KERNELS), metavar="KERNEL")
-    parser.add_argument("--list", action="store_true", help="list the mutants, run nothing")
-    parser.add_argument("--timeout", type=float, default=180.0,
-                        help="seconds per test run before a mutant counts as killed")
     args = parser.parse_args(argv)
     unknown = [name for name in args.kernels if name not in KERNELS]
     if unknown:
         parser.error(f"unknown kernel(s) {', '.join(unknown)}; known: {', '.join(KERNELS)}")
-    survivors = {}
+    counts = {}
     with tempfile.TemporaryDirectory(prefix="gamowkit-mutants-") as scratch:
         tree = Path(scratch)
         for part in ("src", "tests"):
@@ -183,26 +192,32 @@ def main(argv=None) -> int:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         # the pytest settings (warnings as errors) come with the tree
         shutil.copy(ROOT / "pyproject.toml", tree)
+        limits = {}
+        for name in args.kernels:
+            _, test_module, first = KERNELS[name]
+            if (test_module, first) not in limits:
+                verdict, seconds = run_tests(tree, test_module, first)
+                if verdict != "survived":
+                    raise SystemExit(f"{test_module}::{first} fails on the unmodified tree")
+                limits[test_module, first] = [SLACK * s for s in seconds]
+                print(f"baseline {test_module}::{first}, then the module: "
+                      + ", ".join(f"{s:.1f} s" for s in seconds), flush=True)
         for name in args.kernels:
             module, test_module, first = KERNELS[name]
             path = tree / "src" / module
             source = path.read_text()
-            survivors[name] = 0
+            counts[name] = dict.fromkeys(("killed", "survived", "timeout"), 0)
             try:
                 for line, label, text in mutants(source, name):
-                    if args.list:
-                        print(f"{name}:{line}: {label}")
-                        continue
                     path.write_text(text)
-                    verdict = run_tests(tree, test_module, first, args.timeout)
+                    verdict, _ = run_tests(tree, test_module, first, limits[test_module, first])
                     print(f"{name}:{line}: {label}: {verdict}", flush=True)
-                    survivors[name] += verdict == "survived"
+                    counts[name][verdict] += 1
             finally:
                 path.write_text(source)
-    if not args.list:
-        print("surviving mutants per kernel:")
-        for name, count in survivors.items():
-            print(f"  {name}: {count}")
+    print("verdicts per kernel:")
+    for name, count in counts.items():
+        print(f"  {name}: " + ", ".join(f"{n} {verdict}" for verdict, n in count.items()))
     return 0
 
 
