@@ -5,20 +5,19 @@ the format of every exact quantity of the package: _lift, _gmul, _turn,
 _convolve, _exact_at, _horner, _exp_exact, and the one reading of
 exp(-Gamma t) times an exact value: _exp_decay returns the factor as
 mantissa and exponent, _scaled rounds an exact quotient or its square
-root once, scaled by a power of two, and _ldexp applies the carried
-exponents.  _quotients_at reads |P(t)|**2 (or P(t)) over a denominator
-at every t of a grid, each rounded once as _scaled rounds it: first by
-_fixed_readings, on the coefficients cut to 128 bits, whose fixed-point
-Horner pass (_horner_bounds) leaves the value in a small interval whose
-ends two int divisions round (Ziv's test), and from the exact value only
-where the interval holds a rounding boundary.
+root once, scaled by a power of two, _exact_reading so rounds |P(t)|**2
+over a denominator from the exact P(t), and _ldexp applies the carried
+exponents.  _check_times rejects the times that have no such value.
 
 Ball series (coeffs, e, rad) are Gaussian integers over a power of two,
 each part within rad of the exact one (van der Hoeven's ball arithmetic):
 _trim, _ball_quotient, _ball_product and _ball_aligned build them at p
-bits, _rounded_part rounds a part where both ends of its ball agree, and
-_horner_bounds and _fixed_readings read a ball polynomial as they read a
-cut one.
+bits, and _rounded_part rounds a part where both ends of its ball agree.
+_horner_bounds reads a ball polynomial at every t of a grid by one
+fixed-point Horner pass, into a small interval, and _fixed_readings
+rounds |P(t)|**2 over a denominator off that interval by two int
+divisions, where both ends round to one float (Ziv's test): there it is
+_exact_reading's value.
 
 _Frozen is the base of the package's immutable value classes (the pole,
 its subspace, the S-matrix model and its parts, the state operator).
@@ -34,6 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+
+from .errors import NegativeTimeError
 
 __all__ = [
     "GaussianRational",
@@ -197,36 +198,6 @@ def _scaled(num: int, den: int, root: bool = False) -> tuple:
     return (m, k) if m < 2 else (1.0, k + 1)
 
 
-# Bits that _quotients_at keeps of the shorter end coefficient in its first reading.
-_CUT = 128
-
-
-def _quotients_at(coeffs, den: int, times, norm: bool = True, root: bool = False) -> list:
-    """[(m, k)] with m 2**k = v(t) / den, or its square root, at each float
-    t >= 0 of times, m rounded once as _scaled rounds it: v(t) = |P(t)|**2,
-    or with norm False the real part of P(t), then >= 0, for P with the
-    Gaussian-integer coefficients coeffs (re, im), lowest first; den > 0.
-
-    The coefficients are cut once, to c >> s with s leaving _CUT bits of
-    the shorter of the first and the last coefficient, the terms that bound
-    the largest term of P(t) from below for t <= 1 and t >= 1 (s < 0 lifts
-    short ones), and den to its top _CUT bits.  Each reading is
-    _fixed_readings' pass on the cut, and the exact value
-    (_exact_reading) only where that cannot decide the rounding."""
-    bits = min(max(abs(re), abs(im)).bit_length() for re, im in (coeffs[0], coeffs[-1]))
-    shift, den_shift = bits - _CUT, max(den.bit_length() - _CUT, 0)
-    if shift >= 0:
-        cut = [(re >> shift, im >> shift) for re, im in coeffs]
-    else:
-        cut = [(re << -shift, im << -shift) for re, im in coeffs]
-    den_low = den >> den_shift
-    exponent = (2 if norm else 1) * shift - den_shift
-    readings = _fixed_readings(cut, int(shift > 0), den_low, den_low + (den_shift > 0),
-                               exponent, 0, times, norm, root)
-    return [_exact_reading(coeffs, den, t, norm, root) if reading is None else reading
-            for t, reading in zip(times, readings)]
-
-
 def _horner_bounds(lows, width: int, scale: int, times) -> list:
     """[(re, im, B)] at each float t >= 0 of times: each part of
     P(t 2**scale) 2**-s lies in [re, re + B] and [im, im + B], for P whose
@@ -259,23 +230,15 @@ def _horner_bounds(lows, width: int, scale: int, times) -> list:
     return out
 
 
-def _fixed_readings(lows, width: int, den_low: int, den_high: int, exponent: int, scale: int,
-                    times, norm: bool, root: bool) -> list:
-    """[(m, k) or None] at each t of times: the reading of _quotients_at
-    where Ziv's test decides it, and None elsewhere, for P(t 2**scale) as
-    _horner_bounds reads it and den with den_low <= den 2**-s' <= den_high;
-    exponent is 2 s - s' (norm) or s - s'.  The ends of the interval that
-    v / den then lies in are two int true divisions (_rounded_between);
-    where they round to one float, so does v / den, as rounding is
-    monotone."""
-    # a root halves the exponent, its odd bit moved into the value
-    odd, k = (exponent & 1, exponent >> 1) if root else (0, exponent)
-    out = []
-    for re, im, bound in _horner_bounds(lows, width, scale, times):
-        low, high = _norm_bounds(re, im, bound) if norm else (max(re, 0), re + bound)
-        reading = _rounded_between(low << odd, high << odd, den_low, den_high, root)
-        out.append(None if reading is None else (reading[0], reading[1] + k))
-    return out
+def _fixed_readings(lows, width: int, den_low: int, den_high: int, scale: int, times) -> list:
+    """[(m, k) or None] at each t of times: _scaled(|P(t 2**scale)|**2, den)
+    where Ziv's test decides it, and None elsewhere, for P as
+    _horner_bounds reads it and den_low <= den <= den_high, both in the
+    units of P squared.  The ends of the interval that |P|**2 / den then
+    lies in are two int true divisions (_rounded_between); where they
+    round to one float, so does the quotient, as rounding is monotone."""
+    return [_rounded_between(*_norm_bounds(re, im, bound), den_low, den_high)
+            for re, im, bound in _horner_bounds(lows, width, scale, times)]
 
 
 def _norm_bounds(re: int, im: int, width: int) -> tuple:
@@ -293,31 +256,36 @@ def _norm_bounds(re: int, im: int, width: int) -> tuple:
     return low, high
 
 
-def _exact_reading(coeffs, den: int, t: float, norm: bool, root: bool) -> tuple:
-    """The reading of _quotients_at at t from the exact value of P(t)."""
+def _exact_reading(coeffs, den: int, t: float) -> tuple:
+    """_scaled(|P(t)|**2, den) from the exact value of P(t), the reading
+    _fixed_readings gives where it decides one."""
     re, im, scale = _exact_at(coeffs, t)
-    return _scaled(re * re + im * im if norm else re, den * scale ** (2 if norm else 1), root)
+    return _scaled(re * re + im * im, den * scale * scale)
 
 
-def _rounded_between(low: int, high: int, den_low: int, den_high: int, root: bool):
-    """(m, k) as _scaled(num, den, root) gives it for every quotient
+def _rounded_between(low: int, high: int, den_low: int, den_high: int):
+    """(m, k) as _scaled(num, den) gives it for every quotient
     low / den_high <= num / den <= high / den_low, or None where the two
     ends round to different floats (Ziv's test)."""
-    if root:
-        (m, k), (high_m, high_k) = _scaled(low, den_high, True), _scaled(high, den_low, True)
-        if (low, den_high) == (high, den_low) or math.ldexp(m, k - high_k) == high_m:
-            return m, k
-        return None
     k = low.bit_length() - den_high.bit_length()
     up, down = max(-k, 0), max(k, 0)
     m = (low << up) / (den_high << down)
-    if (low, den_high) == (high, den_low):
-        return m, k
     try:
         return (m, k) if m == (high << up) / (den_low << down) else None
     except OverflowError:
         # an interval so wide that its high end, so scaled, leaves the floats
         return None
+
+
+def _check_times(times, what: str) -> None:
+    """NegativeTimeError for a t of times that is negative or nan, where
+    what is not defined, and OverflowError naming what and t for t = inf,
+    where exp(-Gamma t) times a polynomial in t has no float value."""
+    for t in times:
+        if not t >= 0:
+            raise NegativeTimeError(f"{what} is defined for t >= 0, got {t}")
+        if t == math.inf:
+            raise OverflowError(f"{what} leaves the float range at t = {t!r}")
 
 
 def _ldexp(values, exponents, what: str, times) -> list:
@@ -333,7 +301,6 @@ def _ldexp(values, exponents, what: str, times) -> list:
     for v, x, t in zip(values, exponents, times):
         if v == math.inf or v and math.frexp(v)[1] + x > 1024:
             raise OverflowError(f"{what} leaves the float range at t = {t!r}")
-
 
 
 # ------------------------------------------------------------ balls

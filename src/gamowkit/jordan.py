@@ -52,8 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import _Frozen, _scaled, _turn, binom
-from .errors import NegativeTimeError
+from .algebra import _Frozen, _check_times, _scaled, _turn, binom
 
 __all__ = [
     "ResonancePole",
@@ -184,8 +183,7 @@ def evolution_matrix(space: GamowSubspace, t: float) -> list:
     diagonal included, is one complex product with the phase, so their
     signs follow the phase.
     """
-    if not t >= 0:
-        raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
+    _check_times([t], "evolution")
     r = space.dimension
     exponent = -1j * space.pole.z_R * t
     if not cmath.isfinite(exponent):

@@ -33,10 +33,10 @@ import math
 from fractions import Fraction
 
 from .algebra import _Frozen, _ball_aligned, _ball_product, _ball_quotient, _convolve, _exact_at
-from .algebra import _exact_reading, _exp_decay, _exp_exact, _fixed_readings, _gmul, _horner
-from .algebra import _horner_bounds, _ldexp, _lift, _norm_bounds, _rounded_part, _trim, _turn, binom
-from .errors import NegativeTimeError, NoConvergenceError, PoleEvaluationError
-from .errors import VanishingPoleTermError
+from .algebra import _check_times, _exact_reading, _exp_decay, _exp_exact, _fixed_readings, _gmul
+from .algebra import _horner, _horner_bounds, _ldexp, _lift, _norm_bounds, _rounded_part, _trim
+from .algebra import _turn, binom
+from .errors import NoConvergenceError, PoleEvaluationError, VanishingPoleTermError
 from .jordan import GamowSubspace, ResonancePole
 from .states import w_total
 
@@ -532,9 +532,8 @@ class PoleJet:
 
     def amplitude(self, t: float = 0.0) -> complex:
         """2 pi exp(2i gamma(z)) Q(t), for t >= 0; at t = 0 this is the
-        pole term."""
-        if not t >= 0:
-            raise NegativeTimeError(f"the pole term is defined for t >= 0, got {t}")
+        pole term.  t = inf raises OverflowError naming t."""
+        _check_times([t], "the pole term")
         what = f"pole_term at t = {t!r}"
 
         def ball_read(build, pending):
@@ -563,14 +562,14 @@ class PoleJet:
         quotient rounded once, scaled by a power of two, times the mantissa
         of the reference, exponents last: at r = 1 the two agree bit for
         bit.  Each ball build reads the quotients by algebra's
-        _fixed_readings, one fixed-point Horner pass per t on the balls of
-        Q' and |Q(0)|**2, and the exact Q (_exact_reading) reads the t no
-        ball decides.  NegativeTimeError for a t that is negative or nan,
-        and VanishingPoleTermError where Q(0) = 0."""
+        _fixed_readings, one fixed-point Horner pass per t on the ball of Q
+        over the bounds of |Q(0)|**2 its constant term gives, and the exact
+        Q (_exact_reading) reads the t no ball decides; both round as
+        _scaled does.  NegativeTimeError for a t that is negative or nan,
+        OverflowError naming t for t = inf, and VanishingPoleTermError
+        where Q(0) = 0."""
         times = list(times)
-        for t in times:
-            if not t >= 0:
-                raise NegativeTimeError(f"ratios are defined for t >= 0, got {t}")
+        _check_times(times, "the ratio")
         if self.vanishes:
             raise VanishingPoleTermError("pole term vanishes at t = 0; ratio table undefined")
 
@@ -579,10 +578,10 @@ class PoleJet:
             den_low, den_high = _norm_bounds(*lows[0], 2 * rad)
             if not den_low:
                 return [None] * len(pending)
-            return _fixed_readings(lows, 2 * rad, den_low, den_high, 0, s, pending, True, False)
+            return _fixed_readings(lows, 2 * rad, den_low, den_high, s, pending)
 
         quotients = self._read(times, ball_read, lambda exact, t: _exact_reading(
-            exact[0], sum(x * x for x in exact[0][0]), t, True, False))
+            exact[0], sum(x * x for x in exact[0][0]), t))
         decays = [_exp_decay(self.width, t) for t in times]
         values = [m * q for (m, _), (q, _) in zip(decays, quotients)]
         exponents = [e + k for (_, e), (_, k) in zip(decays, quotients)]

@@ -35,12 +35,14 @@ scale, and decay_table applies it unless asked not to, as a mantissa and
 an exponent.
 
 Evolution is expanded exactly by jordan.conjugation_polys, which
-decay_deviation reads and decay_table reads through the exact squared
-norm N(t).  A single dyad c|k><l| needs no expansion: it evolves to
-c |T~k><T~l|, of rank one, so N(t) = |c|**2 |T~k|**2 |T~l|**2 is the
-product of two short polynomials in t**2, the same rational coefficients
-the expansion would give.  Each value exp(-Gamma t) * x they print is
-algebra's one reading, with the exponent carried.
+decay_table reads through the exact squared norm N(t), and
+decay_deviation through the exact squared norm D(t) of its terms of
+degree >= 1, evaluated at each t and its square root rounded once.  A
+single dyad c|k><l| needs no expansion: it evolves to c |T~k><T~l|, of
+rank one, so N(t) = |c|**2 |T~k|**2 |T~l|**2 is the product of two short
+polynomials in t**2, the same rational coefficients the expansion would
+give.  Each value exp(-Gamma t) * x they print is algebra's one reading,
+with the exponent carried.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ import math
 import operator
 from fractions import Fraction
 
-from .algebra import _Frozen, _exp_decay, _ldexp, _lift, _quotient, _quotients_at, _scaled
-from .algebra import _turn, binom
-from .errors import EmptyGridError, IndexOutOfRangeError, NegativeTimeError
+from .algebra import _Frozen, _check_times, _exact_at, _exp_decay, _ldexp, _lift, _quotient
+from .algebra import _scaled, _turn, binom
+from .errors import EmptyGridError, IndexOutOfRangeError
 from .jordan import GamowSubspace, conjugation_polys
 
 __all__ = [
@@ -260,11 +262,10 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     reading can be one object: the norm and exp_law of an operator with a
     constant N (_norm_readings returns one reading for both), and every
     deviation of such an operator, one shared tuple of zeros.
-    NegativeTimeError for a t that is negative or nan."""
+    NegativeTimeError for a t that is negative or nan, and OverflowError
+    naming t for t = inf."""
     grid, Gamma = list(t_grid), space.pole.Gamma
-    for t in grid:
-        if not t >= 0:
-            raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
+    _check_times(grid, "evolution")
     shifts = [max(math.frexp(t)[1], 0) // 8 * 8 for t in grid]
     points = [(math.ldexp(t, -j), j, *_exp_decay(Gamma, t)) for t, j in zip(grid, shifts)]
     mantissa, exponent = math.frexp(Gamma)
@@ -295,24 +296,23 @@ def decay_deviation(W: StateOperator, t_grid) -> float:
     difference is exp(-Gamma t) times the terms of degree >= 1 of the
     conjugation polynomials, so the ratio is exp(-Gamma t) sqrt(D(t)) with
     D(t) the exact squared norm of those terms over ||W||_F**2, whose
-    square root algebra's _quotients_at rounds once at each float t, as
-    it rounds the pole ratios.
+    square root algebra's _scaled rounds once from its exact value at each
+    float t.
     So a deviation that is a float is returned where D(t) or exp(-Gamma t)
-    alone is not, one that is not raises OverflowError naming t, and a
-    family member whose tail cancels gets exactly 0.0.
+    alone is not, one that is not raises OverflowError naming t (t = inf
+    among them), and a family member whose tail cancels gets exactly 0.0.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
         raise EmptyGridError("decay_deviation needs a non-empty time grid")
-    for t in grid:
-        if not t >= 0:
-            raise NegativeTimeError(f"evolution is defined for t >= 0, got {t}")
+    _check_times(grid, "evolution")
     polys, _ = conjugation_polys(W.space.normalization, W.entries, W.denominator)
     norm0 = sum(re * re + im * im for poly in polys.values() for re, im in [poly.get(0, (0, 0))])
     tail = [(c, 0) for c in _sum_of_squares(polys, lowest=1)]
     if not norm0 or not tail:
         return 0.0
-    roots = _quotients_at(tail, norm0, grid, norm=False, root=True)
+    roots = [_scaled(re, norm0 * scale, root=True)
+             for re, _, scale in (_exact_at(tail, t) for t in grid)]
     decays = [_exp_decay(W.space.pole.Gamma, t) for t in grid]
     values = [m * root for (m, _), (root, _) in zip(decays, roots)]
     return max(_ldexp(values, [e + k for (_, e), (_, k) in zip(decays, roots)], "deviation", grid))

@@ -3,14 +3,12 @@
 import cmath
 import math
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gamowkit import algebra
 from gamowkit.algebra import (
     _EXP_CUTOFF,
     _LN2,
@@ -22,12 +20,13 @@ from gamowkit.algebra import (
     _ball_quotient,
     _convolve,
     _exact_at,
+    _exact_reading,
     _exp_decay,
+    _fixed_readings,
     _horner_bounds,
     _ldexp,
     _norm_bounds,
     _quotient,
-    _quotients_at,
     _rounded_part,
     _scaled,
     _trim,
@@ -302,6 +301,11 @@ class TestScaledReading:
     # a square of a 54-bit odd mantissa: the root is a tie, which goes to even
     @example(num=(2**53 + 1) ** 2, den=2**106)
     @example(num=(2**53 + 3) ** 2, den=2**106)
+    # roots just above the tie S = 2**64 + 2**11 at 64 bits: only the sticky
+    # bit rounds them up, set by an inexact root of an exact quotient (S**2
+    # + 4), and by an exact root of an inexact one (S**2, remainder 1)
+    @example(num=(2**63 + 2**10) ** 2 + 1, den=1)
+    @example(num=4 * (2**64 + 2**11) ** 2 + 1, den=1)
     def test_quotient_and_root_round_once(self, num, den):
         m, k = _scaled(num, den)
         root, half = _scaled(num, den, root=True)
@@ -337,98 +341,6 @@ class TestExactAt:
         x = Fraction(t)
         assert Fraction(re, scale) == sum(c[0] * x**d for d, c in enumerate(coeffs))
         assert Fraction(im, scale) == sum(c[1] * x**d for d, c in enumerate(coeffs))
-
-
-def wide_polys(max_len: int = 6):
-    """Gaussian-integer coefficient lists whose parts run to 2**bits, the
-    bit length drawn first from 1 to 6000, so that the cut to _CUT bits
-    drops from none to thousands of bits."""
-    return st.integers(1, 6000).flatmap(lambda bits: st.lists(
-        st.tuples(st.integers(-(2**bits), 2**bits), st.integers(-(2**bits), 2**bits)),
-        min_size=1, max_size=max_len))
-
-
-def square_norm(coeffs) -> list:
-    """The coefficients (c, 0) of |P(t)|**2 for real t: a polynomial whose
-    real part is >= 0 for every t, with cancelling terms."""
-    out = [0] * (2 * len(coeffs) - 1)
-    for i, (a, b) in enumerate(coeffs):
-        for j, (c, d) in enumerate(coeffs):
-            out[i + j] += a * c + b * d
-    return [(c, 0) for c in out]
-
-
-# (coeffs, norm): any coefficients read as |P(t)|**2, or those of a square
-# norm read as the real part of P(t)
-readable = (wide_polys().map(lambda c: (c, True))
-            | wide_polys(4).map(lambda c: (square_norm(c), False)))
-
-
-class TestQuotientsAt:
-    """_quotients_at against the exact Fraction value of each reading,
-    rounded by the midpoints of its float neighbours, with the readings
-    that fall back to the exact value counted."""
-
-    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-    @given(poly=readable, den=st.integers(0, 12000).flatmap(lambda bits: st.integers(1, 2**bits)),
-           times=st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=3),
-           root=st.booleans(), falls_back=st.just(False))
-    # within 2**-130 of the midpoint between 1 and its successor
-    @example(poly=([(2**400 + 2**347 + 2**270, 0)], False), den=2**400, times=[1.0],
-             root=False, falls_back=True)
-    # a root within 2**-150 of that midpoint
-    @example(poly=([(2**412 + 2**360 + 2**306 + 2**260, 0)], False), den=2**412, times=[1.0],
-             root=True, falls_back=True)
-    # the cut remainders of both coefficients sum to more than 2**s, which
-    # lifts P(1) = 2**401 + 2**348 + 2 just past a midpoint
-    @example(poly=([(2**400 + 2**272 + 1, 0), (2**400 + 2**348 - 2**272 + 1, 0)], False), den=1,
-             times=[1.0], root=False, falls_back=True)
-    # the cut of den drops nearly 2**-127 of it, which takes the quotient of
-    # 2**400 + 2**347 + 2**273 just below a midpoint
-    @example(poly=([(2**400 + 2**347 + 2**273, 0)], False), den=2**800 + 2**673 - 1,
-             times=[1.0], root=False, falls_back=True)
-    # cancellation leaves P(1) = 5 2**171 between 2**173 and 2**174 on the
-    # cut, two ends of one mantissa and different exponents
-    @example(poly=([(2**300, 0), (-(2**300) + 2**173 + 2**171, 0)], False), den=1,
-             times=[1.0], root=False, falls_back=True)
-    # P(1) = 0 exactly, where the cut interval holds 0
-    @example(poly=([(3**3000, 0), (-(3**3000), 0)], True), den=7, times=[1.0],
-             root=False, falls_back=True)
-    @example(poly=([(3**3000, 5**2000), (-(3**3000), -(5**2000))], True), den=3**6000,
-             times=[1.0], root=True, falls_back=True)
-    # the floors of the Horner pass, with the cut exact (s = 0): at t = 1.5
-    # the exact P(t) = c0 + 1.5 c1 lies 1/2 below the midpoint M =
-    # 2**128 + 2**127 + 2**126 + 2**75, the pass reads [M - 1, M + 3]
-    @example(poly=([(2**128 + 2**75 - 2, 0), (2**127 + 1, 0)], False), den=1, times=[1.5],
-             root=False, falls_back=True)
-    # two floors drop 1/2 and 3/4, so that the pass starts 5/4 below the
-    # exact P(1.5), which lies 1/4 above a midpoint M: the floors alone put
-    # M in the interval, and read at its low end P would round down
-    @example(poly=([(2**127 + 2**76 - 2, 0), (2**127, 0), (2**127 + 1, 0)], False), den=1,
-             times=[1.5], root=False, falls_back=True)
-    def test_every_reading_rounds_once(self, poly, den, times, root, falls_back):
-        coeffs, norm = poly
-        fallbacks = []
-
-        def counted(*args):
-            reading = rounded_between(*args)
-            fallbacks.append(reading is None)
-            return reading
-
-        rounded_between = algebra._rounded_between
-        with mock.patch.object(algebra, "_rounded_between", counted):
-            readings = _quotients_at(coeffs, den, times, norm, root)
-        assert len(readings) == len(fallbacks) == len(times)
-        if falls_back:
-            assert all(fallbacks)
-        for t, (m, k) in zip(times, readings):
-            x = Fraction(t)
-            re = sum(c_re * x**d for d, (c_re, _) in enumerate(coeffs))
-            im = sum(c_im * x**d for d, (_, c_im) in enumerate(coeffs))
-            exact = (re * re + im * im if norm else re) / den
-            assert rounds_to(m, exact / Fraction(4 if root else 2) ** k, root)
-            # k from the bit lengths keeps m near 1
-            assert m == 0 or 0.5 <= m <= 2
 
 
 # ball centres and radii of every size up to 100 bits, the bit length drawn
@@ -577,6 +489,90 @@ class TestHornerBounds:
             assert im <= value[1] <= im + bound
             if t == 0:
                 assert (re, im, bound) == (*lows[0], width)
+
+
+# S = (2**27 - 1) 2**j: S**2 = (2**54 - 2**28 + 1) 4**j is the midpoint
+# between two floats, so |P|**2 rounds down below S and up above it
+def midpoint_root(j: int) -> int:
+    return (2**27 - 1) << j
+
+
+# P's coefficients sit at offset / 2**16 of the width above lows
+offsets = st.sampled_from([0, 2**16]) | st.integers(0, 2**16)
+# ints of every bit length up to 200, the length drawn first and kept (a
+# draw of st.integers(0, 2**bits) is most often small): against widths of
+# up to 100 bits, readings are decided about as often as not
+magnitudes = st.integers(0, 200).flatmap(lambda bits: st.integers(2**bits >> 1, 2**bits))
+long_ints = magnitudes | magnitudes.map(lambda x: -x)
+
+
+class TestFixedReadings:
+    """_fixed_readings and _exact_reading against the exact Fraction value
+    of |P(t 2**scale)|**2 / den, rounded by the midpoints of its float
+    neighbours, for an exact P whose Gaussian-integer coefficients lie in
+    the ball [lows, lows + width] and an int den in [den_low, den_high]:
+    every decided reading is that rounding, and so is every exact one."""
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(lows=st.lists(st.tuples(long_ints, long_ints), min_size=1, max_size=6), width=radii,
+           offsets=st.lists(st.tuples(offsets, offsets), min_size=6, max_size=6),
+           den_low=magnitudes.map(lambda d: d + 1),
+           den_width=radii, den_offset=offsets, scale=st.integers(-64, 64),
+           times=st.lists(st.just(0.0) | st.integers(1, 2**20).map(float)
+                          | st.floats(0.0, 1.0) | st.floats(0.0, 1e300), min_size=1, max_size=4),
+           decided=st.none())
+    # the floors of the Horner pass: at t = 1.5 the exact P(t) = c0 + 1.5 c1
+    # = S - 1/2 lies 1/2 below the root S of a midpoint, the pass reads
+    # [S - 1, S + 3]
+    @example(lows=[(midpoint_root(101) - 3 * 2**126 - 2, 0), (2**127 + 1, 0)], width=0,
+             offsets=[(0, 0)] * 6, den_low=1, den_width=0, den_offset=0, scale=0, times=[1.5],
+             decided=False)
+    # two floors drop 1/2 and 3/4, so that the pass starts 5/4 below the
+    # exact P(1.5) = S + 1/4, just above the root S of a midpoint: the
+    # floors alone put S in the interval, and read at its low end |P|**2
+    # would round down
+    @example(lows=[(midpoint_root(102) - 15 * 2**125 - 2, 0), (2**127, 0), (2**127 + 1, 0)],
+             width=0, offsets=[(0, 0)] * 6, den_low=1, den_width=0, den_offset=0, scale=0,
+             times=[1.5], decided=False)
+    # cancellation leaves P(1) = 5 2**171 (1 + i) in a ball whose norm
+    # bounds are 2**347 and 2**349, two ends of one mantissa and different
+    # exponents
+    @example(lows=[(2**300, 2**300), (-(2**300) + 2**173, -(2**300) + 2**173)], width=2**172,
+             offsets=[(2**15, 2**15)] + [(0, 0)] * 5, den_low=1, den_width=0, den_offset=0,
+             scale=0, times=[1.0], decided=False)
+    # every width 0 and t an integer: each interval is a point, which
+    # decides, with |P|**2 = 25 shorter than den, so the low end is lifted
+    @example(lows=[(3, 4), (1, -2)], width=0, offsets=[(0, 0)] * 6, den_low=2**80 + 1,
+             den_width=0, den_offset=0, scale=0, times=[0.0, 2.0], decided=True)
+    # P(1) = 0 exactly, where the ball of P(1) holds 0
+    @example(lows=[(3**3000, 5**2000), (-(3**3000), -(5**2000))], width=1, offsets=[(0, 0)] * 6,
+             den_low=7, den_width=0, den_offset=0, scale=0, times=[1.0], decided=False)
+    def test_every_reading_rounds_once(self, lows, width, offsets, den_low, den_width, den_offset,
+                                       scale, times, decided):
+        exact = [(re + a * width // 2**16, im + b * width // 2**16)
+                 for (re, im), (a, b) in zip(lows, offsets)]
+        den_high = den_low + den_width
+        den = den_low + den_offset * den_width // 2**16
+        readings = _fixed_readings(lows, width, den_low, den_high, scale, times)
+        assert len(readings) == len(times)
+        if decided is not None:
+            assert [reading is not None for reading in readings] == [decided] * len(times)
+        # P(t 2**scale) as a polynomial in t with int coefficients, over
+        # 2**lift
+        lift = max(-scale, 0) * (len(exact) - 1)
+        shifted = [(re << d * scale + lift, im << d * scale + lift)
+                   for d, (re, im) in enumerate(exact)]
+        for t, reading in zip(times, readings):
+            x = Fraction(t) * Fraction(2) ** scale
+            re = sum(c[0] * x**d for d, c in enumerate(exact))
+            im = sum(c[1] * x**d for d, c in enumerate(exact))
+            value = (re * re + im * im) / den
+            m, k = _exact_reading(shifted, den << 2 * lift, t)
+            assert rounds_to(m, value / Fraction(2) ** k)
+            if reading is not None:
+                # the same float, which k from the bit lengths keeps near 1
+                assert Fraction(reading[0]) * Fraction(2) ** (reading[1] - k) == m
+                assert reading[0] == 0 or 0.5 <= reading[0] <= 2
 
 
 class TestNormBounds:

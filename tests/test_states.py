@@ -6,9 +6,11 @@ conjugation polynomials), plain dyads do not, and the pole-term pairing
 sees the same thing.
 """
 
+import hashlib
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -602,6 +604,67 @@ class TestDecayDeviation:
             assert decay_deviation(W, grid) == pytest.approx(float_deviation(W, grid), rel=1e-12)
 
 
+# the times each operator is read at, alone and as one grid: from 0
+# through the tails that leave the float range near 1e80 and 1e160
+PIN_TIMES = [0.0, 2.0**-30, 0.3, 1.0, 2.5, 7.0, 40.0, 800.0, 1e5, 1e20, 1e40, 1e80, 1e100,
+             1e160, 1e300]
+PIN_ORDERS = [1, 2, 3, 5, 8, 13, 21, 32]
+
+
+def _pin_operators(space, rng):
+    """The dyads |k><k| at the ends and the middle of the pole subspace, and
+    three lifts of three entries each off the family, with an int, a
+    Fraction and a complex value."""
+    r = space.dimension
+    ops = [dyad_operator(space, k) for k in sorted({0, 1, r // 2, r - 1} & set(range(r)))]
+    for _ in range(3):
+        values = {}
+        for kind in ("int", "fraction", "complex"):
+            kl = rng.randrange(r), rng.randrange(r)
+            if kind == "int":
+                values[kl] = rng.randrange(-9, 10) or 1
+            elif kind == "fraction":
+                values[kl] = Fraction(rng.randrange(-999, 1000) or 1, rng.randrange(1, 1000))
+            else:
+                values[kl] = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        ops.append(StateOperator.lift(space, values))
+    return ops
+
+
+def _deviation_digest(normalization: str, width: float) -> str:
+    """sha256 of the repr of decay_deviation, or of its OverflowError
+    message, for each pinned operator at each pinned t alone and on the
+    whole grid."""
+    rng, lines = random.Random(RNG_SEED), []
+    for r in PIN_ORDERS:
+        space = GamowSubspace(ResonancePole(2.0, width, r), normalization)
+        for W in _pin_operators(space, rng):
+            for grid in [[t] for t in PIN_TIMES] + [PIN_TIMES]:
+                try:
+                    lines.append(repr(decay_deviation(W, grid)))
+                except OverflowError as error:
+                    lines.append(f"OverflowError: {error}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# recorded from the reading of D(t) on its coefficients cut to 128 bits,
+# with the exact value where that could not decide the rounding
+DEVIATION_SHA256 = {
+    ("derivative", 0.7): "78f24fd985f0425d6a213e8354a27c2acdb71c8c2dfb6b82adde00dc3c5390ad",
+    ("derivative", 1e-100): "36632e9737b2ec0ff8d2f0f281fdc58416a63dbc5f82715d73b3b08ab9ae2a32",
+    ("derivative", 1e-300): "166de128bdd1cffb5eec47842173028495b1c38c02f923e3a142eda981824fa9",
+    ("factorial", 0.7): "5cf8b0a4e1ac1501292426cfbad370e6023a89f38acbf28d1b7e25290eb23d70",
+    ("factorial", 1e-100): "3a8e82704f63d400f020c150a7bcd53ff7e079105ee206cc7cc560a806139cec",
+    ("factorial", 1e-300): "dd540026c79ba704e767ec11bffb25af275b3d23b22bcc84fb886f05f4e98df8",
+}
+
+
+class TestDecayDeviationBytes:
+    @pytest.mark.parametrize("normalization,width", sorted(DEVIATION_SHA256))
+    def test_deviation_readings_are_pinned(self, normalization, width):
+        assert _deviation_digest(normalization, width) == DEVIATION_SHA256[normalization, width]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -619,6 +682,26 @@ class TestDecayDeviation:
 def test_nan_time_is_invalid_input(space, pair, call):
     # nan is no time t >= 0: invalid input, not an overflow or a failed conversion
     with pytest.raises(NegativeTimeError):
+        call(space, pair)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space, pair: evolution_matrix(space, math.inf),
+        lambda space, pair: decay_table(space, [0.0, 1.0, math.inf]),
+        lambda space, pair: decay_deviation(dyad_operator(space, 1), [math.inf]),
+        lambda space, pair: pole_jet(*pair, SMatrixModel(space.pole)).amplitude(math.inf),
+        lambda space, pair: pole_jet(*pair, SMatrixModel(space.pole)).probability(math.inf),
+        lambda space, pair: pole_jet(*pair, SMatrixModel(space.pole)).ratios([0.0, math.inf]),
+    ],
+    ids=["evolution_matrix", "decay_table", "decay_deviation", "pole_jet_amplitude",
+         "pole_jet_probability", "pole_jet_ratios"],
+)
+def test_infinite_time_overflows_naming_t(space, pair, call):
+    # exp(-Gamma t) times a polynomial in t has no value at t = inf: an
+    # OverflowError that names t, not a nan column or a failed conversion
+    with pytest.raises(OverflowError, match=r" leaves the float range at t = inf$"):
         call(space, pair)
 
 

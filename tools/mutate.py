@@ -58,6 +58,9 @@ KERNELS = {
     "_rounded_part": ("gamowkit/algebra.py", "test_algebra.py", "TestRoundedPart"),
     "_norm_bounds": ("gamowkit/algebra.py", "test_algebra.py", "TestNormBounds"),
     "_horner_bounds": ("gamowkit/algebra.py", "test_algebra.py", "TestHornerBounds"),
+    "_fixed_readings": ("gamowkit/algebra.py", "test_algebra.py", "TestFixedReadings"),
+    "_rounded_between": ("gamowkit/algebra.py", "test_algebra.py", "TestFixedReadings"),
+    "_scaled": ("gamowkit/algebra.py", "test_algebra.py", "TestScaledReading"),
     "_ball_leg": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
     "_ball_shift": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
 }
