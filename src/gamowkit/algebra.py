@@ -7,7 +7,8 @@ exp(-Gamma t) times an exact value: _exp_decay returns the factor as
 mantissa and exponent, _scaled rounds an exact quotient or its square
 root once, scaled by a power of two, _exact_reading so rounds |P(t)|**2
 over a denominator from the exact P(t), and _ldexp applies the carried
-exponents.  _check_times rejects the times that have no such value.
+exponents.  _check_times rejects the times that have no such value, and
+_ket_row holds the ket weights w(k, p) of the semigroup T(t).
 
 Ball series (coeffs, e, rad) are Gaussian integers over a power of two,
 each part within rad of the exact one (van der Hoeven's ball arithmetic):
@@ -65,6 +66,15 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _ket_row(derivative: bool, k: int) -> tuple:
+    """(row, lift) with row[p] / lift = w(k, p) for p <= k, the weight of |p>
+    in T(t)|k> = exp(-i z t) sum_p w(k, p) (-i t)**(k-p) |p>: the ints
+    binom(k, p) over 1 (derivative normalization), or perm(k, p) = k! /
+    (k-p)! over k!, that is 1 / (k-p)! (factorial normalization)."""
+    weight = math.comb if derivative else math.perm
+    return [weight(k, p) for p in range(k + 1)], 1 if derivative else math.factorial(k)
 
 
 def _lift(pairs) -> tuple:

@@ -207,7 +207,7 @@ def _linspace(lo: float, hi: float, steps: int) -> list:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigInvalidError(f"cannot read config {path}: {exc}")

@@ -9,16 +9,18 @@ of index r.  Rescaling |k> by 1/k! gives the factorial normalization with
 a sub-/super-diagonal of ones.  Time evolution for t >= 0 is the upper
 triangular semigroup T(t) with columns
 
-    T(t)|k> = exp(-i z t) * sum_{p<=k} binom(k, p) (-i t)**(k-p) |p>
+    T(t)|k> = exp(-i z t) * sum_{p<=k} w(k, p) (-i t)**(k-p) |p>
 
-and the bra side evolves with the conjugate transpose.  evolution_matrix
-samples T(t) in complex floats.  conjugation_polys is the one exact
+with the ket weights w(k, p) = binom(k, p), or 1/(k-p)! in the factorial
+normalization, which algebra._ket_row holds, and the bra side evolves
+with the conjugate transpose.  evolution_matrix samples T(t) in complex
+floats off those weights.  conjugation_polys is the one exact
 expansion of the conjugation T(t) A T(t)^dagger: integer coefficients of
 every power of t in every dyad, over one common denominator.  Every
 evolved quantity of the package (evolved norms, decay columns, decay
 deviations, the uniqueness oracle) is read off it, but for the evolved
 norm of a single dyad, which has rank one and states reads off the norms
-of its two evolved kets.
+of its two evolved kets, the squares of the same ket weights.
 
 The expansion is a translation.  Identify |k><l| with the monomial
 x**k y**l (with x**k / k! and y**l / l! in the factorial normalization).
@@ -52,7 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .algebra import _Frozen, _check_times, _scaled, _turn, binom
+from .algebra import _Frozen, _check_times, _ket_row, _scaled, _turn
 
 __all__ = [
     "ResonancePole",
@@ -164,24 +166,14 @@ def nilpotent_norm(space: GamowSubspace, k: int) -> float:
     return math.ldexp(*_scaled(total, 1, root=True))
 
 
-def _ket_weights(normalization: str, top: int) -> tuple:
-    """(weights, lift) with weights[k][p] / lift = w(k, p) for k <= top: the
-    ints binom(k, p) over 1, or top! / (k-p)! over top!."""
-    if normalization == "derivative":
-        return [[binom(k, p) for p in range(k + 1)] for k in range(top + 1)], 1
-    lift = math.factorial(top)
-    scaled = [lift // math.factorial(d) for d in range(top + 1)]
-    return [[scaled[k - p] for p in range(k + 1)] for k in range(top + 1)], lift
-
-
 def evolution_matrix(space: GamowSubspace, t: float) -> list:
     """Semigroup matrix T(t); column k holds the evolved |k>.
 
     Entry (p, k) is exp(-i z t) * w(k, p) * (-i t)**(k-p) for p <= k, with
     w(k, p) = binom(k, p) in derivative normalization and 1/(k-p)! in
-    factorial normalization.  Every entry, the complex zeros below the
-    diagonal included, is one complex product with the phase, so their
-    signs follow the phase.
+    factorial normalization, each the ratio of algebra._ket_row rounded
+    once.  Every entry, the complex zeros below the diagonal included, is
+    one complex product with the phase, so their signs follow the phase.
     """
     _check_times([t], "evolution")
     r = space.dimension
@@ -193,11 +185,9 @@ def evolution_matrix(space: GamowSubspace, t: float) -> list:
         powers = [(-1j * t) ** d for d in range(r)]
     except OverflowError:
         raise OverflowError(f"the evolution matrix leaves the float range at t = {t!r}") from None
-    weights, lift = _ket_weights(space.normalization, r - 1)
-    return [
-        [phase * (weights[k][p] / lift * powers[k - p] if p <= k else 0j) for k in range(r)]
-        for p in range(r)
-    ]
+    rows = [_ket_row(space.normalization == "derivative", k) for k in range(r)]
+    return [[phase * (row[p] / lift * powers[k - p] if p <= k else 0j)
+             for k, (row, lift) in enumerate(rows)] for p in range(r)]
 
 
 def _layer(values: list, d: int, derivative: bool) -> list:

@@ -267,11 +267,10 @@ def _taylor_shift(gamma: BackgroundPhase, z) -> tuple:
     return shifted, p_den * z_den**deg
 
 
-def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
-    """gamma(z) as exact rationals (re, im), and the jet of
-    exp(2i (gamma(w) - gamma(z))) at z: a Taylor shift of gamma to z,
-    followed by the recurrence e' = g' e of the power-series exponential."""
-    shifted, g_den = _taylor_shift(gamma, z)
+def _phase_jet(shifted, g_den: int, order: int) -> tuple:
+    """The jet of exp(2i (gamma(w) - gamma(z))) at z, from the Taylor shift
+    (shifted, g_den) of gamma to z that _taylor_shift makes, by the
+    recurrence e' = g' e of the power-series exponential."""
     deg = len(shifted) - 1
     # e_k = (1/k) sum_j j g_j e_{k-j} with g_j = 2i shifted[j] / g_den; every
     # e_k is an integer over top, so each division below is exact
@@ -284,8 +283,7 @@ def _phase_jet(gamma: BackgroundPhase, z, order: int) -> tuple:
             re += 2 * j * gr
             im += 2 * j * gi
         e.append((re // (k * g_den), im // (k * g_den)))
-    value = (Fraction(shifted[0][0], g_den), Fraction(shifted[0][1], g_den))
-    return value, _lowest(e, top)
+    return _lowest(e, top)
 
 
 def _lowest(jet, den: int) -> tuple:
@@ -305,9 +303,10 @@ def _complex(re: int, im: int, den: int, what: str) -> complex:
         raise OverflowError(f"{what} leaves the float range") from None
 
 
-def _exact_jets(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> tuple:
+def _exact_jets(psi: TestFunction, phi: TestFunction, model: SMatrixModel, taylor) -> tuple:
     """(coeffs, denominator, v, v_den): Q in lowest terms, and v = Gamma W phi
-    over v_den, both exact, read off the integers of states.w_total."""
+    over v_den, both exact, read off the integers of states.w_total; taylor
+    as _ball_jets takes it."""
     pole = model.pole
     r = pole.r
     # z = E_R - i Gamma / 2 as exact rationals (re, im)
@@ -323,8 +322,8 @@ def _exact_jets(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> tu
     p, q = pole.Gamma.as_integer_ratio()
     v, v_den = [(p * x, p * y) for x, y in zip(v_re, v_im)], q * W.denominator * phi_den
     leg, leg_den = _rational_jet(psi, z, r)
-    if model.absorb_gauge:
-        _, (shift, shift_den) = _phase_jet(model.gamma, z, r)
+    if taylor is not None:
+        shift, shift_den = _phase_jet(*taylor, r)
         leg, leg_den = _convolve(leg, shift, r), leg_den * shift_den
     fact = [math.factorial(k) for k in range(r)]
     # coefficient r-1-m of the reversed v times L: sum_{k>=m} v_k L[k-m], lifted by (r-1)! / m!
@@ -480,23 +479,36 @@ class PoleJet:
     psi^(k)(z) with the same gauge placement; each part is rounded once
     from its exact value.
 
-    A jet of pole_jet reads every value off one ladder (_read): balls of
-    Q and v (p-bit Gaussian integers with a certified radius) at each of
-    _PRECISIONS, then the exact build.  The first rung that decides a
-    value under Ziv's test gives it: the float that both ends of its ball
-    round to, a ball of Q(0) that excludes 0.  Q(t) is read at every t by
-    algebra's fixed-point Horner pass.  A jet made from the exact coeffs
-    (Gaussian integers (re, im), lowest power first) and denominator of Q
-    reads them alone.
+    A jet of pole_jet reads every value off one ladder (_read) built from
+    its pairing (psi, phi, model, taylor): balls of Q and v (p-bit Gaussian
+    integers with a certified radius) at each of _PRECISIONS, then the
+    exact build.  The first rung that decides a value under Ziv's test
+    gives it: the float that both ends of its ball round to, a ball of
+    Q(0) that excludes 0.  Q(t) is read at every t by algebra's
+    fixed-point Horner pass, and the constructor reads each
+    expansion_coeffs[k] in turn, naming the first that overflows.  A jet
+    made from the exact coeffs (Gaussian integers (re, im), lowest power
+    first) and denominator of Q reads them alone, with no expansion_coeffs.
     """
 
-    def __init__(self, width: float, phase: complex, coeffs, denominator, expansion_coeffs,
-                 pairing=None):
+    def __init__(self, width: float, phase: complex, coeffs, denominator, pairing=None):
         self.width, self.phase = width, phase
-        self.expansion_coeffs = tuple(expansion_coeffs)
         self._exact = None if coeffs is None else (tuple(coeffs), denominator)
         # (psi, phi, model, taylor) of pole_jet, and its ball builds by bits
         self._pairing, self._balls = pairing, {}
+
+        def ball_read(build, ks):
+            (c, e, rad), _, s, _ = build
+            return [_ball_part_pair(c[k], rad, e + s * k, math.factorial(k),
+                                    f"expansion_coeffs[{k}]") for k in ks]
+
+        # the exact build is (coeffs, denominator, v, v_den)
+        def exact_read(exact, k):
+            return _complex(*exact[2][k], math.factorial(k) * exact[3], f"expansion_coeffs[{k}]")
+
+        orders = range(pairing[2].pole.r) if pairing else ()
+        self.expansion_coeffs = tuple(-2.0 * math.pi * self._read([k], ball_read, exact_read)[0]
+                                      for k in orders)
 
     def _read(self, items, ball_read, exact_read) -> list:
         """[value] for each of items, off the ladder: ball_read(build,
@@ -516,7 +528,7 @@ class PoleJet:
                 return values
             todo = [i for i in todo if values[i] is None]
         if self._exact is None:
-            self._exact = _exact_jets(*self._pairing[:3])
+            self._exact = _exact_jets(*self._pairing)
         for i in todo:
             values[i] = exact_read(self._exact, items[i])
         return values
@@ -599,7 +611,8 @@ def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJ
     is 2 pi exp(2i gamma(z)) exp(-i z t) Q(t) with
     Q_m = -(-i)**m / m! sum_{k>=m} v_k L[k-m], v = Gamma W phi, and the
     expansion_coeffs are -2 pi v_k / k!, each part rounded once, read off
-    the ladder of PoleJet as Q is: the balls of v, then the exact v.
+    the ladder of PoleJet as Q is: the balls of v, then the exact v, both
+    rungs and the phase from one Taylor shift of gamma to z.
     """
     pole = model.pole
     taylor, phase = None, 1 + 0j
@@ -612,20 +625,7 @@ def pole_jet(psi: TestFunction, phi: TestFunction, model: SMatrixModel) -> PoleJ
             phase = _exp_exact(Fraction(-2 * g_im, g_den), Fraction(2 * g_re, g_den))
         except OverflowError:
             raise OverflowError("phase factor exp(2i gamma(z)) leaves the float range") from None
-    jet = PoleJet(pole.Gamma, phase, None, None, (), (psi, phi, model, taylor))
-
-    def ball_read(build, ks):
-        (c, e, rad), _, s, _ = build
-        return [_ball_part_pair(c[k], rad, e + s * k, math.factorial(k), f"expansion_coeffs[{k}]")
-                for k in ks]
-
-    # one coefficient at a time, so that the first to leave the float range
-    # is named; the exact build is (coeffs, denominator, v, v_den)
-    expansion = [jet._read([k], ball_read, lambda exact, k: _complex(
-        *exact[2][k], math.factorial(k) * exact[3], f"expansion_coeffs[{k}]"))[0]
-        for k in range(pole.r)]
-    jet.expansion_coeffs = tuple(-2.0 * math.pi * b for b in expansion)
-    return jet
+    return PoleJet(pole.Gamma, phase, None, None, (psi, phi, model, taylor))
 
 
 def lineshape(pole: ResonancePole, e_grid) -> list:

@@ -40,7 +40,8 @@ decay_deviation through the exact squared norm D(t) of its terms of
 degree >= 1, evaluated at each t and its square root rounded once.  A
 single dyad c|k><l| needs no expansion: it evolves to c |T~k><T~l|, of
 rank one, so N(t) = |c|**2 |T~k|**2 |T~l|**2 is the product of two short
-polynomials in t**2, the same rational coefficients the expansion would
+polynomials in t**2, whose coefficients are the squared ket weights of
+algebra._ket_row: the same rational coefficients the expansion would
 give.  Each value exp(-Gamma t) * x they print is algebra's one reading,
 with the exponent carried.
 """
@@ -52,8 +53,8 @@ import math
 import operator
 from fractions import Fraction
 
-from .algebra import _Frozen, _check_times, _exact_at, _exp_decay, _ldexp, _lift, _quotient
-from .algebra import _scaled, _turn, binom
+from .algebra import _Frozen, _check_times, _exact_at, _exp_decay, _ket_row, _ldexp, _lift
+from .algebra import _quotient, _scaled, _turn, binom
 from .errors import EmptyGridError, IndexOutOfRangeError
 from .jordan import GamowSubspace, conjugation_polys
 
@@ -168,15 +169,6 @@ def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
     return coeffs
 
 
-def _ket_norm_squared(derivative: bool, i: int) -> list:
-    """Integer coefficients of P_i(u) = sum_d w(i, i-d)**2 u**d, with
-    |T~(t)|i>|**2 = P_i(t**2): binom(i, d)**2 in the derivative
-    normalization, and (i! / d!)**2 over i!**2 in the factorial one."""
-    if derivative:
-        return [binom(i, d) ** 2 for d in range(i + 1)]
-    return [math.perm(i, i - d) ** 2 for d in range(i + 1)]
-
-
 def _evolved_norm_squared(W: StateOperator) -> tuple:
     """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2: the
     coefficient of t**d is the int coeffs[d] over the int denominator.
@@ -188,23 +180,24 @@ def _evolved_norm_squared(W: StateOperator) -> tuple:
     constant ||A||_F**2.
 
     A single dyad c|k><l| evolves to c |T~k><T~l|, which has rank one, so
-    N(t) = |c|**2 P_k(t**2) P_l(t**2) (_ket_norm_squared), read without
-    the conjugation: the same rational coefficients, over den**2 times
-    the factorial lifts.  Every other operator is expanded by
-    jordan.conjugation_polys.
+    N(t) = |c|**2 P_k(t**2) P_l(t**2), read without the conjugation, with
+    |T~(t)|i>|**2 = P_i(t**2) and P_i(u) = sum_d w(i, i-d)**2 u**d the
+    squares of the ket weights of algebra._ket_row, last first: the same
+    rational coefficients, over den**2 times the squares of the two lifts.
+    Every other operator is expanded by jordan.conjugation_polys.
     """
     if len(W.entries) == 1:
         [((k, l), (re, im))] = W.entries.items()
-        derivative = W.space.normalization == "derivative"
-        ket, bra = _ket_norm_squared(derivative, k), _ket_norm_squared(derivative, l)
+        (ket, k_lift), (bra, l_lift) = (_ket_row(W.space.normalization == "derivative", i)
+                                        for i in (k, l))
+        ket, bra = [a * a for a in ket[::-1]], [b * b for b in bra[::-1]]
         coeffs = [0] * (2 * (k + l) + 1)
         for d, a in enumerate(ket):
             for e, b in enumerate(bra):
                 coeffs[2 * (d + e)] += a * b
         size = re * re + im * im
-        lift = 1 if derivative else math.factorial(k) * math.factorial(l)
         # a zero dyad has no coefficients, as _sum_of_squares writes N = 0
-        return [size * c for c in coeffs] if size else [], (W.denominator * lift) ** 2
+        return [size * c for c in coeffs] if size else [], (W.denominator * k_lift * l_lift) ** 2
     polys, denominator = conjugation_polys(W.space.normalization, W.entries, W.denominator)
     return _sum_of_squares(polys), denominator**2
 

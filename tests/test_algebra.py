@@ -24,6 +24,7 @@ from gamowkit.algebra import (
     _exp_decay,
     _fixed_readings,
     _horner_bounds,
+    _ket_row,
     _ldexp,
     _norm_bounds,
     _quotient,
@@ -32,8 +33,9 @@ from gamowkit.algebra import (
     _trim,
     binom,
 )
+from gamowkit.cli import R_CAP
 
-from expansion import gmul, monomial_product
+from expansion import gmul, monomial_product, weight
 
 small_fractions = st.fractions(min_value=-10, max_value=10, max_denominator=64)
 gaussians = st.builds(GaussianRational, small_fractions, small_fractions)
@@ -83,6 +85,21 @@ class TestBinom:
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=41))
     def test_pascal_identity(self, n, k):
         assert binom(n + 1, k) == binom(n, k) + binom(n, k - 1)
+
+
+class TestKetRow:
+    """_ket_row against the Fraction ket weights w(k, p) of the oracle
+    expansion, for every ket of a pole up to the cap on r."""
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    def test_row_over_lift_is_the_ket_weight(self, normalization):
+        derivative = normalization == "derivative"
+        for k in range(R_CAP + 1):
+            row, lift = _ket_row(derivative, k)
+            assert lift == (1 if derivative else math.factorial(k))
+            assert all(type(x) is int for x in row)
+            assert [Fraction(x, lift) for x in row] == [weight(normalization, k, p)
+                                                         for p in range(k + 1)]
 
 
 class TestPolynomial:
@@ -271,9 +288,10 @@ OVERFLOW = Fraction(2) ** 1024 - Fraction(2) ** 970
 
 
 def sized(low: int):
-    """Ints from low to 2**3000, the bit length drawn first, so that every
-    size, and every ratio of two draws, comes up."""
-    return st.integers(0, 3000).flatmap(lambda bits: st.integers(low, max(low, 2**bits)))
+    """Ints from low to 2**3000, the bit length drawn first and kept, so
+    that every size, and every ratio of two draws, comes up."""
+    return st.integers(0, 3000).flatmap(
+        lambda bits: st.integers(max(low, 2**bits >> 1), max(low, 2**bits)))
 
 
 def rounds_to(value: float, exact: Fraction, root: bool = False) -> bool:
@@ -344,9 +362,10 @@ class TestExactAt:
 
 
 # ball centres and radii of every size up to 100 bits, the bit length drawn
-# first; the exact value sits on either edge of its ball as often as inside
-centres = st.integers(0, 100).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
-radii = st.integers(0, 100).flatmap(lambda bits: st.integers(0, 2**bits))
+# first and kept (a draw of st.integers(0, 2**bits) is most often small);
+# the exact value sits on either edge of its ball as often as inside
+radii = st.integers(0, 100).flatmap(lambda bits: st.integers(2**bits >> 1, 2**bits))
+centres = radii | radii.map(lambda x: -x)
 sides = st.sampled_from([-1, 1]) | st.integers(-(2**16), 2**16).map(lambda n: Fraction(n, 2**16))
 
 

@@ -34,6 +34,17 @@ REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden"
 
+# (command, shipped config, its golden output)
+SHIPPED = [
+    ("decay-curve", "decay_r1.conf", "decay_r1.csv"),
+    ("decay-curve", "decay_r3.conf", "decay_r3.csv"),
+    ("lineshape", "lineshape_r3.conf", "lineshape_r3.csv"),
+    ("pole-term", "pole_term_r1.conf", "pole_term_r1.json"),
+    ("pole-term", "pole_term_r2.conf", "pole_term_r2.json"),
+    ("uniqueness", "uniqueness_j4.conf", "uniqueness_j4.json"),
+    ("jordan-info", "decay_r3.conf", "jordan_info_r3.json"),
+]
+
 DECAY_CONF = """\
 E_R = 2.0
 Gamma = 1.0
@@ -1012,18 +1023,7 @@ class TestDeterminism:
         assert len(undecided) == 0
         assert [result.output for result in forced] == [result.output for result in normal]
 
-    @pytest.mark.parametrize(
-        "command,config,golden",
-        [
-            ("decay-curve", "decay_r1.conf", "decay_r1.csv"),
-            ("decay-curve", "decay_r3.conf", "decay_r3.csv"),
-            ("lineshape", "lineshape_r3.conf", "lineshape_r3.csv"),
-            ("pole-term", "pole_term_r1.conf", "pole_term_r1.json"),
-            ("pole-term", "pole_term_r2.conf", "pole_term_r2.json"),
-            ("uniqueness", "uniqueness_j4.conf", "uniqueness_j4.json"),
-            ("jordan-info", "decay_r3.conf", "jordan_info_r3.json"),
-        ],
-    )
+    @pytest.mark.parametrize("command,config,golden", SHIPPED)
     def test_shipped_configs_reproduce_golden_files(
         self, runner, tmp_path, command, config, golden
     ):
@@ -1032,6 +1032,18 @@ class TestDeterminism:
             main, [command, "--config", str(CONFIGS / config), "--out", str(out)]
         )
         assert result.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    @pytest.mark.parametrize("command,config,golden", SHIPPED)
+    def test_config_with_a_byte_order_mark_reproduces_its_golden(
+        self, runner, tmp_path, command, config, golden
+    ):
+        # Windows Notepad starts a UTF-8 file with a byte-order mark, which
+        # must not become part of the first key
+        conf, out = tmp_path / config, tmp_path / golden
+        conf.write_bytes(b"\xef\xbb\xbf" + (CONFIGS / config).read_bytes())
+        result = runner.invoke(main, [command, "--config", str(conf), "--out", str(out)])
+        assert (result.exit_code, result.stderr) == (0, "")
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     @pytest.mark.parametrize("config", ["decay_r3.conf", "r12"])

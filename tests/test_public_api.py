@@ -185,7 +185,7 @@ def test_the_object_layer_stays_in_algebra():
 
 
 REMOVED = {"ConstraintSystem", "oracle_evolution", "TestFunctionPair", "from_params",
-           "_quotients_at", "_CUT"}
+           "_quotients_at", "_CUT", "_ket_weights", "_ket_norm_squared"}
 
 
 def test_removed_names_stay_out():
@@ -196,6 +196,8 @@ def test_removed_names_stay_out():
     # would be one that every caller builds and pole_jet takes apart.
     # decay_deviation reads its exact tail at each t: a second reader on
     # coefficients cut to 128 bits would round to the same floats.
+    # algebra._ket_row is the one derivation of the ket weights of T(t):
+    # jordan's matrices and states' rank-one norms read it, not copies.
     files = [*sorted(SRC.glob("*.py")), *sorted((REPO / "tests").glob("*.py"))]
     named = [f"{path.parent.name}/{path.name} names {name}"
              for path in files for name in sorted(_names(path) & REMOVED)]

@@ -26,7 +26,12 @@ per kernel.
 
 Hypothesis mixes the int literals of the loaded modules into its draws,
 so a mutated constant also moves every derandomized draw.  The edge
-cases that kill a mutant must therefore be explicit @examples.
+cases that kill a mutant must therefore be explicit @examples.  The
+copy runs hypothesis under a settings profile without the shrink phase
+(SETTINGS, a conftest.py at the root of the copy): a test that fails
+reports its first failing draw at once, so a kill is not timed out while
+hypothesis shrinks the draw.  The tests' own @settings set no phases,
+so the profile's phases hold for them too.
 
 Only the standard library is used; pytest and hypothesis must be
 installed for the test runs.  A full run makes a few hundred mutants and
@@ -61,6 +66,7 @@ KERNELS = {
     "_fixed_readings": ("gamowkit/algebra.py", "test_algebra.py", "TestFixedReadings"),
     "_rounded_between": ("gamowkit/algebra.py", "test_algebra.py", "TestFixedReadings"),
     "_scaled": ("gamowkit/algebra.py", "test_algebra.py", "TestScaledReading"),
+    "_ket_row": ("gamowkit/algebra.py", "test_algebra.py", "TestKetRow"),
     "_ball_leg": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
     "_ball_shift": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
 }
@@ -68,6 +74,14 @@ KERNELS = {
 # a test run of a mutant may take this many times as long as on the
 # unmodified tree before it counts as a timeout
 SLACK = 3
+
+# the conftest.py of the copy: every hypothesis phase but shrinking
+SETTINGS = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[p for p in Phase if p is not Phase.shrink])
+settings.load_profile("mutants")
+"""
 
 SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.FloorDiv, ast.FloorDiv: ast.Mult,
          ast.LShift: ast.RShift, ast.RShift: ast.LShift, ast.BitAnd: ast.BitOr,
@@ -195,6 +209,7 @@ def main(argv=None) -> int:
                             ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
         # the pytest settings (warnings as errors) come with the tree
         shutil.copy(ROOT / "pyproject.toml", tree)
+        (tree / "conftest.py").write_text(SETTINGS)
         limits = {}
         for name in args.kernels:
             _, test_module, first = KERNELS[name]
