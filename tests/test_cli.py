@@ -972,6 +972,123 @@ class TestPoleTermBytes:
         assert _pole_term_digest(runner, path) == POLE_TERM_SHA256[name]
 
 
+# decay-curve configs whose output bytes are pinned: both normalizations at
+# orders up to the cap of r, and widths from 1e-300 to 1e300 with times up
+# to 1e30, several of which end in an overflow exit; each is run as float
+# and --exact, in CSV and in JSON, on a short grid
+DECAY_PIN_ORDERS = (1, 2, 3, 5, 8, 13, 21, R_CAP)
+DECAY_PIN_WIDE = {
+    f"r{r}-G{width}-t{t_max}": (r, width, t_max)
+    for r in (1, 6, R_CAP) for width in ("1e-300", "1e-30", "1e30", "1e300")
+    for t_max in ("10.0", "1e30")
+}
+DECAY_PIN_MODES = (["--exact"], [], ["--format", "json"], ["--format", "json", "--exact"])
+
+
+def _decay_pin_configs() -> dict:
+    """name -> config text of every pinned decay-curve run."""
+    confs = {}
+    for normalization in ("derivative", "factorial"):
+        cases = {f"r{r}": (r, "0.9137", "300.0") for r in DECAY_PIN_ORDERS} | DECAY_PIN_WIDE
+        for name, (r, width, t_max) in cases.items():
+            steps = 6 if width == "0.9137" else 4
+            confs[f"{name}-{normalization}"] = (
+                f"E_R = 2.0\nGamma = {width}\nr = {r}\nnormalization = {normalization}\n"
+                f"t_min = 0.0\nt_max = {t_max}\nt_steps = {steps}\n")
+    return confs
+
+
+def _decay_curve_digest(runner, path) -> str:
+    """sha256 of the exit code, stderr and stdout of decay-curve on path,
+    run in each of DECAY_PIN_MODES in turn."""
+    text = ""
+    for mode in DECAY_PIN_MODES:
+        result = runner.invoke(main, ["decay-curve", "--config", str(path), *mode])
+        text += f"{result.exit_code}\n{result.stderr}\n{result.stdout}\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# recorded from decay_table conjugating every W(n), w_total and each dyad
+# of more than one entry on its own
+DECAY_CURVE_SHA256 = {
+    "r1-G1e-30-t10.0-derivative": "0557c430dd9d7dc64cb867a3453d148e7008f58bd21e070bfb890349433b0c4e",
+    "r1-G1e-30-t10.0-factorial": "0557c430dd9d7dc64cb867a3453d148e7008f58bd21e070bfb890349433b0c4e",
+    "r1-G1e-30-t1e30-derivative": "9dd0d19b6a2f92d0b524a7a373ed6d215912452060d8a211036610782ce6bffc",
+    "r1-G1e-30-t1e30-factorial": "9dd0d19b6a2f92d0b524a7a373ed6d215912452060d8a211036610782ce6bffc",
+    "r1-G1e-300-t10.0-derivative": "1c63f2072bfe166bdc169cec8cc2a2fd83f3b510be0b75294c464c7cabeaefc5",
+    "r1-G1e-300-t10.0-factorial": "1c63f2072bfe166bdc169cec8cc2a2fd83f3b510be0b75294c464c7cabeaefc5",
+    "r1-G1e-300-t1e30-derivative": "3eca079a5d64c3cc92701c61bb3759e94403edc79b82d5819dd58d62ff1eeb6d",
+    "r1-G1e-300-t1e30-factorial": "3eca079a5d64c3cc92701c61bb3759e94403edc79b82d5819dd58d62ff1eeb6d",
+    "r1-G1e30-t10.0-derivative": "155ee2e9479f7020cd780c215a3ed8d2c05fb50b65864373540ea6e0384e1e00",
+    "r1-G1e30-t10.0-factorial": "155ee2e9479f7020cd780c215a3ed8d2c05fb50b65864373540ea6e0384e1e00",
+    "r1-G1e30-t1e30-derivative": "9d9fca04000359a8682ce62adc866b93f41933df7f5eaa7aa66272496ab96ee3",
+    "r1-G1e30-t1e30-factorial": "9d9fca04000359a8682ce62adc866b93f41933df7f5eaa7aa66272496ab96ee3",
+    "r1-G1e300-t10.0-derivative": "4b5bc7c02906acfc1df2f734f877c22e61859ac6210159357a8528019600c46b",
+    "r1-G1e300-t10.0-factorial": "4b5bc7c02906acfc1df2f734f877c22e61859ac6210159357a8528019600c46b",
+    "r1-G1e300-t1e30-derivative": "a93c31cb07d61e20b1693dee6f62e369f87fa7cb2530bff06b6602c7fc2c5b6e",
+    "r1-G1e300-t1e30-factorial": "a93c31cb07d61e20b1693dee6f62e369f87fa7cb2530bff06b6602c7fc2c5b6e",
+    "r1-derivative": "9a1952630ece761522c8591dded3b5b40a644e1d39c868124db6b66a06069a83",
+    "r1-factorial": "9a1952630ece761522c8591dded3b5b40a644e1d39c868124db6b66a06069a83",
+    "r13-derivative": "d514afd84d2406161da089fe513a35dc8a4aa8d144a1188974ce7e5cd3b1cfa4",
+    "r13-factorial": "b483689124556fd2f9c6919547814bf868de17cbf0d7fd98612dcc178782db29",
+    "r2-derivative": "08024a898c6cfb0fb107e8246d52c8284e69b8bc2aca2b671c7301360c2f7710",
+    "r2-factorial": "08024a898c6cfb0fb107e8246d52c8284e69b8bc2aca2b671c7301360c2f7710",
+    "r21-derivative": "c433fd37c9c7578f257174c766f7067da0a32dc74588ab022edeaa193012b155",
+    "r21-factorial": "064b0c0e053a0fbee6080393a1422e39cdc2756273d6c9bcd3a315ee0a4db6a9",
+    "r3-derivative": "f156f2b2056146b1daf2abd2c4f4b0fb05bd4d477eaf8b64581091e44f4dbcef",
+    "r3-factorial": "421285ee825a0dd6918a24aff80c80fccda650d3e18f28902fca9b36b5272dec",
+    "r32-G1e-30-t10.0-derivative": "0ec1551fc080ddbb2164bfd09122fddcd66cb9cd41ba4e1d52dc94a19d62b5e5",
+    "r32-G1e-30-t10.0-factorial": "7a304683921d984fc2aa5ad13b6d667d052d56c89d01a4def4e72aeb6c001c85",
+    "r32-G1e-30-t1e30-derivative": "fb105a5b96d394ad8f535b738d9b7948d43c3aaf78d88edf9aa2ac72832378ae",
+    "r32-G1e-30-t1e30-factorial": "fb105a5b96d394ad8f535b738d9b7948d43c3aaf78d88edf9aa2ac72832378ae",
+    "r32-G1e-300-t10.0-derivative": "aeadae887df7fcc04ecc6db215d33d9f593da246716a141957cf02e54dda6ba4",
+    "r32-G1e-300-t10.0-factorial": "14345e6c7aa35b2e2de00e15e34cda04d3965c06115bdf290a344037ddfa2185",
+    "r32-G1e-300-t1e30-derivative": "fb105a5b96d394ad8f535b738d9b7948d43c3aaf78d88edf9aa2ac72832378ae",
+    "r32-G1e-300-t1e30-factorial": "fb105a5b96d394ad8f535b738d9b7948d43c3aaf78d88edf9aa2ac72832378ae",
+    "r32-G1e30-t10.0-derivative": "4157a386f298f9cae7b8d013a8ea0602b5acdff762c90b73a6d6cb4b77a0ed32",
+    "r32-G1e30-t10.0-factorial": "4157a386f298f9cae7b8d013a8ea0602b5acdff762c90b73a6d6cb4b77a0ed32",
+    "r32-G1e30-t1e30-derivative": "4157a386f298f9cae7b8d013a8ea0602b5acdff762c90b73a6d6cb4b77a0ed32",
+    "r32-G1e30-t1e30-factorial": "4157a386f298f9cae7b8d013a8ea0602b5acdff762c90b73a6d6cb4b77a0ed32",
+    "r32-G1e300-t10.0-derivative": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r32-G1e300-t10.0-factorial": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r32-G1e300-t1e30-derivative": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r32-G1e300-t1e30-factorial": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r32-derivative": "f06a19870e7049ae0af824edafe974950b118804685a42529f547c3537b1296a",
+    "r32-factorial": "d5f1e967cf107a314d08c290f0560af249e889c74eb5df592ed6a99e660a5d8d",
+    "r5-derivative": "b08abbe215f63117c35f40ee0198df2d3eba4f92458f88be13c3ef81fb87c6ee",
+    "r5-factorial": "6bc5a0f36af0a91c386f05ff325c2dca171beb2eb9325445e92638781322760b",
+    "r6-G1e-30-t10.0-derivative": "bec764f5c5972d456a3f867283f012bf46ec539d7c811f7851214f2e9fc37bd6",
+    "r6-G1e-30-t10.0-factorial": "d4049cda597f5becb9d678b4b664f3be791dde3d0b80b85acae81ea2ea84d922",
+    "r6-G1e-30-t1e30-derivative": "72bc243ff2be6c9702957dab069868502297b37b3290108019493e68805e4307",
+    "r6-G1e-30-t1e30-factorial": "aae3435afd022eea7ff3e79b9231848ca7d9c6af6be109e43c39ef93bf744677",
+    "r6-G1e-300-t10.0-derivative": "08de2e0f1378db35759df8d9be47efd9ec996ad928181408eeba47edd8cc99d2",
+    "r6-G1e-300-t10.0-factorial": "f4c46b22272ce02399b8f969f3210bf131f9056e4a31a75605a32abacf4f22cb",
+    "r6-G1e-300-t1e30-derivative": "da1334c7921e218e83ae3a657d3724e2004c6e6a8299e050c0c513de055f8f79",
+    "r6-G1e-300-t1e30-factorial": "568aa11c83f8a2631ea6df7a26470526dee1a432bd4ed0ca2c652e8eb2aad622",
+    "r6-G1e30-t10.0-derivative": "2d34f1e683051068bc520e4bae4cebc2ccb2722390ed6d93e087b0ba12a13e2a",
+    "r6-G1e30-t10.0-factorial": "874f9c0fb13e335ad934f5bd189e45a7ede9a4d1401547c950db549311fabbf4",
+    "r6-G1e30-t1e30-derivative": "1493b00fd4465d58eef79e98265a5c31b54df7e525ee82e2016f282283203971",
+    "r6-G1e30-t1e30-factorial": "51c1c228e6a926b20eb7d5eae25ffeca20fe4dd7677ba0349dc3130baf94c0e7",
+    "r6-G1e300-t10.0-derivative": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r6-G1e300-t10.0-factorial": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r6-G1e300-t1e30-derivative": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r6-G1e300-t1e30-factorial": "87516954379c9be628ccad4a83ecb3bdda49eeb3a6000b197e28d7718e8b29a7",
+    "r8-derivative": "366e3fc11d94573d7c95404bf7e0b73045ca83f3c08d434930f7e323980bdf7c",
+    "r8-factorial": "ccc22dda7d4ef422fbf95db3e3c0bd0acf16583e63349308a2fdaa5a4284b28f",
+}
+
+
+class TestDecayCurveBytes:
+    @pytest.mark.parametrize("name", sorted(DECAY_CURVE_SHA256))
+    def test_decay_curve_bytes_are_pinned(self, runner, tmp_path, name):
+        path = tmp_path / "pin.conf"
+        path.write_text(_decay_pin_configs()[name])
+        assert _decay_curve_digest(runner, path) == DECAY_CURVE_SHA256[name]
+
+    def test_every_config_is_pinned(self):
+        assert set(DECAY_CURVE_SHA256) == set(_decay_pin_configs())
+
+
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, runner, tmp_path):
         conf = tmp_path / "d.conf"
