@@ -34,13 +34,17 @@ w_total leaves it off; every certified property is invariant under that
 scale, and decay_table applies it unless asked not to, as a mantissa and
 an exponent.
 
-Evolution is expanded exactly by jordan.conjugation_polys, which
-decay_table reads through the exact squared norm N(t), and
-decay_deviation through the exact squared norm D(t) of its terms of
-degree >= 1, evaluated at each t and its square root rounded once.  A
-single dyad c|k><l| needs no expansion: it evolves to c |T~k><T~l|, of
-rank one, so N(t) = |c|**2 |T~k|**2 |T~l|**2 is the product of two short
-polynomials in t**2, whose coefficients are the squared ket weights of
+Evolution is expanded exactly by jordan.conjugation_polys.
+decay_deviation reads the exact squared norm D(t) of its terms of
+degree >= 1, evaluated at each t and its square root rounded once.
+decay_table expands w_total alone, once per table: its anti-diagonal n
+is a nonzero multiple of W(n), and the expansion runs one anti-diagonal
+at a time, so a w_total with no power of t certifies every W(n) at once,
+and the constant squared norm N of each W(n) and of their sum is read
+off w_total's entries, anti-diagonal by anti-diagonal.  A single dyad
+c|k><l| needs no expansion: it evolves to c |T~k><T~l|, of rank one, so
+N(t) = |c|**2 |T~k|**2 |T~l|**2 is the product of two short polynomials
+in t**2, whose coefficients are the squared ket weights of
 algebra._ket_row: the same rational coefficients the expansion would
 give.  Each value exp(-Gamma t) * x they print is algebra's one reading,
 with the exponent carried.
@@ -150,7 +154,7 @@ def w_total(space: GamowSubspace) -> StateOperator:
 
 def dyad_operator(space: GamowSubspace, k: int) -> StateOperator:
     """The single dyad |k><k|."""
-    return StateOperator.lift(space, {(k, k): 1})
+    return StateOperator(space, {(k, k): (1, 0)}, 1)
 
 
 def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
@@ -170,52 +174,48 @@ def _sum_of_squares(polys: dict, lowest: int = 0) -> list:
 
 
 def _evolved_norm_squared(W: StateOperator) -> tuple:
-    """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2: the
-    coefficient of t**d is the int coeffs[d] over the int denominator.
+    """(coeffs, denominator) of N(t) = ||T~(t) . A . T~(t)^dagger||_F**2 for
+    a single dyad A = c|k><l|: the coefficient of t**d is the int coeffs[d]
+    over the int denominator.
 
     T~(t) is the evolution matrix without its phase; the phases of the two
     sides combine to exp(-Gamma t), so the evolved Frobenius norm is
-    exp(-Gamma t) sqrt(N(t)).  No coefficient is rounded: for a family
-    member the t-dependent terms cancel to exactly zero and N is the
-    constant ||A||_F**2.
+    exp(-Gamma t) sqrt(N(t)).  No coefficient is rounded.
 
-    A single dyad c|k><l| evolves to c |T~k><T~l|, which has rank one, so
-    N(t) = |c|**2 P_k(t**2) P_l(t**2), read without the conjugation, with
+    A evolves to c |T~k><T~l|, which has rank one, so N(t) = |c|**2
+    P_k(t**2) P_l(t**2), read without the conjugation, with
     |T~(t)|i>|**2 = P_i(t**2) and P_i(u) = sum_d w(i, i-d)**2 u**d the
     squares of the ket weights of algebra._ket_row, last first: the same
-    rational coefficients, over den**2 times the squares of the two lifts.
-    Every other operator is expanded by jordan.conjugation_polys.
+    rational coefficients jordan.conjugation_polys would give, over den**2
+    times the squares of the two lifts.
     """
-    if len(W.entries) == 1:
-        [((k, l), (re, im))] = W.entries.items()
-        (ket, k_lift), (bra, l_lift) = (_ket_row(W.space.normalization == "derivative", i)
-                                        for i in (k, l))
-        ket, bra = [a * a for a in ket[::-1]], [b * b for b in bra[::-1]]
-        coeffs = [0] * (2 * (k + l) + 1)
-        for d, a in enumerate(ket):
-            for e, b in enumerate(bra):
-                coeffs[2 * (d + e)] += a * b
-        size = re * re + im * im
-        # a zero dyad has no coefficients, as _sum_of_squares writes N = 0
-        return [size * c for c in coeffs] if size else [], (W.denominator * k_lift * l_lift) ** 2
-    polys, denominator = conjugation_polys(W.space.normalization, W.entries, W.denominator)
-    return _sum_of_squares(polys), denominator**2
+    [((k, l), (re, im))] = W.entries.items()
+    (ket, k_lift), (bra, l_lift) = (_ket_row(W.space.normalization == "derivative", i)
+                                    for i in (k, l))
+    ket, bra = [a * a for a in ket[::-1]], [b * b for b in bra[::-1]]
+    coeffs = [0] * (2 * (k + l) + 1)
+    for d, a in enumerate(ket):
+        for e, b in enumerate(bra):
+            coeffs[2 * (d + e)] += a * b
+    size = re * re + im * im
+    # a zero dyad has no coefficients, as _sum_of_squares writes N = 0
+    return [size * c for c in coeffs] if size else [], (W.denominator * k_lift * l_lift) ** 2
 
 
-def _norm_readings(W: StateOperator, points, scale: float, power: int) -> tuple:
-    """(norm, exp_law, deviation) of W at the points of decay_table, each as
-    (values, exponents), the deviation None for a constant N: exp(-Gamma t)
-    sqrt(N(t)) and exp(-Gamma t) sqrt(N(0)) times scale 2**power, with
-    N = _evolved_norm_squared(W), and |u - u0| / u0 on u = sqrt(N(t)), read
-    as |t T(t)| / (u0 (u + u0)) with N(t) = N(0) + t T(t).  N, scaled by
-    4**-k with k from N(0), is rounded once and read by a float Horner pass,
-    at t = s 2**j >= 128 in s < 2**8 on the coefficients times
-    2**((d - deg N) j): every float operation is the unscaled one times a
-    power of two, and N stays in range.  The N of decay_table is constant
-    but for a dyad, whose N is a polynomial in t**2, so the pass takes its
-    even coefficients, two steps (acc s) s + c at a time: the steps over the
-    zero odd ones, acc s + 0, round to the same floats."""
-    coeffs, den = _evolved_norm_squared(W)
+def _norm_readings(coeffs: list, den: int, points, scale: float, power: int) -> tuple:
+    """(norm, exp_law, deviation) of an evolved operator at the points of
+    decay_table, each as (values, exponents), the deviation None for a
+    constant N: exp(-Gamma t) sqrt(N(t)) and exp(-Gamma t) sqrt(N(0)) times
+    scale 2**power, with N(t) the int coeffs[d] over the int den at t**d,
+    and |u - u0| / u0 on u = sqrt(N(t)), read as |t T(t)| / (u0 (u + u0))
+    with N(t) = N(0) + t T(t).  N, scaled by 4**-k with k from N(0), is
+    rounded once and read by a float Horner pass, at t = s 2**j >= 128 in
+    s < 2**8 on the coefficients times 2**((d - deg N) j): every float
+    operation is the unscaled one times a power of two, and N stays in
+    range.  The N of decay_table is constant but for a dyad, whose N is a
+    polynomial in t**2, so the pass takes its even coefficients, two steps
+    (acc s) s + c at a time: the steps over the zero odd ones, acc s + 0,
+    round to the same floats."""
     common = math.gcd(coeffs[0], den)
     u0, k = _scaled(coeffs[0] // common, den // common, root=True)
     scaled = _quotient(coeffs, den, 2 * k)
@@ -253,8 +253,15 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     column and t of a value beyond the float range.  t is the grid as a
     list and every other column a tuple, so that columns holding one
     reading can be one object: the norm and exp_law of an operator with a
-    constant N (_norm_readings returns one reading for both), and every
-    deviation of such an operator, one shared tuple of zeros.
+    constant N (_norm_readings returns one reading for both), every
+    deviation of such an operator, one shared tuple of zeros, and the
+    columns of dyad0, which are those of W(0) = |0><0|.
+
+    The family is read off w_total, conjugated once (module docstring): N
+    of W(n) is the sum of |entry|**2 on k + l = n over (denominator
+    binom(r, n+1))**2, and N of wsum that over every anti-diagonal over
+    denominator**2.  A power of t that survives is a fault of the program:
+    ArithmeticError naming its anti-diagonal.
     NegativeTimeError for a t that is negative or nan, and OverflowError
     naming t for t = inf."""
     grid, Gamma = list(t_grid), space.pole.Gamma
@@ -264,12 +271,22 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
     mantissa, exponent = math.frexp(Gamma)
     wsum = (1.0, 0) if exact else (2.0 * math.pi * mantissa, exponent)
     family, dyad, r = ("norm", "exp_law", "deviation"), ("norm", "deviation"), space.dimension
-    operators = [(f"w{n}", w_n(space, n), 1.0, 0, family) for n in range(r)]
-    operators += [("wsum", w_total(space), *wsum, family)]
-    operators += [(f"dyad{k}", dyad_operator(space, k), 1.0, 0, dyad) for k in range(r)]
+    W = w_total(space)
+    polys, _ = conjugation_polys(space.normalization, W.entries, W.denominator)
+    for (k, l), poly in polys.items():
+        if d := max(poly):
+            raise ArithmeticError(f"anti-diagonal {k + l + d} of w_total keeps a term in t**{d}")
+    sizes = [0] * r
+    for (k, l), (re, im) in W.entries.items():
+        sizes[k + l] += re * re + im * im
+    operators = [(f"w{n}", [size], (W.denominator * binom(r, n + 1)) ** 2, 1.0, 0, family)
+                 for n, size in enumerate(sizes)]
+    operators += [("wsum", [sum(sizes)], W.denominator**2, *wsum, family)]
+    operators += [(f"dyad{k}", *_evolved_norm_squared(dyad_operator(space, k)), 1.0, 0, dyad)
+                  for k in range(1, r)]
     table, zeros = {"t": grid}, (0.0,) * len(grid)
-    for name, W, scale, power, columns in operators:
-        readings = dict(zip(family, _norm_readings(W, points, scale, power)))
+    for name, coeffs, den, scale, power, columns in operators:
+        readings = dict(zip(family, _norm_readings(coeffs, den, points, scale, power)))
         applied = {}
         for column in columns:
             key, reading = f"{name}_{column}", readings[column]
@@ -279,6 +296,8 @@ def decay_table(space: GamowSubspace, t_grid, exact: bool = False) -> dict:
             if id(reading) not in applied:
                 applied[id(reading)] = tuple(_ldexp(*reading, key, grid))
             table[key] = applied[id(reading)]
+        if name == "wsum":  # dyad0 is W(0) = |0><0|, whose columns follow wsum's
+            table["dyad0_norm"], table["dyad0_deviation"] = table["w0_norm"], zeros
     return table
 
 

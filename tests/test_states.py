@@ -380,7 +380,7 @@ class TestEvolvedNormSquared:
         space = GamowSubspace(ResonancePole(2.0, gamma, r), normalization)
         for W in [w_n(space, n) for n in range(r)] + [w_total(space)]:
             W = W if exact else rounded(W)
-            coeffs, den = _evolved_norm_squared(W)
+            coeffs, den = general_norm_squared(W)
             assert len(coeffs) == 1
             norm0 = sum(re**2 + im**2 for re, im in exact_values(W).values())
             assert Fraction(coeffs[0], den) == norm0
@@ -426,7 +426,7 @@ class TestEvolvedNormSquared:
     def test_matches_float_evolution(self, space):
         entries = {(k, l): (3 * k + l) * (1 - 0.5j) for k in range(3) for l in range(3)}
         W = StateOperator.lift(space, entries)
-        coeffs, den = _evolved_norm_squared(W)
+        coeffs, den = general_norm_squared(W)
         coeffs = [c / den for c in coeffs]
         for t in (0.0, 0.7, 3.0):
             value = math.sqrt(sum(c * t**d for d, c in enumerate(coeffs)))
@@ -478,10 +478,12 @@ class TestDecayTable:
         members = [f"w{n}" for n in range(r)] + ["wsum", "dyad0"]
         for name in members[:-1]:
             assert table[f"{name}_norm"] is table[f"{name}_exp_law"]
+        # W(0) is the dyad |0><0|, whose columns are its reading
+        assert table["dyad0_norm"] is table["w0_norm"]
         zeros = {id(table[f"{name}_deviation"]) for name in members}
         assert len(zeros) == 1 and table["w0_deviation"] == (0.0,) * 3
-        # t, one tuple per member, the zeros, dyad0_norm and two per other dyad
-        assert len({id(column) for column in table.values()}) == 1 + (r + 1) + 1 + 1 + 2 * (r - 1)
+        # t, one tuple per member, the zeros and two per other dyad
+        assert len({id(column) for column in table.values()}) == 1 + (r + 1) + 1 + 2 * (r - 1)
 
     @pytest.mark.parametrize(
         "normalization,edge",
@@ -510,21 +512,42 @@ class TestDecayTable:
 
     @pytest.mark.parametrize("r", [1, 2, 5, 16])
     def test_no_dyad_is_conjugated(self, monkeypatch, r):
-        # every dyad, W(0) = |0><0| among them, reads its norm off its
-        # rank-one factorization: the conjugation runs for W(1)..W(r-1) and
-        # wsum alone, each of more than one dyad
+        # every dyad reads its norm off its rank-one factorization (dyad0
+        # off W(0)'s), and every W(n) off the anti-diagonals of w_total: the
+        # conjugation runs once per table, for w_total alone, and no W(n)
+        # is built
         calls = []
 
         def counting(normalization, entries, denominator):
             calls.append(entries)
             return conjugation_polys(normalization, entries, denominator)
 
+        def unused(space, n):
+            raise AssertionError(f"decay_table built W({n})")
+
         monkeypatch.setattr(states, "conjugation_polys", counting)
+        monkeypatch.setattr(states, "w_n", unused)
         space = GamowSubspace(ResonancePole(2.0, 0.9137, r))
         decay_table(space, [0.0, 1.0, 300.0])
-        expected = [w_n(space, n) for n in range(1, r)] + [w_total(space)] * (r > 1)
-        assert calls == [W.entries for W in expected]
-        assert all(len(entries) > 1 for entries in calls)
+        assert calls == [w_total(space).entries]
+
+    @pytest.mark.parametrize("normalization", ["derivative", "factorial"])
+    @pytest.mark.parametrize("m", [1, 3, 4])
+    def test_a_power_of_t_in_the_family_names_its_anti_diagonal(
+        self, monkeypatch, normalization, m
+    ):
+        # a term in t on the expansion of anti-diagonal m lands on m - 1;
+        # only a fault of the expansion can put it there, and decay_table
+        # then prints nothing
+        def faulty(normalization, entries, denominator):
+            polys, den = conjugation_polys(normalization, entries, denominator)
+            polys.setdefault((0, m - 1), {})[1] = (1, 0)
+            return polys, den
+
+        monkeypatch.setattr(states, "conjugation_polys", faulty)
+        space = GamowSubspace(ResonancePole(2.0, 0.9137, 5), normalization)
+        with pytest.raises(ArithmeticError, match=rf"^anti-diagonal {m} of w_total .* t\*\*1$"):
+            decay_table(space, [0.0, 1.0])
 
     def test_a_value_beyond_the_float_range_names_its_column(self):
         # ||W||**2 ~ Gamma**30 leaves the float range at r = 16

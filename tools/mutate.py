@@ -1,4 +1,4 @@
-"""Opt-in mutation runner for the ball kernels of gamowkit.
+"""Opt-in mutation runner for the exact kernels of gamowkit.
 
     python tools/mutate.py [KERNEL ...]
 
@@ -67,6 +67,9 @@ KERNELS = {
     "_rounded_between": ("gamowkit/algebra.py", "test_algebra.py", "TestFixedReadings"),
     "_scaled": ("gamowkit/algebra.py", "test_algebra.py", "TestScaledReading"),
     "_ket_row": ("gamowkit/algebra.py", "test_algebra.py", "TestKetRow"),
+    "_layer": ("gamowkit/jordan.py", "test_jordan.py", "TestConjugationPolys"),
+    "conjugation_polys": ("gamowkit/jordan.py", "test_jordan.py", "TestConjugationPolys"),
+    "_evolved_norm_squared": ("gamowkit/states.py", "test_states.py", "TestEvolvedNormSquared"),
     "_ball_leg": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
     "_ball_shift": ("gamowkit/smatrix.py", "test_smatrix.py", "TestBallLegAndShift"),
 }
