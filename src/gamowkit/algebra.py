@@ -12,8 +12,10 @@ _ket_row holds the ket weights w(k, p) of the semigroup T(t).
 
 Ball series (coeffs, e, rad) are Gaussian integers over a power of two,
 each part within rad of the exact one (van der Hoeven's ball arithmetic):
-_trim, _ball_quotient, _ball_product and _ball_aligned build them at p
-bits, and _rounded_part rounds a part where both ends of its ball agree.
+_trim, _ball_quotient, _ball_product, _ball_aligned and _ball_chain
+build them; every radius of smatrix's ball jets comes from these five,
+each checked alone against exact Fractions, or is an exact int multiple
+of one.  _rounded_part rounds a part where both ends of its ball agree.
 _horner_bounds reads a ball polynomial at every t of a grid by one
 fixed-point Horner pass, into a small interval, and _fixed_readings
 rounds |P(t)|**2 over a denominator off that interval by two int
@@ -24,9 +26,9 @@ _Frozen is the base of the package's immutable value classes (the pole,
 its subspace, the S-matrix model and its parts, the state operator).
 
 No package path uses the classes GaussianRational, Polynomial and
-ExpPolynomial; the benchmark times them for its algebra.gr_*_ns and
-algebra.poly_*_us metrics, and ROADMAP item 1 deletes them when it
-points those metrics at the kernels.
+ExpPolynomial.  They stay only because the benchmark times them for its
+algebra.gr_*_ns and algebra.poly_*_us metrics, until those metrics time
+the kernels instead.
 """
 
 from __future__ import annotations
@@ -349,6 +351,32 @@ def _ball_product(a, b, order: int, p: int) -> tuple:
     size_b = max(abs(re) + abs(im) for re, im in cb)
     rad = order * (size_a * rb + size_b * ra + 2 * ra * rb)
     return _trim(_convolve(ca, cb, order), ea + eb, rad, p)
+
+
+def _ball_chain(first, ratio, factors, p: int) -> tuple:
+    """The ball series t_0 = first, t_k = t_(k-1) ratio num_k / den_k, for
+    scalar balls first and ratio and int pairs (num_k >= 0, den_k > 0) of
+    factors, every t_k at first's exponent, with the widest of their radii.
+    The ratio is cut to 2**-p; each step floors t_(k-1) ratio, off by at
+    most |t| r_ratio + |ratio| r_t + 2 r_t r_ratio, to that exponent, then
+    its product by num_k over den_k, each floor (and the cut) moving a
+    centre by less than 1 unit."""
+    ([(cr, ci)], e, rad), ([(zr, zi)], shift, z_rad) = first, ratio
+    shift += p
+    if shift >= 0:
+        zr, zi, z_rad = zr << shift, zi << shift, z_rad << shift
+    else:
+        zr, zi, z_rad = zr >> -shift, zi >> -shift, (z_rad >> -shift) + 2
+    z_size = abs(zr) + abs(zi)
+    coeffs, widest = [(cr, ci)], rad
+    for num, den in factors:
+        rad = (((abs(cr) + abs(ci)) * z_rad + z_size * rad + 2 * rad * z_rad) >> p) + 2
+        cr, ci = (cr * zr - ci * zi) >> p, (cr * zi + ci * zr) >> p
+        cr, ci, rad = cr * num // den, ci * num // den, rad * num // den + 2
+        coeffs.append((cr, ci))
+        # the terms may fall with k, and their radii with them
+        widest = max(widest, rad)
+    return coeffs, e, widest
 
 
 def _ball_aligned(series) -> list:

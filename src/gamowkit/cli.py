@@ -44,11 +44,10 @@ from .smatrix import (
 from .states import decay_table
 from .uniqueness import certify
 
-# Largest inputs that set the amount of work: j = 32 certifies in 0.1 to
-# 0.2 s; at r = 32 on 5000 points decay-curve takes 1.0 to 1.7 s and
-# pole-term about 0.3 s (also with a cubic phase and three terms at
-# m = 32, where the exact Q would run to 23000 bits: its balls of 320
-# bits decide every value), on a 2-vCPU Xeon; the costs keep growing.
+# Largest inputs that set the amount of work; the costs keep growing past
+# them.  CHANGES.md (the entry that adds algebra._ball_chain) has the wall
+# time of each command at these caps.  At m = 32 with a cubic phase and
+# three terms the exact Q would run to 23000 bits; 320-bit balls decide it.
 J_CAP = 32
 R_CAP = 32
 M_CAP = 32

@@ -21,9 +21,8 @@ W phi; its PoleJet reads the amplitude and the survival probability at
 any t >= 0, and the ratio table of a whole grid in one call.  Every
 value is read off p-bit balls of the jets where Ziv's test decides it,
 and off the exact jets only where no ball of up to 5120 bits decides
-it.  Only the benchmark's smatrix.derivative_* metrics and acceptance
-criterion 5 read analytic_derivatives (contour quadrature), until ROADMAP
-item 3.
+it.  No command reads analytic_derivatives (contour quadrature): only the
+benchmark's smatrix.derivative_* metrics and acceptance criterion 5 do.
 """
 
 from __future__ import annotations
@@ -32,10 +31,10 @@ import cmath
 import math
 from fractions import Fraction
 
-from .algebra import _Frozen, _ball_aligned, _ball_product, _ball_quotient, _convolve, _exact_at
-from .algebra import _check_times, _exact_reading, _exp_decay, _exp_exact, _fixed_readings, _gmul
-from .algebra import _horner, _horner_bounds, _ldexp, _lift, _norm_bounds, _rounded_part, _trim
-from .algebra import _turn, binom
+from .algebra import _Frozen, _ball_aligned, _ball_chain, _ball_product, _ball_quotient, _convolve
+from .algebra import _check_times, _exact_at, _exact_reading, _exp_decay, _exp_exact, _gmul
+from .algebra import _fixed_readings, _horner, _horner_bounds, _ldexp, _lift, _norm_bounds
+from .algebra import _rounded_part, _trim, _turn, binom
 from .errors import NoConvergenceError, PoleEvaluationError, VanishingPoleTermError
 from .jordan import GamowSubspace, ResonancePole
 from .states import w_total
@@ -217,8 +216,8 @@ def analytic_derivatives(f, z0: complex, n_max: int, radius: float) -> list:
 # Every input float enters at its exact binary value, so z, the test
 # function data, the phase coefficients and Gamma are all exact.  The
 # phase shift jet is returned in lowest terms (_lowest), so that _convolve
-# multiplies no factor common to all of it: 375 to 391 bits at r = 8, and
-# a flat phase shifts by exactly 1.
+# multiplies no factor common to all of it (363 to 393 bits on the r = 8
+# pole-survival configs of seeds 1 to 5); a flat phase shifts by exactly 1.
 
 
 def _rational_jet(fn: TestFunction, z, order: int) -> tuple:
@@ -350,9 +349,8 @@ _PRECISIONS = (160, 320, 640, 1280, 2560, 5120)
 def _ball_leg(fn: TestFunction, z, order: int, s: int, p: int) -> tuple:
     """The jet of fn at z in u as a ball series at p bits: term k of
     c / (w - i a)**m is J_k = c delta**m binom(m+k-1, k) zeta**k with
-    delta = 1 / (z - i a) and zeta = -2**s delta, |zeta| < 2.  J_0 is a
-    p-bit scalar, and J_k = J_(k-1) zeta (m+k-1) / k is read at its
-    exponent with zeta cut to 2**-p, each step floored, radius carried."""
+    delta = 1 / (z - i a) and zeta = -2**s delta, |zeta| < 2: the
+    _ball_chain from the p-bit scalar J_0 by zeta and (m+k-1) / k."""
     terms = []
     for a, m, c in fn.terms:
         ((x, y),), sd = _lift([(z[0], z[1] - Fraction(a))])
@@ -362,23 +360,9 @@ def _ball_leg(fn: TestFunction, z, order: int, s: int, p: int) -> tuple:
         term = ([c_int], 1 - c_den.bit_length(), 0)
         for _ in range(m):
             term = _ball_product(term, delta, 1, p)
-        ((zr, zi),), shift, z_rad = delta[0], delta[1] + s + p, delta[2]
-        if shift >= 0:
-            zr, zi, z_rad = -zr << shift, -zi << shift, z_rad << shift
-        else:
-            zr, zi, z_rad = -zr >> -shift, -zi >> -shift, (z_rad >> -shift) + 2
-        z_size = abs(zr) + abs(zi)
-        (jet, e, rad), widest = term, term[2]
-        for k in range(1, order):
-            cr, ci = jet[-1]
-            rad = (((abs(cr) + abs(ci)) * z_rad + z_size * rad + 2 * rad * z_rad) >> p) + 2
-            cr, ci = (cr * zr - ci * zi) >> p, (cr * zi + ci * zr) >> p
-            f = m + k - 1
-            jet.append((cr * f // k, ci * f // k))
-            rad = rad * f // k + 2
-            # one radius for the series: J_k's may fall with k where |zeta| is small
-            widest = max(widest, rad)
-        terms.append((jet, e, widest))
+        ((dr, di),), de, d_rad = delta
+        zeta = [(-dr, -di)], de + s, d_rad
+        terms.append(_ball_chain(term, zeta, [(m + k - 1, k) for k in range(1, order)], p))
     if not terms:
         return [(0, 0)] * order, 0, 0
     aligned = _ball_aligned(terms)
@@ -387,34 +371,21 @@ def _ball_leg(fn: TestFunction, z, order: int, s: int, p: int) -> tuple:
 
 
 def _ball_shift(shifted, g_den: int, order: int, s: int, p: int) -> tuple:
-    """exp(2i (gamma(z + 2**s u) - gamma(z))) in u as a ball series:
-    _phase_jet's recurrence on g_j 2**(s j) cut to 2**-p, each e_k floored,
-    the radius of every e_k carried from those it is made of.  The series
-    starts at 2**-p and is cut whenever a term passes 2 p bits, so that a
-    steep phase does not grow its integers with the order."""
-    g = [None]
-    for j in range(1, len(shifted)):
-        shift = s * j + p
-        g.append(tuple((x << shift if shift >= 0 else x >> -shift) // g_den for x in shifted[j]))
-    # every g_j within 2 of its exact value
-    e, rads, exponent = [(1 << p, 0)], [0], -p
-    for k in range(1, order):
-        re = im = rad = 0
-        for j in range(1, min(k, len(g) - 1) + 1):
-            (gr, gi), (er, ei) = g[j], e[k - j]
-            # 2 j i g_j e_(k-j)
-            re -= 2 * j * (gr * ei + gi * er)
-            im += 2 * j * (gr * er - gi * ei)
-            size_g, size_e = abs(gr) + abs(gi), abs(er) + abs(ei)
-            rad += 2 * j * (size_g * rads[k - j] + 2 * size_e + 4 * rads[k - j])
-        d = k << p
-        e.append((re // d, im // d))
-        rads.append(rad // d + 2)
-        drop = max(map(abs, e[-1])).bit_length() - 2 * p
-        if drop > 0:
-            e, rads = [(x >> drop, y >> drop) for x, y in e], [(x >> drop) + 2 for x in rads]
-            exponent += drop
-    return e, exponent, max(rads)
+    """exp(2i (gamma(z + 2**s u) - gamma(z))) in u as a ball series: the
+    product over 1 <= j < order of exp(c_j u**j), c_j = 2i g_j 2**(s j) and
+    g_j = shifted[j] / g_den, each factor the _ball_chain c_j**n / n! on the
+    powers u**(j n) at 2**(-2 p), uncut, since a steep phase's factors can
+    be far larger than their product; each product is cut to 2 p bits."""
+    bits = 2 * p
+    one = [(1 << bits, 0)], -bits, 0
+    shift = one[0] + [(0, 0)] * (order - 1), -bits, 0
+    for j in range(1, min(len(shifted), order)):
+        c = _ball_quotient(_turn(shifted[j], 1), g_den, s * j + 1, bits)
+        terms, e, rad = _ball_chain(one, c, [(1, n) for n in range(1, (order - 1) // j + 1)], bits)
+        factor = [(0, 0)] * order
+        factor[::j] = terms
+        shift = (factor, e, rad) if j == 1 else _ball_product(shift, (factor, e, rad), order, bits)
+    return shift
 
 
 def _ball_jets(psi: TestFunction, phi: TestFunction, model: SMatrixModel, taylor, p: int):

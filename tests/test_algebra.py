@@ -16,6 +16,7 @@ from gamowkit.algebra import (
     GaussianRational,
     Polynomial,
     _ball_aligned,
+    _ball_chain,
     _ball_product,
     _ball_quotient,
     _convolve,
@@ -397,6 +398,15 @@ def contains(ball, exact) -> bool:
         for x, c in zip(pair, centre))
 
 
+def exact_chain(first, ratio, factors) -> list:
+    """t_0 = first, t_k = t_(k-1) ratio num_k / den_k, exactly."""
+    out = [first]
+    for num, den in factors:
+        x, y = gmul(out[-1], ratio)
+        out.append((x * num / den, y * num / den))
+    return out
+
+
 def exact_product(a, b, order: int) -> list:
     return [(sum(a[k - j][0] * b[j][0] - a[k - j][1] * b[j][1] for j in range(k + 1)),
              sum(a[k - j][0] * b[j][1] + a[k - j][1] * b[j][0] for j in range(k + 1)))
@@ -460,6 +470,29 @@ class TestBallPrimitives:
         assert [e for _, e, _ in out] == [top] * len(case)
         for ball, (_, exact) in zip(out, case):
             assert contains(ball, exact)
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(first=balls(1), ratio=balls(1),
+           factors=st.lists(st.tuples(st.integers(0, 64), st.integers(1, 64)), max_size=6),
+           p=st.integers(8, 32))
+    # every centre positive and every exact value at +rad: the cut of the
+    # ratio, the floor of the step and that of the division by 8 all drop
+    # their centres below the exact value, 0.69 units inside the radius
+    @example(first=ball_at([(369, 105)], -1, 8), ratio=ball_at([(14214, 10973)], -12, 3),
+             factors=[(1, 8)], p=8)
+    # edge cases that each break some narrowed radius: a ratio cut by one
+    # bit, a cut by two over four steps, and a ratio shifted up by two bits
+    @example(first=ball_at([(4, -4)], 3, 2), ratio=ball_at([(8906, -13519)], -12, 12, (-1, -1)),
+             factors=[(5, 2)], p=11)
+    @example(first=ball_at([(7, -808)], 3, 4), ratio=ball_at([(2, -1)], -10, 7),
+             factors=[(7, 3), (5, 2), (7, 3), (6, 9)], p=8)
+    @example(first=ball_at([(478, 371)], 4, 0, (-1, -1)),
+             ratio=ball_at([(592, 1800)], -8, 3, (1, -1)), factors=[(9, 5)], p=10)
+    def test_chain_holds_the_exact_series(self, first, ratio, factors, p):
+        (ball, (exact,)), (ratio_ball, (exact_ratio,)) = first, ratio
+        out = _ball_chain(ball, ratio_ball, factors, p)
+        assert out[1] == ball[1]
+        assert contains(out, exact_chain(exact, exact_ratio, factors))
 
 
 # a Horner pass at t = 2047/1024: with every acc = 1 (mod 1024), each floor

@@ -870,7 +870,9 @@ class TestOtherCommands:
 
 # pole-term configs whose output bytes are pinned: every order up to 8 with
 # each class of background phase, the shipped configs, and poles from the
-# whole range up to the cap of r, each of which runs in under 1 s
+# whole range up to the cap of r, each of which runs in under 1 s; the
+# steep phase is 5e5 (w - 2.5)**2, whose phase factor has modulus 1 and
+# whose shift jet has terms far past the bits of a ball build
 PIN_PHASES = {
     "flat": ["0.3"],
     "linear": ["0.3", "0.5"],
@@ -887,6 +889,7 @@ PIN_WIDE = {
     "r20-overflow": (20, "1e200", "1e150", [], "10.0"),
     "r8-overflow": (8, "1e-300", "1e300", [], "10.0"),
     "r8-far": (8, "1e300", "1.0", [], "10.0"),
+    "r32-steep": (32, "2.5", "0.75", ["3125000.0", "-2500000.0", "500000.0"], "10.0"),
 }
 
 
@@ -961,15 +964,21 @@ POLE_TERM_SHA256 = {
     "r20-overflow": "468a685dc1e55abdd290b743c97e5ba0dff8bef78df13f641ed9115b52f0cec9",
     "r8-overflow": "810f74afb4eccd19c144babc52fc557b3d8bd1159a1d4af22a47e8b1582ed2dd",
     "r8-far": "99c6d7d793dd8d5a11eca5f76492307a9ffe8a88d9f305bfa9e530a05fd56f8d",
+    "r32-steep": "7a35d51428de5476cd0c182e0c747aa4db7c49561dfc927b1e7f206fccb01fa2",
 }
 
 
 class TestPoleTermBytes:
     @pytest.mark.parametrize("name", sorted(POLE_TERM_SHA256))
-    def test_pole_term_bytes_are_pinned(self, runner, tmp_path, name):
+    def test_pole_term_bytes_are_pinned(self, runner, tmp_path, monkeypatch, name):
+        # every pinned run is decided by a ball build: none reaches the exact one
+        exact_builds, build = [], smatrix._exact_jets
+        monkeypatch.setattr(smatrix, "_exact_jets",
+                            lambda *pairing: exact_builds.append(pairing) or build(*pairing))
         path = tmp_path / "pin.conf"
         path.write_text(_pin_configs()[name])
         assert _pole_term_digest(runner, path) == POLE_TERM_SHA256[name]
+        assert not exact_builds
 
 
 # decay-curve configs whose output bytes are pinned: both normalizations at

@@ -60,6 +60,7 @@ KERNELS = {
     "_ball_quotient": ("gamowkit/algebra.py", "test_algebra.py", "TestBallPrimitives"),
     "_ball_product": ("gamowkit/algebra.py", "test_algebra.py", "TestBallPrimitives"),
     "_ball_aligned": ("gamowkit/algebra.py", "test_algebra.py", "TestBallPrimitives"),
+    "_ball_chain": ("gamowkit/algebra.py", "test_algebra.py", "TestBallPrimitives"),
     "_rounded_part": ("gamowkit/algebra.py", "test_algebra.py", "TestRoundedPart"),
     "_norm_bounds": ("gamowkit/algebra.py", "test_algebra.py", "TestNormBounds"),
     "_horner_bounds": ("gamowkit/algebra.py", "test_algebra.py", "TestHornerBounds"),
